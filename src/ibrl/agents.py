@@ -13,12 +13,10 @@ identical choices, which is the classical-recovery property the test suite
 pins down.
 
 Observation handling differs by flavor: the maximin flavor runs the full
-conditioning pipeline (restrict, renormalize, prune), while classical
-flavors advance the history only, which is an ordinary Bayes update under
-the hood. If conditioning refutes every hypothesis that assigned the
-observation positive probability, the update is degenerate; the agent drops
-the refuted points and renormalizes the survivors, aborting only when no
-point survives.
+conditioning pipeline of ``updates.condition`` (restrict, renormalize,
+prune, and the handling of observations that refute some points), while
+classical flavors advance the history only, which is an ordinary Bayes
+update under the hood.
 """
 
 from __future__ import annotations
@@ -28,15 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, DegenerateUpdateError
-from .inframeasure import (
-    VALUE_TOL,
-    AMeasure,
-    Infradistribution,
-    lower_expectation,
-    prune,
-)
-from .updates import DEGENERATE_TOL, renormalize, update_infra
+from .errors import ConfigError, ContractViolationError
+from .inframeasure import VALUE_TOL, AMeasure, Infradistribution, lower_expectation
+from .updates import condition
 from .worldmodels import NewcombModel, ObservationEvent, ReturnFunction, WorldModel
 
 
@@ -150,30 +142,12 @@ def make_agent(
     )
 
 
-def policy_value(
-    state: AgentState,
-    policy: Policy,
-    f: ReturnFunction,
-    per_action_infimum: bool = False,
-) -> float:
-    """Robust value of one policy: the lower expectation of its return.
-
-    By default the worst case is taken against the full mixed policy (the
-    return function is mixed by the action probabilities first, then the
-    minimum over points is taken). ``per_action_infimum=True`` instead mixes
-    the per-action lower values; the two orders agree on deterministic
-    policies and the default is never above the alternative."""
-    model = state.model
-    if per_action_infimum and not isinstance(model, NewcombModel):
-        total = 0.0
-        for action, prob in enumerate(policy.action_probs):
-            if prob == 0.0:
-                continue
-            one_hot = [0.0] * len(policy.action_probs)
-            one_hot[action] = 1.0
-            total += prob * lower_expectation(state.belief, model.bind_policy(f, one_hot))
-        return total
-    return lower_expectation(state.belief, model.bind_policy(f, policy.action_probs))
+def policy_value(state: AgentState, policy: Policy, f: ReturnFunction) -> float:
+    """Robust value of one policy: the lower expectation of its return, with
+    the worst case taken against the full mixed policy (the return function
+    is mixed by the action probabilities first, then the minimum over points
+    is taken)."""
+    return lower_expectation(state.belief, state.model.bind_policy(f, policy.action_probs))
 
 
 def select_policy(state: AgentState, grid: PolicyGrid, f: ReturnFunction) -> Policy:
@@ -210,65 +184,42 @@ def _observation_event(state: AgentState, action: int, reward: float) -> Observa
     return model.observation(action, outcome, g)
 
 
-def _condition_with_fallback(
-    belief: Infradistribution, event: ObservationEvent
-) -> Infradistribution:
-    updated = update_infra(belief, event)
-    try:
-        return prune(renormalize(updated))
-    except DegenerateUpdateError:
-        live = tuple(
-            a
-            for a in updated.points
-            if a.scale > 0.0
-            and a.scale * a.model.conditioned_mass(a.measure, a.history) > DEGENERATE_TOL
-        )
-        if not live:
-            raise DegenerateUpdateError(
-                "every point assigned the observation zero probability; belief refuted"
-            )
-        return prune(renormalize(Infradistribution(live, pruned=False)))
-
-
 def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
     """Fold one observation into the belief.
 
-    The maximin flavor conditions fully (refuted points are dropped if they
-    would make renormalization degenerate). Classical flavors advance the
-    history only, which realizes the ordinary Bayes posterior through the
-    world model's predictive reweighting."""
+    The maximin flavor conditions fully through ``updates.condition``, which
+    also drops points the observation refutes when they would make
+    renormalization degenerate. Classical flavors advance the history only,
+    which realizes the ordinary Bayes posterior through the world model's
+    predictive reweighting."""
     event = _observation_event(state, action, reward)
     if state.flavor == "ib_maximin":
-        return replace(state, belief=_condition_with_fallback(state.belief, event))
+        return replace(state, belief=condition(state.belief, event))
     points = []
     for a in state.belief.points:
         measure, history = a.model.advance(a.measure, a.history, event)
         points.append(AMeasure(a.scale, measure, a.offset, history, a.model))
-    return replace(state, belief=Infradistribution(tuple(points), pruned=state.belief.pruned))
+    return replace(state, belief=Infradistribution(tuple(points)))
 
 
-def bayes_select(state: AgentState, strategy: str | None = None) -> int:
+def bayes_select(state: AgentState) -> int:
     """Classical action selection on a single-point belief.
 
-    ``greedy`` takes the argmax of posterior-predictive expected return per
-    arm; ``thompson`` samples hypothesis components proportional to posterior
-    weight and is greedy for the sample. Ties within 1e-9 are broken
-    uniformly from the agent's stream."""
+    ``bayes_thompson`` samples hypothesis components proportional to
+    posterior weight and is greedy for the sample; every other flavor takes
+    the argmax of posterior-predictive expected return per arm. Ties within
+    1e-9 are broken uniformly from the agent's stream."""
     if len(state.belief.points) != 1:
         raise ContractViolationError(
             "classical selection requires a single-point (classical) belief"
         )
-    if strategy is None:
-        strategy = "greedy" if state.flavor != "bayes_thompson" else "thompson"
     a = state.belief.points[0]
-    if strategy == "greedy":
-        values = state.model.expected_action_values(a.measure, a.history, state.reward_values)
-    elif strategy == "thompson":
+    if state.flavor == "bayes_thompson":
         values = state.model.sampled_action_values(
             a.measure, a.history, state.reward_values, state.rng
         )
     else:
-        raise ConfigError(f"unknown selection strategy {strategy!r}")
+        values = state.model.expected_action_values(a.measure, a.history, state.reward_values)
     best = float(np.max(values))
     candidates = [i for i, v in enumerate(values) if v >= best - VALUE_TOL]
     if len(candidates) == 1:

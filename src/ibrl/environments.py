@@ -87,19 +87,12 @@ def ku_probabilities(
 
 
 def ku_step(
-    cfg: KUBanditConfig,
-    action: int,
-    rng: np.random.Generator,
-    step_index: int = 0,
+    cfg: KUBanditConfig, action: int, rng: np.random.Generator
 ) -> tuple[int, tuple[float, ...]]:
     """Resolve one pull: returns the sampled reward and the realized
-    probabilities used for regret accounting.
-
-    ``step_index`` is accepted so schedule-driven adversaries can be added
-    without changing call sites; the built-in modes ignore it."""
+    probabilities used for regret accounting."""
     if not 0 <= action < cfg.arm_count:
         raise ConfigError("action out of range")
-    del step_index
     probs = ku_probabilities(cfg, action, rng)
     return bernoulli_step(probs[action], rng), probs
 

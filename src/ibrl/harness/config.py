@@ -136,15 +136,6 @@ def config_from_mapping(mapping: Mapping[str, object]) -> ExperimentConfig:
     return ExperimentConfig(experiment=experiment, seed=seed, out=out, settings=data)
 
 
-def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-    return config_from_mapping(parse_config_text(text))
-
-
 def check_settings(cfg: ExperimentConfig, allowed: Mapping[str, str]) -> None:
     """Reject settings keys outside the experiment's documented schema.
 

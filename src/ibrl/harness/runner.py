@@ -1,12 +1,19 @@
 """Experiment orchestration: seeded rollouts producing run records.
 
-Every experiment follows the same loop per step: the agent selects a policy,
-samples an action, the environment resolves the step, and the observation is
-folded back into the agent's belief. All randomness flows through named
-streams derived from ``(seed, unit indices, role)``, so any run unit can be
-reproduced in isolation and the full record list is a pure function of
-(config, seed). Units are independent, which would let a scheduler fan them
-out; the built-in scheduler is sequential and emits records in canonical
+Every experiment runs the same loop, ``_rollout``: per step the agent
+selects a policy (classical agents select an arm directly), samples an
+action, the environment resolves the step, the step is recorded, and the
+observation is folded back into the agent's belief. Experiments differ only
+in their belief builders, stream keys and a small environment-step closure.
+A Newcomb episode is a one-step rollout from its cell's initial belief, with
+the cell's agent and environment streams shared across episodes; this is
+exact because conditioning on a Newcomb observation is the identity.
+
+All randomness flows through named streams derived from
+``(seed, unit indices, role)``, so any run unit can be reproduced in
+isolation and the full record list is a pure function of (config, seed).
+Units are independent, which would let a scheduler fan them out; the
+built-in scheduler is sequential and emits records in canonical
 (agent, episode, step) order either way.
 
 Environment streams are keyed without an agent index: agents compared within
@@ -20,11 +27,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..agents import (
+    AgentState,
+    Policy,
+    PolicyGrid,
     act,
     bayes_select,
     deterministic_grid,
@@ -53,7 +63,9 @@ from ..worldmodels import (
     BernoulliArmsModel,
     JointHypothesisBanditModel,
     NewcombModel,
+    ReturnFunction,
     newcomb_expected_reward,
+    newcomb_reward_moments,
 )
 from .config import ExperimentConfig, check_settings
 
@@ -245,6 +257,56 @@ def trap_bayes_belief(
     measure = model.measure(weights, safe_tables + risky_tables)
     return classical_belief(model, measure)
 
+# ---------------------------------------------------------------------------
+# The rollout loop
+# ---------------------------------------------------------------------------
+
+
+def _rollout(
+    cfg: ExperimentConfig,
+    label: str,
+    episode: int,
+    state: AgentState,
+    candidates: PolicyGrid,
+    base_f: ReturnFunction,
+    env_step: Callable[[Policy | None, int], tuple[float, float, float]],
+    steps: int,
+    where: str = "",
+) -> list[RunRecord]:
+    """Run one agent for ``steps`` steps: select, act, step, record, observe.
+
+    Maximin agents score the ``candidates`` on ``base_f`` and sample an
+    action from the chosen policy; classical agents pick an arm from their
+    posterior and pass ``None`` as the policy. ``env_step(policy, action)``
+    returns ``(reward, expected regret, realized regret)`` for the step. A
+    degenerate update is re-raised naming the experiment, agent, episode and
+    step, followed by ``where`` (extra context such as the sampled world)."""
+    records: list[RunRecord] = []
+    cum_reg = cum_exp = 0.0
+    try:
+        for t in range(steps):
+            if state.flavor == "ib_maximin":
+                policy = select_policy(state, candidates, base_f)
+                action = act(policy, state.rng)
+            else:
+                policy = None
+                action = bayes_select(state)
+            reward, step_exp, step_reg = env_step(policy, action)
+            cum_exp += step_exp
+            cum_reg += step_reg
+            records.append(
+                RunRecord(
+                    cfg.experiment, label, cfg.seed, episode, t,
+                    action, reward, step_exp, cum_reg, cum_exp,
+                )
+            )
+            state = ib_observe(state, action, reward)
+    except DegenerateUpdateError as exc:
+        raise DegenerateUpdateError(
+            f"{cfg.experiment}: agent {label!r}, episode {episode}, step {t}{where}: {exc}"
+        ) from exc
+    return records
+
 
 # ---------------------------------------------------------------------------
 # Per-experiment runners
@@ -285,7 +347,6 @@ def _run_validate_classical(cfg: ExperimentConfig) -> list[RunRecord]:
         exp_rewards = np.asarray(pair, dtype=float)
         best = float(exp_rewards.max())
         for r in range(runs):
-            episode = s * runs + r
             for agent_name, flavor in (("ib_single", "ib_maximin"), ("bayes", "bayes_greedy")):
                 # Both agents get byte-identical environment AND agent
                 # streams: matched seeds are the point of this experiment.
@@ -297,30 +358,14 @@ def _run_validate_classical(cfg: ExperimentConfig) -> list[RunRecord]:
                     flavor,
                     values,
                 )
-                cum_reg = 0.0
-                cum_exp = 0.0
-                try:
-                    for t in range(steps):
-                        if flavor == "ib_maximin":
-                            policy = select_policy(state, candidates, base_f)
-                            action = act(policy, state.rng)
-                        else:
-                            action = bayes_select(state)
-                        reward = float(bernoulli_step(pair[action], env_rng))
-                        step_exp = expected_regret(exp_rewards, action)
-                        cum_exp += step_exp
-                        cum_reg += best - reward
-                        records.append(
-                            RunRecord(
-                                cfg.experiment, agent_name, cfg.seed, episode, t,
-                                action, reward, step_exp, cum_reg, cum_exp,
-                            )
-                        )
-                        state = ib_observe(state, action, reward)
-                except DegenerateUpdateError as exc:
-                    raise DegenerateUpdateError(
-                        f"{cfg.experiment}: agent {agent_name!r}, episode {episode}: {exc}"
-                    ) from exc
+
+                def env_step(policy, action):
+                    reward = float(bernoulli_step(pair[action], env_rng))
+                    return reward, expected_regret(exp_rewards, action), best - reward
+
+                records += _rollout(
+                    cfg, agent_name, s * runs + r, state, candidates, base_f, env_step, steps
+                )
     return records
 
 
@@ -377,31 +422,14 @@ def _run_ku_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
             else:
                 belief = classical_belief(model, model.point_measure(corner))
             state = make_agent(belief, agent_rng, flavor, values)
-            cum_reg = 0.0
-            cum_exp = 0.0
-            try:
-                for t in range(steps):
-                    if flavor == "ib_maximin":
-                        policy = select_policy(state, candidates, base_f)
-                        action = act(policy, state.rng)
-                    else:
-                        action = bayes_select(state)
-                    reward, probs = ku_step(env, action, env_rng, t)
-                    exp_rewards = np.asarray(probs)
-                    step_exp = expected_regret(exp_rewards, action)
-                    cum_exp += step_exp
-                    cum_reg += float(exp_rewards.max()) - reward
-                    records.append(
-                        RunRecord(
-                            cfg.experiment, label, cfg.seed, run, t,
-                            action, float(reward), step_exp, cum_reg, cum_exp,
-                        )
-                    )
-                    state = ib_observe(state, action, reward)
-            except DegenerateUpdateError as exc:
-                raise DegenerateUpdateError(
-                    f"{cfg.experiment}: agent {label!r}, run {run}: {exc}"
-                ) from exc
+
+            def env_step(policy, action):
+                reward, probs = ku_step(env, action, env_rng)
+                exp_rewards = np.asarray(probs)
+                regret = float(exp_rewards.max()) - reward
+                return float(reward), expected_regret(exp_rewards, action), regret
+
+            records += _rollout(cfg, label, run, state, candidates, base_f, env_step, steps)
     return records
 
 
@@ -441,18 +469,6 @@ def _newcomb_alphas(cfg: ExperimentConfig) -> tuple[float, ...]:
     return tuple(a for a in alphas if a <= hi + 1e-12)
 
 
-def _newcomb_reward_variance(p_one_box: float, model: NewcombModel) -> float:
-    from ..worldmodels import newcomb_prediction_prob
-
-    q = newcomb_prediction_prob(p_one_box, model.accuracy)
-    m = np.asarray(model.reward_matrix, dtype=float)
-    action_probs = np.array([p_one_box, 1.0 - p_one_box])
-    prediction_probs = np.array([q, 1.0 - q])
-    mean = float(action_probs @ m @ prediction_probs)
-    second = float(action_probs @ (m * m) @ prediction_probs)
-    return max(0.0, second - mean * mean)
-
-
 def run_newcomb_sweep(
     cfg: ExperimentConfig,
 ) -> tuple[list[RunRecord], list[NewcombCellSummary]]:
@@ -474,10 +490,9 @@ def run_newcomb_sweep(
         env = NewcombEnvConfig(model, episodes)
         env_rng = derive_stream(cfg.seed, ci, ENV_STREAM)
         agent_rng = derive_stream(cfg.seed, ci, AGENT_STREAM)
-        belief = Infradistribution.singleton(
-            AMeasure(1.0, STATELESS, 0.0, model.initial_history(), model)
-        )
-        state = make_agent(belief, agent_rng, "ib_maximin")
+        # Conditioning on a Newcomb observation is the identity, so every
+        # episode is a one-step rollout from this same initial state.
+        state = make_agent(classical_belief(model, STATELESS), agent_rng, "ib_maximin")
         candidates = policy_grid(2, pstep)
         base_f = model.policy_return(0.0)
         # Best over the same candidate values the agent compares, so the
@@ -487,25 +502,25 @@ def run_newcomb_sweep(
             for pol in candidates.policies
         )
         label = f"ib_alpha{alpha:.2f}"
-        sum_p = sum_reward = sum_value = sum_var = 0.0
-        for e in range(episodes):
-            policy = select_policy(state, candidates, base_f)
+        # Per episode: one-boxing probability, reward, and reward moments.
+        episode_stats: list[tuple[float, float, float, float]] = []
+
+        def env_step(policy, action):
             p_star = policy.action_probs[0]
-            action = act(policy, state.rng)
             reward = newcomb_step(env, p_star, action, env_rng)
-            value = newcomb_expected_reward(p_star, model)
-            step_exp = best - value
-            records.append(
-                RunRecord(
-                    cfg.experiment, label, cfg.seed, e, 0,
-                    action, reward, step_exp, best - reward, step_exp,
-                )
-            )
-            state = ib_observe(state, action, reward)
+            mean, second = newcomb_reward_moments(p_star, model)
+            episode_stats.append((p_star, reward, mean, second))
+            return reward, best - mean, best - reward
+
+        for e in range(episodes):
+            records += _rollout(cfg, label, e, state, candidates, base_f, env_step, 1)
+
+        sum_p = sum_reward = sum_value = sum_var = 0.0
+        for p_star, reward, mean, second in episode_stats:
             sum_p += p_star
             sum_reward += reward
-            sum_value += value
-            sum_var += _newcomb_reward_variance(p_star, model)
+            sum_value += mean
+            sum_var += max(0.0, second - mean * mean)
         summaries.append(
             NewcombCellSummary(
                 alpha=alpha,
@@ -580,36 +595,21 @@ def _run_trap_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
             agent_rng = derive_stream(cfg.seed, run, AGENT_STREAM, ai)
             world = trap_sample_world(env, env_rng)
             exp_rewards = trap_expected_rewards(world, env)
+            best = float(exp_rewards.max())
             if flavor == "ib_maximin":
                 belief = trap_ib_belief(model, env)
             else:
                 belief = trap_bayes_belief(model, env, alpha_prior)
             state = make_agent(belief, agent_rng, flavor, values, raw_support)
-            cum_reg = 0.0
-            cum_exp = 0.0
-            best = float(exp_rewards.max())
-            try:
-                for t in range(env.horizon):
-                    if flavor == "ib_maximin":
-                        policy = select_policy(state, candidates, base_f)
-                        action = act(policy, state.rng)
-                    else:
-                        action = bayes_select(state)
-                    reward = trap_step(world, env, action, env_rng)
-                    step_exp = expected_regret(exp_rewards, action)
-                    cum_exp += step_exp
-                    cum_reg += best - reward
-                    records.append(
-                        RunRecord(
-                            cfg.experiment, label, cfg.seed, run, t,
-                            action, reward, step_exp, cum_reg, cum_exp,
-                        )
-                    )
-                    state = ib_observe(state, action, reward)
-            except DegenerateUpdateError as exc:
-                raise DegenerateUpdateError(
-                    f"{cfg.experiment}: agent {label!r}, run {run}, world {world}: {exc}"
-                ) from exc
+
+            def env_step(policy, action):
+                reward = trap_step(world, env, action, env_rng)
+                return reward, expected_regret(exp_rewards, action), best - reward
+
+            records += _rollout(
+                cfg, label, run, state, candidates, base_f, env_step, env.horizon,
+                where=f", world {world}",
+            )
     return records
 
 

@@ -28,14 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RepresentationError
-from .worldmodels import (
-    ExplicitFiniteModel,
-    FiniteOutcomeMeasure,
-    ObservationEvent,
-    ReturnFunction,
-    WorldModel,
-    _check_weights,
-)
+from .worldmodels import ExplicitFiniteModel, ReturnFunction, WorldModel, _check_weights
 
 # Absolute tolerance for value comparisons (ties, weight sums).
 VALUE_TOL = 1e-9
@@ -85,7 +78,6 @@ class Infradistribution:
     shared history."""
 
     points: tuple[AMeasure, ...]
-    pruned: bool = False
 
     def __post_init__(self) -> None:
         if not self.points:
@@ -107,7 +99,7 @@ class Infradistribution:
 
     @classmethod
     def singleton(cls, point: AMeasure) -> "Infradistribution":
-        return cls((point,), pruned=True)
+        return cls((point,))
 
 
 def lower_expectation(psi: Infradistribution, f: ReturnFunction) -> float:
@@ -164,7 +156,7 @@ def mix_classical(
         else:
             measure = combo[0].measure
         points.append(AMeasure(scale, measure, offset, history, model))
-    return Infradistribution(tuple(points), pruned=False)
+    return Infradistribution(tuple(points))
 
 
 def mix_knightian(components: Sequence[Infradistribution]) -> Infradistribution:
@@ -174,7 +166,7 @@ def mix_knightian(components: Sequence[Infradistribution]) -> Infradistribution:
     lower expectations (worst case over unresolvable alternatives)."""
     _common_frame(components)
     points = tuple(a for psi in components for a in psi.points)
-    return Infradistribution(points, pruned=False)
+    return Infradistribution(points)
 
 
 def _dedupe(points: Sequence[AMeasure]) -> list[AMeasure]:
@@ -259,4 +251,4 @@ def prune(psi: Infradistribution, convex: bool = False) -> Infradistribution:
                         kept.pop(i)
                         changed = True
                         break
-    return Infradistribution(tuple(kept), pruned=True)
+    return Infradistribution(tuple(kept))

@@ -29,8 +29,6 @@ to exactly 0 and 1 again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegenerateUpdateError, RepresentationError
 from .inframeasure import AMeasure, Infradistribution, prune
 from .worldmodels import ObservationEvent
@@ -61,9 +59,7 @@ def raw_update(a: AMeasure, event: ObservationEvent) -> AMeasure:
 def update_infra(psi: Infradistribution, event: ObservationEvent) -> Infradistribution:
     """Raw-update every point. The update is affine, so the point set maps
     pointwise and its size never grows."""
-    return Infradistribution(
-        tuple(raw_update(a, event) for a in psi.points), pruned=False
-    )
+    return Infradistribution(tuple(raw_update(a, event) for a in psi.points))
 
 
 def _alpha_beta(psi: Infradistribution) -> tuple[float, float]:
@@ -94,12 +90,31 @@ def renormalize(psi: Infradistribution) -> Infradistribution:
         AMeasure(a.scale / span, a.measure, (a.offset - alpha) / span, a.history, a.model)
         for a in psi.points
     )
-    return Infradistribution(points, pruned=False)
+    return Infradistribution(points)
 
 
 def condition(psi: Infradistribution, event: ObservationEvent) -> Infradistribution:
     """Full conditioning pipeline: raw update, renormalize, prune.
 
     On a single-point belief this is exactly a Bayes update: the point
-    returns to scale 1 and offset 0 and only its history moves."""
-    return prune(renormalize(update_infra(psi, event)))
+    returns to scale 1 and offset 0 and only its history moves.
+
+    If the observation refutes some points (zero scale, or zero mass left on
+    the observed branch) and that makes renormalization degenerate, the
+    refuted points are dropped and the survivors renormalized on their own.
+    ``DegenerateUpdateError`` is raised only when no point survives."""
+    updated = update_infra(psi, event)
+    try:
+        return prune(renormalize(updated))
+    except DegenerateUpdateError:
+        live = tuple(
+            a
+            for a in updated.points
+            if a.scale > 0.0
+            and a.scale * a.model.conditioned_mass(a.measure, a.history) > DEGENERATE_TOL
+        )
+        if not live:
+            raise DegenerateUpdateError(
+                "every point assigned the observation zero probability; belief refuted"
+            )
+        return prune(renormalize(Infradistribution(live)))

@@ -663,18 +663,33 @@ class NewcombModel(WorldModel):
         return STATELESS
 
 
+def _newcomb_expectation(p_one_box: float, accuracy: float, table: np.ndarray) -> float:
+    """Expectation of ``table[action][prediction]`` with the action drawn
+    from the policy and the prediction drawn with the accuracy-tilted
+    probability."""
+    q = newcomb_prediction_prob(p_one_box, accuracy)
+    action_probs = np.array([p_one_box, 1.0 - p_one_box])
+    prediction_probs = np.array([q, 1.0 - q])
+    return float(action_probs @ table @ prediction_probs)
+
+
 def newcomb_expected_reward(p_one_box: float, model: NewcombModel) -> float:
     """Expected reward of the policy that one-boxes with probability ``p``.
 
-    Sums reward over the four (action, prediction) cells with the action drawn
-    from the policy and the prediction drawn with the accuracy-tilted
-    probability. With the default matrix this is affine in ``p`` with slope
+    With the default matrix this is affine in ``p`` with slope
     ``20 * accuracy - 11``, so the optimal policy flips at accuracy 0.55."""
-    q = newcomb_prediction_prob(p_one_box, model.accuracy)
     m = np.asarray(model.reward_matrix, dtype=float)
-    action_probs = np.array([p_one_box, 1.0 - p_one_box])
-    prediction_probs = np.array([q, 1.0 - q])
-    return float(action_probs @ m @ prediction_probs)
+    return _newcomb_expectation(p_one_box, model.accuracy, m)
+
+
+def newcomb_reward_moments(p_one_box: float, model: NewcombModel) -> tuple[float, float]:
+    """First and second moments of the reward of the policy that one-boxes
+    with probability ``p``."""
+    m = np.asarray(model.reward_matrix, dtype=float)
+    return (
+        _newcomb_expectation(p_one_box, model.accuracy, m),
+        _newcomb_expectation(p_one_box, model.accuracy, m * m),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -803,14 +818,6 @@ class JointHypothesisBanditModel(WorldModel):
         return ObservationEvent(
             model=self, indicator=(arm, int(outcome)), offbranch_return=offbranch_return
         )
-
-    def outcome_index(self, reward: float) -> int:
-        """Index of ``reward`` in the support (within floating tolerance)."""
-        diffs = [abs(reward - s) for s in self.support]
-        idx = int(np.argmin(diffs))
-        if diffs[idx] > 1e-9:
-            raise RepresentationError(f"reward {reward!r} is not in the support")
-        return idx
 
     def _posterior(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory

@@ -97,7 +97,7 @@ class TestKUBandit:
 
     def test_step_accepts_a_schedule_index(self):
         cfg = KUBanditConfig()
-        reward, _ = ku_step(cfg, 0, np.random.default_rng(3), step_index=17)
+        reward, _ = ku_step(cfg, 0, np.random.default_rng(3))
         assert reward in (0, 1)
 
 

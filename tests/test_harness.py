@@ -8,7 +8,11 @@ from ibrl import (
     AMeasure,
     BernoulliArmsModel,
     ConfigError,
+    DegenerateUpdateError,
     Infradistribution,
+    deterministic_grid,
+    make_agent,
+    mix_knightian,
 )
 from ibrl.harness import (
     CSV_COLUMNS,
@@ -17,6 +21,7 @@ from ibrl.harness import (
     RunRecord,
     bootstrap_percentiles,
     catastrophe_rates,
+    classical_belief,
     config_from_mapping,
     derive_stream,
     emit_csv,
@@ -29,6 +34,7 @@ from ibrl.harness import (
     serialize_infradistribution,
 )
 from ibrl.harness.cli import main
+from ibrl.harness.runner import _rollout
 
 
 class TestConfigParsing:
@@ -265,6 +271,25 @@ class TestRunners:
         finals = final_cumulative_regrets(run_experiment(cfg))
         assert set(finals) == {"ib"}
         assert finals["ib"].shape == (3,)
+
+    def test_degenerate_update_names_the_step(self):
+        """Both points say the arm always pays; the failure at step 2
+        refutes every point, and the error says where it happened."""
+        model = BernoulliArmsModel(1)
+        values = np.array([[0.0, 1.0]])
+        sure = classical_belief(model, model.point_measure((1.0,)))
+        state = make_agent(mix_knightian([sure, sure]), derive_stream(1), "ib_maximin", values)
+        rewards = iter([1.0, 1.0, 0.0])
+
+        def env_step(policy, action):
+            reward = next(rewards)
+            return reward, 0.0, 1.0 - reward
+
+        cfg = ExperimentConfig("ku-bandit", seed=3)
+        f = model.arm_return(0, values)
+        expected = r"^ku-bandit: agent 'ib', episode 4, step 2, world W: every point"
+        with pytest.raises(DegenerateUpdateError, match=expected):
+            _rollout(cfg, "ib", 4, state, deterministic_grid(1), f, env_step, 5, ", world W")
 
     def test_catastrophe_rates_count_negative_reward_episodes(self):
         records = [

@@ -215,14 +215,6 @@ class TestJointHypothesisModel:
         )
         self.values = np.tile([0.0, 0.5, 1.0], (2, 1))
 
-    def test_outcome_index_maps_rewards_to_support(self):
-        assert self.model.outcome_index(0.0) == 0
-        assert self.model.outcome_index(1.0) == 2
-
-    def test_outcome_index_rejects_unknown_rewards(self):
-        with pytest.raises(RepresentationError):
-            self.model.outcome_index(0.3)
-
     def test_prior_expected_action_values(self):
         m = self.model.measure([0.5, 0.5], self.tables)
         h = self.model.initial_history()
