@@ -6,11 +6,13 @@ convention mapping each (arm, outcome) branch to a nonnegative return, and a
 dedicated random stream used only for tie-breaking and action sampling. The
 maximin flavor scores a policy by the lower expectation of its return with
 the worst case taken against the full mixed policy, then picks the argmax
-with uniform random tie-breaking. Classical flavors (greedy and Thompson
-sampling) score arms by posterior-predictive expected return on a
-single-point belief; a maximin agent whose belief is a single point makes
-identical choices, which is the classical-recovery property the test suite
-pins down.
+with uniform random tie-breaking. Every candidate is scored in one value
+pass per step: each belief point values the grid's whole (policies, actions)
+probability matrix in one world-model call, and the minimum over points is
+taken per policy. Classical flavors (greedy and Thompson sampling) score
+arms by posterior-predictive expected return on a single-point belief; a
+maximin agent whose belief is a single point makes identical choices, which
+is the classical-recovery property the test suite pins down.
 
 Observation handling differs by flavor: the maximin flavor runs the full
 conditioning pipeline of ``updates.condition`` (restrict, renormalize,
@@ -21,13 +23,13 @@ update under the hood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
-from .inframeasure import VALUE_TOL, AMeasure, Infradistribution, lower_expectation
+from .inframeasure import VALUE_TOL, AMeasure, Infradistribution, lower_expectations
 from .updates import condition
 from .worldmodels import NewcombModel, ObservationEvent, ReturnFunction, WorldModel
 
@@ -55,14 +57,17 @@ class Policy:
 @dataclass(frozen=True)
 class PolicyGrid:
     """Finite candidate policy set; always contains every deterministic
-    policy."""
+    policy. ``probs`` is its (policies, actions) probability matrix, built
+    once."""
 
     policies: tuple[Policy, ...]
     step: float
+    probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.policies:
             raise ConfigError("policy grid is empty")
+        object.__setattr__(self, "probs", np.array([p.action_probs for p in self.policies]))
 
 
 def policy_grid(action_count: int, step: float) -> PolicyGrid:
@@ -146,15 +151,15 @@ def policy_value(state: AgentState, policy: Policy, f: ReturnFunction) -> float:
     """Robust value of one policy: the lower expectation of its return, with
     the worst case taken against the full mixed policy (the return function
     is mixed by the action probabilities first, then the minimum over points
-    is taken)."""
-    return lower_expectation(state.belief, state.model.bind_policy(f, policy.action_probs))
+    is taken). This is the one-row case of ``select_policy``'s value pass."""
+    return float(lower_expectations(state.belief, f, np.array([policy.action_probs]))[0])
 
 
 def select_policy(state: AgentState, grid: PolicyGrid, f: ReturnFunction) -> Policy:
     """Argmax of the robust policy value over the grid; policies within
     1e-9 of the best are treated as tied and drawn uniformly from the
     agent's stream."""
-    values = [policy_value(state, policy, f) for policy in grid.policies]
+    values = lower_expectations(state.belief, f, grid.probs).tolist()
     best = max(values)
     candidates = [i for i, v in enumerate(values) if v >= best - VALUE_TOL]
     if len(candidates) == 1:

@@ -128,9 +128,15 @@ def newcomb_step(
 
 
 def newcomb_policy_rewards(cfg: NewcombEnvConfig) -> np.ndarray:
-    """Expected reward of the two deterministic policies (one-box, two-box),
-    which bound the value of every mixed policy because the value is affine
-    in the one-boxing probability."""
+    """Expected reward of the two deterministic policies (one-box, two-box).
+
+    The value of a mixed policy is quadratic in the one-boxing probability,
+    with leading coefficient ``(2 * accuracy - 1) * (m00 - m01 - m10 + m11)``.
+    It is affine, so these two values bound every mixed policy, only when
+    that coefficient is 0: for the default matrix, or at accuracy 0.5.
+    Otherwise a mixed policy can beat both; with matrix ``((0, 2), (2, 0))``
+    at accuracy 1, one-boxing with probability 0.5 is worth 1 and both
+    deterministic policies are worth 0."""
     from .worldmodels import newcomb_expected_reward
 
     return np.array(

@@ -9,7 +9,8 @@ is evidence rather than tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,14 +49,18 @@ from .stats import bootstrap_percentiles
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """Outcome of one criterion; ``run_all`` fills in its wall time."""
+
     number: int
     name: str
     passed: bool
     detail: str
+    seconds: float | None = None
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"criterion {self.number} ({self.name}): {status} - {self.detail}"
+        elapsed = "" if self.seconds is None else f" ({self.seconds:.1f} s)"
+        return f"criterion {self.number} ({self.name}): {status}{elapsed} - {self.detail}"
 
 
 def _result(number: int, name: str, problems: list[str], ok_detail: str) -> CriterionResult:
@@ -532,12 +537,18 @@ def check_algebra_properties(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
-    """All six acceptance criteria, in numbered order."""
-    return [
-        check_classical_recovery(seed),
-        check_conditioning_oracle(seed),
-        check_ku_geometry(seed),
-        check_newcomb_curve(seed),
-        check_trap_bandit(seed),
-        check_algebra_properties(seed),
-    ]
+    """All six acceptance criteria, in numbered order, each with its wall
+    time in seconds."""
+    results = []
+    for check in (
+        check_classical_recovery,
+        check_conditioning_oracle,
+        check_ku_geometry,
+        check_newcomb_curve,
+        check_trap_bandit,
+        check_algebra_properties,
+    ):
+        start = time.perf_counter()
+        result = check(seed)
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results

@@ -64,7 +64,6 @@ from ..worldmodels import (
     JointHypothesisBanditModel,
     NewcombModel,
     ReturnFunction,
-    newcomb_expected_reward,
     newcomb_reward_moments,
 )
 from .config import ExperimentConfig, check_settings
@@ -495,12 +494,13 @@ def run_newcomb_sweep(
         state = make_agent(classical_belief(model, STATELESS), agent_rng, "ib_maximin")
         candidates = policy_grid(2, pstep)
         base_f = model.policy_return(0.0)
-        # Best over the same candidate values the agent compares, so the
+        # Reward moments of every candidate, once per cell. The best mean is
+        # taken over the same candidate values the agent compares, so the
         # regret column is exactly nonnegative.
-        best = max(
-            newcomb_expected_reward(pol.action_probs[0], model)
-            for pol in candidates.policies
-        )
+        moments = {
+            pol: newcomb_reward_moments(pol.action_probs[0], model) for pol in candidates.policies
+        }
+        best = max(mean for mean, _ in moments.values())
         label = f"ib_alpha{alpha:.2f}"
         # Per episode: one-boxing probability, reward, and reward moments.
         episode_stats: list[tuple[float, float, float, float]] = []
@@ -508,7 +508,7 @@ def run_newcomb_sweep(
         def env_step(policy, action):
             p_star = policy.action_probs[0]
             reward = newcomb_step(env, p_star, action, env_rng)
-            mean, second = newcomb_reward_moments(p_star, model)
+            mean, second = moments[policy]
             episode_stats.append((p_star, reward, mean, second))
             return reward, best - mean, best - reward
 

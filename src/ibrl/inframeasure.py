@@ -16,7 +16,8 @@ world model and history, evaluated pessimistically:
 A single point therefore reduces to an ordinary expectation, a classical
 mixture combines points linearly, and a Knightian combination is a plain set
 union whose lower expectation is the envelope (pointwise minimum) of its
-parts.
+parts. ``lower_expectations`` scores a whole matrix of policies at once: one
+world-model call per point, then the minimum over points per policy.
 """
 
 from __future__ import annotations
@@ -105,6 +106,28 @@ class Infradistribution:
 def lower_expectation(psi: Infradistribution, f: ReturnFunction) -> float:
     """Worst-case value of ``f``: the minimum over the belief's points."""
     return min(evaluate(a, f) for a in psi.points)
+
+
+def lower_expectations(psi: Infradistribution, f: ReturnFunction, probs: np.ndarray) -> np.ndarray:
+    """Worst-case value of ``f`` under each row of ``probs``, a (policies,
+    actions) matrix of action distributions.
+
+    Each point values every policy in one world-model call; a zero-scale
+    point contributes its offset, as in ``evaluate``. The minimum over points
+    is taken as ``min`` takes it (a later point wins only when strictly
+    lower), so entry ``i`` equals ``lower_expectation`` of ``f`` mixed by row
+    ``i`` whenever the world model's values do."""
+    if f.model != psi.model:
+        raise RepresentationError("return function belongs to a different world model")
+    worst = None
+    for a in psi.points:
+        if a.scale == 0.0:
+            values = np.full(len(probs), a.offset)
+        else:
+            expected = a.model.policy_expectations(a.measure, a.history, f, probs)
+            values = a.scale * expected + a.offset
+        worst = values if worst is None else np.where(values < worst, values, worst)
+    return worst
 
 
 def argmin_point(psi: Infradistribution, f: ReturnFunction) -> AMeasure:

@@ -166,8 +166,13 @@ class WorldModel(ABC):
     def mix(self, measures: Sequence[object], weights: Sequence[float]) -> object:
         """Convex combination of measures; ``weights`` sum to 1."""
 
-    def bind_policy(self, f: ReturnFunction, action_probs: Sequence[float]) -> ReturnFunction:
-        """Return a copy of ``f`` evaluating the given action distribution."""
+    def policy_expectations(
+        self, measure: object, history: object, f: ReturnFunction, probs: np.ndarray
+    ) -> np.ndarray:
+        """Expectation of ``f`` under each row of ``probs``, a (policies,
+        actions) matrix of action distributions: entry ``i`` is what
+        ``expectation`` gives for ``f`` mixed by row ``i`` (exactly so for
+        one-hot rows, which is how bandit experiments score arms)."""
         raise RepresentationError(f"{type(self).__name__} has no policy-dependent returns")
 
 
@@ -491,9 +496,6 @@ class BernoulliArmsModel(WorldModel):
             model=self, f_min=float(v.min()), f_max=float(v.max()), values=v, action_probs=w
         )
 
-    def bind_policy(self, f: ReturnFunction, action_probs: Sequence[float]) -> ReturnFunction:
-        return self.policy_return(action_probs, f.values)
-
     def observation(
         self, arm: int, outcome: int, offbranch_return: ReturnFunction
     ) -> ObservationEvent:
@@ -524,6 +526,17 @@ class BernoulliArmsModel(WorldModel):
             p1 = predictive(measure, history, arm)
             out[arm] = (1.0 - p1) * values[arm, 0] + p1 * values[arm, 1]
         return out
+
+    def policy_expectations(
+        self,
+        measure: BernoulliArmMeasure,
+        history: BanditHistory,
+        f: ReturnFunction,
+        probs: np.ndarray,
+    ) -> np.ndarray:
+        # One predictive per arm for every policy; each arm's value is the
+        # same expression ``expectation`` sums.
+        return probs @ self.expected_action_values(measure, history, f.values)
 
     def sampled_action_values(
         self,
@@ -586,8 +599,10 @@ def newcomb_prediction_prob(p_one_box: float, accuracy: float) -> float:
     The predictor guesses the sampled action correctly with probability
     ``accuracy`` and guesses uniformly otherwise, which collapses to
     ``p * (2 * accuracy - 1) + 0.5 * (2 - 2 * accuracy)``. Accuracy 0.5 is an
-    uninformed coin flip; accuracy 1 mirrors the policy exactly."""
-    if not 0.0 <= p_one_box <= 1.0:
+    uninformed coin flip; accuracy 1 mirrors the policy exactly. An array of
+    one-boxing probabilities gives one forecast per entry and is not
+    range-checked here: it holds policy rows, which ``Policy`` has checked."""
+    if not isinstance(p_one_box, np.ndarray) and not 0.0 <= p_one_box <= 1.0:
         raise ConfigError("one-boxing probability must lie in [0, 1]")
     if not 0.5 <= accuracy <= 1.0:
         raise ConfigError("predictor accuracy must lie in [0.5, 1]")
@@ -632,9 +647,6 @@ class NewcombModel(WorldModel):
             model=self, f_min=float(m.min()), f_max=float(m.max()), policy_p=float(p_one_box)
         )
 
-    def bind_policy(self, f: ReturnFunction, action_probs: Sequence[float]) -> ReturnFunction:
-        return self.policy_return(float(action_probs[0]))
-
     def observation(self) -> ObservationEvent:
         return ObservationEvent(
             model=self, indicator=None, offbranch_return=self.policy_return(0.0)
@@ -642,6 +654,12 @@ class NewcombModel(WorldModel):
 
     def expectation(self, measure: StatelessMeasure, history: None, f: ReturnFunction) -> float:
         return newcomb_expected_reward(f.policy_p, self)
+
+    def policy_expectations(
+        self, measure: StatelessMeasure, history: None, f: ReturnFunction, probs: np.ndarray
+    ) -> np.ndarray:
+        m = np.asarray(self.reward_matrix, dtype=float)
+        return _newcomb_expectation(probs[:, 0], self.accuracy, m)
 
     def conditioned_mass(self, measure: StatelessMeasure, history: None) -> float:
         return 1.0
@@ -663,14 +681,16 @@ class NewcombModel(WorldModel):
         return STATELESS
 
 
-def _newcomb_expectation(p_one_box: float, accuracy: float, table: np.ndarray) -> float:
+def _newcomb_expectation(p_one_box, accuracy: float, table: np.ndarray):
     """Expectation of ``table[action][prediction]`` with the action drawn
     from the policy and the prediction drawn with the accuracy-tilted
-    probability."""
+    probability. ``p_one_box`` is one probability or an array of them; an
+    array runs the same products and sums, so each of its entries equals the
+    single call's value."""
     q = newcomb_prediction_prob(p_one_box, accuracy)
-    action_probs = np.array([p_one_box, 1.0 - p_one_box])
-    prediction_probs = np.array([q, 1.0 - q])
-    return float(action_probs @ table @ prediction_probs)
+    action_probs = np.array([p_one_box, 1.0 - p_one_box]).T
+    prediction_probs = np.array([q, 1.0 - q]).T
+    return np.vecdot(action_probs @ table, prediction_probs)
 
 
 def newcomb_expected_reward(p_one_box: float, model: NewcombModel) -> float:
@@ -679,7 +699,7 @@ def newcomb_expected_reward(p_one_box: float, model: NewcombModel) -> float:
     With the default matrix this is affine in ``p`` with slope
     ``20 * accuracy - 11``, so the optimal policy flips at accuracy 0.55."""
     m = np.asarray(model.reward_matrix, dtype=float)
-    return _newcomb_expectation(p_one_box, model.accuracy, m)
+    return float(_newcomb_expectation(p_one_box, model.accuracy, m))
 
 
 def newcomb_reward_moments(p_one_box: float, model: NewcombModel) -> tuple[float, float]:
@@ -687,8 +707,8 @@ def newcomb_reward_moments(p_one_box: float, model: NewcombModel) -> tuple[float
     with probability ``p``."""
     m = np.asarray(model.reward_matrix, dtype=float)
     return (
-        _newcomb_expectation(p_one_box, model.accuracy, m),
-        _newcomb_expectation(p_one_box, model.accuracy, m * m),
+        float(_newcomb_expectation(p_one_box, model.accuracy, m)),
+        float(_newcomb_expectation(p_one_box, model.accuracy, m * m)),
     )
 
 
@@ -809,9 +829,6 @@ class JointHypothesisBanditModel(WorldModel):
             model=self, f_min=float(v.min()), f_max=float(v.max()), values=v, action_probs=w
         )
 
-    def bind_policy(self, f: ReturnFunction, action_probs: Sequence[float]) -> ReturnFunction:
-        return self.policy_return(action_probs, f.values)
-
     def observation(
         self, arm: int, outcome: int, offbranch_return: ReturnFunction
     ) -> ObservationEvent:
@@ -844,15 +861,32 @@ class JointHypothesisBanditModel(WorldModel):
     def expectation(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, f: ReturnFunction
     ) -> float:
+        total = 0.0
+        for weight, value in zip(f.action_probs, self._arm_values(measure, history, f.values)):
+            if weight != 0.0:
+                total += weight * value
+        return total
+
+    def policy_expectations(
+        self,
+        measure: JointHypothesisMeasure,
+        history: OutcomeCountHistory,
+        f: ReturnFunction,
+        probs: np.ndarray,
+    ) -> np.ndarray:
+        return probs @ self._arm_values(measure, history, f.values)
+
+    def _arm_values(
+        self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, values: np.ndarray
+    ) -> np.ndarray:
+        """Posterior-predictive expected return of each arm from one posterior,
+        one dot product per arm (``expected_action_values`` sums the same
+        terms in einsum order, which can differ in the last bit)."""
         post = self._posterior(measure, history)
         probs = np.asarray(measure.outcome_probs, dtype=float)
-        total = 0.0
-        for arm, weight in enumerate(f.action_probs):
-            if weight == 0.0:
-                continue
-            dist = post @ probs[:, arm, :]
-            total += weight * float(np.dot(dist, f.values[arm]))
-        return total
+        return np.array(
+            [np.dot(post @ probs[:, arm, :], values[arm]) for arm in range(self.arm_count)]
+        )
 
     def conditioned_mass(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory

@@ -9,6 +9,8 @@ import pytest
 
 from ibrl.harness import run_all
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture(scope="module")
 def results():

@@ -4,24 +4,32 @@ import numpy as np
 import pytest
 
 from ibrl import (
+    STATELESS,
     AMeasure,
     BernoulliArmsModel,
     ConfigError,
     ContractViolationError,
     DegenerateUpdateError,
+    ExplicitFiniteModel,
+    FiniteOutcomeMeasure,
     Infradistribution,
+    NewcombModel,
     Policy,
+    RepresentationError,
+    TrapWorldConfig,
     act,
     bayes_select,
     deterministic_grid,
     ib_observe,
     lower_expectation,
+    lower_expectations,
     make_agent,
     mix_knightian,
     policy_grid,
     policy_value,
     select_policy,
 )
+from ibrl.harness.runner import trap_ib_belief, trap_model
 
 VALUES = np.array([[0.0, 1.0], [0.0, 1.0]])
 
@@ -133,6 +141,78 @@ class TestSelection:
         f = model.policy_return([0.5, 0.5], VALUES)
         value = policy_value(state, Policy((1.0, 0.0)), f)
         np.testing.assert_allclose(value, 0.3)
+
+    def test_newcomb_mixed_policy_beats_both_deterministic_ones(self):
+        """With matrix ((0, 2), (2, 0)) and a perfect predictor the value is
+        4 p (1 - p), not affine in p: p = 0.5 is worth 1, both deterministic
+        policies 0."""
+        model = NewcombModel(reward_matrix=((0.0, 2.0), (2.0, 0.0)), accuracy=1.0)
+        state = make_agent(singleton_belief(model, STATELESS), np.random.default_rng(0))
+        before = state.rng.bit_generator.state
+        chosen = select_policy(state, policy_grid(2, 0.1), model.policy_return(0.0))
+        assert chosen.action_probs[0] == 0.5
+        assert state.rng.bit_generator.state == before
+
+
+class TestValuePass:
+    """Every entry of the array pass must equal, bit for bit, the scalar
+    lower expectation of the same policy's return function."""
+
+    @staticmethod
+    def assert_matches_scalar(belief, probs, policy_f):
+        f = policy_f(probs[0])
+        got = lower_expectations(belief, f, probs)
+        want = [lower_expectation(belief, policy_f(row)) for row in probs]
+        assert got.tolist() == want
+
+    def test_bernoulli_corners_with_a_refuted_and_an_overflowed_point(self):
+        model = BernoulliArmsModel(2)
+        belief = corner_belief(model, [(a, b) for a in (0.3, 0.7) for b in (0.4, 0.8)])
+        state = make_agent(belief, np.random.default_rng(0), "ib_maximin", VALUES)
+        for action, reward in [(0, 1.0), (1, 0.0), (1, 1.0), (0, 0.0), (1, 1.0)]:
+            state = ib_observe(state, action, reward)
+        first, second, *rest = state.belief.points
+        refuted = AMeasure(0.0, first.measure, 0.75, first.history, model)
+        overflowed = AMeasure(second.scale, second.measure, np.inf, second.history, model)
+        belief = Infradistribution((refuted, overflowed, *rest))
+        probs = deterministic_grid(2).probs
+        self.assert_matches_scalar(belief, probs, lambda row: model.policy_return(row, VALUES))
+        # The live points are worth more than 5 on either arm, so the refuted
+        # point's offset is the floor of both.
+        f = model.policy_return(probs[0], VALUES)
+        assert lower_expectations(belief, f, probs).tolist() == [0.75, 0.75]
+
+    def test_trap_two_point_belief_after_conditioning(self):
+        env = TrapWorldConfig()
+        model, raw_support, values = trap_model(env)
+        state = make_agent(
+            trap_ib_belief(model, env), np.random.default_rng(0), "ib_maximin", values, raw_support
+        )
+        for action, reward in [(1, 1.0), (1, 0.0), (0, 1.0), (1, 1.0)]:
+            state = ib_observe(state, action, reward)
+        assert len(state.belief.points) == 2
+        self.assert_matches_scalar(
+            state.belief,
+            deterministic_grid(model.arm_count).probs,
+            lambda row: model.policy_return(row, values),
+        )
+
+    @pytest.mark.parametrize("matrix", [((10.0, 0.0), (11.0, 1.0)), ((0.0, 2.0), (2.0, 0.0))])
+    @pytest.mark.parametrize("accuracy", [0.5, 0.55, 0.63, 0.9, 1.0])
+    def test_newcomb_grids(self, matrix, accuracy):
+        model = NewcombModel(reward_matrix=matrix, accuracy=accuracy)
+        belief = singleton_belief(model, STATELESS)
+        for step in (0.1, 0.05, 0.3):
+            self.assert_matches_scalar(
+                belief, policy_grid(2, step).probs, lambda row: model.policy_return(row[0])
+            )
+
+    def test_explicit_finite_models_have_no_policy_values(self):
+        model = ExplicitFiniteModel(2)
+        point = AMeasure(1.0, FiniteOutcomeMeasure((0.5, 0.5)), 0.0, None, model)
+        f = model.return_function((0.0, 1.0))
+        with pytest.raises(RepresentationError):
+            lower_expectations(Infradistribution.singleton(point), f, np.array([[1.0]]))
 
 
 class TestBayesSelect:

@@ -1,6 +1,8 @@
 """Tests for the experiment harness: config parsing, statistics, CSV
 records, serialization, runners, and the command line."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from ibrl.harness import (
     run_experiment,
     serialize_infradistribution,
 )
+from ibrl.harness import acceptance
 from ibrl.harness.cli import main
 from ibrl.harness.runner import _rollout
 
@@ -415,6 +418,29 @@ class TestCli:
         text = capsys.readouterr().out
         assert "alpha=0.50" in text and "alpha=0.55" in text
         assert out.exists()
+
+    def test_validate_prints_each_criterion_with_its_time(self, monkeypatch, capsys):
+        """The six checks are stubbed, so this covers only the reporting."""
+        names = [
+            "check_classical_recovery",
+            "check_conditioning_oracle",
+            "check_ku_geometry",
+            "check_newcomb_curve",
+            "check_trap_bandit",
+            "check_algebra_properties",
+        ]
+        for number, name in enumerate(names, start=1):
+            passed = number != 4
+            result = acceptance.CriterionResult(number, name, passed, "stub")
+            monkeypatch.setattr(acceptance, name, lambda seed, result=result: result)
+        assert main(["validate", "--seed", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        for number, (line, name) in enumerate(zip(lines, names), start=1):
+            status = "FAIL" if number == 4 else "PASS"
+            assert re.fullmatch(
+                rf"criterion {number} \({name}\): {status} \(\d+\.\d s\) - stub", line
+            ), line
 
 
 def _sweep_config(tmp_path):
