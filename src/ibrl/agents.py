@@ -112,13 +112,17 @@ class AgentState:
     must be nonnegative (shift the environment's reward convention first if
     needed). ``raw_support`` maps environment rewards to outcome indices.
     Updates are functional: each observation returns a new state sharing the
-    same stream."""
+    same stream and the same ``offbranch_returns``, the per-arm off-branch
+    return functions built on each arm's first observation."""
 
     belief: Infradistribution
     rng: np.random.Generator
     flavor: str
     reward_values: np.ndarray | None = None
     raw_support: tuple[float, ...] = (0.0, 1.0)
+    offbranch_returns: dict[int, ReturnFunction] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def model(self) -> WorldModel:
@@ -185,7 +189,9 @@ def _observation_event(state: AgentState, action: int, reward: float) -> Observa
     outcome = int(np.argmin(diffs))
     if diffs[outcome] > 1e-9:
         raise ConfigError(f"reward {reward!r} is not in the agent's support")
-    g = model.arm_return(action, state.reward_values)
+    g = state.offbranch_returns.get(action)
+    if g is None:
+        g = state.offbranch_returns[action] = model.arm_return(action, state.reward_values)
     return model.observation(action, outcome, g)
 
 

@@ -18,7 +18,8 @@ def _flatten(prefix: str, value: object, lines: list[str]) -> None:
         value = tuple(value.tolist())
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         for field in dataclasses.fields(value):
-            _flatten(f"{prefix}.{field.name}", getattr(value, field.name), lines)
+            if field.init:  # fields built from the others are caches, not state
+                _flatten(f"{prefix}.{field.name}", getattr(value, field.name), lines)
         return
     if isinstance(value, (tuple, list)):
         lines.append(f"{prefix}.len = {len(value)}")

@@ -24,15 +24,26 @@ are provided.
 
 Posterior weights are computed in log space per component and renormalized
 (per arm for the independent model, globally for the joint model) so that
-histories with on the order of a thousand pulls do not underflow.
+histories with on the order of a thousand pulls do not underflow. Each bandit
+measure builds its log tables once, when it is constructed (per arm ``log c``,
+``log p``, ``log1p(-p)`` and ``p`` for the independent model; the guarded log
+weights, ``probs`` and ``log probs`` for the joint model), read-only and
+outside equality and hashing. Each measure also keeps a one-entry memo keyed
+by the exact counts: the last ``(pulls, successes)`` and its posterior per arm
+for the independent model, the last count table and its posterior for the
+joint model. A belief point asks for the same posterior several times per
+step (once per arm in the value pass, again in ``restrict``), and between
+steps only the pulled arm's counts move, so a point builds one posterior per
+observation. A memo hit returns the very array the same numpy operations
+produced on the miss, so no result changes by a bit.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -296,6 +307,21 @@ class ExplicitFiniteModel(WorldModel):
 # ---------------------------------------------------------------------------
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class ArmTable(NamedTuple):
+    """One arm's component arrays, built once per measure: log weights, log
+    success and log failure probabilities, and success probabilities."""
+
+    log_c: np.ndarray
+    log_p: np.ndarray
+    log1m_p: np.ndarray
+    p: np.ndarray
+
+
 @dataclass(frozen=True)
 class BernoulliArmMeasure:
     """Per-arm mixtures of Bernoulli point hypotheses.
@@ -303,24 +329,36 @@ class BernoulliArmMeasure:
     ``arms[j]`` is a tuple of ``(weight, success probability)`` components for
     arm ``j``. Weights within each arm are nonnegative and sum to 1; arms are
     independent, so the joint history probability factorizes across arms.
+
+    ``tables[j]`` holds arm ``j``'s read-only log tables and ``memo[j]`` the
+    last ``((pulls, successes), posterior weights)`` computed for it (``None``
+    before the first); neither takes part in equality or hashing.
     """
 
     arms: tuple[tuple[tuple[float, float], ...], ...]
+    tables: tuple[ArmTable, ...] = field(init=False, repr=False, compare=False)
+    memo: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.arms:
             raise RepresentationError("bandit measure needs at least one arm")
+        tables = []
         for components in self.arms:
             if not components:
                 raise RepresentationError("every arm needs at least one component")
-            w = np.array([c for c, _ in components])
-            p = np.array([q for _, q in components])
+            w = np.array([c for c, _ in components], dtype=float)
+            p = np.array([q for _, q in components], dtype=float)
             if w.min() < -WEIGHT_TOL:
                 raise RepresentationError("component weights must be nonnegative")
             if abs(w.sum() - 1.0) > WEIGHT_TOL:
                 raise RepresentationError(f"arm weights sum to {w.sum()!r}, expected 1")
             if p.min() < 0.0 or p.max() > 1.0:
                 raise RepresentationError("success probabilities must lie in [0, 1]")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logs = np.log(w), np.log(p), np.log1p(-p)
+            tables.append(ArmTable(*(_read_only(a) for a in (*logs, p))))
+        object.__setattr__(self, "tables", tuple(tables))
+        object.__setattr__(self, "memo", [None] * len(self.arms))
 
 
 @dataclass(frozen=True)
@@ -338,31 +376,35 @@ class BanditHistory:
                 raise RepresentationError("need 0 <= successes <= pulls per arm")
 
 
-def _arm_log_weights(components: Sequence[tuple[float, float]], pulls: int, successes: int) -> np.ndarray:
+def _arm_log_weights(table: ArmTable, pulls: int, successes: int) -> np.ndarray:
     """Unnormalized log posterior weights of one arm's components."""
-    c = np.array([w for w, _ in components], dtype=float)
-    p = np.array([q for _, q in components], dtype=float)
     failures = pulls - successes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lw = np.log(c)
-        if successes > 0:
-            lw = lw + successes * np.log(p)
-        if failures > 0:
-            lw = lw + failures * np.log1p(-p)
+    lw = table.log_c
+    if successes > 0:
+        lw = lw + successes * table.log_p
+    if failures > 0:
+        lw = lw + failures * table.log1m_p
     return lw
 
 
 def _arm_posterior(
-    components: Sequence[tuple[float, float]], pulls: int, successes: int
+    measure: BernoulliArmMeasure, history: BanditHistory, arm: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized posterior weights and success probabilities for one arm."""
-    lw = _arm_log_weights(components, pulls, successes)
+    """Normalized posterior weights and success probabilities for one arm,
+    both read-only; served from the arm's memo when its counts are unchanged."""
+    table = measure.tables[arm]
+    key = (history.pulls[arm], history.successes[arm])
+    hit = measure.memo[arm]
+    if hit is not None and hit[0] == key:
+        return hit[1], table.p
+    lw = _arm_log_weights(table, *key)
     peak = lw.max()
     if peak == -np.inf:
         raise DegenerateUpdateError("history is impossible under every component of this arm")
     w = np.exp(lw - peak)
     w /= w.sum()
-    return w, np.array([q for _, q in components], dtype=float)
+    measure.memo[arm] = (key, _read_only(w))
+    return w, table.p
 
 
 def predictive(measure: BernoulliArmMeasure, history: BanditHistory, arm: int) -> float:
@@ -371,15 +413,15 @@ def predictive(measure: BernoulliArmMeasure, history: BanditHistory, arm: int) -
     Component weights are reweighted by the likelihood of the arm's observed
     counts and renormalized, so this is exactly the discrete-grid Bayes
     posterior predictive."""
-    w, p = _arm_posterior(measure.arms[arm], history.pulls[arm], history.successes[arm])
+    w, p = _arm_posterior(measure, history, arm)
     return float(np.dot(w, p))
 
 
 def log_branch_probability(measure: BernoulliArmMeasure, history: BanditHistory) -> float:
     """Log probability of the observed history; factorizes across arms."""
     total = 0.0
-    for arm, components in enumerate(measure.arms):
-        lw = _arm_log_weights(components, history.pulls[arm], history.successes[arm])
+    for arm, table in enumerate(measure.tables):
+        lw = _arm_log_weights(table, history.pulls[arm], history.successes[arm])
         total += float(logsumexp(lw))
     return total
 
@@ -549,7 +591,7 @@ class BernoulliArmsModel(WorldModel):
         sampled proportionally to its posterior weight."""
         out = np.empty(self.arm_count)
         for arm in range(self.arm_count):
-            w, p = _arm_posterior(measure.arms[arm], history.pulls[arm], history.successes[arm])
+            w, p = _arm_posterior(measure, history, arm)
             q = p[rng.choice(w.size, p=w)]
             out[arm] = (1.0 - q) * values[arm, 0] + q * values[arm, 1]
         return out
@@ -725,10 +767,19 @@ class JointHypothesisMeasure:
     ``outcome_probs[c][arm][outcome]`` is hypothesis ``c``'s probability of
     drawing ``outcome`` from ``arm``. Unlike the independent-armed measure,
     the posterior is a single weight vector over joint hypotheses, so
-    observing one arm can shift beliefs about the others."""
+    observing one arm can shift beliefs about the others.
+
+    ``log_weights`` (``-inf`` for zero weights), ``probs`` and ``log_probs``
+    are read-only arrays built once; ``memo[0]`` is the last ``(counts,
+    posterior)`` computed (``None`` before the first). None of them takes
+    part in equality or hashing."""
 
     weights: tuple[float, ...]
     outcome_probs: tuple[tuple[tuple[float, ...], ...], ...]
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    probs: np.ndarray = field(init=False, repr=False, compare=False)
+    log_probs: np.ndarray = field(init=False, repr=False, compare=False)
+    memo: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -736,13 +787,20 @@ class JointHypothesisMeasure:
             raise RepresentationError("joint measure needs at least one hypothesis")
         if w.min() < -WEIGHT_TOL or abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise RepresentationError("hypothesis weights must be nonnegative and sum to 1")
-        probs = np.asarray(self.outcome_probs, dtype=float)
+        probs = np.array(self.outcome_probs, dtype=float)
         if probs.ndim != 3 or probs.shape[0] != w.size:
             raise RepresentationError("need one (arm, outcome) probability table per hypothesis")
         if probs.min() < 0.0:
             raise RepresentationError("outcome probabilities must be nonnegative")
         if np.abs(probs.sum(axis=2) - 1.0).max() > WEIGHT_TOL:
             raise RepresentationError("each arm's outcome probabilities must sum to 1")
+        with np.errstate(divide="ignore"):
+            log_weights = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
+            log_probs = np.log(probs)
+        object.__setattr__(self, "log_weights", _read_only(log_weights))
+        object.__setattr__(self, "probs", _read_only(probs))
+        object.__setattr__(self, "log_probs", _read_only(log_probs))
+        object.__setattr__(self, "memo", [None])
 
 
 @dataclass(frozen=True)
@@ -781,8 +839,7 @@ class JointHypothesisBanditModel(WorldModel):
     def validate_measure(self, measure: object) -> None:
         if not isinstance(measure, JointHypothesisMeasure):
             raise RepresentationError("expected a JointHypothesisMeasure")
-        probs = np.asarray(measure.outcome_probs)
-        if probs.shape[1:] != (self.arm_count, self.outcome_count):
+        if measure.probs.shape[1:] != (self.arm_count, self.outcome_count):
             raise RepresentationError("hypothesis tables have the wrong shape")
 
     def validate_event(self, event: ObservationEvent) -> None:
@@ -839,24 +896,27 @@ class JointHypothesisBanditModel(WorldModel):
     def _posterior(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory
     ) -> np.ndarray:
-        w = np.asarray(measure.weights, dtype=float)
-        probs = np.asarray(measure.outcome_probs, dtype=float)
+        """Posterior hypothesis weights, read-only; served from the measure's
+        memo when the counts are unchanged."""
+        hit = measure.memo[0]
+        if hit is not None and hit[0] == history.counts:
+            return hit[1]
         counts = np.asarray(history.counts, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_likes = np.where(counts > 0, counts * np.log(probs), 0.0).sum(axis=(1, 2))
-            lw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf) + log_likes
+        with np.errstate(invalid="ignore"):
+            log_likes = np.where(counts > 0, counts * measure.log_probs, 0.0).sum(axis=(1, 2))
+        lw = measure.log_weights + log_likes
         peak = lw.max()
         if peak == -np.inf:
             raise DegenerateUpdateError("history is impossible under every joint hypothesis")
         post = np.exp(lw - peak)
-        return post / post.sum()
+        post = _read_only(post / post.sum())
+        measure.memo[0] = (history.counts, post)
+        return post
 
     def predictive_outcome_probs(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, arm: int
     ) -> np.ndarray:
-        post = self._posterior(measure, history)
-        probs = np.asarray(measure.outcome_probs, dtype=float)
-        return post @ probs[:, arm, :]
+        return self._posterior(measure, history) @ measure.probs[:, arm, :]
 
     def expectation(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, f: ReturnFunction
@@ -883,9 +943,8 @@ class JointHypothesisBanditModel(WorldModel):
         one dot product per arm (``expected_action_values`` sums the same
         terms in einsum order, which can differ in the last bit)."""
         post = self._posterior(measure, history)
-        probs = np.asarray(measure.outcome_probs, dtype=float)
         return np.array(
-            [np.dot(post @ probs[:, arm, :], values[arm]) for arm in range(self.arm_count)]
+            [np.dot(post @ measure.probs[:, arm, :], values[arm]) for arm in range(self.arm_count)]
         )
 
     def conditioned_mass(
@@ -897,8 +956,7 @@ class JointHypothesisBanditModel(WorldModel):
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, values: np.ndarray
     ) -> np.ndarray:
         post = self._posterior(measure, history)
-        probs = np.asarray(measure.outcome_probs, dtype=float)
-        return np.einsum("c,cjo,jo->j", post, probs, values)
+        return np.einsum("c,cjo,jo->j", post, measure.probs, values)
 
     def sampled_action_values(
         self,
@@ -910,9 +968,8 @@ class JointHypothesisBanditModel(WorldModel):
         """Expected return per arm under one joint hypothesis sampled from the
         posterior (hypotheses are joint, so one draw covers every arm)."""
         post = self._posterior(measure, history)
-        probs = np.asarray(measure.outcome_probs, dtype=float)
         c = rng.choice(post.size, p=post)
-        return np.einsum("jo,jo->j", probs[c], values)
+        return np.einsum("jo,jo->j", measure.probs[c], values)
 
     def restrict(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, event: ObservationEvent

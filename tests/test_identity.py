@@ -29,6 +29,16 @@ CASES = {
         ),
         "8bca15a5fb2f65fd6cad2e7518bc8c005256b1651a0553ead89fb00b25d6c6c1",
     ),
+    # 2,000 steps cross the offset overflow of the two p2 = 0.8 corners (two
+    # RuntimeWarnings), pinned as it stands.
+    "ku-bandit-long": (
+        ExperimentConfig(
+            "ku-bandit",
+            seed=7,
+            settings={"steps": 2000, "env.mode": "per_step_random", "agents": "ib"},
+        ),
+        "2ff73698ad3a55617636d9a5416cf45474cb51ff9aee4b0d9b2af73dd5b6324b",
+    ),
     "newcomb": (
         ExperimentConfig("newcomb", seed=42, settings=dict(NEWCOMB_SETTINGS)),
         "79c3091642df8b93e5226d6b83a9fd461688edf125b7ffb772ae52f4a915c8e0",

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from ibrl import (
     BanditHistory,
+    BernoulliArmMeasure,
     BernoulliArmsModel,
     ConfigError,
     DegenerateUpdateError,
     ExplicitFiniteModel,
     FiniteOutcomeMeasure,
     JointHypothesisBanditModel,
+    JointHypothesisMeasure,
     NewcombModel,
+    OutcomeCountHistory,
     RepresentationError,
     branch_probability,
     newcomb_expected_reward,
@@ -21,6 +24,7 @@ from ibrl import (
     observe,
     predictive,
 )
+from ibrl.worldmodels import _arm_posterior
 
 
 class TestFiniteOutcomeMeasure:
@@ -257,3 +261,185 @@ class TestJointHypothesisModel:
         mixed = self.model.mix([m1, m2], [0.5, 0.5])
         assert len(mixed.weights) == 1
         np.testing.assert_allclose(mixed.weights[0], 1.0)
+
+
+def _walk_events():
+    """(history index, arm, outcome) triples: two interleaved histories on
+    one measure, each pulling random arms."""
+    return st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 2)),
+        min_size=200,
+        max_size=240,
+    )
+
+
+def _reference_arm_posterior(components, pulls, successes):
+    """One arm's posterior rebuilt from the raw ``(weight, p)`` tuples, in
+    the order of operations the library uses."""
+    c = np.array([w for w, _ in components], dtype=float)
+    p = np.array([q for _, q in components], dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lw = np.log(c)
+        if successes > 0:
+            lw = lw + successes * np.log(p)
+        if pulls - successes > 0:
+            lw = lw + (pulls - successes) * np.log1p(-p)
+    w = np.exp(lw - lw.max())
+    return w / w.sum()
+
+
+def _reference_joint_posterior(weights, outcome_probs, counts):
+    """Joint-hypothesis posterior rebuilt from the raw tuples, in the order
+    of operations the library uses."""
+    w = np.asarray(weights, dtype=float)
+    probs = np.asarray(outcome_probs, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_likes = np.where(counts > 0, counts * np.log(probs), 0.0).sum(axis=(1, 2))
+        lw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf) + log_likes
+    post = np.exp(lw - lw.max())
+    return post / post.sum()
+
+
+class TestPosteriorMemo:
+    """A measure's counts-keyed memo must never change a result: every
+    posterior-derived value on a long-lived measure equals, bit for bit, the
+    value on a freshly built equal measure whose memo is cold, and the
+    posterior equals one rebuilt from the raw tuples."""
+
+    BERNOULLI = BernoulliArmsModel(2)
+    # Weight-0 and p in {0, 1} components put -inf into the log tables.
+    BERNOULLI_ARMS = (
+        ((0.5, 0.3), (0.3, 0.7), (0.2, 0.9), (0.0, 1.0)),
+        ((0.25, 0.0), (0.75, 0.6)),
+    )
+    JOINT = JointHypothesisBanditModel(2, (0.0, 0.5, 1.0))
+    # Hypothesis 2 allows every outcome, so no walk is impossible.
+    JOINT_WEIGHTS = (0.5, 0.3, 0.2, 0.0)
+    JOINT_TABLES = (
+        ((0.2, 0.3, 0.5), (0.6, 0.4, 0.0)),
+        ((0.5, 0.5, 0.0), (0.1, 0.1, 0.8)),
+        ((0.3, 0.3, 0.4), (0.3, 0.3, 0.4)),
+        ((0.1, 0.1, 0.8), (0.0, 0.0, 1.0)),
+    )
+    VALUES = {
+        "bernoulli": np.array([[0.0, 1.0], [0.2, 0.9]]),
+        "joint": np.array([[0.0, 0.5, 1.0], [0.1, 0.4, 0.9]]),
+    }
+    PROBS = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.7]])
+
+    def _model(self, kind):
+        return self.JOINT if kind == "joint" else self.BERNOULLI
+
+    def _measure(self, kind):
+        if kind == "joint":
+            return self.JOINT.measure(self.JOINT_WEIGHTS, self.JOINT_TABLES)
+        return BernoulliArmMeasure(self.BERNOULLI_ARMS)
+
+    def _observables(self, kind, m, h, event, seed):
+        """Every posterior-derived value of one (measure, history), as plain
+        Python data so that ``==`` compares exact bits."""
+        model, values = self._model(kind), self.VALUES[kind]
+        f = model.policy_return([1.0, 0.0], values)
+        r = model.restrict(m, h, event)
+        out = {
+            "expected_action_values": model.expected_action_values(m, h, values).tolist(),
+            "policy_expectations": model.policy_expectations(m, h, f, self.PROBS).tolist(),
+            "restrict": (r.measure, r.history, r.scale_factor, r.offbranch_value),
+            "sampled_action_values": model.sampled_action_values(
+                m, h, values, np.random.default_rng(seed)
+            ).tolist(),
+        }
+        if kind == "joint":
+            out["posterior"] = model._posterior(m, h).tolist()
+            out["predictive"] = [model.predictive_outcome_probs(m, h, a).tolist() for a in (0, 1)]
+        else:
+            out["posterior"] = [_arm_posterior(m, h, a)[0].tolist() for a in (0, 1)]
+            out["predictive"] = [predictive(m, h, a) for a in (0, 1)]
+        return out
+
+    def _walk(self, kind, steps):
+        """Yield (history, next event, step) along ``steps``, advancing the
+        chosen one of two histories each step."""
+        model = self._model(kind)
+        outcomes = self.VALUES[kind].shape[1]
+        g = model.arm_return(0, self.VALUES[kind])
+        histories = [model.initial_history(), model.initial_history()]
+        for k, (which, arm, outcome) in enumerate(steps):
+            event = model.observation(arm, outcome % outcomes, g)
+            yield histories[which], event, k
+            histories[which] = model.advance(None, histories[which], event)[1]
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
+    @settings(max_examples=8, deadline=None)
+    @given(steps=_walk_events())
+    def test_long_lived_measure_matches_a_fresh_one(self, kind, steps):
+        m = self._measure(kind)
+        for h, event, k in self._walk(kind, steps):
+            fresh = self._measure(kind)
+            assert fresh == m
+            got = self._observables(kind, m, h, event, k)
+            assert got == self._observables(kind, fresh, h, event, k)
+            if kind == "joint":
+                reference = _reference_joint_posterior(m.weights, m.outcome_probs, h.counts)
+                assert got["posterior"] == reference.tolist()
+            else:
+                assert got["posterior"] == [
+                    _reference_arm_posterior(m.arms[a], h.pulls[a], h.successes[a]).tolist()
+                    for a in (0, 1)
+                ]
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
+    def test_memo_holds_one_entry_per_arm_after_a_long_walk(self, kind):
+        model, m = self._model(kind), self._measure(kind)
+        steps = np.random.default_rng(5).integers(0, [2, 2, 3], (1000, 3)).tolist()
+        for h, _, _ in self._walk(kind, steps):
+            model.expected_action_values(m, h, self.VALUES[kind])
+        if kind == "joint":
+            # One posterior covers every arm.
+            assert len(m.memo) == 1
+            assert m.memo[0][0] == h.counts
+        else:
+            assert len(m.memo) == model.arm_count
+            assert [key for key, _ in m.memo] == list(zip(h.pulls, h.successes))
+
+    def test_impossible_history_still_raises_with_a_warm_bernoulli_memo(self):
+        m = BernoulliArmMeasure((((0.5, 0.0), (0.5, 1.0)),))
+        possible = BanditHistory((3,), (3,))
+        impossible = BanditHistory((4,), (3,))
+        assert predictive(m, possible, 0) == 1.0
+        for _ in range(2):
+            with pytest.raises(DegenerateUpdateError):
+                predictive(m, impossible, 0)
+        assert m.memo[0][0] == (3, 3)
+        assert predictive(m, possible, 0) == 1.0
+
+    def test_impossible_history_still_raises_with_a_warm_joint_memo(self):
+        # Neither hypothesis allows outcome 0 on arm 1.
+        m = self.JOINT.measure((0.5, 0.5), self.JOINT_TABLES[:1] + self.JOINT_TABLES[3:])
+        possible = OutcomeCountHistory(((1, 1, 0), (0, 0, 1)))
+        impossible = OutcomeCountHistory(((1, 1, 0), (1, 0, 1)))
+        warm = self.JOINT._posterior(m, possible).tolist()
+        for _ in range(2):
+            with pytest.raises(DegenerateUpdateError):
+                self.JOINT._posterior(m, impossible)
+        assert self.JOINT._posterior(m, possible).tolist() == warm
+
+    def test_cached_arrays_are_read_only(self):
+        b, j = self._measure("bernoulli"), self._measure("joint")
+        arrays = [a for table in b.tables for a in table]
+        arrays += [j.log_weights, j.probs, j.log_probs]
+        arrays.append(_arm_posterior(b, BanditHistory((2, 0), (1, 0)), 0)[0])
+        arrays.append(self.JOINT._posterior(j, self.JOINT.initial_history()))
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+
+    def test_caches_stay_out_of_equality_and_hashing(self):
+        for kind in ("bernoulli", "joint"):
+            warm, cold = self._measure(kind), self._measure(kind)
+            self._model(kind).expected_action_values(
+                warm, self._model(kind).initial_history(), self.VALUES[kind]
+            )
+            assert warm == cold and hash(warm) == hash(cold)
