@@ -19,6 +19,17 @@ conditioning pipeline of ``updates.condition`` (restrict, renormalize,
 prune, and the handling of observations that refute some points), while
 classical flavors advance the history only, which is an ordinary Bayes
 update under the hood.
+
+Both ``select_policy`` and ``ib_observe`` are pure functions of an immutable
+``AgentState``, so each memoizes its work on the state it is given: the tied
+candidates of the last value pass, keyed by the identity of the grid and
+return function, and the successor belief of each observed ``(action,
+reward)``. A reused state, as every Newcomb episode reuses its cell's state,
+pays for one value pass and one conditioning per distinct observation. A
+hit still draws the tie-break from the stream whenever several policies
+tie, so RNG use is unchanged. Observations that raise are never stored, and
+successor states are not stored either, so the memo never chains a
+rollout's states together.
 """
 
 from __future__ import annotations
@@ -113,7 +124,14 @@ class AgentState:
     needed). ``raw_support`` maps environment rewards to outcome indices.
     Updates are functional: each observation returns a new state sharing the
     same stream and the same ``offbranch_returns``, the per-arm off-branch
-    return functions built on each arm's first observation."""
+    return functions built on each arm's first observation.
+
+    ``memo`` caches the work of ``select_policy`` and ``ib_observe`` on this
+    state: ``"ties"`` holds ``(grid, f, tied indices)`` of the last value
+    pass, and each observed ``(action, reward)`` maps to its successor
+    belief. It is a cache, not state: it stays out of ``==``, ``hash``,
+    ``repr`` and serialization, and every successor starts with an empty
+    one."""
 
     belief: Infradistribution
     rng: np.random.Generator
@@ -123,6 +141,7 @@ class AgentState:
     offbranch_returns: dict[int, ReturnFunction] = field(
         default_factory=dict, repr=False, compare=False
     )
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def model(self) -> WorldModel:
@@ -162,10 +181,16 @@ def policy_value(state: AgentState, policy: Policy, f: ReturnFunction) -> float:
 def select_policy(state: AgentState, grid: PolicyGrid, f: ReturnFunction) -> Policy:
     """Argmax of the robust policy value over the grid; policies within
     1e-9 of the best are treated as tied and drawn uniformly from the
-    agent's stream."""
-    values = lower_expectations(state.belief, f, grid.probs).tolist()
-    best = max(values)
-    candidates = [i for i, v in enumerate(values) if v >= best - VALUE_TOL]
+    agent's stream. The tied indices are memoized on the state for this
+    ``(grid, f)`` pair; the draw is not."""
+    hit = state.memo.get("ties")
+    if hit is not None and hit[0] is grid and hit[1] is f:
+        candidates = hit[2]
+    else:
+        values = lower_expectations(state.belief, f, grid.probs).tolist()
+        best = max(values)
+        candidates = [i for i, v in enumerate(values) if v >= best - VALUE_TOL]
+        state.memo["ties"] = (grid, f, candidates)
     if len(candidates) == 1:
         return grid.policies[candidates[0]]
     return grid.policies[candidates[int(state.rng.integers(len(candidates)))]]
@@ -202,15 +227,24 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
     also drops points the observation refutes when they would make
     renormalization degenerate. Classical flavors advance the history only,
     which realizes the ordinary Bayes posterior through the world model's
-    predictive reweighting."""
-    event = _observation_event(state, action, reward)
-    if state.flavor == "ib_maximin":
-        return replace(state, belief=condition(state.belief, event))
-    points = []
-    for a in state.belief.points:
-        measure, history = a.model.advance(a.measure, a.history, event)
-        points.append(AMeasure(a.scale, measure, a.offset, history, a.model))
-    return replace(state, belief=Infradistribution(tuple(points)))
+    predictive reweighting.
+
+    The successor belief is memoized on ``state`` by ``(action, reward)``.
+    An observation that raises is not stored, so it raises on every call."""
+    key = (action, reward)
+    belief = state.memo.get(key)
+    if belief is None:
+        event = _observation_event(state, action, reward)
+        if state.flavor == "ib_maximin":
+            belief = condition(state.belief, event)
+        else:
+            points = []
+            for a in state.belief.points:
+                measure, history = a.model.advance(a.measure, a.history, event)
+                points.append(AMeasure(a.scale, measure, a.offset, history, a.model))
+            belief = Infradistribution(tuple(points))
+        state.memo[key] = belief
+    return replace(state, belief=belief)
 
 
 def bayes_select(state: AgentState) -> int:

@@ -25,16 +25,22 @@ CSV_COLUMNS = (
     "cum_exp_regret",
 )
 
-_FLOAT_COLUMNS = ("reward", "exp_regret", "cum_regret", "cum_exp_regret")
-_INT_COLUMNS = ("seed", "episode", "step", "action")
 
-
-def _format_cell(column: str, value: object) -> str:
-    if column in _FLOAT_COLUMNS:
-        return f"{float(value):.6f}"
-    if column in _INT_COLUMNS:
-        return str(int(value))
-    return str(value)
+def _row(record) -> tuple:
+    """One CSV row: strings as text, ints as ints (the writer renders them
+    with ``str``), floats pre-formatted at 6 decimals."""
+    return (
+        str(record.experiment),
+        str(record.agent),
+        int(record.seed),
+        int(record.episode),
+        int(record.step),
+        int(record.action),
+        f"{float(record.reward):.6f}",
+        f"{float(record.exp_regret):.6f}",
+        f"{float(record.cum_regret):.6f}",
+        f"{float(record.cum_exp_regret):.6f}",
+    )
 
 
 def emit_csv(records: Iterable[object], path: str) -> None:
@@ -44,10 +50,7 @@ def emit_csv(records: Iterable[object], path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for record in records:
-                writer.writerow(
-                    _format_cell(col, getattr(record, col)) for col in CSV_COLUMNS
-                )
+            writer.writerows(map(_row, records))
     except OSError as exc:
         raise IBRLError(f"cannot write CSV {path!r}: {exc}") from None
 

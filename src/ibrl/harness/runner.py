@@ -7,7 +7,11 @@ observation is folded back into the agent's belief. Experiments differ only
 in their belief builders, stream keys and a small environment-step closure.
 A Newcomb episode is a one-step rollout from its cell's initial belief, with
 the cell's agent and environment streams shared across episodes; this is
-exact because conditioning on a Newcomb observation is the identity.
+exact because conditioning on a Newcomb observation is the identity. Every
+episode of a cell starts from the same ``AgentState``, on which the agent
+memoizes its tied candidates and its successor beliefs, so a cell runs one
+value pass and one conditioning per distinct ``(action, reward)``, while
+each tied selection still draws from the cell's agent stream.
 
 All randomness flows through named streams derived from
 ``(seed, unit indices, role)``, so any run unit can be reproduced in

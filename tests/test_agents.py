@@ -1,8 +1,12 @@
 """Tests for policy selection, acting, and belief maintenance."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import ibrl.agents
 from ibrl import (
     STATELESS,
     AMeasure,
@@ -30,6 +34,7 @@ from ibrl import (
     select_policy,
 )
 from ibrl.harness.runner import trap_ib_belief, trap_model
+from ibrl.harness.serialize import _flatten
 
 VALUES = np.array([[0.0, 1.0], [0.0, 1.0]])
 
@@ -327,6 +332,158 @@ class TestObserve:
         )
         with pytest.raises(ConfigError):
             ib_observe(state, 0, 0.25)
+
+
+KU_CORNERS = [(a, b) for a in (0.3, 0.7) for b in (0.4, 0.8)]
+
+
+def point_fields(belief):
+    return [(a.scale, a.offset, a.history, a.measure, a.model) for a in belief.points]
+
+
+def newcomb_state(seed, accuracy=0.55, matrix=((10.0, 0.0), (11.0, 1.0))):
+    model = NewcombModel(reward_matrix=matrix, accuracy=accuracy)
+    return make_agent(singleton_belief(model, STATELESS), np.random.default_rng(seed))
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls ``ibrl.agents`` makes to its binding ``name``."""
+    calls = []
+    original = getattr(ibrl.agents, name)
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(ibrl.agents, name, counting)
+    return calls
+
+
+@pytest.fixture
+def value_passes(monkeypatch):
+    return count_calls(monkeypatch, "lower_expectations")
+
+
+@pytest.fixture
+def conditionings(monkeypatch):
+    return count_calls(monkeypatch, "condition")
+
+
+class TestMemo:
+    """``select_policy`` and ``ib_observe`` memoize their work on the state
+    they are given; a reused state must behave exactly like fresh equal
+    states, draw for draw."""
+
+    def test_reused_state_draws_like_fresh_states(self, value_passes):
+        """Accuracy 0.55 with the default matrix ties all 11 policies, so
+        every selection draws from the stream."""
+        grid = policy_grid(2, 0.1)
+        reused = newcomb_state(5)
+        f = reused.model.policy_return(0.0)
+        got = [select_policy(reused, grid, f) for _ in range(60)]
+        assert len(value_passes) == 1
+        assert len(set(got)) > 1
+
+        rng = np.random.default_rng(5)
+        want = []
+        for _ in range(60):
+            fresh = make_agent(reused.belief, rng)
+            want.append(select_policy(fresh, grid, f))
+        assert len(value_passes) == 61
+        assert got == want
+        assert reused.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_another_grid_or_return_function_is_scored_again(self, value_passes):
+        """Matrix ((0, 2), (2, 0)) at accuracy 1 has the unique best p = 0.5:
+        index 5 of the 0.1 grid but index 2 of the 0.25 grid."""
+        state = newcomb_state(0, accuracy=1.0, matrix=((0.0, 2.0), (2.0, 0.0)))
+        f = state.model.policy_return(0.0)
+        fine, coarse = policy_grid(2, 0.1), policy_grid(2, 0.25)
+        assert select_policy(state, fine, f).action_probs[0] == 0.5
+        assert select_policy(state, fine, f).action_probs[0] == 0.5
+        assert len(value_passes) == 1
+        assert select_policy(state, coarse, f) is coarse.policies[2]
+        assert len(value_passes) == 2
+        assert select_policy(state, policy_grid(2, 0.1), f).action_probs[0] == 0.5
+        assert len(value_passes) == 3
+        assert select_policy(state, fine, state.model.policy_return(0.0)).action_probs[0] == 0.5
+        assert len(value_passes) == 4
+
+    def test_off_support_rewards_raise_every_time_and_are_not_stored(self):
+        model = BernoulliArmsModel(1)
+        state = make_agent(
+            singleton_belief(model, model.point_measure([0.5])),
+            np.random.default_rng(0),
+            "ib_maximin",
+            np.array([[0.0, 1.0]]),
+        )
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                ib_observe(state, 0, 0.25)
+        assert state.memo == {}
+
+    def test_refuting_observations_raise_every_time_and_are_not_stored(self, conditionings):
+        model = BernoulliArmsModel(1)
+        belief = corner_belief(model, [(1.0,), (1.0,)])
+        state = make_agent(
+            belief, np.random.default_rng(0), "ib_maximin", np.array([[0.0, 1.0]])
+        )
+        for _ in range(2):
+            with pytest.raises(DegenerateUpdateError):
+                ib_observe(state, 0, 0.0)
+        assert len(conditionings) == 2
+        assert state.memo == {}
+
+    @pytest.mark.parametrize("flavor", ["ib_maximin", "bayes_greedy"])
+    def test_repeated_observations_reuse_one_conditioning(self, flavor, conditionings):
+        model = BernoulliArmsModel(2)
+        belief = corner_belief(model, KU_CORNERS[:1] if flavor == "bayes_greedy" else KU_CORNERS)
+        state = make_agent(belief, np.random.default_rng(0), flavor, VALUES)
+        first = ib_observe(state, 1, 1.0)
+        second = ib_observe(state, 1, 1.0)
+        assert second.belief is first.belief
+        assert first.memo == {} and second.memo == {}
+        fresh = ib_observe(make_agent(belief, np.random.default_rng(0), flavor, VALUES), 1, 1.0)
+        assert point_fields(second.belief) == point_fields(fresh.belief)
+        other = ib_observe(state, 1, 0.0)
+        assert point_fields(other.belief) != point_fields(first.belief)
+        assert len(conditionings) == (3 if flavor == "ib_maximin" else 0)
+
+    def test_memo_is_not_state(self):
+        state = newcomb_state(3)
+        twin = make_agent(state.belief, state.rng)
+        lines_before: list[str] = []
+        _flatten("state", state, lines_before)
+        select_policy(state, policy_grid(2, 0.1), state.model.policy_return(0.0))
+        ib_observe(state, 0, 10.0)
+        assert len(state.memo) == 2 and twin.memo == {}
+        assert state == twin
+        assert hash(state) == hash(twin)
+        assert repr(state) == repr(twin) and "memo" not in repr(state)
+        lines_after: list[str] = []
+        _flatten("state", state, lines_after)
+        assert lines_after == lines_before
+        assert not any("memo" in line for line in lines_after)
+
+    def test_memo_does_not_keep_a_rollout_alive(self):
+        """``state0`` stays alive through the whole rollout; the memo must
+        not chain it to the later states or beliefs."""
+        model = BernoulliArmsModel(2)
+        state0 = make_agent(
+            corner_belief(model, KU_CORNERS), np.random.default_rng(0), "ib_maximin", VALUES
+        )
+        draws = np.random.default_rng(1)
+        state = state0
+        for t in range(200):
+            action = int(draws.integers(2))
+            state = ib_observe(state, action, float(draws.integers(2)))
+            if t == 10:
+                state_ref, belief_ref = weakref.ref(state), weakref.ref(state.belief)
+        del state
+        gc.collect()
+        assert state_ref() is None
+        assert belief_ref() is None
+        assert len(state0.memo) == 1
 
 
 class TestMakeAgent:

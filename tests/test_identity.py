@@ -43,6 +43,12 @@ CASES = {
         ExperimentConfig("newcomb", seed=42, settings=dict(NEWCOMB_SETTINGS)),
         "79c3091642df8b93e5226d6b83a9fd461688edf125b7ffb772ae52f4a915c8e0",
     ),
+    # The full default sweep (51 cells) at 40 episodes per cell, including
+    # the all-tied cell at accuracy 0.55, where every episode draws a tie-break.
+    "newcomb-sweep": (
+        ExperimentConfig("newcomb", seed=7, settings={"episodes": 40}),
+        "435ff7ed8cdc651e165eafcb05ec0b1922a6b001f76c4331b180712bd7d93aa2",
+    ),
     "trap-bandit": (
         ExperimentConfig("trap-bandit", seed=42, settings={"env.runs": 3}),
         "d513ee33176a806ecc7988c1aecde96164b09bd1531f64931ee13c01f838d33b",
