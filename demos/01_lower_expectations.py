@@ -24,7 +24,7 @@ model = ExplicitFiniteModel(3)
 
 
 def point(scale, masses, offset=0.0):
-    return AMeasure(scale, FiniteOutcomeMeasure(tuple(masses)), offset, None, model)
+    return AMeasure(scale, FiniteOutcomeMeasure(tuple(masses)), offset, model)
 
 
 print("Two candidate distributions over outcomes (a, b, c):")

@@ -31,7 +31,7 @@ VALUES = np.array([[0.0, 1.0]])
 
 print("Conditioning a uniform grid prior on a fixed outcome stream:")
 belief = Infradistribution.singleton(
-    AMeasure(1.0, model.grid_measure(grid), 0.0, model.initial_history(), model)
+    AMeasure(1.0, model.grid_measure(grid), 0.0, model), model.initial_history()
 )
 weights = np.full(grid.size, 1.0 / grid.size)
 f = model.arm_return(0, VALUES)
@@ -54,13 +54,8 @@ base_f = model2.policy_return([0.5, 0.5], values2)
 
 def fresh(flavor):
     belief = Infradistribution.singleton(
-        AMeasure(
-            1.0,
-            model2.grid_measure(np.linspace(0.0, 1.0, 11)),
-            0.0,
-            model2.initial_history(),
-            model2,
-        )
+        AMeasure(1.0, model2.grid_measure(np.linspace(0.0, 1.0, 11)), 0.0, model2),
+        model2.initial_history(),
     )
     return make_agent(belief, np.random.default_rng(123), flavor, values2)
 

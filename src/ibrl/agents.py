@@ -17,8 +17,9 @@ is the classical-recovery property the test suite pins down.
 Observation handling differs by flavor: the maximin flavor runs the full
 conditioning pipeline of ``updates.condition`` (restrict, renormalize,
 prune, and the handling of observations that refute some points), while
-classical flavors advance the history only, which is an ordinary Bayes
-update under the hood.
+classical flavors keep their points and advance the belief's one history
+through ``WorldModel.next_history``, which is an ordinary Bayes update under
+the hood.
 
 Both ``select_policy`` and ``ib_observe`` are pure functions of an immutable
 ``AgentState``, so each memoizes its work on the state it is given: the tied
@@ -34,13 +35,14 @@ rollout's states together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
-from .inframeasure import VALUE_TOL, AMeasure, Infradistribution, lower_expectations
+from .inframeasure import VALUE_TOL, Infradistribution, lower_expectations
 from .updates import condition
 from .worldmodels import NewcombModel, ObservationEvent, ReturnFunction, WorldModel
 
@@ -207,6 +209,8 @@ def act(policy: Policy, rng: np.random.Generator) -> int:
 
 
 def _observation_event(state: AgentState, action: int, reward: float) -> ObservationEvent:
+    if not math.isfinite(reward):
+        raise ConfigError(f"reward {reward!r} is not a finite number")
     model = state.model
     if isinstance(model, NewcombModel):
         return model.observation()
@@ -225,9 +229,10 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
 
     The maximin flavor conditions fully through ``updates.condition``, which
     also drops points the observation refutes when they would make
-    renormalization degenerate. Classical flavors advance the history only,
-    which realizes the ordinary Bayes posterior through the world model's
-    predictive reweighting.
+    renormalization degenerate. Classical flavors keep the points and
+    advance the belief's history only, which realizes the ordinary Bayes
+    posterior through the world model's predictive reweighting. A reward
+    that is not a finite number raises ``ConfigError``.
 
     The successor belief is memoized on ``state`` by ``(action, reward)``.
     An observation that raises is not stored, so it raises on every call."""
@@ -238,11 +243,8 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
         if state.flavor == "ib_maximin":
             belief = condition(state.belief, event)
         else:
-            points = []
-            for a in state.belief.points:
-                measure, history = a.model.advance(a.measure, a.history, event)
-                points.append(AMeasure(a.scale, measure, a.offset, history, a.model))
-            belief = Infradistribution(tuple(points))
+            history = state.model.next_history(state.belief.history, event)
+            belief = Infradistribution(state.belief.points, history)
         state.memo[key] = belief
     return replace(state, belief=belief)
 
@@ -258,13 +260,11 @@ def bayes_select(state: AgentState) -> int:
         raise ContractViolationError(
             "classical selection requires a single-point (classical) belief"
         )
-    a = state.belief.points[0]
+    measure, history = state.belief.points[0].measure, state.belief.history
     if state.flavor == "bayes_thompson":
-        values = state.model.sampled_action_values(
-            a.measure, a.history, state.reward_values, state.rng
-        )
+        values = state.model.sampled_action_values(measure, history, state.reward_values, state.rng)
     else:
-        values = state.model.expected_action_values(a.measure, a.history, state.reward_values)
+        values = state.model.expected_action_values(measure, history, state.reward_values)
     best = float(np.max(values))
     candidates = [i for i, v in enumerate(values) if v >= best - VALUE_TOL]
     if len(candidates) == 1:

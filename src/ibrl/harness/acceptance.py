@@ -326,7 +326,6 @@ def _random_finite_belief(rng: np.random.Generator, model: ExplicitFiniteModel, 
                 2.0 * rng.random(),
                 FiniteOutcomeMeasure(tuple(masses)),
                 2.0 * rng.random(),
-                None,
                 model,
             )
         )
@@ -354,7 +353,6 @@ def _dyadic_point(rng: np.random.Generator, model: ExplicitFiniteModel) -> AMeas
         float(rng.integers(1, 5)) / 4.0,
         FiniteOutcomeMeasure(tuple(masses)),
         float(rng.integers(0, 9)) / 8.0,
-        None,
         model,
     )
 
@@ -378,10 +376,10 @@ def _check_linearity(rng: np.random.Generator, problems: list[str]) -> int:
         g = model.return_function(rng.integers(0, 9, n) / 8.0)
         event = model.observation(kept, g)
         a1, a2 = _dyadic_point(rng, model), _dyadic_point(rng, model)
-        u1, u2 = raw_update(a1, event), raw_update(a2, event)
+        u1, u2 = raw_update(a1, event, None), raw_update(a2, event, None)
         for c in (0.5, 2.0):
-            scaled = AMeasure(c * a1.scale, a1.measure, c * a1.offset, None, model)
-            us = raw_update(scaled, event)
+            scaled = AMeasure(c * a1.scale, a1.measure, c * a1.offset, model)
+            us = raw_update(scaled, event, None)
             vs, bs = _effective(us)
             v1, b1 = _effective(u1)
             if not (np.array_equal(vs, c * v1) and bs == c * b1):
@@ -395,10 +393,9 @@ def _check_linearity(rng: np.random.Generator, problems: list[str]) -> int:
                 )
             ),
             a1.offset + a2.offset,
-            None,
             model,
         )
-        uc = raw_update(combined, event)
+        uc = raw_update(combined, event, None)
         vc, bc = _effective(uc)
         v1, b1 = _effective(u1)
         v2, b2 = _effective(u2)
@@ -458,7 +455,7 @@ def _check_unit_normalization(seed: int, problems: list[str]) -> float:
 
     # Predictor regime: conditioning is the identity on the belief.
     nmodel = NewcombModel(accuracy=0.8)
-    belief = Infradistribution.singleton(AMeasure(1.0, STATELESS, 0.0, None, nmodel))
+    belief = Infradistribution.singleton(AMeasure(1.0, STATELESS, 0.0, nmodel))
     for _ in range(5):
         belief = condition(belief, nmodel.observation())
         point = belief.points[0]
@@ -511,7 +508,7 @@ def _check_exchangeability(rng: np.random.Generator, problems: list[str]) -> int
             preds = tuple(
                 lower_expectation(belief, model.arm_return(arm, values)) for arm in range(2)
             )
-            results.append((point.scale, point.offset, point.history, preds))
+            results.append((point.scale, point.offset, belief.history, preds))
         if results[0] != results[1]:
             failures += 1
     if failures:

@@ -168,9 +168,7 @@ def _roster(cfg: ExperimentConfig, default: tuple[str, ...]) -> tuple[str, ...]:
 
 def classical_belief(model, measure) -> Infradistribution:
     """Single-point belief: the classical Bayesian special case."""
-    return Infradistribution.singleton(
-        AMeasure(1.0, measure, 0.0, model.initial_history(), model)
-    )
+    return Infradistribution.singleton(AMeasure(1.0, measure, 0.0, model), model.initial_history())
 
 
 def ku_corners(intervals: Sequence[tuple[float, float]]) -> tuple[tuple[float, ...], ...]:

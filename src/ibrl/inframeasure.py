@@ -9,7 +9,8 @@ where the conditional expectation is delegated to the point's world model.
 The scale is a nonnegative multiplier on the measure component and the
 nonnegative offset carries the return already banked on branches the point
 has ruled out. A belief is a finite nonempty set of such points over a shared
-world model and history, evaluated pessimistically:
+world model, together with the one history they are all conditioned on,
+evaluated pessimistically:
 
     lower_expectation(psi, f) = min over points of a(f).
 
@@ -39,18 +40,18 @@ PRUNE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class AMeasure:
-    """One affine evaluator: ``(scale, measure, offset)`` at a history.
+    """One affine evaluator ``(scale, measure, offset)``.
 
-    The measure representation is owned by ``model`` and stays normalized
-    within that representation; restriction bookkeeping lives in the history
-    plus ``scale`` (bandit-type models) or in the mass vector itself (explicit
-    finite models). A zero-scale point is a refuted hypothesis whose value has
-    settled at its offset."""
+    The point carries no history: it is valued at the history of the belief
+    it belongs to. The measure representation is owned by ``model`` and stays
+    normalized within that representation; restriction bookkeeping lives in
+    the belief's history plus ``scale`` (bandit-type models) or in the mass
+    vector itself (explicit finite models). A zero-scale point is a refuted
+    hypothesis whose value has settled at its offset."""
 
     scale: float
     measure: object
     offset: float
-    history: object
     model: WorldModel
 
     def __post_init__(self) -> None:
@@ -61,24 +62,26 @@ class AMeasure:
         self.model.validate_measure(self.measure)
 
 
-def evaluate(a: AMeasure, f: ReturnFunction) -> float:
+def evaluate(a: AMeasure, f: ReturnFunction, history: object) -> float:
     """Value ``a(f) = scale * E[f | history] + offset``.
 
-    Zero-scale points skip the expectation entirely; their histories may be
+    Zero-scale points skip the expectation entirely; the history may be
     impossible under their own measure, and their value is the offset."""
     if f.model != a.model:
         raise RepresentationError("return function belongs to a different world model")
     if a.scale == 0.0:
         return a.offset
-    return a.scale * a.model.expectation(a.measure, a.history, f) + a.offset
+    return a.scale * a.model.expectation(a.measure, history, f) + a.offset
 
 
 @dataclass(frozen=True, eq=False)
 class Infradistribution:
-    """Finite nonempty set of extremal points over one world model and one
-    shared history."""
+    """Finite nonempty set of extremal points over one world model, and the
+    one history every point is valued at. ``None`` is the history of the
+    history-free models (explicit finite and Newcomb)."""
 
     points: tuple[AMeasure, ...]
+    history: object = None
 
     def __post_init__(self) -> None:
         if not self.points:
@@ -87,25 +90,19 @@ class Infradistribution:
         for a in self.points[1:]:
             if a.model != first.model:
                 raise RepresentationError("all points must share one world model")
-            if a.history != first.history:
-                raise RepresentationError("all points must share one history")
 
     @property
     def model(self) -> WorldModel:
         return self.points[0].model
 
-    @property
-    def history(self) -> object:
-        return self.points[0].history
-
     @classmethod
-    def singleton(cls, point: AMeasure) -> "Infradistribution":
-        return cls((point,))
+    def singleton(cls, point: AMeasure, history: object = None) -> "Infradistribution":
+        return cls((point,), history)
 
 
 def lower_expectation(psi: Infradistribution, f: ReturnFunction) -> float:
     """Worst-case value of ``f``: the minimum over the belief's points."""
-    return min(evaluate(a, f) for a in psi.points)
+    return min(evaluate(a, f, psi.history) for a in psi.points)
 
 
 def lower_expectations(psi: Infradistribution, f: ReturnFunction, probs: np.ndarray) -> np.ndarray:
@@ -124,7 +121,7 @@ def lower_expectations(psi: Infradistribution, f: ReturnFunction, probs: np.ndar
         if a.scale == 0.0:
             values = np.full(len(probs), a.offset)
         else:
-            expected = a.model.policy_expectations(a.measure, a.history, f, probs)
+            expected = a.model.policy_expectations(a.measure, psi.history, f, probs)
             values = a.scale * expected + a.offset
         worst = values if worst is None else np.where(values < worst, values, worst)
     return worst
@@ -134,9 +131,9 @@ def argmin_point(psi: Infradistribution, f: ReturnFunction) -> AMeasure:
     """The point attaining the lower expectation; ties go to the lowest
     insertion index."""
     best = psi.points[0]
-    best_value = evaluate(best, f)
+    best_value = evaluate(best, f, psi.history)
     for a in psi.points[1:]:
-        value = evaluate(a, f)
+        value = evaluate(a, f, psi.history)
         if value < best_value:
             best, best_value = a, value
     return best
@@ -178,8 +175,8 @@ def mix_classical(
             measure = model.mix([a.measure for a in combo], eff)
         else:
             measure = combo[0].measure
-        points.append(AMeasure(scale, measure, offset, history, model))
-    return Infradistribution(tuple(points))
+        points.append(AMeasure(scale, measure, offset, model))
+    return Infradistribution(tuple(points), history)
 
 
 def mix_knightian(components: Sequence[Infradistribution]) -> Infradistribution:
@@ -187,16 +184,16 @@ def mix_knightian(components: Sequence[Infradistribution]) -> Infradistribution:
 
     The lower expectation of the union is the minimum of the components'
     lower expectations (worst case over unresolvable alternatives)."""
-    _common_frame(components)
+    _, history = _common_frame(components)
     points = tuple(a for psi in components for a in psi.points)
-    return Infradistribution(points)
+    return Infradistribution(points, history)
 
 
 def _dedupe(points: Sequence[AMeasure]) -> list[AMeasure]:
     seen = set()
     kept = []
     for a in points:
-        key = (a.scale, a.measure, a.offset, a.history)
+        key = (a.scale, a.measure, a.offset)
         if key in seen:
             continue
         seen.add(key)
@@ -274,4 +271,4 @@ def prune(psi: Infradistribution, convex: bool = False) -> Infradistribution:
                         kept.pop(i)
                         changed = True
                         break
-    return Infradistribution(tuple(kept))
+    return Infradistribution(tuple(kept), psi.history)

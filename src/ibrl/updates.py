@@ -11,7 +11,8 @@ so the measure keeps only on-branch mass while the offset banks the expected
 return of the branches just ruled out. With ``g`` equal to the return
 function itself, the pre-update value of the current round is conserved. The
 raw update is affine in the point, so updating a belief updates each point
-independently and creates no new points.
+independently and creates no new points. The history belongs to the belief,
+not to its points, so it advances once per observation.
 
 Raw updates shrink scales and grow offsets, so the updated point set is
 renormalized as a whole: with
@@ -37,29 +38,30 @@ from .worldmodels import ObservationEvent
 DEGENERATE_TOL = 1e-12
 
 
-def raw_update(a: AMeasure, event: ObservationEvent) -> AMeasure:
-    """Restrict one point to the event's branch and bank the off-branch
-    return into its offset. Zero-scale points only advance their history so
-    the belief stays on a shared frame."""
+def raw_update(a: AMeasure, event: ObservationEvent, history: object) -> AMeasure:
+    """Restrict one point, valued at ``history`` (the history before the
+    observation), to the event's branch and bank the off-branch return into
+    its offset. A zero-scale point is returned unchanged: its value is its
+    offset whatever its measure."""
     if event.model != a.model:
         raise RepresentationError("event belongs to a different world model")
     if a.scale == 0.0:
-        measure, history = a.model.advance(a.measure, a.history, event)
-        return AMeasure(0.0, measure, a.offset, history, a.model)
-    r = a.model.restrict(a.measure, a.history, event)
+        return a
+    r = a.model.restrict(a.measure, history, event)
     return AMeasure(
         a.scale * r.scale_factor,
         r.measure,
         a.offset + a.scale * r.offbranch_value,
-        r.history,
         a.model,
     )
 
 
 def update_infra(psi: Infradistribution, event: ObservationEvent) -> Infradistribution:
-    """Raw-update every point. The update is affine, so the point set maps
-    pointwise and its size never grows."""
-    return Infradistribution(tuple(raw_update(a, event) for a in psi.points))
+    """Raw-update every point against the belief's history, then advance that
+    history once. The update is affine, so the point set maps pointwise and
+    its size never grows."""
+    points = tuple(raw_update(a, event, psi.history) for a in psi.points)
+    return Infradistribution(points, psi.model.next_history(psi.history, event))
 
 
 def _alpha_beta(psi: Infradistribution) -> tuple[float, float]:
@@ -67,7 +69,7 @@ def _alpha_beta(psi: Infradistribution) -> tuple[float, float]:
     beta = min(
         a.offset
         if a.scale == 0.0
-        else a.scale * a.model.conditioned_mass(a.measure, a.history) + a.offset
+        else a.scale * a.model.conditioned_mass(a.measure, psi.history) + a.offset
         for a in psi.points
     )
     return alpha, beta
@@ -87,17 +89,17 @@ def renormalize(psi: Infradistribution) -> Infradistribution:
             f"renormalization span {span!r} is degenerate (observation has zero lower probability)"
         )
     points = tuple(
-        AMeasure(a.scale / span, a.measure, (a.offset - alpha) / span, a.history, a.model)
+        AMeasure(a.scale / span, a.measure, (a.offset - alpha) / span, a.model)
         for a in psi.points
     )
-    return Infradistribution(points)
+    return Infradistribution(points, psi.history)
 
 
 def condition(psi: Infradistribution, event: ObservationEvent) -> Infradistribution:
     """Full conditioning pipeline: raw update, renormalize, prune.
 
     On a single-point belief this is exactly a Bayes update: the point
-    returns to scale 1 and offset 0 and only its history moves.
+    returns to scale 1 and offset 0 and only the belief's history moves.
 
     If the observation refutes some points (zero scale, or zero mass left on
     the observed branch) and that makes renormalization degenerate, the
@@ -111,10 +113,10 @@ def condition(psi: Infradistribution, event: ObservationEvent) -> Infradistribut
             a
             for a in updated.points
             if a.scale > 0.0
-            and a.scale * a.model.conditioned_mass(a.measure, a.history) > DEGENERATE_TOL
+            and a.scale * a.model.conditioned_mass(a.measure, updated.history) > DEGENERATE_TOL
         )
         if not live:
             raise DegenerateUpdateError(
                 "every point assigned the observation zero probability; belief refuted"
             )
-        return prune(renormalize(Infradistribution(live)))
+        return prune(renormalize(Infradistribution(live, updated.history)))

@@ -125,11 +125,12 @@ class Restriction:
     ``scale_factor`` multiplies the point's scale (the branch probability for
     conditional representations, 1.0 when the restriction is carried by the
     measure itself), and ``offbranch_value`` is the expected off-branch return
-    in the measure's own units, to be scaled and added to the offset.
+    in the measure's own units, to be scaled and added to the offset. The
+    history is not part of it: the belief advances its one history through
+    ``WorldModel.next_history``.
     """
 
     measure: object
-    history: object
     scale_factor: float
     offbranch_value: float
 
@@ -167,11 +168,11 @@ class WorldModel(ABC):
         """Restrict the measure to the event's branch, returning the updated
         representation together with the scale factor and off-branch value."""
 
-    @abstractmethod
-    def advance(self, measure: object, history: object, event: ObservationEvent) -> tuple[object, object]:
-        """Representation bookkeeping of a restriction without any probability
-        computation. Used for zero-scale points, whose histories must stay in
-        step with the rest of the belief."""
+    def next_history(self, history: object, event: ObservationEvent) -> object:
+        """The history after observing ``event``, shared by every point of a
+        belief, so it is built once per observation. History-free models keep
+        their history (``None``) unchanged."""
+        return history
 
     @abstractmethod
     def mix(self, measures: Sequence[object], weights: Sequence[float]) -> object:
@@ -281,16 +282,7 @@ class ExplicitFiniteModel(WorldModel):
         keep[list(kept)] = True
         off_value = float(np.dot(masses[~keep], g[~keep]))
         new = FiniteOutcomeMeasure(tuple(np.where(keep, masses, 0.0)))
-        return Restriction(new, history, 1.0, off_value)
-
-    def advance(
-        self, measure: FiniteOutcomeMeasure, history: None, event: ObservationEvent
-    ) -> tuple[FiniteOutcomeMeasure, None]:
-        kept = event.indicator
-        masses = tuple(
-            m if i in kept else 0.0 for i, m in enumerate(measure.masses)
-        )
-        return FiniteOutcomeMeasure(masses), history
+        return Restriction(new, 1.0, off_value)
 
     def mix(
         self, measures: Sequence[FiniteOutcomeMeasure], weights: Sequence[float]
@@ -605,13 +597,10 @@ class BernoulliArmsModel(WorldModel):
         off_outcome = 1 - outcome
         g = event.offbranch_return.values
         off_value = (1.0 - p_obs) * g[arm, off_outcome]
-        return Restriction(measure, observe(history, arm, outcome), p_obs, off_value)
+        return Restriction(measure, p_obs, off_value)
 
-    def advance(
-        self, measure: BernoulliArmMeasure, history: BanditHistory, event: ObservationEvent
-    ) -> tuple[BernoulliArmMeasure, BanditHistory]:
-        arm, outcome = event.indicator
-        return measure, observe(history, arm, outcome)
+    def next_history(self, history: BanditHistory, event: ObservationEvent) -> BanditHistory:
+        return observe(history, *event.indicator)
 
     def mix(
         self, measures: Sequence[BernoulliArmMeasure], weights: Sequence[float]
@@ -709,12 +698,7 @@ class NewcombModel(WorldModel):
     def restrict(
         self, measure: StatelessMeasure, history: None, event: ObservationEvent
     ) -> Restriction:
-        return Restriction(measure, history, 1.0, 0.0)
-
-    def advance(
-        self, measure: StatelessMeasure, history: None, event: ObservationEvent
-    ) -> tuple[StatelessMeasure, None]:
-        return measure, history
+        return Restriction(measure, 1.0, 0.0)
 
     def mix(
         self, measures: Sequence[StatelessMeasure], weights: Sequence[float]
@@ -980,18 +964,17 @@ class JointHypothesisBanditModel(WorldModel):
         off = np.ones(self.outcome_count, dtype=bool)
         off[outcome] = False
         off_value = float(np.dot(dist[off], g[arm, off]))
-        _, new_history = self.advance(measure, history, event)
-        return Restriction(measure, new_history, float(dist[outcome]), off_value)
+        return Restriction(measure, float(dist[outcome]), off_value)
 
-    def advance(
-        self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, event: ObservationEvent
-    ) -> tuple[JointHypothesisMeasure, OutcomeCountHistory]:
+    def next_history(
+        self, history: OutcomeCountHistory, event: ObservationEvent
+    ) -> OutcomeCountHistory:
         arm, outcome = event.indicator
         counts = tuple(
             tuple(c + 1 if (j == arm and o == outcome) else c for o, c in enumerate(row))
             for j, row in enumerate(history.counts)
         )
-        return measure, OutcomeCountHistory(counts)
+        return OutcomeCountHistory(counts)
 
     def mix(
         self, measures: Sequence[JointHypothesisMeasure], weights: Sequence[float]

@@ -40,9 +40,7 @@ VALUES = np.array([[0.0, 1.0], [0.0, 1.0]])
 
 
 def singleton_belief(model, measure):
-    return Infradistribution.singleton(
-        AMeasure(1.0, measure, 0.0, model.initial_history(), model)
-    )
+    return Infradistribution.singleton(AMeasure(1.0, measure, 0.0, model), model.initial_history())
 
 
 def corner_belief(model, corners):
@@ -177,9 +175,9 @@ class TestValuePass:
         for action, reward in [(0, 1.0), (1, 0.0), (1, 1.0), (0, 0.0), (1, 1.0)]:
             state = ib_observe(state, action, reward)
         first, second, *rest = state.belief.points
-        refuted = AMeasure(0.0, first.measure, 0.75, first.history, model)
-        overflowed = AMeasure(second.scale, second.measure, np.inf, second.history, model)
-        belief = Infradistribution((refuted, overflowed, *rest))
+        refuted = AMeasure(0.0, first.measure, 0.75, model)
+        overflowed = AMeasure(second.scale, second.measure, np.inf, model)
+        belief = Infradistribution((refuted, overflowed, *rest), state.belief.history)
         probs = deterministic_grid(2).probs
         self.assert_matches_scalar(belief, probs, lambda row: model.policy_return(row, VALUES))
         # The live points are worth more than 5 on either arm, so the refuted
@@ -214,7 +212,7 @@ class TestValuePass:
 
     def test_explicit_finite_models_have_no_policy_values(self):
         model = ExplicitFiniteModel(2)
-        point = AMeasure(1.0, FiniteOutcomeMeasure((0.5, 0.5)), 0.0, None, model)
+        point = AMeasure(1.0, FiniteOutcomeMeasure((0.5, 0.5)), 0.0, model)
         f = model.return_function((0.0, 1.0))
         with pytest.raises(RepresentationError):
             lower_expectations(Infradistribution.singleton(point), f, np.array([[1.0]]))
@@ -276,8 +274,22 @@ class TestObserve:
         state = ib_observe(state, 1, 0.0)
         point = state.belief.points[0]
         assert point.scale == 1.0 and point.offset == 0.0
-        assert point.history.pulls == (0, 1)
-        assert point.history.successes == (0, 0)
+        assert state.belief.history.pulls == (0, 1)
+        assert state.belief.history.successes == (0, 0)
+
+    def test_bayes_observation_keeps_the_points_and_advances_one_history(self):
+        model = BernoulliArmsModel(2)
+        state = make_agent(
+            singleton_belief(model, model.grid_measure([0.3, 0.7])),
+            np.random.default_rng(0),
+            "bayes_greedy",
+            VALUES,
+        )
+        after = ib_observe(state, 0, 1.0)
+        assert after.belief.points is state.belief.points
+        assert state.belief.history.pulls == (0, 0)
+        assert after.belief.history.pulls == (1, 0)
+        assert after.belief.history.successes == (1, 0)
 
     def test_contradicted_corner_becomes_inert(self):
         """One corner says arm 0 always succeeds; a failure refutes it. The
@@ -338,7 +350,7 @@ KU_CORNERS = [(a, b) for a in (0.3, 0.7) for b in (0.4, 0.8)]
 
 
 def point_fields(belief):
-    return [(a.scale, a.offset, a.history, a.measure, a.model) for a in belief.points]
+    return [(a.scale, a.offset, belief.history, a.measure, a.model) for a in belief.points]
 
 
 def newcomb_state(seed, accuracy=0.55, matrix=((10.0, 0.0), (11.0, 1.0))):
@@ -420,6 +432,23 @@ class TestMemo:
         for _ in range(2):
             with pytest.raises(ConfigError):
                 ib_observe(state, 0, 0.25)
+        assert state.memo == {}
+
+    @pytest.mark.parametrize("flavor", ["ib_maximin", "bayes_greedy"])
+    @pytest.mark.parametrize("reward", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rewards_raise_every_time_and_are_not_stored(self, flavor, reward):
+        """NaN is at no finite distance from any support point, so it must
+        not be read as outcome 0."""
+        model = BernoulliArmsModel(1)
+        state = make_agent(
+            singleton_belief(model, model.point_measure([0.5])),
+            np.random.default_rng(0),
+            flavor,
+            np.array([[0.0, 1.0]]),
+        )
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="finite"):
+                ib_observe(state, 0, reward)
         assert state.memo == {}
 
     def test_refuting_observations_raise_every_time_and_are_not_stored(self, conditionings):

@@ -1,18 +1,45 @@
-"""Smoke test of the narrative demos: each script runs to completion."""
+"""Smoke tests of the narrative demos and the README example: each runs to
+completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ibrl
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-pytestmark = pytest.mark.slow
+
+def readme_tour() -> str:
+    """The first fenced ``python`` block under the README's "Library tour"."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library tour\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
+def test_readme_library_tour_runs(monkeypatch):
+    """The tour's one lower expectation, taken before conditioning, is the
+    0.4 its comment promises; conditioning then advances the history."""
+    original = ibrl.lower_expectation
+    seen = []
+
+    def recording(psi, f):
+        seen.append(original(psi, f))
+        return seen[-1]
+
+    monkeypatch.setattr(ibrl, "lower_expectation", recording)
+    namespace: dict = {}
+    exec(compile(readme_tour(), "README.md", "exec"), namespace)
+    assert seen == [pytest.approx(0.4)]
+    assert namespace["belief"].history.pulls == (0, 1)
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ)

@@ -196,7 +196,7 @@ class TestSerialization:
     def test_flat_text_form_of_a_classical_belief(self):
         model = BernoulliArmsModel(2)
         belief = Infradistribution.singleton(
-            AMeasure(1.0, model.point_measure([0.3, 0.7]), 0.0, model.initial_history(), model)
+            AMeasure(1.0, model.point_measure([0.3, 0.7]), 0.0, model), model.initial_history()
         )
         expected = (
             "model.kind = 'BernoulliArmsModel'\n"

@@ -23,21 +23,21 @@ MODEL3 = ExplicitFiniteModel(3)
 
 
 def finite_point(scale, masses, offset, model=MODEL3):
-    return AMeasure(scale, FiniteOutcomeMeasure(tuple(masses)), offset, None, model)
+    return AMeasure(scale, FiniteOutcomeMeasure(tuple(masses)), offset, model)
 
 
 class TestAMeasure:
     def test_evaluate_combines_scale_expectation_and_offset(self):
         point = finite_point(0.4, (0.5, 0.5, 0.0), 0.6)
         f = MODEL3.return_function((0.5, 0.5, 0.5))
-        np.testing.assert_allclose(evaluate(point, f), 0.4 * 0.5 + 0.6)
+        np.testing.assert_allclose(evaluate(point, f, None), 0.4 * 0.5 + 0.6)
 
     def test_zero_scale_point_evaluates_to_its_offset(self):
         """A refuted hypothesis contributes only its accumulated offset; the
         stale measure must not be consulted."""
         point = finite_point(0.0, (1.0, 0.0, 0.0), 0.25)
         f = MODEL3.return_function((100.0, 100.0, 100.0), f_max=100.0)
-        np.testing.assert_allclose(evaluate(point, f), 0.25)
+        np.testing.assert_allclose(evaluate(point, f, None), 0.25)
 
     def test_negative_scale_rejected(self):
         with pytest.raises(RepresentationError):
@@ -56,7 +56,7 @@ class TestInfradistribution:
     def test_points_must_share_model_and_history(self):
         other = ExplicitFiniteModel(4)
         a = finite_point(1.0, (1.0, 0.0, 0.0), 0.0)
-        b = AMeasure(1.0, FiniteOutcomeMeasure((0.0, 1.0, 0.0, 0.0)), 0.0, None, other)
+        b = AMeasure(1.0, FiniteOutcomeMeasure((0.0, 1.0, 0.0, 0.0)), 0.0, other)
         with pytest.raises(RepresentationError):
             Infradistribution((a, b))
 
@@ -113,11 +113,9 @@ class TestMixing:
 
     def test_knightian_mix_rejects_mismatched_histories(self):
         model = ExplicitFiniteModel(2)
-        a = Infradistribution.singleton(
-            AMeasure(1.0, FiniteOutcomeMeasure((1.0, 0.0)), 0.0, None, model)
-        )
+        a = Infradistribution.singleton(AMeasure(1.0, FiniteOutcomeMeasure((1.0, 0.0)), 0.0, model))
         b = Infradistribution.singleton(
-            AMeasure(1.0, FiniteOutcomeMeasure((1.0, 0.0)), 0.0, ("x",), model)
+            AMeasure(1.0, FiniteOutcomeMeasure((1.0, 0.0)), 0.0, model), ("x",)
         )
         with pytest.raises(RepresentationError):
             mix_knightian([a, b])
@@ -164,7 +162,6 @@ class TestPrune:
                 2.0 * rng.random(),
                 FiniteOutcomeMeasure(tuple(rng.dirichlet(np.ones(n)) * rng.random())),
                 rng.random(),
-                None,
                 model,
             )
             for _ in range(k)

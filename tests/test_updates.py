@@ -13,6 +13,8 @@ from ibrl import (
     ExplicitFiniteModel,
     FiniteOutcomeMeasure,
     Infradistribution,
+    JointHypothesisBanditModel,
+    TrapWorldConfig,
     condition,
     evaluate,
     lower_expectation,
@@ -21,14 +23,13 @@ from ibrl import (
     renormalize,
     update_infra,
 )
+from ibrl.harness.runner import trap_ib_belief, trap_model
 
 VALUES = ((0.0, 1.0), (0.0, 1.0))
 
 
 def bandit_singleton(model, measure):
-    return Infradistribution.singleton(
-        AMeasure(1.0, measure, 0.0, model.initial_history(), model)
-    )
+    return Infradistribution.singleton(AMeasure(1.0, measure, 0.0, model), model.initial_history())
 
 
 class TestRawUpdate:
@@ -37,20 +38,22 @@ class TestRawUpdate:
         has probability 0.4, and the skipped branch contributes its return
         0.6 * 1.0 to the offset."""
         model = BernoulliArmsModel(1)
-        a = AMeasure(1.0, model.point_measure([0.6]), 0.0, model.initial_history(), model)
+        psi = bandit_singleton(model, model.point_measure([0.6]))
         event = model.observation(0, 0, model.arm_return(0, [[0.0, 1.0]]))
-        updated = raw_update(a, event)
-        np.testing.assert_allclose(updated.scale, 0.4)
-        np.testing.assert_allclose(updated.offset, 0.6)
+        updated = update_infra(psi, event)
+        (point,) = updated.points
+        np.testing.assert_allclose(point.scale, 0.4)
+        np.testing.assert_allclose(point.offset, 0.6)
         assert updated.history.pulls == (1,)
         assert updated.history.successes == (0,)
 
     def test_two_updates_compound_the_branch_probability(self):
         model = BernoulliArmsModel(1)
-        a = AMeasure(1.0, model.point_measure([0.5]), 0.0, model.initial_history(), model)
+        psi = bandit_singleton(model, model.point_measure([0.5]))
         zero_g = model.arm_return(0, [[0.0, 0.0]])
         for outcome in (1, 0):
-            a = raw_update(a, model.observation(0, outcome, zero_g))
+            psi = update_infra(psi, model.observation(0, outcome, zero_g))
+        (a,) = psi.points
         np.testing.assert_allclose(a.scale, 0.25)
         np.testing.assert_allclose(a.offset, 0.0)
 
@@ -59,17 +62,23 @@ class TestRawUpdate:
         scale 0.4, the prior predictive of that outcome."""
         model = BernoulliArmsModel(1)
         measure = model.grid_measure([0.2, 0.6])
-        a = AMeasure(1.0, measure, 0.0, model.initial_history(), model)
-        updated = raw_update(a, model.observation(0, 1, model.arm_return(0, [[0.0, 0.0]])))
+        a = AMeasure(1.0, measure, 0.0, model)
+        event = model.observation(0, 1, model.arm_return(0, [[0.0, 0.0]]))
+        updated = raw_update(a, event, model.initial_history())
         np.testing.assert_allclose(updated.scale, 0.4)
 
     def test_zero_scale_point_only_advances_history(self):
+        """A zero-scale point is carried over as the same object; only the
+        belief's history moves."""
         model = BernoulliArmsModel(1)
-        a = AMeasure(0.0, model.point_measure([0.5]), 0.7, model.initial_history(), model)
-        updated = raw_update(a, model.observation(0, 1, model.arm_return(0, [[0.0, 1.0]])))
-        assert updated.scale == 0.0
-        assert updated.offset == 0.7
+        a = AMeasure(0.0, model.point_measure([0.5]), 0.7, model)
+        psi = Infradistribution.singleton(a, model.initial_history())
+        updated = update_infra(psi, model.observation(0, 1, model.arm_return(0, [[0.0, 1.0]])))
+        assert updated.points[0] is a
+        assert updated.points[0].scale == 0.0
+        assert updated.points[0].offset == 0.7
         assert updated.history.pulls == (1,)
+        assert psi.history.pulls == (0,)
 
     def test_off_branch_return_must_be_nonnegative(self):
         model = ExplicitFiniteModel(2)
@@ -114,21 +123,21 @@ class TestRenormalize:
         """Renormalization uses one affine map for the whole set, so the
         ordering of points on any return function is preserved."""
         model = ExplicitFiniteModel(2)
-        a = AMeasure(0.8, FiniteOutcomeMeasure((0.5, 0.3)), 0.1, None, model)
-        b = AMeasure(0.6, FiniteOutcomeMeasure((0.1, 0.7)), 0.4, None, model)
+        a = AMeasure(0.8, FiniteOutcomeMeasure((0.5, 0.3)), 0.1, model)
+        b = AMeasure(0.6, FiniteOutcomeMeasure((0.1, 0.7)), 0.4, model)
         psi = Infradistribution((a, b))
         event = model.observation([0, 1], model.return_function((0.0, 0.0)))
         updated = update_infra(psi, event)
         out = renormalize(updated)
         f = model.return_function((1.0, 0.0))
-        raw_vals = [evaluate(p, f) for p in updated.points]
-        new_vals = [evaluate(p, f) for p in out.points]
+        raw_vals = [evaluate(p, f, None) for p in updated.points]
+        new_vals = [evaluate(p, f, None) for p in out.points]
         assert np.argmin(raw_vals) == np.argmin(new_vals)
 
     def test_renormalized_lower_bound_is_zero_on_the_zero_function(self):
         model = ExplicitFiniteModel(2)
-        a = AMeasure(0.8, FiniteOutcomeMeasure((0.5, 0.3)), 0.1, None, model)
-        b = AMeasure(0.6, FiniteOutcomeMeasure((0.1, 0.7)), 0.4, None, model)
+        a = AMeasure(0.8, FiniteOutcomeMeasure((0.5, 0.3)), 0.1, model)
+        b = AMeasure(0.6, FiniteOutcomeMeasure((0.1, 0.7)), 0.4, model)
         out = renormalize(Infradistribution((a, b)))
         zero = model.return_function((0.0, 0.0))
         one = model.return_function((1.0, 1.0))
@@ -173,7 +182,7 @@ class TestCondition:
         event = model.observation(0, 0, f)
         for _ in range(3):
             belief = condition(belief, event)
-        values = sorted(evaluate(p, f) for p in belief.points)
+        values = sorted(evaluate(p, f, belief.history) for p in belief.points)
         np.testing.assert_allclose(values[0], 0.2, atol=1e-9)
 
     @settings(max_examples=40, deadline=None)
@@ -199,6 +208,50 @@ class TestCondition:
         np.testing.assert_allclose(got, oracle, atol=1e-9)
 
 
+def count_next_history(monkeypatch, cls):
+    """Record every ``next_history`` call made on instances of ``cls``."""
+    calls = []
+    original = cls.next_history
+
+    def counting(self, history, event):
+        calls.append(history)
+        return original(self, history, event)
+
+    monkeypatch.setattr(cls, "next_history", counting)
+    return calls
+
+
+class TestOneHistoryPerBelief:
+    """Every point is valued at its belief's one history, so conditioning
+    advances that history once per observation, whatever the point count."""
+
+    def test_ku_corner_belief_advances_its_history_once_per_observation(self, monkeypatch):
+        calls = count_next_history(monkeypatch, BernoulliArmsModel)
+        model = BernoulliArmsModel(2)
+        corners = [(a, b) for a in (0.3, 0.7) for b in (0.4, 0.8)]
+        belief = mix_knightian([bandit_singleton(model, model.point_measure(c)) for c in corners])
+        rng = np.random.default_rng(3)
+        for t in range(1, 21):
+            arm, outcome = int(rng.integers(2)), int(rng.integers(2))
+            history = belief.history
+            belief = condition(belief, model.observation(arm, outcome, model.arm_return(arm, VALUES)))
+            assert len(calls) == t and calls[-1] is history
+        assert len(belief.points) == 4
+        assert sum(belief.history.pulls) == 20
+
+    def test_trap_two_point_belief_advances_its_history_once_per_observation(self, monkeypatch):
+        calls = count_next_history(monkeypatch, JointHypothesisBanditModel)
+        env = TrapWorldConfig()
+        model, raw_support, values = trap_model(env)
+        belief = trap_ib_belief(model, env)
+        for t, (arm, reward) in enumerate([(1, 1.0), (1, 0.0), (0, 1.0), (1, 1.0)], 1):
+            outcome = raw_support.index(reward)
+            belief = condition(belief, model.observation(arm, outcome, model.arm_return(arm, values)))
+            assert len(calls) == t
+        assert len(belief.points) == 2
+        assert sum(map(sum, belief.history.counts)) == 4
+
+
 class TestLinearity:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -220,14 +273,13 @@ class TestLinearity:
                 float(rng.random()) + 0.1,
                 FiniteOutcomeMeasure(tuple(rng.dirichlet(np.ones(n)) * 0.4)),
                 float(rng.random()),
-                None,
                 model,
             )
 
         a1, a2 = rand_point(), rand_point()
-        u1, u2 = raw_update(a1, event), raw_update(a2, event)
+        u1, u2 = raw_update(a1, event, None), raw_update(a2, event, None)
         c = 2.0
-        uc = raw_update(AMeasure(c * a1.scale, a1.measure, c * a1.offset, None, model), event)
+        uc = raw_update(AMeasure(c * a1.scale, a1.measure, c * a1.offset, model), event, None)
         v, b = effective(uc)
         v1, b1 = effective(u1)
         np.testing.assert_allclose(v, c * v1, atol=1e-12)
@@ -242,10 +294,9 @@ class TestLinearity:
                 )
             ),
             a1.offset + a2.offset,
-            None,
             model,
         )
-        us = raw_update(combined, event)
+        us = raw_update(combined, event, None)
         vs, bs = effective(us)
         v2, b2 = effective(u2)
         np.testing.assert_allclose(vs, v1 + v2, atol=1e-12)

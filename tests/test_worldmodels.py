@@ -234,7 +234,7 @@ class TestJointHypothesisModel:
         m = self.model.measure([0.5, 0.5], self.tables)
         h = self.model.initial_history()
         event = self.model.observation(0, 0, self.model.arm_return(0, self.values))
-        _, h2 = self.model.advance(m, h, event)
+        h2 = self.model.next_history(h, event)
         probs = self.model.predictive_outcome_probs(m, h2, 0)
         np.testing.assert_allclose(probs, self.tables[1, 0])
 
@@ -251,7 +251,7 @@ class TestJointHypothesisModel:
         m = self.model.measure([1.0], self.tables[:1])
         h = self.model.initial_history()
         event = self.model.observation(0, 0, self.model.arm_return(0, self.values))
-        _, h2 = self.model.advance(m, h, event)
+        h2 = self.model.next_history(h, event)
         with pytest.raises(DegenerateUpdateError):
             self.model.predictive_outcome_probs(m, h2, 0)
 
@@ -345,7 +345,7 @@ class TestPosteriorMemo:
         out = {
             "expected_action_values": model.expected_action_values(m, h, values).tolist(),
             "policy_expectations": model.policy_expectations(m, h, f, self.PROBS).tolist(),
-            "restrict": (r.measure, r.history, r.scale_factor, r.offbranch_value),
+            "restrict": (r.measure, r.scale_factor, r.offbranch_value),
             "sampled_action_values": model.sampled_action_values(
                 m, h, values, np.random.default_rng(seed)
             ).tolist(),
@@ -368,7 +368,7 @@ class TestPosteriorMemo:
         for k, (which, arm, outcome) in enumerate(steps):
             event = model.observation(arm, outcome % outcomes, g)
             yield histories[which], event, k
-            histories[which] = model.advance(None, histories[which], event)[1]
+            histories[which] = model.next_history(histories[which], event)
 
     @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
     @settings(max_examples=8, deadline=None)
