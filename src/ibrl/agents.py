@@ -25,12 +25,13 @@ Both ``select_policy`` and ``ib_observe`` are pure functions of an immutable
 ``AgentState``, so each memoizes its work on the state it is given: the tied
 candidates of the last value pass, keyed by the identity of the grid and
 return function, and the successor belief of each observed ``(action,
-reward)``. A reused state, as every Newcomb episode reuses its cell's state,
-pays for one value pass and one conditioning per distinct observation. A
-hit still draws the tie-break from the stream whenever several policies
-tie, so RNG use is unchanged. Observations that raise are never stored, and
-successor states are not stored either, so the memo never chains a
-rollout's states together.
+reward)`` (one successor in all on Newcomb, whose observation ignores both).
+A reused state, as every Newcomb episode reuses its cell's state, pays for
+one value pass and one conditioning per Newcomb cell. A hit still draws the
+tie-break from the stream whenever several policies tie, so RNG use is
+unchanged. Observations that raise are never stored, and successor states
+are not stored either, so the memo never chains a rollout's states
+together.
 """
 
 from __future__ import annotations
@@ -130,10 +131,10 @@ class AgentState:
 
     ``memo`` caches the work of ``select_policy`` and ``ib_observe`` on this
     state: ``"ties"`` holds ``(grid, f, tied indices)`` of the last value
-    pass, and each observed ``(action, reward)`` maps to its successor
-    belief. It is a cache, not state: it stays out of ``==``, ``hash``,
-    ``repr`` and serialization, and every successor starts with an empty
-    one."""
+    pass, and each observed ``(action, reward)`` (the key ``"newcomb"`` on
+    Newcomb) maps to its successor belief. It is a cache, not state: it
+    stays out of ``==``, ``hash``, ``repr`` and serialization, and every
+    successor starts with an empty one."""
 
     belief: Infradistribution
     rng: np.random.Generator
@@ -209,8 +210,6 @@ def act(policy: Policy, rng: np.random.Generator) -> int:
 
 
 def _observation_event(state: AgentState, action: int, reward: float) -> ObservationEvent:
-    if not math.isfinite(reward):
-        raise ConfigError(f"reward {reward!r} is not a finite number")
     model = state.model
     if isinstance(model, NewcombModel):
         return model.observation()
@@ -234,9 +233,12 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
     posterior through the world model's predictive reweighting. A reward
     that is not a finite number raises ``ConfigError``.
 
-    The successor belief is memoized on ``state`` by ``(action, reward)``.
-    An observation that raises is not stored, so it raises on every call."""
-    key = (action, reward)
+    The successor belief is memoized on ``state`` by ``(action, reward)``,
+    or by one constant key on Newcomb, whose observation ignores both. An
+    observation that raises is not stored, so it raises on every call."""
+    if not math.isfinite(reward):
+        raise ConfigError(f"reward {reward!r} is not a finite number")
+    key = "newcomb" if isinstance(state.model, NewcombModel) else (action, reward)
     belief = state.memo.get(key)
     if belief is None:
         event = _observation_event(state, action, reward)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..agents import ib_observe, make_agent
 from ..environments import TrapWorldConfig, bernoulli_step, trap_sample_world, trap_step
 from ..inframeasure import (
     AMeasure,
@@ -32,6 +33,7 @@ from ..worldmodels import (
 )
 from .config import DEFAULT_SEED, ExperimentConfig
 from .runner import (
+    AGENT_STREAM,
     BOOT_STREAM,
     ENV_STREAM,
     catastrophe_rates,
@@ -439,19 +441,17 @@ def _check_unit_normalization(seed: int, problems: list[str]) -> float:
         belief = condition(belief, model.observation(arm, outcome, model.arm_return(arm, values)))
         worst = max(worst, probe_bandit(belief, 2, 2))
 
-    # Trap regime: safe-or-risky two-point belief fed by a risky world.
+    # Trap regime: safe-or-risky two-point belief fed by a risky world, with
+    # rewards mapped to outcomes by the agent (its stream is never drawn).
     env = TrapWorldConfig(alpha_dgp=1.0)
     jmodel, raw_support, jvalues = trap_model(env)
-    belief = trap_ib_belief(jmodel, env)
+    agent_rng = derive_stream(seed, 6, 0, AGENT_STREAM)
+    state = make_agent(trap_ib_belief(jmodel, env), agent_rng, "ib_maximin", jvalues, raw_support)
     world = trap_sample_world(env, env_rng)
     for _ in range(60):
         arm = int(env_rng.integers(2))
-        reward = trap_step(world, env, arm, env_rng)
-        outcome = int(np.argmin([abs(reward - r) for r in raw_support]))
-        belief = condition(
-            belief, jmodel.observation(arm, outcome, jmodel.arm_return(arm, jvalues))
-        )
-        worst = max(worst, probe_bandit(belief, 2, 3))
+        state = ib_observe(state, arm, trap_step(world, env, arm, env_rng))
+        worst = max(worst, probe_bandit(state.belief, 2, 3))
 
     # Predictor regime: conditioning is the identity on the belief.
     nmodel = NewcombModel(accuracy=0.8)

@@ -9,9 +9,9 @@ A Newcomb episode is a one-step rollout from its cell's initial belief, with
 the cell's agent and environment streams shared across episodes; this is
 exact because conditioning on a Newcomb observation is the identity. Every
 episode of a cell starts from the same ``AgentState``, on which the agent
-memoizes its tied candidates and its successor beliefs, so a cell runs one
-value pass and one conditioning per distinct ``(action, reward)``, while
-each tied selection still draws from the cell's agent stream.
+memoizes its tied candidates and its successor belief, so a cell runs one
+value pass and one conditioning, while each tied selection still draws from
+the cell's agent stream.
 
 All randomness flows through named streams derived from
 ``(seed, unit indices, role)``, so any run unit can be reproduced in

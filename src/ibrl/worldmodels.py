@@ -22,6 +22,14 @@ are provided.
   per-arm independent mixtures cannot express, such as anti-correlated arm
   probabilities or a catastrophic outcome attached to one arm.
 
+The two bandit models share one surface, ``BanditModel``: return functions
+over an ``(arms, outcomes)`` value table, ``(arm, outcome index)`` events,
+and every expectation built from the model's one per-arm value computation,
+``expected_action_values``. A single pull, a mixed policy, a policy grid and
+classical selection therefore read the same bits per arm, which is what lets
+a one-point maximin agent recover the classical one exactly. Each model
+supplies only its measures, histories, restriction and that one computation.
+
 Posterior weights are computed in log space per component and renormalized
 (per arm for the independent model, globally for the joint model) so that
 histories with on the order of a thousand pulls do not underflow. Each bandit
@@ -68,7 +76,7 @@ class ReturnFunction:
     ``values[arm][outcome]`` together with the action distribution
     ``action_probs`` (a one-hot distribution evaluates a single pull, a mixed
     one evaluates a randomized policy). The Newcomb model reads the one-boxing
-    probability ``policy_p`` and evaluates its own reward matrix.
+    probability ``action_probs[0]`` and evaluates its own reward matrix.
 
     All values lie within the declared bounds ``[f_min, f_max]``.
     """
@@ -78,7 +86,6 @@ class ReturnFunction:
     f_max: float
     values: np.ndarray | None = None
     action_probs: np.ndarray | None = None
-    policy_p: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.f_min) and math.isfinite(self.f_max)):
@@ -197,6 +204,83 @@ def _check_weights(weights: Sequence[float]) -> np.ndarray:
     if abs(w.sum() - 1.0) > WEIGHT_TOL:
         raise RepresentationError(f"mixture weights sum to {w.sum()!r}, expected 1")
     return w
+
+
+class BanditModel(WorldModel):
+    """Shared surface of the bandit world models: ``arm_count`` arms, each
+    pull yielding one of ``outcome_count`` outcome indices. A return function
+    carries an ``(arms, outcomes)`` value table and the action distribution
+    that mixes it; an event is an ``(arm, outcome index)`` pair. Every
+    expectation is built from the subclass's ``expected_action_values``."""
+
+    arm_count: int
+    outcome_count: int
+
+    def __post_init__(self) -> None:
+        if self.arm_count < 1:
+            raise ConfigError("arm_count must be at least 1")
+
+    @abstractmethod
+    def expected_action_values(
+        self, measure: object, history: object, values: np.ndarray
+    ) -> np.ndarray:
+        """Posterior-predictive expected return of pulling each arm once,
+        under the ``(arms, outcomes)`` table ``values``."""
+
+    def validate_event(self, event: ObservationEvent) -> None:
+        ind = event.indicator
+        if (
+            not isinstance(ind, tuple)
+            or len(ind) != 2
+            or not 0 <= ind[0] < self.arm_count
+            or not isinstance(ind[1], int)
+            or not 0 <= ind[1] < self.outcome_count
+        ):
+            raise RepresentationError("bandit events are (arm, outcome index) pairs")
+
+    def arm_return(self, arm: int, values: Sequence[Sequence[float]]) -> ReturnFunction:
+        """Return of pulling ``arm`` once, under the per-(arm, outcome) table."""
+        probs = np.zeros(self.arm_count)
+        probs[arm] = 1.0
+        return self.policy_return(probs, values)
+
+    def policy_return(
+        self, action_probs: Sequence[float], values: Sequence[Sequence[float]]
+    ) -> ReturnFunction:
+        """Return of one pull with the arm drawn from ``action_probs``."""
+        v = np.asarray(values, dtype=float)
+        if v.shape != (self.arm_count, self.outcome_count):
+            raise RepresentationError("return table must be (arms, outcomes)")
+        w = _check_weights(action_probs)
+        if w.size != self.arm_count:
+            raise RepresentationError("need one action probability per arm")
+        return ReturnFunction(
+            model=self, f_min=float(v.min()), f_max=float(v.max()), values=v, action_probs=w
+        )
+
+    def observation(
+        self, arm: int, outcome: int, offbranch_return: ReturnFunction
+    ) -> ObservationEvent:
+        return ObservationEvent(
+            model=self, indicator=(arm, int(outcome)), offbranch_return=offbranch_return
+        )
+
+    def expectation(self, measure: object, history: object, f: ReturnFunction) -> float:
+        total = 0.0
+        for weight, value in zip(
+            f.action_probs, self.expected_action_values(measure, history, f.values)
+        ):
+            if weight != 0.0:
+                total += weight * value
+        return total
+
+    def policy_expectations(
+        self, measure: object, history: object, f: ReturnFunction, probs: np.ndarray
+    ) -> np.ndarray:
+        return probs @ self.expected_action_values(measure, history, f.values)
+
+    def conditioned_mass(self, measure: object, history: object) -> float:
+        return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +547,11 @@ def mix_measures(
 
 
 @dataclass(frozen=True)
-class BernoulliArmsModel(WorldModel):
+class BernoulliArmsModel(BanditModel):
     """Independent-armed Bernoulli bandit world model."""
 
     arm_count: int
-
-    def __post_init__(self) -> None:
-        if self.arm_count < 1:
-            raise ConfigError("arm_count must be at least 1")
+    outcome_count = 2
 
     def initial_history(self) -> BanditHistory:
         zeros = (0,) * self.arm_count
@@ -481,16 +562,6 @@ class BernoulliArmsModel(WorldModel):
             raise RepresentationError("expected a BernoulliArmMeasure")
         if len(measure.arms) != self.arm_count:
             raise RepresentationError("measure has the wrong arm count")
-
-    def validate_event(self, event: ObservationEvent) -> None:
-        ind = event.indicator
-        if (
-            not isinstance(ind, tuple)
-            or len(ind) != 2
-            or not 0 <= ind[0] < self.arm_count
-            or ind[1] not in (0, 1)
-        ):
-            raise RepresentationError("bandit events are (arm, outcome) pairs with outcome 0 or 1")
 
     def point_measure(self, probs: Sequence[float]) -> BernoulliArmMeasure:
         """Single-hypothesis measure fixing each arm's success probability."""
@@ -506,71 +577,14 @@ class BernoulliArmsModel(WorldModel):
         arm = tuple((float(c), float(p)) for c, p in zip(w, grid))
         return BernoulliArmMeasure((arm,) * self.arm_count)
 
-    def return_table(self, values: Sequence[Sequence[float]]) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        if v.shape != (self.arm_count, 2):
-            raise RepresentationError("return table must be (arms, 2)")
-        return v
-
-    def arm_return(self, arm: int, values: Sequence[Sequence[float]]) -> ReturnFunction:
-        """Return of pulling ``arm`` once, under the per-(arm, outcome) table."""
-        probs = np.zeros(self.arm_count)
-        probs[arm] = 1.0
-        return self.policy_return(probs, values)
-
-    def policy_return(
-        self, action_probs: Sequence[float], values: Sequence[Sequence[float]]
-    ) -> ReturnFunction:
-        """Return of one pull with the arm drawn from ``action_probs``."""
-        v = self.return_table(values)
-        w = _check_weights(action_probs)
-        if w.size != self.arm_count:
-            raise RepresentationError("need one action probability per arm")
-        return ReturnFunction(
-            model=self, f_min=float(v.min()), f_max=float(v.max()), values=v, action_probs=w
-        )
-
-    def observation(
-        self, arm: int, outcome: int, offbranch_return: ReturnFunction
-    ) -> ObservationEvent:
-        return ObservationEvent(
-            model=self, indicator=(arm, int(outcome)), offbranch_return=offbranch_return
-        )
-
-    def expectation(
-        self, measure: BernoulliArmMeasure, history: BanditHistory, f: ReturnFunction
-    ) -> float:
-        total = 0.0
-        for arm, weight in enumerate(f.action_probs):
-            if weight == 0.0:
-                continue
-            p1 = predictive(measure, history, arm)
-            total += weight * ((1.0 - p1) * f.values[arm, 0] + p1 * f.values[arm, 1])
-        return total
-
-    def conditioned_mass(self, measure: BernoulliArmMeasure, history: BanditHistory) -> float:
-        return 1.0
-
     def expected_action_values(
         self, measure: BernoulliArmMeasure, history: BanditHistory, values: np.ndarray
     ) -> np.ndarray:
-        """Posterior-predictive expected return of pulling each arm once."""
         out = np.empty(self.arm_count)
         for arm in range(self.arm_count):
             p1 = predictive(measure, history, arm)
             out[arm] = (1.0 - p1) * values[arm, 0] + p1 * values[arm, 1]
         return out
-
-    def policy_expectations(
-        self,
-        measure: BernoulliArmMeasure,
-        history: BanditHistory,
-        f: ReturnFunction,
-        probs: np.ndarray,
-    ) -> np.ndarray:
-        # One predictive per arm for every policy; each arm's value is the
-        # same expression ``expectation`` sums.
-        return probs @ self.expected_action_values(measure, history, f.values)
 
     def sampled_action_values(
         self,
@@ -675,7 +689,10 @@ class NewcombModel(WorldModel):
         if not 0.0 <= p_one_box <= 1.0:
             raise RepresentationError("one-boxing probability must lie in [0, 1]")
         return ReturnFunction(
-            model=self, f_min=float(m.min()), f_max=float(m.max()), policy_p=float(p_one_box)
+            model=self,
+            f_min=float(m.min()),
+            f_max=float(m.max()),
+            action_probs=np.array([p_one_box, 1.0 - p_one_box]),
         )
 
     def observation(self) -> ObservationEvent:
@@ -684,7 +701,7 @@ class NewcombModel(WorldModel):
         )
 
     def expectation(self, measure: StatelessMeasure, history: None, f: ReturnFunction) -> float:
-        return newcomb_expected_reward(f.policy_p, self)
+        return newcomb_expected_reward(f.action_probs[0], self)
 
     def policy_expectations(
         self, measure: StatelessMeasure, history: None, f: ReturnFunction, probs: np.ndarray
@@ -800,7 +817,7 @@ class OutcomeCountHistory:
 
 
 @dataclass(frozen=True)
-class JointHypothesisBanditModel(WorldModel):
+class JointHypothesisBanditModel(BanditModel):
     """Bandit whose arms share a finite reward ``support`` and are coupled
     through joint hypotheses."""
 
@@ -808,8 +825,7 @@ class JointHypothesisBanditModel(WorldModel):
     support: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.arm_count < 1:
-            raise ConfigError("arm_count must be at least 1")
+        super().__post_init__()
         if len(self.support) < 2:
             raise ConfigError("support needs at least two outcomes")
 
@@ -826,16 +842,6 @@ class JointHypothesisBanditModel(WorldModel):
         if measure.probs.shape[1:] != (self.arm_count, self.outcome_count):
             raise RepresentationError("hypothesis tables have the wrong shape")
 
-    def validate_event(self, event: ObservationEvent) -> None:
-        ind = event.indicator
-        if (
-            not isinstance(ind, tuple)
-            or len(ind) != 2
-            or not 0 <= ind[0] < self.arm_count
-            or not 0 <= ind[1] < self.outcome_count
-        ):
-            raise RepresentationError("events are (arm, outcome index) pairs")
-
     def measure(
         self, weights: Sequence[float], outcome_probs: Sequence[Sequence[Sequence[float]]]
     ) -> JointHypothesisMeasure:
@@ -847,35 +853,6 @@ class JointHypothesisBanditModel(WorldModel):
         )
         self.validate_measure(m)
         return m
-
-    def return_table(self, values: Sequence[Sequence[float]]) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        if v.shape != (self.arm_count, self.outcome_count):
-            raise RepresentationError("return table must be (arms, outcomes)")
-        return v
-
-    def arm_return(self, arm: int, values: Sequence[Sequence[float]]) -> ReturnFunction:
-        probs = np.zeros(self.arm_count)
-        probs[arm] = 1.0
-        return self.policy_return(probs, values)
-
-    def policy_return(
-        self, action_probs: Sequence[float], values: Sequence[Sequence[float]]
-    ) -> ReturnFunction:
-        v = self.return_table(values)
-        w = _check_weights(action_probs)
-        if w.size != self.arm_count:
-            raise RepresentationError("need one action probability per arm")
-        return ReturnFunction(
-            model=self, f_min=float(v.min()), f_max=float(v.max()), values=v, action_probs=w
-        )
-
-    def observation(
-        self, arm: int, outcome: int, offbranch_return: ReturnFunction
-    ) -> ObservationEvent:
-        return ObservationEvent(
-            model=self, indicator=(arm, int(outcome)), offbranch_return=offbranch_return
-        )
 
     def _posterior(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory
@@ -901,40 +878,6 @@ class JointHypothesisBanditModel(WorldModel):
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, arm: int
     ) -> np.ndarray:
         return self._posterior(measure, history) @ measure.probs[:, arm, :]
-
-    def expectation(
-        self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, f: ReturnFunction
-    ) -> float:
-        total = 0.0
-        for weight, value in zip(f.action_probs, self._arm_values(measure, history, f.values)):
-            if weight != 0.0:
-                total += weight * value
-        return total
-
-    def policy_expectations(
-        self,
-        measure: JointHypothesisMeasure,
-        history: OutcomeCountHistory,
-        f: ReturnFunction,
-        probs: np.ndarray,
-    ) -> np.ndarray:
-        return probs @ self._arm_values(measure, history, f.values)
-
-    def _arm_values(
-        self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, values: np.ndarray
-    ) -> np.ndarray:
-        """Posterior-predictive expected return of each arm from one posterior,
-        one dot product per arm (``expected_action_values`` sums the same
-        terms in einsum order, which can differ in the last bit)."""
-        post = self._posterior(measure, history)
-        return np.array(
-            [np.dot(post @ measure.probs[:, arm, :], values[arm]) for arm in range(self.arm_count)]
-        )
-
-    def conditioned_mass(
-        self, measure: JointHypothesisMeasure, history: OutcomeCountHistory
-    ) -> float:
-        return 1.0
 
     def expected_action_values(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, values: np.ndarray

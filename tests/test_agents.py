@@ -32,8 +32,11 @@ from ibrl import (
     policy_grid,
     policy_value,
     select_policy,
+    trap_sample_world,
+    trap_step,
 )
-from ibrl.harness.runner import trap_ib_belief, trap_model
+from ibrl.harness import ExperimentConfig, derive_stream, run_newcomb_sweep
+from ibrl.harness.runner import trap_bayes_belief, trap_ib_belief, trap_model
 from ibrl.harness.serialize import _flatten
 
 VALUES = np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -247,6 +250,35 @@ class TestBayesSelect:
         state = make_agent(belief, np.random.default_rng(0), "bayes_greedy", VALUES)
         with pytest.raises(ContractViolationError):
             bayes_select(state)
+
+    def test_one_point_maximin_agent_recovers_greedy_on_trap_bandits(self):
+        """Maximin on a one-point trap belief takes the greedy agent's
+        actions when both share the environment and agent streams."""
+        env = TrapWorldConfig()
+        model, raw_support, values = trap_model(env)
+        grid = deterministic_grid(model.arm_count)
+        base_f = model.policy_return([0.5, 0.5], values)
+        for run in range(3):
+            actions = {}
+            for flavor in ("ib_maximin", "bayes_greedy"):
+                env_rng = derive_stream(42, run, 0)
+                world = trap_sample_world(env, env_rng)
+                state = make_agent(
+                    trap_bayes_belief(model, env, 0.5),
+                    derive_stream(42, run, 1),
+                    flavor,
+                    values,
+                    raw_support,
+                )
+                taken = actions[flavor] = []
+                for _ in range(100):
+                    if flavor == "ib_maximin":
+                        action = act(select_policy(state, grid, base_f), state.rng)
+                    else:
+                        action = bayes_select(state)
+                    taken.append(action)
+                    state = ib_observe(state, action, trap_step(world, env, action, env_rng))
+            assert actions["ib_maximin"] == actions["bayes_greedy"]
 
 
 class TestObserve:
@@ -477,6 +509,13 @@ class TestMemo:
         other = ib_observe(state, 1, 0.0)
         assert point_fields(other.belief) != point_fields(first.belief)
         assert len(conditionings) == (3 if flavor == "ib_maximin" else 0)
+
+    def test_newcomb_sweep_conditions_once_per_cell(self, conditionings):
+        """A Newcomb observation ignores the action and the reward, so every
+        episode of a cell reuses the cell's one successor belief."""
+        _, cells = run_newcomb_sweep(ExperimentConfig("newcomb", seed=7, settings={"episodes": 40}))
+        assert len(cells) == 51
+        assert len(conditionings) == len(cells)
 
     def test_memo_is_not_state(self):
         state = newcomb_state(3)

@@ -16,6 +16,7 @@ from ibrl import (
     JointHypothesisBanditModel,
     JointHypothesisMeasure,
     NewcombModel,
+    ObservationEvent,
     OutcomeCountHistory,
     RepresentationError,
     branch_probability,
@@ -261,6 +262,68 @@ class TestJointHypothesisModel:
         mixed = self.model.mix([m1, m2], [0.5, 0.5])
         assert len(mixed.weights) == 1
         np.testing.assert_allclose(mixed.weights[0], 1.0)
+
+
+def _random_bandit(kind, rng):
+    """A bandit model, a random measure over it and a random history of up
+    to 8 observations the measure allows."""
+    arms = int(rng.integers(1, 4))
+    if kind == "joint":
+        outcomes = int(rng.integers(2, 5))
+        model = JointHypothesisBanditModel(arms, tuple(np.linspace(0.0, 1.0, outcomes)))
+        hypotheses = int(rng.integers(1, 6))
+        m = model.measure(
+            rng.dirichlet(np.ones(hypotheses)),
+            rng.dirichlet(np.ones(outcomes), (hypotheses, arms)),
+        )
+    else:
+        model = BernoulliArmsModel(arms)
+        m = BernoulliArmMeasure(
+            tuple(
+                tuple(zip(rng.dirichlet(np.ones(k)), rng.random(k)))
+                for k in rng.integers(1, 5, arms)
+            )
+        )
+    h = model.initial_history()
+    g = model.arm_return(0, np.ones((arms, model.outcome_count)))
+    for _ in range(int(rng.integers(0, 9))):
+        arm, outcome = int(rng.integers(arms)), int(rng.integers(model.outcome_count))
+        h = model.next_history(h, model.observation(arm, outcome, g))
+    return model, m, h
+
+
+class TestBanditSurface:
+    """Both bandit models share one per-arm value computation, so a single
+    pull, a policy grid and ``bayes_select`` see the same bits per arm."""
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
+    def test_every_path_gives_the_expected_action_values_bit_for_bit(self, kind):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            model, m, h = _random_bandit(kind, rng)
+            values = rng.random((model.arm_count, model.outcome_count))
+            want = model.expected_action_values(m, h, values).tolist()
+            f = model.arm_return(0, values)
+            assert model.policy_expectations(m, h, f, np.eye(model.arm_count)).tolist() == want
+            assert [
+                model.expectation(m, h, model.arm_return(arm, values))
+                for arm in range(model.arm_count)
+            ] == want
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
+    def test_events_out_of_range_are_rejected(self, kind):
+        model = (
+            JointHypothesisBanditModel(2, (0.0, 0.5, 1.0))
+            if kind == "joint"
+            else BernoulliArmsModel(2)
+        )
+        g = model.arm_return(0, np.ones((2, model.outcome_count)))
+        model.observation(1, model.outcome_count - 1, g)
+        for arm, outcome in [(2, 0), (-1, 0), (0, model.outcome_count), (0, -1)]:
+            with pytest.raises(RepresentationError, match="bandit events"):
+                model.observation(arm, outcome, g)
+        with pytest.raises(RepresentationError, match="bandit events"):
+            ObservationEvent(model, (0, 0.5), g)
 
 
 def _walk_events():
