@@ -49,7 +49,6 @@ model2 = BernoulliArmsModel(2)
 values2 = np.array([[0.0, 1.0], [0.0, 1.0]])
 pair = (0.35, 0.65)
 candidates = deterministic_grid(2)
-base_f = model2.policy_return([0.5, 0.5], values2)
 
 
 def fresh(flavor):
@@ -66,7 +65,7 @@ env_robust = np.random.default_rng(99)
 env_greedy = np.random.default_rng(99)
 robust_actions, greedy_actions = [], []
 for _ in range(30):
-    policy = select_policy(robust_agent, candidates, base_f)
+    policy = select_policy(robust_agent, candidates)
     a1 = act(policy, robust_agent.rng)
     r1 = bernoulli_step(pair[a1], env_robust)
     robust_agent = ib_observe(robust_agent, a1, float(r1))

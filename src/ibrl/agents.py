@@ -1,18 +1,20 @@
 """Decision layer: policy grids, robust policy values, action selection, and
 belief maintenance for the agent flavors.
 
-An agent carries a belief (a finite point set over one world model), a reward
-convention mapping each (arm, outcome) branch to a nonnegative return, and a
-dedicated random stream used only for tie-breaking and action sampling. The
-maximin flavor scores a policy by the lower expectation of its return with
-the worst case taken against the full mixed policy, then picks the argmax
-with uniform random tie-breaking. Every candidate is scored in one value
-pass per step: each belief point values the grid's whole (policies, actions)
-probability matrix in one world-model call, and the minimum over points is
-taken per policy. Classical flavors (greedy and Thompson sampling) score
-arms by posterior-predictive expected return on a single-point belief; a
-maximin agent whose belief is a single point makes identical choices, which
-is the classical-recovery property the test suite pins down.
+An agent carries a belief (a finite point set over one world model), one
+return function built from its reward convention, and a dedicated random
+stream used only for tie-breaking and action sampling. The return function
+is what the agent maximizes and, on bandits, what conditioning credits to
+the branches an observation rules out. The maximin flavor scores a policy
+by the lower expectation of its return with the worst case taken against
+the full mixed policy, then picks the argmax with uniform random
+tie-breaking. Every candidate is scored in one value pass per step: each
+belief point values the grid's whole (policies, actions) probability matrix
+in one world-model call, and the minimum over points is taken per policy.
+Classical flavors (greedy and Thompson sampling) score arms by
+posterior-predictive expected return on a single-point belief; a maximin
+agent whose belief is a single point makes identical choices, which is the
+classical-recovery property the test suite pins down.
 
 Observation handling differs by flavor: the maximin flavor runs the full
 conditioning pipeline of ``updates.condition`` (restrict, renormalize,
@@ -23,9 +25,9 @@ the hood.
 
 Both ``select_policy`` and ``ib_observe`` are pure functions of an immutable
 ``AgentState``, so each memoizes its work on the state it is given: the tied
-candidates of the last value pass, keyed by the identity of the grid and
-return function, and the successor belief of each observed ``(action,
-reward)`` (one successor in all on Newcomb, whose observation ignores both).
+candidates of the last value pass, keyed by the identity of the grid, and
+the successor belief of each observed ``(action, reward)`` (one successor
+in all on Newcomb, whose observation ignores both).
 A reused state, as every Newcomb episode reuses its cell's state, pays for
 one value pass and one conditioning per Newcomb cell. A hit still draws the
 tie-break from the stream whenever several policies tie, so RNG use is
@@ -42,10 +44,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError
+from .errors import ConfigError, ContractViolationError, RepresentationError
 from .inframeasure import VALUE_TOL, Infradistribution, lower_expectations
 from .updates import condition
-from .worldmodels import NewcombModel, ObservationEvent, ReturnFunction, WorldModel
+from .worldmodels import BanditModel, NewcombModel, ObservationEvent, ReturnFunction, WorldModel
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,6 @@ class PolicyGrid:
     once."""
 
     policies: tuple[Policy, ...]
-    step: float
     probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -95,7 +96,7 @@ def policy_grid(action_count: int, step: float) -> PolicyGrid:
     if not 0.0 < step <= 1.0:
         raise ConfigError("grid step must lie in (0, 1]")
     if action_count > 2:
-        return deterministic_grid(action_count, step=step)
+        return deterministic_grid(action_count)
     n = round(1.0 / step)
     if abs(n * step - 1.0) <= VALUE_TOL:
         ps = [i / n for i in range(n + 1)]
@@ -103,10 +104,10 @@ def policy_grid(action_count: int, step: float) -> PolicyGrid:
         ps = [i * step for i in range(int(np.floor(1.0 / step)) + 1)]
         if abs(ps[-1] - 1.0) > VALUE_TOL:
             ps.append(1.0)
-    return PolicyGrid(tuple(Policy((p, 1.0 - p)) for p in ps), step=step)
+    return PolicyGrid(tuple(Policy((p, 1.0 - p)) for p in ps))
 
 
-def deterministic_grid(action_count: int, step: float = 1.0) -> PolicyGrid:
+def deterministic_grid(action_count: int) -> PolicyGrid:
     """One-hot policies in action order; the candidate set used for bandit
     experiments, where only deterministic policies are optimized."""
     policies = []
@@ -114,24 +115,23 @@ def deterministic_grid(action_count: int, step: float = 1.0) -> PolicyGrid:
         probs = [0.0] * action_count
         probs[action] = 1.0
         policies.append(Policy(tuple(probs)))
-    return PolicyGrid(tuple(policies), step=step)
+    return PolicyGrid(tuple(policies))
 
 
 @dataclass(frozen=True)
 class AgentState:
-    """Belief plus reward convention plus the agent's private random stream.
+    """Belief plus return function plus the agent's private random stream.
 
-    ``reward_values`` is the (arm, outcome) return table used both for
-    scoring policies and as the off-branch return during conditioning; it
-    must be nonnegative (shift the environment's reward convention first if
-    needed). ``raw_support`` maps environment rewards to outcome indices.
-    Updates are functional: each observation returns a new state sharing the
-    same stream and the same ``offbranch_returns``, the per-arm off-branch
-    return functions built on each arm's first observation.
+    ``returns`` is the agent's one return function, built by ``make_agent``:
+    every policy is scored on it, classical selection reads its ``values``
+    table, and on bandits it is the off-branch return of every observation.
+    It compares by identity, so it stays out of ``==``. ``raw_support`` maps
+    environment rewards to outcome indices. Updates are functional: each
+    observation returns a new state sharing the same stream and ``returns``.
 
     ``memo`` caches the work of ``select_policy`` and ``ib_observe`` on this
-    state: ``"ties"`` holds ``(grid, f, tied indices)`` of the last value
-    pass, and each observed ``(action, reward)`` (the key ``"newcomb"`` on
+    state: ``"ties"`` holds ``(grid, tied indices)`` of the last value pass,
+    and each observed ``(action, reward)`` (the key ``"newcomb"`` on
     Newcomb) maps to its successor belief. It is a cache, not state: it
     stays out of ``==``, ``hash``, ``repr`` and serialization, and every
     successor starts with an empty one."""
@@ -139,11 +139,8 @@ class AgentState:
     belief: Infradistribution
     rng: np.random.Generator
     flavor: str
-    reward_values: np.ndarray | None = None
+    returns: ReturnFunction = field(compare=False)
     raw_support: tuple[float, ...] = (0.0, 1.0)
-    offbranch_returns: dict[int, ReturnFunction] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -158,42 +155,56 @@ def make_agent(
     reward_values: np.ndarray | None = None,
     raw_support: Sequence[float] = (0.0, 1.0),
 ) -> AgentState:
+    """Build an agent and its one return function: on bandits from the
+    required, nonnegative (arm, outcome) table ``reward_values`` (shift the
+    environment's rewards first if needed), on Newcomb from the model's own
+    reward matrix."""
     if flavor not in ("ib_maximin", "bayes_greedy", "bayes_thompson"):
         raise ConfigError(f"unknown agent flavor {flavor!r}")
-    if reward_values is not None:
-        reward_values = np.asarray(reward_values, dtype=float)
-        if reward_values.min() < 0.0:
+    model = belief.model
+    if isinstance(model, NewcombModel):
+        returns = model.policy_return(0.5)
+    elif isinstance(model, BanditModel):
+        if reward_values is None:
+            raise ConfigError("a bandit agent needs a reward table")
+        uniform = np.full(model.arm_count, 1.0 / model.arm_count)
+        returns = model.policy_return(uniform, reward_values)
+        if returns.f_min < 0.0:
             raise ConfigError("reward convention must be nonnegative; shift it first")
+    else:
+        raise RepresentationError(f"{type(model).__name__} has no policy-dependent returns")
     return AgentState(
         belief=belief,
         rng=rng,
         flavor=flavor,
-        reward_values=reward_values,
+        returns=returns,
         raw_support=tuple(float(r) for r in raw_support),
     )
 
 
-def policy_value(state: AgentState, policy: Policy, f: ReturnFunction) -> float:
-    """Robust value of one policy: the lower expectation of its return, with
-    the worst case taken against the full mixed policy (the return function
-    is mixed by the action probabilities first, then the minimum over points
-    is taken). This is the one-row case of ``select_policy``'s value pass."""
-    return float(lower_expectations(state.belief, f, np.array([policy.action_probs]))[0])
+def policy_value(state: AgentState, policy: Policy) -> float:
+    """Robust value of one policy: the lower expectation of the agent's
+    return, with the worst case taken against the full mixed policy (the
+    return function is mixed by the action probabilities first, then the
+    minimum over points is taken). This is the one-row case of
+    ``select_policy``'s value pass."""
+    probs = np.array([policy.action_probs])
+    return float(lower_expectations(state.belief, state.returns, probs)[0])
 
 
-def select_policy(state: AgentState, grid: PolicyGrid, f: ReturnFunction) -> Policy:
+def select_policy(state: AgentState, grid: PolicyGrid) -> Policy:
     """Argmax of the robust policy value over the grid; policies within
     1e-9 of the best are treated as tied and drawn uniformly from the
-    agent's stream. The tied indices are memoized on the state for this
-    ``(grid, f)`` pair; the draw is not."""
+    agent's stream. The tied indices are memoized on the state per grid; the
+    draw is not."""
     hit = state.memo.get("ties")
-    if hit is not None and hit[0] is grid and hit[1] is f:
-        candidates = hit[2]
+    if hit is not None and hit[0] is grid:
+        candidates = hit[1]
     else:
-        values = lower_expectations(state.belief, f, grid.probs).tolist()
+        values = lower_expectations(state.belief, state.returns, grid.probs).tolist()
         best = max(values)
         candidates = [i for i, v in enumerate(values) if v >= best - VALUE_TOL]
-        state.memo["ties"] = (grid, f, candidates)
+        state.memo["ties"] = (grid, candidates)
     if len(candidates) == 1:
         return grid.policies[candidates[0]]
     return grid.policies[candidates[int(state.rng.integers(len(candidates)))]]
@@ -217,10 +228,7 @@ def _observation_event(state: AgentState, action: int, reward: float) -> Observa
     outcome = int(np.argmin(diffs))
     if diffs[outcome] > 1e-9:
         raise ConfigError(f"reward {reward!r} is not in the agent's support")
-    g = state.offbranch_returns.get(action)
-    if g is None:
-        g = state.offbranch_returns[action] = model.arm_return(action, state.reward_values)
-    return model.observation(action, outcome, g)
+    return model.observation(action, outcome, state.returns)
 
 
 def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
@@ -263,10 +271,11 @@ def bayes_select(state: AgentState) -> int:
             "classical selection requires a single-point (classical) belief"
         )
     measure, history = state.belief.points[0].measure, state.belief.history
+    table = state.returns.values
     if state.flavor == "bayes_thompson":
-        values = state.model.sampled_action_values(measure, history, state.reward_values, state.rng)
+        values = state.model.sampled_action_values(measure, history, table, state.rng)
     else:
-        values = state.model.expected_action_values(measure, history, state.reward_values)
+        values = state.model.expected_action_values(measure, history, table)
     best = float(np.max(values))
     candidates = [i for i, v in enumerate(values) if v >= best - VALUE_TOL]
     if len(candidates) == 1:

@@ -81,16 +81,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_seed() -> int | None:
+def _resolve_seed(flag: int | None, configured: object = None) -> object:
+    """The seed of every command: ``--seed``, then the config file's
+    ``seed``, then ``IBRL_SEED``, then the default."""
+    if flag is not None:
+        return flag
+    if configured is not None:
+        return configured
     raw = os.environ.get("IBRL_SEED")
     if raw is None:
-        return None
+        return DEFAULT_SEED
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(
-            f"field 'seed': IBRL_SEED must be an integer, got {raw!r}"
-        ) from None
+        raise ConfigError(f"field 'seed': IBRL_SEED must be an integer, got {raw!r}") from None
 
 
 def _load_mapping(path: str | None) -> dict[str, object]:
@@ -105,21 +109,16 @@ def _load_mapping(path: str | None) -> dict[str, object]:
 
 
 def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge config file, environment, and flags. Precedence for the seed is
-    ``--seed``, then the config file, then ``IBRL_SEED``, then the default."""
+    """Merge config file, environment and flags into one mapping; each flag
+    beats its config-file key, and ``_resolve_seed`` picks the seed."""
     mapping = _load_mapping(getattr(args, "config", None))
-    if getattr(args, "experiment", None) is not None:
-        mapping["experiment"] = args.experiment
+    for flag in ("experiment", "out", "alpha_min", "alpha_max", "alpha_step"):
+        value = getattr(args, flag, None)
+        if value is not None:
+            mapping[flag.replace("_", ".")] = value
     if "experiment" not in mapping:
         raise ConfigError("no experiment given: pass --experiment or set it in the config")
-    if args.seed is not None:
-        mapping["seed"] = args.seed
-    elif "seed" not in mapping:
-        env_seed = _env_seed()
-        if env_seed is not None:
-            mapping["seed"] = env_seed
-    if getattr(args, "out", None) is not None:
-        mapping["out"] = args.out
+    mapping["seed"] = _resolve_seed(args.seed, mapping.get("seed"))
     return config_from_mapping(mapping)
 
 
@@ -138,15 +137,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"field 'experiment': sweep supports only 'newcomb', got {cfg.experiment!r}"
         )
-    extra: dict[str, object] = {}
-    if args.alpha_min is not None:
-        extra["alpha.min"] = args.alpha_min
-    if args.alpha_max is not None:
-        extra["alpha.max"] = args.alpha_max
-    if args.alpha_step is not None:
-        extra["alpha.step"] = args.alpha_step
-    if extra:
-        cfg = cfg.with_overrides(extra_settings=extra)
     records, summaries = run_newcomb_sweep(cfg)
     out_path = cfg.out or "newcomb.csv"
     emit_csv(records, out_path)
@@ -183,10 +173,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     levels = _parse_percentiles(args.percentiles)
     if args.bootstrap < 1:
         raise ConfigError(f"field 'bootstrap': expected a positive count, got {args.bootstrap}")
-    env_seed = _env_seed()
-    seed = args.seed if args.seed is not None else (
-        env_seed if env_seed is not None else DEFAULT_SEED
-    )
+    seed = _resolve_seed(args.seed)
     records = read_records(args.in_path)
     if not records:
         raise ConfigError(f"field 'in': {args.in_path!r} contains no records")
@@ -206,11 +193,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    env_seed = _env_seed()
-    seed = args.seed if args.seed is not None else (
-        env_seed if env_seed is not None else DEFAULT_SEED
-    )
-    results = run_all(seed)
+    results = run_all(_resolve_seed(args.seed))
     for result in results:
         print(result.line())
     return 0 if all(r.passed for r in results) else 1

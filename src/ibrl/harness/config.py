@@ -8,7 +8,7 @@ reported with its line number so CLI users get an exact diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -98,24 +98,6 @@ class ExperimentConfig:
 
     def setting(self, key: str, default: object) -> object:
         return self.settings.get(key, default)
-
-    def with_overrides(
-        self,
-        experiment: str | None = None,
-        seed: int | None = None,
-        out: str | None = None,
-        extra_settings: Mapping[str, object] | None = None,
-    ) -> "ExperimentConfig":
-        settings = dict(self.settings)
-        if extra_settings:
-            settings.update(extra_settings)
-        return replace(
-            self,
-            experiment=experiment if experiment is not None else self.experiment,
-            seed=seed if seed is not None else self.seed,
-            out=out if out is not None else self.out,
-            settings=settings,
-        )
 
 
 def config_from_mapping(mapping: Mapping[str, object]) -> ExperimentConfig:

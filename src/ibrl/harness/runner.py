@@ -67,7 +67,6 @@ from ..worldmodels import (
     BernoulliArmsModel,
     JointHypothesisBanditModel,
     NewcombModel,
-    ReturnFunction,
     newcomb_reward_moments,
 )
 from .config import ExperimentConfig, check_settings
@@ -269,25 +268,24 @@ def _rollout(
     episode: int,
     state: AgentState,
     candidates: PolicyGrid,
-    base_f: ReturnFunction,
     env_step: Callable[[Policy | None, int], tuple[float, float, float]],
     steps: int,
     where: str = "",
 ) -> list[RunRecord]:
     """Run one agent for ``steps`` steps: select, act, step, record, observe.
 
-    Maximin agents score the ``candidates`` on ``base_f`` and sample an
-    action from the chosen policy; classical agents pick an arm from their
-    posterior and pass ``None`` as the policy. ``env_step(policy, action)``
-    returns ``(reward, expected regret, realized regret)`` for the step. A
-    degenerate update is re-raised naming the experiment, agent, episode and
-    step, followed by ``where`` (extra context such as the sampled world)."""
+    Maximin agents score the ``candidates`` on their return function and
+    sample an action from the chosen policy; classical agents pick an arm
+    and pass ``None`` as the policy. ``env_step(policy, action)`` returns
+    ``(reward, expected regret, realized regret)``. A degenerate update is
+    re-raised naming the experiment, agent, episode and step, followed by
+    ``where`` (extra context such as the sampled world)."""
     records: list[RunRecord] = []
     cum_reg = cum_exp = 0.0
     try:
         for t in range(steps):
             if state.flavor == "ib_maximin":
-                policy = select_policy(state, candidates, base_f)
+                policy = select_policy(state, candidates)
                 action = act(policy, state.rng)
             else:
                 policy = None
@@ -341,7 +339,6 @@ def _run_validate_classical(cfg: ExperimentConfig) -> list[RunRecord]:
     grid = np.linspace(0.0, 1.0, grid_points)
     values = np.array([[0.0, 1.0], [0.0, 1.0]])
     candidates = deterministic_grid(2)
-    base_f = model.policy_return((0.5, 0.5), values)
 
     records: list[RunRecord] = []
     for s, pair in enumerate(pairs):
@@ -365,7 +362,7 @@ def _run_validate_classical(cfg: ExperimentConfig) -> list[RunRecord]:
                     return reward, expected_regret(exp_rewards, action), best - reward
 
                 records += _rollout(
-                    cfg, agent_name, s * runs + r, state, candidates, base_f, env_step, steps
+                    cfg, agent_name, s * runs + r, state, candidates, env_step, steps
                 )
     return records
 
@@ -400,7 +397,6 @@ def _run_ku_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
     model = BernoulliArmsModel(2)
     values = np.array([[0.0, 1.0], [0.0, 1.0]])
     candidates = deterministic_grid(2)
-    base_f = model.policy_return((0.5, 0.5), values)
 
     specs: list[tuple[str, str, tuple[float, float] | None]] = []
     for name in _roster(cfg, ("ib", "corners")):
@@ -430,7 +426,7 @@ def _run_ku_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
                 regret = float(exp_rewards.max()) - reward
                 return float(reward), expected_regret(exp_rewards, action), regret
 
-            records += _rollout(cfg, label, run, state, candidates, base_f, env_step, steps)
+            records += _rollout(cfg, label, run, state, candidates, env_step, steps)
     return records
 
 
@@ -495,7 +491,6 @@ def run_newcomb_sweep(
         # episode is a one-step rollout from this same initial state.
         state = make_agent(classical_belief(model, STATELESS), agent_rng, "ib_maximin")
         candidates = policy_grid(2, pstep)
-        base_f = model.policy_return(0.0)
         # Reward moments of every candidate, once per cell. The best mean is
         # taken over the same candidate values the agent compares, so the
         # regret column is exactly nonnegative.
@@ -515,7 +510,7 @@ def run_newcomb_sweep(
             return reward, best - mean, best - reward
 
         for e in range(episodes):
-            records += _rollout(cfg, label, e, state, candidates, base_f, env_step, 1)
+            records += _rollout(cfg, label, e, state, candidates, env_step, 1)
 
         sum_p = sum_reward = sum_value = sum_var = 0.0
         for p_star, reward, mean, second in episode_stats:
@@ -585,7 +580,6 @@ def _run_trap_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
     )
     model, raw_support, values = trap_model(env)
     candidates = deterministic_grid(model.arm_count)
-    base_f = model.policy_return([1.0 / model.arm_count] * model.arm_count, values)
     specs = _trap_agent_specs(_roster(cfg, DEFAULT_TRAP_ROSTER))
 
     records: list[RunRecord] = []
@@ -609,7 +603,7 @@ def _run_trap_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
                 return reward, expected_regret(exp_rewards, action), best - reward
 
             records += _rollout(
-                cfg, label, run, state, candidates, base_f, env_step, env.horizon,
+                cfg, label, run, state, candidates, env_step, env.horizon,
                 where=f", world {world}",
             )
     return records

@@ -696,8 +696,10 @@ class NewcombModel(WorldModel):
         )
 
     def observation(self) -> ObservationEvent:
+        """The one Newcomb observation. It rules out no branch, so nothing
+        is banked: its off-branch return is the constant zero."""
         return ObservationEvent(
-            model=self, indicator=None, offbranch_return=self.policy_return(0.0)
+            model=self, indicator=None, offbranch_return=ReturnFunction(self, 0.0, 0.0)
         )
 
     def expectation(self, measure: StatelessMeasure, history: None, f: ReturnFunction) -> float:

@@ -109,14 +109,12 @@ class TestSelection:
             VALUES,
         )
         before = state.rng.bit_generator.state
-        f = model.policy_return([0.5, 0.5], VALUES)
-        chosen = select_policy(state, deterministic_grid(2), f)
+        chosen = select_policy(state, deterministic_grid(2))
         assert chosen.deterministic_action == 1
         assert state.rng.bit_generator.state == before
 
     def test_ties_are_broken_by_the_agent_stream(self):
         model = BernoulliArmsModel(2)
-        f = model.policy_return([0.5, 0.5], VALUES)
         picks = set()
         for seed in range(8):
             state = make_agent(
@@ -125,7 +123,7 @@ class TestSelection:
                 "ib_maximin",
                 VALUES,
             )
-            picks.add(select_policy(state, deterministic_grid(2), f).deterministic_action)
+            picks.add(select_policy(state, deterministic_grid(2)).deterministic_action)
         assert picks == {0, 1}
 
     def test_maximin_prefers_the_arm_with_the_better_floor(self):
@@ -137,15 +135,13 @@ class TestSelection:
             model, [(a, b) for a in (0.3, 0.7) for b in (0.4, 0.8)]
         )
         state = make_agent(belief, np.random.default_rng(1), "ib_maximin", VALUES)
-        f = model.policy_return([0.5, 0.5], VALUES)
-        assert select_policy(state, deterministic_grid(2), f).deterministic_action == 1
+        assert select_policy(state, deterministic_grid(2)).deterministic_action == 1
 
     def test_policy_value_is_the_worst_case_after_mixing(self):
         model = BernoulliArmsModel(2)
         belief = corner_belief(model, [(0.3, 0.8), (0.7, 0.4)])
         state = make_agent(belief, np.random.default_rng(0), "ib_maximin", VALUES)
-        f = model.policy_return([0.5, 0.5], VALUES)
-        value = policy_value(state, Policy((1.0, 0.0)), f)
+        value = policy_value(state, Policy((1.0, 0.0)))
         np.testing.assert_allclose(value, 0.3)
 
     def test_newcomb_mixed_policy_beats_both_deterministic_ones(self):
@@ -155,7 +151,7 @@ class TestSelection:
         model = NewcombModel(reward_matrix=((0.0, 2.0), (2.0, 0.0)), accuracy=1.0)
         state = make_agent(singleton_belief(model, STATELESS), np.random.default_rng(0))
         before = state.rng.bit_generator.state
-        chosen = select_policy(state, policy_grid(2, 0.1), model.policy_return(0.0))
+        chosen = select_policy(state, policy_grid(2, 0.1))
         assert chosen.action_probs[0] == 0.5
         assert state.rng.bit_generator.state == before
 
@@ -257,7 +253,6 @@ class TestBayesSelect:
         env = TrapWorldConfig()
         model, raw_support, values = trap_model(env)
         grid = deterministic_grid(model.arm_count)
-        base_f = model.policy_return([0.5, 0.5], values)
         for run in range(3):
             actions = {}
             for flavor in ("ib_maximin", "bayes_greedy"):
@@ -273,7 +268,7 @@ class TestBayesSelect:
                 taken = actions[flavor] = []
                 for _ in range(100):
                     if flavor == "ib_maximin":
-                        action = act(select_policy(state, grid, base_f), state.rng)
+                        action = act(select_policy(state, grid), state.rng)
                     else:
                         action = bayes_select(state)
                     taken.append(action)
@@ -423,8 +418,7 @@ class TestMemo:
         every selection draws from the stream."""
         grid = policy_grid(2, 0.1)
         reused = newcomb_state(5)
-        f = reused.model.policy_return(0.0)
-        got = [select_policy(reused, grid, f) for _ in range(60)]
+        got = [select_policy(reused, grid) for _ in range(60)]
         assert len(value_passes) == 1
         assert len(set(got)) > 1
 
@@ -432,7 +426,7 @@ class TestMemo:
         want = []
         for _ in range(60):
             fresh = make_agent(reused.belief, rng)
-            want.append(select_policy(fresh, grid, f))
+            want.append(select_policy(fresh, grid))
         assert len(value_passes) == 61
         assert got == want
         assert reused.rng.bit_generator.state == rng.bit_generator.state
@@ -441,17 +435,14 @@ class TestMemo:
         """Matrix ((0, 2), (2, 0)) at accuracy 1 has the unique best p = 0.5:
         index 5 of the 0.1 grid but index 2 of the 0.25 grid."""
         state = newcomb_state(0, accuracy=1.0, matrix=((0.0, 2.0), (2.0, 0.0)))
-        f = state.model.policy_return(0.0)
         fine, coarse = policy_grid(2, 0.1), policy_grid(2, 0.25)
-        assert select_policy(state, fine, f).action_probs[0] == 0.5
-        assert select_policy(state, fine, f).action_probs[0] == 0.5
+        assert select_policy(state, fine).action_probs[0] == 0.5
+        assert select_policy(state, fine).action_probs[0] == 0.5
         assert len(value_passes) == 1
-        assert select_policy(state, coarse, f) is coarse.policies[2]
+        assert select_policy(state, coarse) is coarse.policies[2]
         assert len(value_passes) == 2
-        assert select_policy(state, policy_grid(2, 0.1), f).action_probs[0] == 0.5
+        assert select_policy(state, policy_grid(2, 0.1)).action_probs[0] == 0.5
         assert len(value_passes) == 3
-        assert select_policy(state, fine, state.model.policy_return(0.0)).action_probs[0] == 0.5
-        assert len(value_passes) == 4
 
     def test_off_support_rewards_raise_every_time_and_are_not_stored(self):
         model = BernoulliArmsModel(1)
@@ -522,7 +513,7 @@ class TestMemo:
         twin = make_agent(state.belief, state.rng)
         lines_before: list[str] = []
         _flatten("state", state, lines_before)
-        select_policy(state, policy_grid(2, 0.1), state.model.policy_return(0.0))
+        select_policy(state, policy_grid(2, 0.1))
         ib_observe(state, 0, 10.0)
         assert len(state.memo) == 2 and twin.memo == {}
         assert state == twin
@@ -568,3 +559,15 @@ class TestMakeAgent:
             make_agent(
                 belief, np.random.default_rng(0), "ib_maximin", np.array([[-1.0, 1.0]])
             )
+
+    def test_bandit_belief_without_a_reward_table_rejected(self):
+        model = BernoulliArmsModel(1)
+        belief = singleton_belief(model, model.point_measure([0.5]))
+        with pytest.raises(ConfigError, match="reward table"):
+            make_agent(belief, np.random.default_rng(0), "ib_maximin")
+
+    def test_explicit_finite_belief_rejected(self):
+        model = ExplicitFiniteModel(2)
+        belief = singleton_belief(model, FiniteOutcomeMeasure((0.5, 0.5)))
+        with pytest.raises(RepresentationError):
+            make_agent(belief, np.random.default_rng(0), "ib_maximin", np.array([0.0, 1.0]))

@@ -12,9 +12,12 @@ from ibrl import (
     ConfigError,
     DegenerateUpdateError,
     Infradistribution,
+    NewcombModel,
     deterministic_grid,
     make_agent,
     mix_knightian,
+    newcomb_expected_reward,
+    policy_grid,
 )
 from ibrl.harness import (
     CSV_COLUMNS,
@@ -33,6 +36,7 @@ from ibrl.harness import (
     parse_config_text,
     read_records,
     run_experiment,
+    run_newcomb_sweep,
     serialize_infradistribution,
 )
 from ibrl.harness import acceptance
@@ -255,6 +259,21 @@ class TestRunners:
             records[-1].cum_exp_regret, sum(r.exp_regret for r in records)
         )
 
+    def test_newcomb_with_negative_rewards_selects_the_analytic_best(self):
+        """Newcomb conditioning banks nothing, so a negative matrix entry
+        must not be read as a negative off-branch return."""
+        settings = {"episodes": 5, "env.alpha": 0.9, "matrix.onebox": (10.0, -5.0)}
+        records, cells = run_newcomb_sweep(ExperimentConfig("newcomb", seed=42, settings=settings))
+        model = NewcombModel(reward_matrix=((10.0, -5.0), (11.0, 1.0)), accuracy=0.9)
+        values = {
+            p.action_probs[0]: newcomb_expected_reward(p.action_probs[0], model)
+            for p in policy_grid(2, 0.1).policies
+        }
+        best = max(values, key=values.get)
+        assert len(records) == 5 and len(cells) == 1
+        assert cells[0].selected_one_box_rate == best
+        assert cells[0].mean_policy_value == values[best]
+
     def test_runs_are_reproducible(self):
         cfg = ExperimentConfig("trap-bandit", seed=9, settings={"env.runs": 2, "env.horizon": 5})
         assert run_experiment(cfg) == run_experiment(cfg)
@@ -289,10 +308,9 @@ class TestRunners:
             return reward, 0.0, 1.0 - reward
 
         cfg = ExperimentConfig("ku-bandit", seed=3)
-        f = model.arm_return(0, values)
         expected = r"^ku-bandit: agent 'ib', episode 4, step 2, world W: every point"
         with pytest.raises(DegenerateUpdateError, match=expected):
-            _rollout(cfg, "ib", 4, state, deterministic_grid(1), f, env_step, 5, ", world W")
+            _rollout(cfg, "ib", 4, state, deterministic_grid(1), env_step, 5, ", world W")
 
     def test_catastrophe_rates_count_negative_reward_episodes(self):
         records = [
@@ -418,6 +436,18 @@ class TestCli:
         text = capsys.readouterr().out
         assert "alpha=0.50" in text and "alpha=0.55" in text
         assert out.exists()
+
+    def test_sweep_flags_beat_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "experiment = newcomb\nepisodes = 5\nalpha.min = 0.6\nalpha.max = 0.6\n"
+            "alpha.step = 0.05\n"
+        )
+        out = tmp_path / "s.csv"
+        args = ["sweep", "--config", str(cfg), "--alpha-min", "0.55", "--out", str(out)]
+        assert main(args) == 0
+        cells = [line for line in capsys.readouterr().out.splitlines() if line.startswith("alpha=")]
+        assert [line.split()[0] for line in cells] == ["alpha=0.55", "alpha=0.60"]
 
     def test_validate_prints_each_criterion_with_its_time(self, monkeypatch, capsys):
         """The six checks are stubbed, so this covers only the reporting."""
