@@ -158,11 +158,17 @@ def make_agent(
     """Build an agent and its one return function: on bandits from the
     required, nonnegative (arm, outcome) table ``reward_values`` (shift the
     environment's rewards first if needed), on Newcomb from the model's own
-    reward matrix."""
+    reward matrix. A Newcomb agent is ``ib_maximin`` only and takes no
+    reward table; anything else raises ``ConfigError`` here rather than at
+    its first step."""
     if flavor not in ("ib_maximin", "bayes_greedy", "bayes_thompson"):
         raise ConfigError(f"unknown agent flavor {flavor!r}")
     model = belief.model
     if isinstance(model, NewcombModel):
+        if flavor != "ib_maximin":
+            raise ConfigError(f"a Newcomb agent is ib_maximin, not {flavor!r}")
+        if reward_values is not None:
+            raise ConfigError("a Newcomb agent takes its returns from the model's reward matrix")
         returns = model.policy_return(0.5)
     elif isinstance(model, BanditModel):
         if reward_values is None:

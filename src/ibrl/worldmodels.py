@@ -44,6 +44,10 @@ step (once per arm in the value pass, again in ``restrict``), and between
 steps only the pulled arm's counts move, so a point builds one posterior per
 observation. A memo hit returns the very array the same numpy operations
 produced on the miss, so no result changes by a bit.
+
+scipy is imported lazily, inside the functions that use it
+(``log_branch_probability`` here, ``inframeasure._convex_dominated``), and
+``tests/test_imports.py`` enforces this.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, DegenerateUpdateError, RepresentationError
 
@@ -494,7 +497,12 @@ def predictive(measure: BernoulliArmMeasure, history: BanditHistory, arm: int) -
 
 
 def log_branch_probability(measure: BernoulliArmMeasure, history: BanditHistory) -> float:
-    """Log probability of the observed history; factorizes across arms."""
+    """Log probability of the observed history; factorizes across arms.
+
+    ``scipy.special`` is imported here, on first use, so that importing
+    ``ibrl`` and running the experiments never loads scipy."""
+    from scipy.special import logsumexp
+
     total = 0.0
     for arm, table in enumerate(measure.tables):
         lw = _arm_log_weights(table, history.pulls[arm], history.successes[arm])

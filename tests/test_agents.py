@@ -566,6 +566,18 @@ class TestMakeAgent:
         with pytest.raises(ConfigError, match="reward table"):
             make_agent(belief, np.random.default_rng(0), "ib_maximin")
 
+    @pytest.mark.parametrize("flavor", ["bayes_greedy", "bayes_thompson"])
+    def test_classical_flavor_on_newcomb_rejected(self, flavor):
+        belief = singleton_belief(NewcombModel(), STATELESS)
+        with pytest.raises(ConfigError, match="ib_maximin"):
+            make_agent(belief, np.random.default_rng(0), flavor)
+
+    def test_reward_table_on_newcomb_rejected(self):
+        belief = singleton_belief(NewcombModel(), STATELESS)
+        for table in (np.array([[-1.0]]), np.array([[0.0, 1.0], [0.0, 1.0]])):
+            with pytest.raises(ConfigError, match="reward matrix"):
+                make_agent(belief, np.random.default_rng(0), "ib_maximin", table)
+
     def test_explicit_finite_belief_rejected(self):
         model = ExplicitFiniteModel(2)
         belief = singleton_belief(model, FiniteOutcomeMeasure((0.5, 0.5)))
