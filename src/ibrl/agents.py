@@ -39,7 +39,7 @@ together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -231,7 +231,7 @@ def _observation_event(state: AgentState, action: int, reward: float) -> Observa
     if isinstance(model, NewcombModel):
         return model.observation()
     diffs = [abs(reward - r) for r in state.raw_support]
-    outcome = int(np.argmin(diffs))
+    outcome = min(range(len(diffs)), key=diffs.__getitem__)
     if diffs[outcome] > 1e-9:
         raise ConfigError(f"reward {reward!r} is not in the agent's support")
     return model.observation(action, outcome, state.returns)
@@ -262,7 +262,7 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
             history = state.model.next_history(state.belief.history, event)
             belief = Infradistribution(state.belief.points, history)
         state.memo[key] = belief
-    return replace(state, belief=belief)
+    return AgentState(belief, state.rng, state.flavor, state.returns, state.raw_support)
 
 
 def bayes_select(state: AgentState) -> int:

@@ -250,15 +250,19 @@ def _convex_dominated(points: Sequence[AMeasure], index: int) -> bool:
     return bool(result.success)
 
 
-def prune(psi: Infradistribution, convex: bool = False) -> Infradistribution:
+def prune(
+    psi: Infradistribution, convex: bool = False, offset_bound: float = np.inf
+) -> Infradistribution:
     """Remove redundant points without moving any lower expectation.
 
-    Exact duplicates are always removed. On explicit finite models,
-    componentwise-dominated points are removed as well, and with
-    ``convex=True`` points dominated by a convex combination of the others
-    are also eliminated. Every removal preserves ``lower_expectation`` for
-    all nonnegative bounded return functions."""
-    kept = _dedupe(psi.points)
+    Exact duplicates are always removed, and so is every point whose offset
+    is strictly above ``offset_bound``: on a renormalized belief, with the
+    bound ``M = max(1, f_max)``, such a point never attains the minimum of a
+    return valued in ``[0, M]`` (see ``updates``). On explicit finite models,
+    componentwise-dominated points go as well, and with ``convex=True`` so do
+    points dominated by a convex combination of the others; these removals
+    preserve ``lower_expectation`` for every nonnegative bounded return."""
+    kept = [a for a in _dedupe(psi.points) if a.offset <= offset_bound]
     if isinstance(psi.model, ExplicitFiniteModel):
         removable = _finite_dominated(kept)
         kept = [a for a, gone in zip(kept, removable) if not gone]

@@ -26,6 +26,16 @@ every point maps to ``((scale, measure) / (beta - alpha),
 point, which is what lets relative scales shift toward points that predicted
 the observation well. After renormalization the constants 0 and 1 evaluate
 to exactly 0 and 1 again.
+
+Renormalized points are then pruned by range domination. With ``M = max(1,
+f_max)`` bounding the off-branch return, the point attaining beta = 1 values
+every return in ``[0, M]`` at most ``M``, so a point with offset ``> M`` never
+attains the minimum, now or later (raw updates mix returns inside ``[0, M]``;
+renormalization is increasing affine). Alpha and beta stay attained by kept
+points, so their bits never change, and lower expectations of returns bounded
+by ``M`` are preserved while later off-branch returns share that bound, as an
+agent's one return does. The test is strict: a zero-scale point at offset
+exactly ``M`` may be the one attaining beta.
 """
 
 from __future__ import annotations
@@ -96,7 +106,7 @@ def renormalize(psi: Infradistribution) -> Infradistribution:
 
 
 def condition(psi: Infradistribution, event: ObservationEvent) -> Infradistribution:
-    """Full conditioning pipeline: raw update, renormalize, prune.
+    """Full conditioning pipeline: raw update, renormalize, range-prune.
 
     On a single-point belief this is exactly a Bayes update: the point
     returns to scale 1 and offset 0 and only the belief's history moves.
@@ -107,7 +117,7 @@ def condition(psi: Infradistribution, event: ObservationEvent) -> Infradistribut
     ``DegenerateUpdateError`` is raised only when no point survives."""
     updated = update_infra(psi, event)
     try:
-        return prune(renormalize(updated))
+        renormalized = renormalize(updated)
     except DegenerateUpdateError:
         live = tuple(
             a
@@ -119,4 +129,5 @@ def condition(psi: Infradistribution, event: ObservationEvent) -> Infradistribut
             raise DegenerateUpdateError(
                 "every point assigned the observation zero probability; belief refuted"
             )
-        return prune(renormalize(Infradistribution(live, updated.history)))
+        renormalized = renormalize(Infradistribution(live, updated.history))
+    return prune(renormalized, offset_bound=max(1.0, event.offbranch_return.f_max))

@@ -168,15 +168,20 @@ class TestValuePass:
         assert got.tolist() == want
 
     def test_bernoulli_corners_with_a_refuted_and_an_overflowed_point(self):
+        """Four conditioned corners, built directly: ``condition`` would drop
+        the last three, whose offsets exceed max(1, f_max) = 1."""
         model = BernoulliArmsModel(2)
-        belief = corner_belief(model, [(a, b) for a in (0.3, 0.7) for b in (0.4, 0.8)])
-        state = make_agent(belief, np.random.default_rng(0), "ib_maximin", VALUES)
-        for action, reward in [(0, 1.0), (1, 0.0), (1, 1.0), (0, 0.0), (1, 1.0)]:
-            state = ib_observe(state, action, reward)
-        first, second, *rest = state.belief.points
-        refuted = AMeasure(0.0, first.measure, 0.75, model)
-        overflowed = AMeasure(second.scale, second.measure, np.inf, model)
-        belief = Infradistribution((refuted, overflowed, *rest), state.belief.history)
+        history = model.initial_history()
+        for arm, outcome in [(0, 1), (1, 0), (1, 1), (0, 0), (1, 1)]:
+            event = model.observation(arm, outcome, model.arm_return(arm, VALUES))
+            history = model.next_history(history, event)
+        refuted = AMeasure(0.0, model.point_measure((0.3, 0.4)), 0.75, model)
+        overflowed = AMeasure(4 / 3, model.point_measure((0.3, 0.8)), np.inf, model)
+        live = (
+            AMeasure(1.0, model.point_measure((0.7, 0.4)), 12.7, model),
+            AMeasure(4 / 3, model.point_measure((0.7, 0.8)), 24.6, model),
+        )
+        belief = Infradistribution((refuted, overflowed, *live), history)
         probs = deterministic_grid(2).probs
         self.assert_matches_scalar(belief, probs, lambda row: model.policy_return(row, VALUES))
         # The live points are worth more than 5 on either arm, so the refuted

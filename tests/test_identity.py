@@ -29,8 +29,9 @@ CASES = {
         ),
         "8bca15a5fb2f65fd6cad2e7518bc8c005256b1651a0553ead89fb00b25d6c6c1",
     ),
-    # 2,000 steps cross the offset overflow of the two p2 = 0.8 corners (two
-    # RuntimeWarnings), pinned as it stands.
+    # 2,000 steps. Range pruning drops the two p2 = 0.8 corners at step 3,
+    # long before their offsets could overflow, so the run raises no
+    # RuntimeWarning; the bytes are those of the unpruned belief.
     "ku-bandit-long": (
         ExperimentConfig(
             "ku-bandit",

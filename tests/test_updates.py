@@ -19,6 +19,7 @@ from ibrl import (
     evaluate,
     lower_expectation,
     mix_knightian,
+    prune,
     raw_update,
     renormalize,
     update_infra,
@@ -30,6 +31,16 @@ VALUES = ((0.0, 1.0), (0.0, 1.0))
 
 def bandit_singleton(model, measure):
     return Infradistribution.singleton(AMeasure(1.0, measure, 0.0, model), model.initial_history())
+
+
+def probe_returns(model, values):
+    """Each arm's return under the (arms, outcomes) table, then the
+    constants 0 and 1."""
+    shape = np.shape(values)
+    uniform = np.full(model.arm_count, 1.0 / model.arm_count)
+    return [model.arm_return(arm, values) for arm in range(model.arm_count)] + [
+        model.policy_return(uniform, np.full(shape, c)) for c in (0.0, 1.0)
+    ]
 
 
 class TestRawUpdate:
@@ -207,6 +218,22 @@ class TestCondition:
         got = lower_expectation(belief, model.arm_return(0, [[0.0, 1.0]]))
         np.testing.assert_allclose(got, oracle, atol=1e-9)
 
+    def test_catastrophe_keeps_the_zero_scale_point_at_the_bound(self):
+        """A catastrophe refutes trap's safe point, leaving it at zero scale
+        and offset exactly 1 = max(1, f_max), where it attains the constant
+        1. Range pruning is strict, so that point stays and every value
+        equals the unpruned pipeline's bit for bit."""
+        env = TrapWorldConfig()
+        model, raw_support, values = trap_model(env)
+        belief = trap_ib_belief(model, env)
+        catastrophe = raw_support.index(env.catastrophe_reward)
+        event = model.observation(1, catastrophe, model.policy_return([0.5, 0.5], values))
+        conditioned = condition(belief, event)
+        reference = prune(renormalize(update_infra(belief, event)))
+        assert any(a.scale == 0.0 and a.offset == 1.0 for a in conditioned.points)
+        for f in probe_returns(model, values):
+            assert lower_expectation(conditioned, f) == lower_expectation(reference, f)
+
 
 def count_next_history(monkeypatch, cls):
     """Record every ``next_history`` call made on instances of ``cls``."""
@@ -226,17 +253,26 @@ class TestOneHistoryPerBelief:
     advances that history once per observation, whatever the point count."""
 
     def test_ku_corner_belief_advances_its_history_once_per_observation(self, monkeypatch):
+        """Range pruning drops corners along the way; an unpruned reference
+        fed the same events keeps them all and agrees on every value."""
         calls = count_next_history(monkeypatch, BernoulliArmsModel)
         model = BernoulliArmsModel(2)
         corners = [(a, b) for a in (0.3, 0.7) for b in (0.4, 0.8)]
         belief = mix_knightian([bandit_singleton(model, model.point_measure(c)) for c in corners])
+        reference = belief
+        probes = probe_returns(model, VALUES)
         rng = np.random.default_rng(3)
-        for t in range(1, 21):
+        for _ in range(20):
             arm, outcome = int(rng.integers(2)), int(rng.integers(2))
-            history = belief.history
-            belief = condition(belief, model.observation(arm, outcome, model.arm_return(arm, VALUES)))
-            assert len(calls) == t and calls[-1] is history
-        assert len(belief.points) == 4
+            history, size, before = belief.history, len(belief.points), len(calls)
+            event = model.observation(arm, outcome, model.arm_return(arm, VALUES))
+            belief = condition(belief, event)
+            assert len(calls) == before + 1 and calls[-1] is history
+            reference = prune(renormalize(update_infra(reference, event)))
+            assert len(belief.points) <= size
+            for f in probes:
+                assert lower_expectation(belief, f) == lower_expectation(reference, f)
+        assert len(reference.points) == 4
         assert sum(belief.history.pulls) == 20
 
     def test_trap_two_point_belief_advances_its_history_once_per_observation(self, monkeypatch):
