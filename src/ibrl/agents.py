@@ -16,12 +16,11 @@ posterior-predictive expected return on a single-point belief; a maximin
 agent whose belief is a single point makes identical choices, which is the
 classical-recovery property the test suite pins down.
 
-Observation handling differs by flavor: the maximin flavor runs the full
-conditioning pipeline of ``updates.condition`` (restrict, renormalize,
-prune, and the handling of observations that refute some points), while
-classical flavors keep their points and advance the belief's one history
-through ``WorldModel.next_history``, which is an ordinary Bayes update under
-the hood.
+Observation handling differs by flavor: the maximin flavor builds an event and
+runs the full conditioning pipeline of ``updates.condition`` (restrict,
+renormalize, prune, and the handling of observations that refute some points);
+classical flavors build none, keep their points and pass the validated
+``(arm, outcome)`` pair to ``WorldModel.next_history``, an ordinary Bayes update.
 
 Both ``select_policy`` and ``ib_observe`` are pure functions of an immutable
 ``AgentState``, so each memoizes its work on the state it is given: the tied
@@ -47,7 +46,7 @@ import numpy as np
 from .errors import ConfigError, ContractViolationError, RepresentationError
 from .inframeasure import VALUE_TOL, Infradistribution, lower_expectations
 from .updates import condition
-from .worldmodels import BanditModel, NewcombModel, ObservationEvent, ReturnFunction, WorldModel
+from .worldmodels import BanditModel, NewcombModel, ReturnFunction, WorldModel
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,8 @@ def make_agent(
     required, nonnegative (arm, outcome) table ``reward_values`` (shift the
     environment's rewards first if needed), on Newcomb from the model's own
     reward matrix. A Newcomb agent is ``ib_maximin`` only and takes no
-    reward table; anything else raises ``ConfigError`` here rather than at
-    its first step."""
+    reward table; a bandit agent has one ``raw_support`` reward per outcome.
+    Anything else raises ``ConfigError`` here rather than at its first step."""
     if flavor not in ("ib_maximin", "bayes_greedy", "bayes_thompson"):
         raise ConfigError(f"unknown agent flavor {flavor!r}")
     model = belief.model
@@ -177,6 +176,8 @@ def make_agent(
         returns = model.policy_return(uniform, reward_values)
         if returns.f_min < 0.0:
             raise ConfigError("reward convention must be nonnegative; shift it first")
+        if len(raw_support) != model.outcome_count:
+            raise ConfigError(f"raw_support needs one reward per outcome ({model.outcome_count})")
     else:
         raise RepresentationError(f"{type(model).__name__} has no policy-dependent returns")
     return AgentState(
@@ -226,41 +227,38 @@ def act(policy: Policy, rng: np.random.Generator) -> int:
     return int(rng.choice(len(policy.action_probs), p=np.asarray(policy.action_probs)))
 
 
-def _observation_event(state: AgentState, action: int, reward: float) -> ObservationEvent:
-    model = state.model
-    if isinstance(model, NewcombModel):
-        return model.observation()
-    diffs = [abs(reward - r) for r in state.raw_support]
-    outcome = min(range(len(diffs)), key=diffs.__getitem__)
-    if diffs[outcome] > 1e-9:
-        raise ConfigError(f"reward {reward!r} is not in the agent's support")
-    return model.observation(action, outcome, state.returns)
-
-
 def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
     """Fold one observation into the belief.
 
     The maximin flavor conditions fully through ``updates.condition``, which
     also drops points the observation refutes when they would make
     renormalization degenerate. Classical flavors keep the points and
-    advance the belief's history only, which realizes the ordinary Bayes
-    posterior through the world model's predictive reweighting. A reward
-    that is not a finite number raises ``ConfigError``.
+    advance the belief's history only, with no event, which realizes the
+    ordinary Bayes posterior through the world model's predictive
+    reweighting. A reward that is not a finite number raises ``ConfigError``.
 
     The successor belief is memoized on ``state`` by ``(action, reward)``,
     or by one constant key on Newcomb, whose observation ignores both. An
     observation that raises is not stored, so it raises on every call."""
     if not math.isfinite(reward):
         raise ConfigError(f"reward {reward!r} is not a finite number")
-    key = "newcomb" if isinstance(state.model, NewcombModel) else (action, reward)
+    model = state.model
+    key = "newcomb" if isinstance(model, NewcombModel) else (action, reward)
     belief = state.memo.get(key)
     if belief is None:
-        event = _observation_event(state, action, reward)
-        if state.flavor == "ib_maximin":
-            belief = condition(state.belief, event)
+        if key == "newcomb":
+            belief = condition(state.belief, model.observation())
         else:
-            history = state.model.next_history(state.belief.history, event)
-            belief = Infradistribution(state.belief.points, history)
+            diffs = [abs(reward - r) for r in state.raw_support]
+            outcome = diffs.index(min(diffs))
+            if diffs[outcome] > 1e-9:
+                raise ConfigError(f"reward {reward!r} is not in the agent's support")
+            if state.flavor == "ib_maximin":
+                belief = condition(state.belief, model.observation(action, outcome, state.returns))
+            else:
+                model.validate_indicator((action, outcome))
+                history = model.next_history(state.belief.history, (action, outcome))
+                belief = Infradistribution(state.belief.points, history)
         state.memo[key] = belief
     return AgentState(belief, state.rng, state.flavor, state.returns, state.raw_support)
 
@@ -279,10 +277,10 @@ def bayes_select(state: AgentState) -> int:
     measure, history = state.belief.points[0].measure, state.belief.history
     table = state.returns.values
     if state.flavor == "bayes_thompson":
-        values = state.model.sampled_action_values(measure, history, table, state.rng)
+        values = state.model.sampled_action_values(measure, history, table, state.rng).tolist()
     else:
-        values = state.model.expected_action_values(measure, history, table)
-    best = float(np.max(values))
+        values = state.model.expected_action_values(measure, history, table).tolist()
+    best = max(values)
     candidates = [i for i, v in enumerate(values) if v >= best - VALUE_TOL]
     if len(candidates) == 1:
         return candidates[0]

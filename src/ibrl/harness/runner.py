@@ -344,6 +344,7 @@ def _run_validate_classical(cfg: ExperimentConfig) -> list[RunRecord]:
     for s, pair in enumerate(pairs):
         exp_rewards = np.asarray(pair, dtype=float)
         best = float(exp_rewards.max())
+        regrets = (exp_rewards.max() - exp_rewards).tolist()
         for r in range(runs):
             for agent_name, flavor in (("ib_single", "ib_maximin"), ("bayes", "bayes_greedy")):
                 # Both agents get byte-identical environment AND agent
@@ -359,7 +360,7 @@ def _run_validate_classical(cfg: ExperimentConfig) -> list[RunRecord]:
 
                 def env_step(policy, action):
                     reward = float(bernoulli_step(pair[action], env_rng))
-                    return reward, expected_regret(exp_rewards, action), best - reward
+                    return reward, regrets[action], best - reward
 
                 records += _rollout(
                     cfg, agent_name, s * runs + r, state, candidates, env_step, steps
@@ -592,6 +593,7 @@ def _run_trap_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
             world = trap_sample_world(env, env_rng)
             exp_rewards = trap_expected_rewards(world, env)
             best = float(exp_rewards.max())
+            regrets = (exp_rewards.max() - exp_rewards).tolist()
             if flavor == "ib_maximin":
                 belief = trap_ib_belief(model, env)
             else:
@@ -600,7 +602,7 @@ def _run_trap_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
 
             def env_step(policy, action):
                 reward = trap_step(world, env, action, env_rng)
-                return reward, expected_regret(exp_rewards, action), best - reward
+                return reward, regrets[action], best - reward
 
             records += _rollout(
                 cfg, label, run, state, candidates, env_step, env.horizon,

@@ -71,7 +71,7 @@ def update_infra(psi: Infradistribution, event: ObservationEvent) -> Infradistri
     history once. The update is affine, so the point set maps pointwise and
     its size never grows."""
     points = tuple(raw_update(a, event, psi.history) for a in psi.points)
-    return Infradistribution(points, psi.model.next_history(psi.history, event))
+    return Infradistribution(points, psi.model.next_history(psi.history, event.indicator))
 
 
 def _alpha_beta(psi: Infradistribution) -> tuple[float, float]:

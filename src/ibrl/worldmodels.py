@@ -37,13 +37,13 @@ measure builds its log tables once, when it is constructed (per arm ``log c``,
 ``log p``, ``log1p(-p)`` and ``p`` for the independent model; the guarded log
 weights, ``probs`` and ``log probs`` for the joint model), read-only and
 outside equality and hashing. Each measure also keeps a one-entry memo keyed
-by the exact counts: the last ``(pulls, successes)`` and its posterior per arm
-for the independent model, the last count table and its posterior for the
-joint model. A belief point asks for the same posterior several times per
-step (once per arm in the value pass, again in ``restrict``), and between
+by the exact counts: per arm the last ``(pulls, successes)`` and posterior for
+the independent model; the last count table, its log-likelihood terms and
+posterior for the joint model. A point asks for the same posterior several
+times per step (per arm in the value pass, again in ``restrict``), and between
 steps only the pulled arm's counts move, so a point builds one posterior per
-observation. A memo hit returns the very array the same numpy operations
-produced on the miss, so no result changes by a bit.
+observation, rewriting one cell of joint terms. A memo hit returns the very
+array the same numpy operations produced on the miss: no bit changes.
 
 scipy is imported lazily, inside the functions that use it
 (``log_branch_probability`` here, ``inframeasure._convex_dominated``), and
@@ -125,7 +125,7 @@ class ObservationEvent:
             raise RepresentationError(
                 "off-branch returns must be nonnegative; shift the reward convention"
             )
-        self.model.validate_event(self)
+        self.model.validate_indicator(self.indicator)
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ class WorldModel(ABC):
     def validate_measure(self, measure: object) -> None: ...
 
     @abstractmethod
-    def validate_event(self, event: ObservationEvent) -> None: ...
+    def validate_indicator(self, indicator: object) -> None: ...
 
     @abstractmethod
     def expectation(self, measure: object, history: object, f: ReturnFunction) -> float:
@@ -178,10 +178,10 @@ class WorldModel(ABC):
         """Restrict the measure to the event's branch, returning the updated
         representation together with the scale factor and off-branch value."""
 
-    def next_history(self, history: object, event: ObservationEvent) -> object:
-        """The history after observing ``event``, shared by every point of a
-        belief, so it is built once per observation. History-free models keep
-        their history (``None``) unchanged."""
+    def next_history(self, history: object, indicator: object) -> object:
+        """The history after observing a validated event ``indicator``, shared
+        by every point of a belief, so it is built once per observation.
+        History-free models keep their history (``None``) unchanged."""
         return history
 
     @abstractmethod
@@ -230,8 +230,7 @@ class BanditModel(WorldModel):
         """Posterior-predictive expected return of pulling each arm once,
         under the ``(arms, outcomes)`` table ``values``."""
 
-    def validate_event(self, event: ObservationEvent) -> None:
-        ind = event.indicator
+    def validate_indicator(self, ind: object) -> None:
         if (
             not isinstance(ind, tuple)
             or len(ind) != 2
@@ -331,8 +330,7 @@ class ExplicitFiniteModel(WorldModel):
         if len(measure.masses) != self.outcome_count:
             raise RepresentationError("measure has the wrong number of outcomes")
 
-    def validate_event(self, event: ObservationEvent) -> None:
-        kept = event.indicator
+    def validate_indicator(self, kept: object) -> None:
         if not isinstance(kept, frozenset) or not kept:
             raise RepresentationError("finite events are nonempty frozensets of outcome indices")
         if not all(isinstance(i, int) and 0 <= i < self.outcome_count for i in kept):
@@ -621,8 +619,8 @@ class BernoulliArmsModel(BanditModel):
         off_value = (1.0 - p_obs) * g[arm, off_outcome]
         return Restriction(measure, p_obs, off_value)
 
-    def next_history(self, history: BanditHistory, event: ObservationEvent) -> BanditHistory:
-        return observe(history, *event.indicator)
+    def next_history(self, history: BanditHistory, indicator: tuple[int, int]) -> BanditHistory:
+        return observe(history, *indicator)
 
     def mix(
         self, measures: Sequence[BernoulliArmMeasure], weights: Sequence[float]
@@ -688,8 +686,8 @@ class NewcombModel(WorldModel):
         if not isinstance(measure, StatelessMeasure):
             raise RepresentationError("expected the stateless placeholder measure")
 
-    def validate_event(self, event: ObservationEvent) -> None:
-        if event.indicator is not None:
+    def validate_indicator(self, indicator: object) -> None:
+        if indicator is not None:
             raise RepresentationError("Newcomb observations carry no branch structure")
 
     def policy_return(self, p_one_box: float) -> ReturnFunction:
@@ -782,8 +780,8 @@ class JointHypothesisMeasure:
 
     ``log_weights`` (``-inf`` for zero weights), ``probs`` and ``log_probs``
     are read-only arrays built once; ``memo[0]`` is the last ``(counts,
-    posterior)`` computed (``None`` before the first). None of them takes
-    part in equality or hashing."""
+    log-likelihood terms, posterior)`` computed (``None`` before the first).
+    None of them takes part in equality or hashing."""
 
     weights: tuple[float, ...]
     outcome_probs: tuple[tuple[tuple[float, ...], ...], ...]
@@ -821,9 +819,17 @@ class OutcomeCountHistory:
     counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        for row in self.counts:
-            if any(c < 0 for c in row):
-                raise RepresentationError("counts must be nonnegative")
+        if any(min(row, default=0) < 0 for row in self.counts):
+            raise RepresentationError("counts must be nonnegative")
+
+
+def _changed_cell(old: tuple, new: tuple) -> tuple[int, int] | None:
+    """The one ``(row, column)`` where equal-shape count tables differ, else ``None``."""
+    rows = [j for j, (a, b) in enumerate(zip(old, new)) if a != b]
+    if len(old) != len(new) or len(rows) != 1 or len(old[rows[0]]) != len(new[rows[0]]):
+        return None
+    cells = [(rows[0], o) for o, (a, b) in enumerate(zip(old[rows[0]], new[rows[0]])) if a != b]
+    return cells[0] if len(cells) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -868,20 +874,28 @@ class JointHypothesisBanditModel(BanditModel):
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory
     ) -> np.ndarray:
         """Posterior hypothesis weights, read-only; served from the measure's
-        memo when the counts are unchanged."""
+        memo when the counts are unchanged. If one cell moved to a positive
+        count, only its slice of the memo's ``count * log p`` terms is redone."""
+        counts = history.counts
         hit = measure.memo[0]
-        if hit is not None and hit[0] == history.counts:
-            return hit[1]
-        counts = np.asarray(history.counts, dtype=float)
-        with np.errstate(invalid="ignore"):
-            log_likes = np.where(counts > 0, counts * measure.log_probs, 0.0).sum(axis=(1, 2))
-        lw = measure.log_weights + log_likes
+        if hit is not None and hit[0] == counts:
+            return hit[2]
+        cell = None if hit is None else _changed_cell(hit[0], counts)
+        if cell is not None and counts[cell[0]][cell[1]] > 0:
+            arm, outcome = cell
+            terms = hit[1].copy()
+            terms[:, arm, outcome] = counts[arm][outcome] * measure.log_probs[:, arm, outcome]
+        else:
+            c = np.asarray(counts, dtype=float)
+            with np.errstate(invalid="ignore"):
+                terms = np.where(c > 0, c * measure.log_probs, 0.0)
+        lw = measure.log_weights + terms.sum(axis=(1, 2))
         peak = lw.max()
         if peak == -np.inf:
             raise DegenerateUpdateError("history is impossible under every joint hypothesis")
         post = np.exp(lw - peak)
         post = _read_only(post / post.sum())
-        measure.memo[0] = (history.counts, post)
+        measure.memo[0] = (counts, terms, post)
         return post
 
     def predictive_outcome_probs(
@@ -919,15 +933,11 @@ class JointHypothesisBanditModel(BanditModel):
         off_value = float(np.dot(dist[off], g[arm, off]))
         return Restriction(measure, float(dist[outcome]), off_value)
 
-    def next_history(
-        self, history: OutcomeCountHistory, event: ObservationEvent
-    ) -> OutcomeCountHistory:
-        arm, outcome = event.indicator
-        counts = tuple(
-            tuple(c + 1 if (j == arm and o == outcome) else c for o, c in enumerate(row))
-            for j, row in enumerate(history.counts)
-        )
-        return OutcomeCountHistory(counts)
+    def next_history(self, history: OutcomeCountHistory, indicator: tuple) -> OutcomeCountHistory:
+        arm, outcome = indicator
+        row = list(history.counts[arm])
+        row[outcome] += 1
+        return OutcomeCountHistory(history.counts[:arm] + (tuple(row),) + history.counts[arm + 1 :])
 
     def mix(
         self, measures: Sequence[JointHypothesisMeasure], weights: Sequence[float]

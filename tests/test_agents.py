@@ -18,6 +18,7 @@ from ibrl import (
     FiniteOutcomeMeasure,
     Infradistribution,
     NewcombModel,
+    ObservationEvent,
     Policy,
     RepresentationError,
     TrapWorldConfig,
@@ -173,8 +174,7 @@ class TestValuePass:
         model = BernoulliArmsModel(2)
         history = model.initial_history()
         for arm, outcome in [(0, 1), (1, 0), (1, 1), (0, 0), (1, 1)]:
-            event = model.observation(arm, outcome, model.arm_return(arm, VALUES))
-            history = model.next_history(history, event)
+            history = model.next_history(history, (arm, outcome))
         refuted = AMeasure(0.0, model.point_measure((0.3, 0.4)), 0.75, model)
         overflowed = AMeasure(4 / 3, model.point_measure((0.3, 0.8)), np.inf, model)
         live = (
@@ -376,6 +376,69 @@ class TestObserve:
         )
         with pytest.raises(ConfigError):
             ib_observe(state, 0, 0.25)
+
+
+def bandit_agents(kind):
+    """A one-point agent builder on either bandit model, with its raw
+    support: the Bernoulli grid or the trap model's joint belief."""
+    if kind == "bernoulli":
+        model, support, values = BernoulliArmsModel(2), (0.0, 1.0), VALUES
+        belief = singleton_belief(model, model.grid_measure([0.3, 0.7]))
+    else:
+        env = TrapWorldConfig()
+        model, support, values = trap_model(env)
+        belief = trap_bayes_belief(model, env, 0.5)
+    return model, support, lambda flavor: make_agent(
+        belief, np.random.default_rng(0), flavor, values, support
+    )
+
+
+class TestClassicalObservation:
+    """Classical flavors advance their history from the ``(arm, outcome)``
+    pair without building an ``ObservationEvent``; they must agree with the
+    maximin path on the history and on every error."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        built = []
+        original = ObservationEvent.__post_init__
+
+        def counting(event):
+            built.append(event)
+            original(event)
+
+        monkeypatch.setattr(ObservationEvent, "__post_init__", counting)
+        return built
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
+    def test_no_event_is_built_and_the_history_matches_maximin(self, kind, events):
+        _, support, agent = bandit_agents(kind)
+        for action, reward in [(1, support[-1]), (0, support[0]), (1, support[1])]:
+            maximin = ib_observe(agent("ib_maximin"), action, reward)
+            assert [event.indicator[0] for event in events] == [action]
+            for flavor in ("bayes_greedy", "bayes_thompson"):
+                state = agent(flavor)
+                classical = ib_observe(state, action, reward)
+                assert classical.belief.history == maximin.belief.history
+                assert classical.belief.history != state.belief.history
+            assert len(events) == 1
+            events.clear()
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
+    def test_errors_match_the_maximin_path(self, kind):
+        model, support, agent = bandit_agents(kind)
+        cases = [
+            (0, float("nan"), ConfigError),
+            (0, support[0] + 0.25, ConfigError),
+            (model.arm_count, support[0], RepresentationError),
+        ]
+        for action, reward, error in cases:
+            for flavor in ("ib_maximin", "bayes_greedy", "bayes_thompson"):
+                state = agent(flavor)
+                with pytest.raises(error) as raised:
+                    ib_observe(state, action, reward)
+                assert type(raised.value) is error
+                assert state.memo == {}
 
 
 KU_CORNERS = [(a, b) for a in (0.3, 0.7) for b in (0.4, 0.8)]
@@ -582,6 +645,18 @@ class TestMakeAgent:
         for table in (np.array([[-1.0]]), np.array([[0.0, 1.0], [0.0, 1.0]])):
             with pytest.raises(ConfigError, match="reward matrix"):
                 make_agent(belief, np.random.default_rng(0), "ib_maximin", table)
+
+    @pytest.mark.parametrize("flavor", ["ib_maximin", "bayes_greedy"])
+    @pytest.mark.parametrize(
+        "kind, support",
+        [("joint", (0.0, 1.0)), ("joint", (-1000.0, 0.0, 1.0, 2.0)), ("bernoulli", (0.0, 0.5, 1.0))],
+    )
+    def test_raw_support_needs_one_reward_per_outcome(self, flavor, kind, support):
+        """With the default two-point support a trap agent (three outcomes)
+        would record reward 1.0 as outcome 1, the zero-reward outcome."""
+        valid = bandit_agents(kind)[2]("bayes_greedy")
+        with pytest.raises(ConfigError, match="one reward per outcome"):
+            make_agent(valid.belief, np.random.default_rng(0), flavor, valid.returns.values, support)
 
     def test_explicit_finite_belief_rejected(self):
         model = ExplicitFiniteModel(2)

@@ -13,15 +13,20 @@ from ibrl import (
     DegenerateUpdateError,
     Infradistribution,
     NewcombModel,
+    TrapWorldConfig,
     deterministic_grid,
+    expected_regret,
     make_agent,
     mix_knightian,
     newcomb_expected_reward,
     policy_grid,
+    trap_expected_rewards,
+    trap_sample_world,
 )
 from ibrl.harness import (
     CSV_COLUMNS,
     DEFAULT_SEED,
+    ENV_STREAM,
     ExperimentConfig,
     RunRecord,
     bootstrap_percentiles,
@@ -41,7 +46,7 @@ from ibrl.harness import (
 )
 from ibrl.harness import acceptance
 from ibrl.harness.cli import main
-from ibrl.harness.runner import _rollout
+from ibrl.harness.runner import DEFAULT_VALIDATE_PAIRS, _rollout
 
 
 class TestConfigParsing:
@@ -311,6 +316,29 @@ class TestRunners:
         expected = r"^ku-bandit: agent 'ib', episode 4, step 2, world W: every point"
         with pytest.raises(DegenerateUpdateError, match=expected):
             _rollout(cfg, "ib", 4, state, deterministic_grid(1), env_step, 5, ", world W")
+
+    def test_regret_column_equals_expected_regret_bit_for_bit(self):
+        """Trap and validate-classical read each step's expected regret from
+        a table built once per run; every entry a step reads must equal
+        ``expected_regret`` exactly, and every arm is read somewhere."""
+        trap = ExperimentConfig("trap-bandit", seed=11, settings={"env.runs": 4, "env.horizon": 30})
+        env = TrapWorldConfig(runs=4, horizon=30)
+
+        def trap_rewards(episode):
+            world = trap_sample_world(env, derive_stream(11, episode, ENV_STREAM))
+            return trap_expected_rewards(world, env)
+
+        validate = ExperimentConfig("validate-classical", seed=11, settings={"runs": 2, "steps": 40})
+
+        def validate_rewards(episode):
+            return np.asarray(DEFAULT_VALIDATE_PAIRS[episode // 2], dtype=float)
+
+        for cfg, rewards_of in ((trap, trap_rewards), (validate, validate_rewards)):
+            arms = set()
+            for rec in run_experiment(cfg):
+                assert rec.exp_regret == expected_regret(rewards_of(rec.episode), rec.action)
+                arms.add(rec.action)
+            assert arms == {0, 1}
 
     def test_catastrophe_rates_count_negative_reward_episodes(self):
         records = [

@@ -240,9 +240,9 @@ def count_next_history(monkeypatch, cls):
     calls = []
     original = cls.next_history
 
-    def counting(self, history, event):
+    def counting(self, history, indicator):
         calls.append(history)
-        return original(self, history, event)
+        return original(self, history, indicator)
 
     monkeypatch.setattr(cls, "next_history", counting)
     return calls

@@ -235,7 +235,7 @@ class TestJointHypothesisModel:
         m = self.model.measure([0.5, 0.5], self.tables)
         h = self.model.initial_history()
         event = self.model.observation(0, 0, self.model.arm_return(0, self.values))
-        h2 = self.model.next_history(h, event)
+        h2 = self.model.next_history(h, event.indicator)
         probs = self.model.predictive_outcome_probs(m, h2, 0)
         np.testing.assert_allclose(probs, self.tables[1, 0])
 
@@ -252,7 +252,7 @@ class TestJointHypothesisModel:
         m = self.model.measure([1.0], self.tables[:1])
         h = self.model.initial_history()
         event = self.model.observation(0, 0, self.model.arm_return(0, self.values))
-        h2 = self.model.next_history(h, event)
+        h2 = self.model.next_history(h, event.indicator)
         with pytest.raises(DegenerateUpdateError):
             self.model.predictive_outcome_probs(m, h2, 0)
 
@@ -285,10 +285,9 @@ def _random_bandit(kind, rng):
             )
         )
     h = model.initial_history()
-    g = model.arm_return(0, np.ones((arms, model.outcome_count)))
     for _ in range(int(rng.integers(0, 9))):
         arm, outcome = int(rng.integers(arms)), int(rng.integers(model.outcome_count))
-        h = model.next_history(h, model.observation(arm, outcome, g))
+        h = model.next_history(h, (arm, outcome))
     return model, m, h
 
 
@@ -431,7 +430,7 @@ class TestPosteriorMemo:
         for k, (which, arm, outcome) in enumerate(steps):
             event = model.observation(arm, outcome % outcomes, g)
             yield histories[which], event, k
-            histories[which] = model.next_history(histories[which], event)
+            histories[which] = model.next_history(histories[which], event.indicator)
 
     @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
     @settings(max_examples=8, deadline=None)
@@ -451,6 +450,33 @@ class TestPosteriorMemo:
                     _reference_arm_posterior(m.arms[a], h.pulls[a], h.successes[a]).tolist()
                     for a in (0, 1)
                 ]
+
+    def test_joint_memo_rewrites_one_slice_only_where_that_is_exact(self):
+        """Consecutive queries on one measure whose counts move by one
+        increment, in several cells, by one decrement, back to 0 in a cell
+        that hypothesis 1 rules out (``log p = -inf``), and by one increment
+        into a cell that hypothesis 0 rules out. Each step must match a cold
+        measure and the reference posterior bit for bit."""
+        tables = [
+            ((0, 0, 0), (0, 0, 0)),
+            ((0, 0, 1), (0, 0, 0)),  # one increment: slice rewrite
+            ((1, 0, 1), (0, 2, 0)),  # several cells: full rebuild
+            ((1, 0, 1), (0, 1, 0)),  # one decrement, still positive: slice
+            ((1, 0, 0), (0, 1, 0)),  # back to 0 where log p = -inf: full
+            ((1, 0, 0), (0, 1, 1)),  # one increment where log p = -inf: slice
+            ((1, 0, 0), (0, 1, 1)),  # unchanged: memo hit
+            ((3, 0, 0), (0, 1, 1)),  # one cell moved by 2: slice
+        ]
+        g = self.JOINT.arm_return(0, self.VALUES["joint"])
+        m = self._measure("joint")
+        for k, counts in enumerate(tables):
+            h = OutcomeCountHistory(counts)
+            event = self.JOINT.observation(k % 2, k % 3, g)
+            got = self._observables("joint", m, h, event, k)
+            assert m.memo[0][0] == counts
+            assert got == self._observables("joint", self._measure("joint"), h, event, k)
+            reference = _reference_joint_posterior(m.weights, m.outcome_probs, counts)
+            assert got["posterior"] == reference.tolist()
 
     @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
     def test_memo_holds_one_entry_per_arm_after_a_long_walk(self, kind):
