@@ -52,21 +52,22 @@ from .worldmodels import BanditModel, NewcombModel, ReturnFunction, WorldModel
 @dataclass(frozen=True)
 class Policy:
     """A distribution over actions; entry 0 is the one-boxing or arm-1
-    probability in two-action problems."""
+    probability in two-action problems.
+
+    ``deterministic_action`` is the action a one-hot policy always takes
+    (``None`` otherwise), computed once; it stays out of ``==``, ``hash``
+    and ``repr``."""
 
     action_probs: tuple[float, ...]
+    deterministic_action: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.action_probs)
-        if p.size == 0 or p.min() < -VALUE_TOL or abs(p.sum() - 1.0) > VALUE_TOL:
+        if p.size == 0 or not (p.min() >= -VALUE_TOL and abs(p.sum() - 1.0) <= VALUE_TOL):
             raise ConfigError("policy probabilities must be nonnegative and sum to 1")
-
-    @property
-    def deterministic_action(self) -> int | None:
         top = int(np.argmax(self.action_probs))
-        if self.action_probs[top] >= 1.0 - 1e-12:
-            return top
-        return None
+        det = top if self.action_probs[top] >= 1.0 - 1e-12 else None
+        object.__setattr__(self, "deterministic_action", det)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,13 @@ posterior for the joint model. A point asks for the same posterior several
 times per step (per arm in the value pass, again in ``restrict``), and between
 steps only the pulled arm's counts move, so a point builds one posterior per
 observation, rewriting one cell of joint terms. A memo hit returns the very
-array the same numpy operations produced on the miss: no bit changes.
+array the same numpy operations produced on the miss: no bit changes. An
+independent arm with one component (a point hypothesis, as in every corner
+of a Knightian box) bypasses both the memo and the arithmetic: its posterior
+is a shared read-only ``[1.0]`` and its predictive is its ``p``, which is
+what the general formula gives on every possible history. An impossible
+history (a success under ``p == 0``, a failure under ``p == 1``) still
+raises, on every call.
 
 scipy is imported lazily, inside the functions that use it
 (``log_branch_probability`` here, ``inframeasure._convex_dominated``), and
@@ -202,9 +208,9 @@ def _check_weights(weights: Sequence[float]) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
         raise RepresentationError("empty weight vector")
-    if w.min() < -WEIGHT_TOL:
+    if not w.min() >= -WEIGHT_TOL:
         raise RepresentationError("mixture weights must be nonnegative")
-    if abs(w.sum() - 1.0) > WEIGHT_TOL:
+    if not abs(w.sum() - 1.0) <= WEIGHT_TOL:
         raise RepresentationError(f"mixture weights sum to {w.sum()!r}, expected 1")
     return w
 
@@ -234,6 +240,7 @@ class BanditModel(WorldModel):
         if (
             not isinstance(ind, tuple)
             or len(ind) != 2
+            or not isinstance(ind[0], int)
             or not 0 <= ind[0] < self.arm_count
             or not isinstance(ind[1], int)
             or not 0 <= ind[1] < self.outcome_count
@@ -409,7 +416,8 @@ class BernoulliArmMeasure:
 
     ``tables[j]`` holds arm ``j``'s read-only log tables and ``memo[j]`` the
     last ``((pulls, successes), posterior weights)`` computed for it (``None``
-    before the first); neither takes part in equality or hashing.
+    before the first, and always for a one-component arm); neither takes
+    part in equality or hashing. NaN weights or probabilities are rejected.
     """
 
     arms: tuple[tuple[tuple[float, float], ...], ...]
@@ -425,11 +433,11 @@ class BernoulliArmMeasure:
                 raise RepresentationError("every arm needs at least one component")
             w = np.array([c for c, _ in components], dtype=float)
             p = np.array([q for _, q in components], dtype=float)
-            if w.min() < -WEIGHT_TOL:
+            if not w.min() >= -WEIGHT_TOL:
                 raise RepresentationError("component weights must be nonnegative")
-            if abs(w.sum() - 1.0) > WEIGHT_TOL:
+            if not abs(w.sum() - 1.0) <= WEIGHT_TOL:
                 raise RepresentationError(f"arm weights sum to {w.sum()!r}, expected 1")
-            if p.min() < 0.0 or p.max() > 1.0:
+            if not (p.min() >= 0.0 and p.max() <= 1.0):
                 raise RepresentationError("success probabilities must lie in [0, 1]")
             with np.errstate(divide="ignore", invalid="ignore"):
                 logs = np.log(w), np.log(p), np.log1p(-p)
@@ -464,12 +472,25 @@ def _arm_log_weights(table: ArmTable, pulls: int, successes: int) -> np.ndarray:
     return lw
 
 
+# Posterior weights of a one-component arm: ``[1.0]`` on every possible history.
+_POINT_WEIGHT = _read_only(np.ones(1))
+
+
 def _arm_posterior(
     measure: BernoulliArmMeasure, history: BanditHistory, arm: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized posterior weights and success probabilities for one arm,
-    both read-only; served from the arm's memo when its counts are unchanged."""
+    both read-only; served from the arm's memo when its counts are unchanged.
+    A one-component arm skips the memo and gets the shared ``[1.0]``: its
+    weight is ``exp(0.0) / 1.0`` on any history that does not raise."""
     table = measure.tables[arm]
+    if table.p.size == 1:
+        q = table.p[0]
+        if (q == 0.0 and history.successes[arm] > 0) or (
+            q == 1.0 and history.pulls[arm] > history.successes[arm]
+        ):
+            raise DegenerateUpdateError("history is impossible under every component of this arm")
+        return _POINT_WEIGHT, table.p
     key = (history.pulls[arm], history.successes[arm])
     hit = measure.memo[arm]
     if hit is not None and hit[0] == key:
@@ -489,9 +510,10 @@ def predictive(measure: BernoulliArmMeasure, history: BanditHistory, arm: int) -
 
     Component weights are reweighted by the likelihood of the arm's observed
     counts and renormalized, so this is exactly the discrete-grid Bayes
-    posterior predictive."""
+    posterior predictive. A one-component arm returns its ``p`` itself, which
+    is what ``np.dot([1.0], p)`` gives."""
     w, p = _arm_posterior(measure, history, arm)
-    return float(np.dot(w, p))
+    return float(p[0]) if p.size == 1 else float(np.dot(w, p))
 
 
 def log_branch_probability(measure: BernoulliArmMeasure, history: BanditHistory) -> float:
@@ -794,14 +816,14 @@ class JointHypothesisMeasure:
         w = np.asarray(self.weights, dtype=float)
         if w.size == 0:
             raise RepresentationError("joint measure needs at least one hypothesis")
-        if w.min() < -WEIGHT_TOL or abs(w.sum() - 1.0) > WEIGHT_TOL:
+        if not (w.min() >= -WEIGHT_TOL and abs(w.sum() - 1.0) <= WEIGHT_TOL):
             raise RepresentationError("hypothesis weights must be nonnegative and sum to 1")
         probs = np.array(self.outcome_probs, dtype=float)
         if probs.ndim != 3 or probs.shape[0] != w.size:
             raise RepresentationError("need one (arm, outcome) probability table per hypothesis")
-        if probs.min() < 0.0:
+        if not probs.min() >= 0.0:
             raise RepresentationError("outcome probabilities must be nonnegative")
-        if np.abs(probs.sum(axis=2) - 1.0).max() > WEIGHT_TOL:
+        if not np.abs(probs.sum(axis=2) - 1.0).max() <= WEIGHT_TOL:
             raise RepresentationError("each arm's outcome probabilities must sum to 1")
         with np.errstate(divide="ignore"):
             log_weights = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
@@ -875,7 +897,10 @@ class JointHypothesisBanditModel(BanditModel):
     ) -> np.ndarray:
         """Posterior hypothesis weights, read-only; served from the measure's
         memo when the counts are unchanged. If one cell moved to a positive
-        count, only its slice of the memo's ``count * log p`` terms is redone."""
+        count, only its slice of the memo's ``count * log p`` terms is redone.
+        A count table that is not ``(arms, outcomes)`` raises
+        ``RepresentationError``; only a full rebuild checks, since a memo hit
+        or a one-cell change keeps the shape the memo was checked at."""
         counts = history.counts
         hit = measure.memo[0]
         if hit is not None and hit[0] == counts:
@@ -886,6 +911,9 @@ class JointHypothesisBanditModel(BanditModel):
             terms = hit[1].copy()
             terms[:, arm, outcome] = counts[arm][outcome] * measure.log_probs[:, arm, outcome]
         else:
+            arms, outcomes = measure.probs.shape[1:]
+            if len(counts) != arms or any(len(row) != outcomes for row in counts):
+                raise RepresentationError("count table must be (arms, outcomes)")
             c = np.asarray(counts, dtype=float)
             with np.errstate(invalid="ignore"):
                 terms = np.where(c > 0, c * measure.log_probs, 0.0)

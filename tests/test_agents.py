@@ -10,6 +10,7 @@ import ibrl.agents
 from ibrl import (
     STATELESS,
     AMeasure,
+    BernoulliArmMeasure,
     BernoulliArmsModel,
     ConfigError,
     ContractViolationError,
@@ -59,11 +60,26 @@ class TestPolicy:
             Policy((0.5, 0.2))
         with pytest.raises(ConfigError):
             Policy((-0.1, 1.1))
+        with pytest.raises(ConfigError):
+            Policy((float("nan"), 1.0))
 
     def test_deterministic_action_detection(self):
         assert Policy((1.0, 0.0)).deterministic_action == 0
         assert Policy((0.0, 1.0)).deterministic_action == 1
         assert Policy((0.5, 0.5)).deterministic_action is None
+
+    def test_deterministic_action_is_computed_once_and_stays_out_of_comparisons(self):
+        """Newcomb keys its reward moments by ``Policy``, so equality, hash
+        and ``repr`` must be those of ``action_probs`` alone."""
+        for probs, det in [((1.0, 0.0), 0), ((0.3, 0.7), None), ((0.0, 0.0, 1.0), 2)]:
+            policy = Policy(probs)
+            assert policy.deterministic_action == det
+            assert policy == Policy(probs) and policy != Policy((0.5,) * 2)
+            assert hash(policy) == hash((probs,))
+            assert repr(policy) == f"Policy(action_probs={probs!r})"
+            assert {Policy(probs): 1}[policy] == 1
+        with pytest.raises(TypeError):
+            Policy((1.0, 0.0), deterministic_action=1)
 
     def test_two_action_grid_contains_both_extremes(self):
         grid = policy_grid(2, 0.25)
@@ -244,6 +260,25 @@ class TestBayesSelect:
         )
         picks = {bayes_select(state) for _ in range(32)}
         assert picks == {0, 1}
+
+    def test_thompson_on_point_arms_draws_like_the_general_path(self):
+        """Point arms skip the posterior arithmetic but still draw their one
+        component from the stream, as a twin whose extra zero-weight
+        component keeps it on the general path does."""
+        model = BernoulliArmsModel(2)
+        point = model.point_measure([0.4, 0.4])
+        twin = BernoulliArmMeasure((((1.0, 0.4), (0.0, 0.9)),) * 2)
+        states = [
+            make_agent(singleton_belief(model, m), np.random.default_rng(3), "bayes_thompson", VALUES)
+            for m in (point, twin)
+        ]
+        actions = [[], []]
+        for t in range(40):
+            for i, state in enumerate(states):
+                actions[i].append(bayes_select(state))
+                states[i] = ib_observe(state, actions[i][-1], float(t % 3 == 0))
+        assert actions[0] == actions[1] and set(actions[0]) == {0, 1}
+        assert states[0].rng.bit_generator.state == states[1].rng.bit_generator.state
 
     def test_multi_point_belief_is_rejected(self):
         model = BernoulliArmsModel(2)
@@ -431,6 +466,7 @@ class TestClassicalObservation:
             (0, float("nan"), ConfigError),
             (0, support[0] + 0.25, ConfigError),
             (model.arm_count, support[0], RepresentationError),
+            (0.5, support[-1], RepresentationError),
         ]
         for action, reward, error in cases:
             for flavor in ("ib_maximin", "bayes_greedy", "bayes_thompson"):

@@ -318,7 +318,7 @@ class TestBanditSurface:
         )
         g = model.arm_return(0, np.ones((2, model.outcome_count)))
         model.observation(1, model.outcome_count - 1, g)
-        for arm, outcome in [(2, 0), (-1, 0), (0, model.outcome_count), (0, -1)]:
+        for arm, outcome in [(2, 0), (-1, 0), (0, model.outcome_count), (0, -1), (0.5, 0)]:
             with pytest.raises(RepresentationError, match="bandit events"):
                 model.observation(arm, outcome, g)
         with pytest.raises(RepresentationError, match="bandit events"):
@@ -519,6 +519,8 @@ class TestPosteriorMemo:
         arrays = [a for table in b.tables for a in table]
         arrays += [j.log_weights, j.probs, j.log_probs]
         arrays.append(_arm_posterior(b, BanditHistory((2, 0), (1, 0)), 0)[0])
+        point = BernoulliArmMeasure((((1.0, 0.3),),))
+        arrays.append(_arm_posterior(point, BanditHistory((2,), (1,)), 0)[0])
         arrays.append(self.JOINT._posterior(j, self.JOINT.initial_history()))
         for a in arrays:
             assert not a.flags.writeable
@@ -532,3 +534,143 @@ class TestPosteriorMemo:
                 warm, self._model(kind).initial_history(), self.VALUES[kind]
             )
             assert warm == cold and hash(warm) == hash(cold)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the ``DegenerateUpdateError`` it raises."""
+    try:
+        return fn(*args)
+    except DegenerateUpdateError as exc:
+        return type(exc), str(exc)
+
+
+class TestPointHypothesisArms:
+    """A one-component arm skips the posterior arithmetic. Every result must
+    equal, bit for bit, that of a twin arm whose extra zero-weight component
+    keeps it on the general path, and the reference posterior."""
+
+    PS = (0.0, 1e-300, 0.3, 0.7, 1.0 - 2.0**-53, 1.0)
+
+    @staticmethod
+    def _twins(p, q=0.45):
+        point = BernoulliArmMeasure((((1.0, p),), ((1.0, q),)))
+        twin = BernoulliArmMeasure((((1.0, p), (0.0, 0.5)), ((1.0, q), (0.0, 0.5))))
+        return point, twin
+
+    @staticmethod
+    def _history(rng, p):
+        """A history of up to 2,000 pulls per arm; arm 0's is possible under
+        ``p`` only half the time."""
+        pulls = rng.integers(0, 2001, 2).tolist()
+        successes = [int(rng.integers(0, n + 1)) for n in pulls]
+        if rng.random() < 0.5:
+            successes[0] = {0.0: 0, 1.0: pulls[0]}.get(p, successes[0])
+        return BanditHistory(tuple(pulls), tuple(successes))
+
+    @pytest.mark.parametrize("p", PS)
+    def test_predictive_equals_the_general_path_on_random_histories(self, p):
+        rng = np.random.default_rng(int(p * 1e6) + 3)
+        point, twin = self._twins(p)
+        possible = 0
+        for _ in range(300):
+            h = self._history(rng, p)
+            for arm in (0, 1):
+                got = _outcome(predictive, point, h, arm)
+                assert got == _outcome(predictive, twin, h, arm)
+                if isinstance(got, float):
+                    possible += 1
+                    assert got == [p, 0.45][arm]
+                    reference = _reference_arm_posterior(
+                        point.arms[arm], h.pulls[arm], h.successes[arm]
+                    )
+                    assert _arm_posterior(point, h, arm)[0].tolist() == reference.tolist()
+        assert possible > 300
+        assert point.memo == [None, None]
+
+    @pytest.mark.parametrize("p, history", [(0.0, ((5,), (1,))), (1.0, ((5,), (4,)))])
+    def test_impossible_histories_raise_on_every_call(self, p, history):
+        point, twin = (BernoulliArmMeasure((arm,)) for arm in (((1.0, p),), ((1.0, p), (0.0, 0.5))))
+        model, h = BernoulliArmsModel(1), BanditHistory(*history)
+        want = _outcome(predictive, twin, h, 0)
+        assert want[0] is DegenerateUpdateError
+        values = np.array([[0.0, 1.0]])
+        for _ in range(3):
+            assert _outcome(predictive, point, h, 0) == want
+            with pytest.raises(DegenerateUpdateError):
+                model.expected_action_values(point, h, values)
+            with pytest.raises(DegenerateUpdateError):
+                model.sampled_action_values(point, h, values, np.random.default_rng(0))
+        assert predictive(point, BanditHistory((5,), (5 * int(p),)), 0) == p
+
+    def test_every_bandit_path_matches_the_twin(self):
+        model = BernoulliArmsModel(2)
+        values = np.array([[0.1, 0.9], [0.3, 0.6]])
+        g = model.arm_return(0, values)
+
+        def observables(m, h, event, seed):
+            r = model.restrict(m, h, event)
+            return (
+                model.expected_action_values(m, h, values).tolist(),
+                r.scale_factor,
+                r.offbranch_value,
+                model.sampled_action_values(m, h, values, np.random.default_rng(seed)).tolist(),
+            )
+
+        rng = np.random.default_rng(11)
+        for p in self.PS:
+            point, twin = self._twins(p)
+            for k in range(50):
+                h = self._history(rng, p)
+                event = model.observation(k % 2, int(rng.integers(2)), g)
+                want = _outcome(observables, twin, h, event, k)
+                assert _outcome(observables, point, h, event, k) == want
+
+
+class TestNaNIsRejected:
+    """Every comparison with NaN is false, so each range check must be
+    written to fail on NaN."""
+
+    NAN = float("nan")
+
+    def test_bernoulli_probability(self):
+        with pytest.raises(RepresentationError, match="success probabilities"):
+            BernoulliArmMeasure((((1.0, self.NAN),),))
+
+    def test_bernoulli_weight(self):
+        with pytest.raises(RepresentationError):
+            BernoulliArmMeasure((((self.NAN, 0.5),),))
+        with pytest.raises(RepresentationError):
+            BernoulliArmMeasure((((0.5, 0.2), (self.NAN, 0.5)),))
+
+    def test_joint_weight(self):
+        with pytest.raises(RepresentationError, match="hypothesis weights"):
+            JointHypothesisMeasure((self.NAN,), (((0.5, 0.5),),))
+        with pytest.raises(RepresentationError, match="hypothesis weights"):
+            JointHypothesisMeasure((1.0, self.NAN), (((0.5, 0.5),), ((0.5, 0.5),)))
+
+    def test_joint_probability(self):
+        with pytest.raises(RepresentationError, match="outcome probabilities"):
+            JointHypothesisMeasure((1.0,), (((self.NAN, 0.5),),))
+
+    def test_mixture_and_action_weights(self):
+        model = BernoulliArmsModel(2)
+        with pytest.raises(RepresentationError):
+            model.policy_return([self.NAN, 1.0], np.ones((2, 2)))
+        with pytest.raises(RepresentationError):
+            model.mix([model.point_measure([0.3, 0.4])] * 2, [self.NAN, 1.0])
+
+
+class TestMalformedCountTables:
+    MODEL = JointHypothesisBanditModel(2, (0.0, 0.5, 1.0))
+    TABLES = (((0.2, 0.3, 0.5), (0.6, 0.4, 0.0)), ((0.5, 0.5, 0.0), (0.1, 0.1, 0.8)))
+
+    @pytest.mark.parametrize(
+        "counts", [((0, 0, 1),), ((0, 0, 1), (0, 0, 0), (0, 0, 0)), ((0, 0, 1), (0, 0))]
+    )
+    def test_mis_shaped_count_tables_are_rejected(self, counts):
+        """A one-row table must not be broadcast over both arms."""
+        m = self.MODEL.measure((0.8, 0.2), self.TABLES)
+        for _ in range(2):  # cold memo, then warm
+            with pytest.raises(RepresentationError, match=r"\(arms, outcomes\)"):
+                self.MODEL._posterior(m, OutcomeCountHistory(counts))
+            self.MODEL._posterior(m, self.MODEL.initial_history())
