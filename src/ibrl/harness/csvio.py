@@ -27,25 +27,27 @@ CSV_COLUMNS = (
 
 
 def _row(record) -> tuple:
-    """One CSV row: strings as text, ints as ints (the writer renders them
-    with ``str``), floats pre-formatted at 6 decimals."""
+    """One CSV row from a ``RunRecord``: the six leading fields (two names,
+    four ints) pass through as stored, for the writer to render with
+    ``str``, and the four floats are pre-formatted at 6 decimals."""
+    experiment, agent, seed, episode, step, action, reward, exp_regret, cum_regret, cum_exp = record
     return (
-        str(record.experiment),
-        str(record.agent),
-        int(record.seed),
-        int(record.episode),
-        int(record.step),
-        int(record.action),
-        f"{float(record.reward):.6f}",
-        f"{float(record.exp_regret):.6f}",
-        f"{float(record.cum_regret):.6f}",
-        f"{float(record.cum_exp_regret):.6f}",
+        experiment,
+        agent,
+        seed,
+        episode,
+        step,
+        action,
+        f"{reward:.6f}",
+        f"{exp_regret:.6f}",
+        f"{cum_regret:.6f}",
+        f"{cum_exp:.6f}",
     )
 
 
 def emit_csv(records: Iterable[object], path: str) -> None:
-    """Write a header row plus one row per record, floats at 6 decimals,
-    every row newline-terminated."""
+    """Write a header row plus one row per ``RunRecord``, floats at 6
+    decimals, every row newline-terminated."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")

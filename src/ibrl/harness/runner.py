@@ -11,7 +11,9 @@ exact because conditioning on a Newcomb observation is the identity. Every
 episode of a cell starts from the same ``AgentState``, on which the agent
 memoizes its tied candidates and its successor belief, so a cell runs one
 value pass and one conditioning, while each tied selection still draws from
-the cell's agent stream.
+the cell's agent stream. What does not depend on the cell is built once per
+sweep (the candidate policy grid), and what does not depend on the episode
+once per cell (every candidate's reward moments, in one array pass).
 
 All randomness flows through named streams derived from
 ``(seed, unit indices, role)``, so any run unit can be reproduced in
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,9 +84,12 @@ def derive_stream(*keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(k) for k in keys]))
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One step of one rollout; the row format of every emitted CSV."""
+class RunRecord(NamedTuple):
+    """One step of one rollout; the row format of every emitted CSV.
+
+    A named tuple, so it is cheap to build and its fields are the CSV
+    columns in order. It is immutable and compares equal to the plain tuple
+    of its values."""
 
     experiment: str
     agent: str
@@ -479,6 +484,9 @@ def run_newcomb_sweep(
         _pair_setting(cfg, "matrix.onebox", (10.0, 0.0)),
         _pair_setting(cfg, "matrix.twobox", (11.0, 1.0)),
     )
+    # One grid serves every cell: the agent's tie memo lives on each cell's
+    # own state, keyed by the grid's identity.
+    candidates = policy_grid(2, pstep)
     alphas = _newcomb_alphas(cfg)
 
     records: list[RunRecord] = []
@@ -491,13 +499,11 @@ def run_newcomb_sweep(
         # Conditioning on a Newcomb observation is the identity, so every
         # episode is a one-step rollout from this same initial state.
         state = make_agent(classical_belief(model, STATELESS), agent_rng, "ib_maximin")
-        candidates = policy_grid(2, pstep)
         # Reward moments of every candidate, once per cell. The best mean is
         # taken over the same candidate values the agent compares, so the
         # regret column is exactly nonnegative.
-        moments = {
-            pol: newcomb_reward_moments(pol.action_probs[0], model) for pol in candidates.policies
-        }
+        means, seconds = newcomb_reward_moments(candidates.probs[:, 0], model)
+        moments = dict(zip(candidates.policies, zip(means.tolist(), seconds.tolist())))
         best = max(mean for mean, _ in moments.values())
         label = f"ib_alpha{alpha:.2f}"
         # Per episode: one-boxing probability, reward, and reward moments.

@@ -505,6 +505,15 @@ def _arm_posterior(
     return w, table.p
 
 
+def _draw_index(w: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn with probability ``w[i]``: the algorithm of
+    ``rng.choice(w.size, p=w)`` without its per-call validation of ``w``,
+    so it returns the same index and draws the same one uniform."""
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def predictive(measure: BernoulliArmMeasure, history: BanditHistory, arm: int) -> float:
     """Posterior-predictive success probability of the next pull of ``arm``.
 
@@ -591,6 +600,10 @@ class BernoulliArmsModel(BanditModel):
         if len(measure.arms) != self.arm_count:
             raise RepresentationError("measure has the wrong arm count")
 
+    def _check_history(self, history: BanditHistory) -> None:
+        if len(history.pulls) != self.arm_count:
+            raise RepresentationError("history has the wrong arm count")
+
     def point_measure(self, probs: Sequence[float]) -> BernoulliArmMeasure:
         """Single-hypothesis measure fixing each arm's success probability."""
         if len(probs) != self.arm_count:
@@ -608,6 +621,7 @@ class BernoulliArmsModel(BanditModel):
     def expected_action_values(
         self, measure: BernoulliArmMeasure, history: BanditHistory, values: np.ndarray
     ) -> np.ndarray:
+        self._check_history(history)
         out = np.empty(self.arm_count)
         for arm in range(self.arm_count):
             p1 = predictive(measure, history, arm)
@@ -623,16 +637,18 @@ class BernoulliArmsModel(BanditModel):
     ) -> np.ndarray:
         """Expected return per arm under one hypothesis component per arm,
         sampled proportionally to its posterior weight."""
+        self._check_history(history)
         out = np.empty(self.arm_count)
         for arm in range(self.arm_count):
             w, p = _arm_posterior(measure, history, arm)
-            q = p[rng.choice(w.size, p=w)]
+            q = p[_draw_index(w, rng)]
             out[arm] = (1.0 - q) * values[arm, 0] + q * values[arm, 1]
         return out
 
     def restrict(
         self, measure: BernoulliArmMeasure, history: BanditHistory, event: ObservationEvent
     ) -> Restriction:
+        self._check_history(history)
         arm, outcome = event.indicator
         p1 = predictive(measure, history, arm)
         p_obs = p1 if outcome == 1 else 1.0 - p1
@@ -775,13 +791,15 @@ def newcomb_expected_reward(p_one_box: float, model: NewcombModel) -> float:
     return float(_newcomb_expectation(p_one_box, model.accuracy, m))
 
 
-def newcomb_reward_moments(p_one_box: float, model: NewcombModel) -> tuple[float, float]:
-    """First and second moments of the reward of the policy that one-boxes
-    with probability ``p``."""
+def newcomb_reward_moments(p_one_box, model: NewcombModel) -> tuple[np.ndarray, np.ndarray]:
+    """First and second moments of the reward of the policies that one-box
+    with probabilities ``p_one_box`` (an array, such as a policy grid's
+    one-boxing column), one entry per policy. Each entry equals the moment
+    of that one policy computed alone."""
     m = np.asarray(model.reward_matrix, dtype=float)
     return (
-        float(_newcomb_expectation(p_one_box, model.accuracy, m)),
-        float(_newcomb_expectation(p_one_box, model.accuracy, m * m)),
+        _newcomb_expectation(p_one_box, model.accuracy, m),
+        _newcomb_expectation(p_one_box, model.accuracy, m * m),
     )
 
 
@@ -947,7 +965,7 @@ class JointHypothesisBanditModel(BanditModel):
         """Expected return per arm under one joint hypothesis sampled from the
         posterior (hypotheses are joint, so one draw covers every arm)."""
         post = self._posterior(measure, history)
-        c = rng.choice(post.size, p=post)
+        c = _draw_index(post, rng)
         return np.einsum("jo,jo->j", measure.probs[c], values)
 
     def restrict(

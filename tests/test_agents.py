@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ibrl.agents
+import ibrl.harness.runner
 from ibrl import (
     STATELESS,
     AMeasure,
@@ -611,6 +612,20 @@ class TestMemo:
         _, cells = run_newcomb_sweep(ExperimentConfig("newcomb", seed=7, settings={"episodes": 40}))
         assert len(cells) == 51
         assert len(conditionings) == len(cells)
+
+    def test_newcomb_sweep_builds_one_policy_grid(self, monkeypatch):
+        """Every cell scores the same candidates, so the sweep builds the
+        grid once and shares it; each cell's tie memo is on its own state."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return policy_grid(*args)
+
+        monkeypatch.setattr(ibrl.harness.runner, "policy_grid", counting)
+        _, cells = run_newcomb_sweep(ExperimentConfig("newcomb", seed=7, settings={"episodes": 3}))
+        assert len(cells) == 51
+        assert calls == [(2, 0.1)]
 
     def test_memo_is_not_state(self):
         state = newcomb_state(3)

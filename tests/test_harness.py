@@ -154,6 +154,21 @@ class TestCsv:
         base.update(overrides)
         return RunRecord(**base)
 
+    def test_record_fields_are_the_csv_columns(self):
+        assert RunRecord._fields == CSV_COLUMNS
+
+    def test_keyword_and_positional_records_are_equal(self):
+        values = ("ku-bandit", "ib", 42, 0, 0, 1, 1.0, 0.3, 0.7, 0.3)
+        assert RunRecord(*values) == self.record()
+        assert self.record().reward == 1.0 and self.record().agent == "ib"
+        # A record is a named tuple: it equals the plain tuple of its values.
+        assert self.record() == values
+
+    def test_records_are_immutable(self):
+        record = self.record()
+        with pytest.raises(AttributeError):
+            record.reward = 0.0
+
     def test_header_matches_the_record_contract(self, tmp_path):
         path = tmp_path / "out.csv"
         emit_csv([self.record()], path)
@@ -339,6 +354,25 @@ class TestRunners:
                 assert rec.exp_regret == expected_regret(rewards_of(rec.episode), rec.action)
                 arms.add(rec.action)
             assert arms == {0, 1}
+
+    def test_records_hold_plain_python_values(self):
+        """The CSV writer passes the six leading fields through as stored,
+        so every runner must store names as ``str`` and counts as ``int``
+        (and the four regret and reward columns as ``float``)."""
+        plain = (str, str, int, int, int, int, float, float, float, float)
+        for cfg in (
+            ExperimentConfig("validate-classical", seed=3, settings={"runs": 1, "steps": 20}),
+            ExperimentConfig("ku-bandit", seed=3, settings={"steps": 20}),
+            ExperimentConfig("newcomb", seed=3, settings={"episodes": 5}),
+            ExperimentConfig("trap-bandit", seed=3, settings={"env.runs": 3, "env.horizon": 20}),
+        ):
+            for rec in run_experiment(cfg):
+                assert tuple(type(v) for v in rec) == plain
+
+    def test_newcomb_policy_step_is_checked_before_the_alpha_range(self):
+        settings = {"policy.step": 0.0, "alpha.min": 0.9, "alpha.max": 0.5}
+        with pytest.raises(ConfigError, match="grid step"):
+            run_newcomb_sweep(ExperimentConfig("newcomb", seed=1, settings=settings))
 
     def test_catastrophe_rates_count_negative_reward_episodes(self):
         records = [

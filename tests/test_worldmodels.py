@@ -25,7 +25,15 @@ from ibrl import (
     observe,
     predictive,
 )
-from ibrl.worldmodels import _arm_posterior
+from ibrl.agents import policy_grid
+from ibrl.worldmodels import (
+    _POINT_WEIGHT,
+    DEFAULT_NEWCOMB_MATRIX,
+    _arm_posterior,
+    _draw_index,
+    _read_only,
+    newcomb_reward_moments,
+)
 
 
 class TestFiniteOutcomeMeasure:
@@ -197,6 +205,23 @@ class TestNewcomb:
     def test_accuracy_outside_half_one_rejected(self):
         with pytest.raises(ConfigError):
             NewcombModel(accuracy=0.2)
+
+    @pytest.mark.parametrize(
+        "matrix", [DEFAULT_NEWCOMB_MATRIX, ((10.0, -5.0), (11.0, 1.0)), ((1.3, -0.7), (2.9, 0.1))]
+    )
+    def test_array_moments_equal_the_scalar_moments_bit_for_bit(self, matrix):
+        """A cell computes every candidate's moments in one array pass; each
+        entry must equal the one policy's moments computed alone."""
+        for step in (0.1, 0.05, 0.01, 0.25, 0.3, 0.07):
+            column = policy_grid(2, step).probs[:, 0]
+            for i in range(51):
+                model = NewcombModel(matrix, accuracy=round(0.5 + i * 0.01, 10))
+                means, seconds = newcomb_reward_moments(column, model)
+                for p, mean, second in zip(column.tolist(), means.tolist(), seconds.tolist()):
+                    alone = newcomb_reward_moments(p, model)
+                    assert mean.hex() == float(alone[0]).hex()
+                    assert second.hex() == float(alone[1]).hex()
+                    assert mean.hex() == newcomb_expected_reward(p, model).hex()
 
     def test_observation_is_an_identity_update(self):
         """The predictor experiment has no informative feedback between
@@ -674,3 +699,55 @@ class TestMalformedCountTables:
             with pytest.raises(RepresentationError, match=r"\(arms, outcomes\)"):
                 self.MODEL._posterior(m, OutcomeCountHistory(counts))
             self.MODEL._posterior(m, self.MODEL.initial_history())
+
+
+class TestBanditHistoryArmCount:
+    MODEL = BernoulliArmsModel(2)
+    VALUES = np.array([[0.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "history", [BanditHistory((0, 0, 5), (0, 0, 5)), BanditHistory((1,), (1,))]
+    )
+    def test_wrong_arm_count_is_rejected_on_every_path(self, history):
+        """A three-arm history must not be truncated, nor a one-arm history
+        indexed past its end."""
+        m = self.MODEL.grid_measure([0.25, 0.75])
+        event = self.MODEL.observation(0, 1, self.MODEL.arm_return(0, self.VALUES))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for call in (
+            lambda: self.MODEL.expected_action_values(m, history, self.VALUES),
+            lambda: self.MODEL.sampled_action_values(m, history, self.VALUES, rng),
+            lambda: self.MODEL.restrict(m, history, event),
+        ):
+            with pytest.raises(RepresentationError, match="arm count"):
+                call()
+        assert rng.bit_generator.state == before
+
+
+class TestThompsonDraw:
+    """Both ``sampled_action_values`` draw through ``_draw_index``, which
+    must pick the index ``rng.choice(w.size, p=w)`` picks and leave the
+    generator in the same state."""
+
+    @staticmethod
+    def assert_like_choice(w, seed):
+        ours, theirs, one = (np.random.default_rng(seed) for _ in range(3))
+        assert _draw_index(w, ours) == theirs.choice(w.size, p=w)
+        one.random()
+        assert ours.bit_generator.state == theirs.bit_generator.state == one.bit_generator.state
+
+    def test_random_posteriors_with_zero_entries(self):
+        source = np.random.default_rng(2024)
+        for _ in range(3000):
+            size = int(source.integers(1, 12))
+            w = source.random(size)
+            w[source.random(size) < 0.3] = 0.0
+            if w.sum() == 0.0:
+                w[int(source.integers(size))] = 1.0
+            self.assert_like_choice(_read_only(w / w.sum()), int(source.integers(2**32)))
+
+    def test_one_component_posteriors_draw_one_uniform(self):
+        for seed in range(50):
+            self.assert_like_choice(_POINT_WEIGHT, seed)
+            self.assert_like_choice(np.array([1.0]), seed)
