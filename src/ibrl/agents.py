@@ -16,11 +16,13 @@ posterior-predictive expected return on a single-point belief; a maximin
 agent whose belief is a single point makes identical choices, which is the
 classical-recovery property the test suite pins down.
 
-Observation handling differs by flavor: the maximin flavor builds an event and
-runs the full conditioning pipeline of ``updates.condition`` (restrict,
-renormalize, prune, and the handling of observations that refute some points);
-classical flavors build none, keep their points and pass the validated
-``(arm, outcome)`` pair to ``WorldModel.next_history``, an ordinary Bayes update.
+Observation handling differs by flavor: the maximin flavor runs the full
+conditioning pipeline of ``updates.condition`` (restrict, renormalize, prune,
+and the handling of observations that refute some points) on an event;
+classical flavors keep their points and pass the validated ``(arm, outcome)``
+pair to ``WorldModel.next_history``, an ordinary Bayes update. A maximin bandit
+agent's events are fixed by its return function, so ``make_agent`` builds
+them once, one per ``(arm, outcome)``, and every observation reuses one.
 
 Both ``select_policy`` and ``ib_observe`` are pure functions of an immutable
 ``AgentState``, so each memoizes its work on the state it is given: the tied
@@ -46,7 +48,7 @@ import numpy as np
 from .errors import ConfigError, ContractViolationError, RepresentationError
 from .inframeasure import VALUE_TOL, Infradistribution, lower_expectations
 from .updates import condition
-from .worldmodels import BanditModel, NewcombModel, ReturnFunction, WorldModel
+from .worldmodels import BanditModel, NewcombModel, ObservationEvent, ReturnFunction, WorldModel
 
 
 @dataclass(frozen=True)
@@ -126,8 +128,12 @@ class AgentState:
     every policy is scored on it, classical selection reads its ``values``
     table, and on bandits it is the off-branch return of every observation.
     It compares by identity, so it stays out of ``==``. ``raw_support`` maps
-    environment rewards to outcome indices. Updates are functional: each
-    observation returns a new state sharing the same stream and ``returns``.
+    environment rewards to outcome indices. ``events[arm][outcome]`` is a
+    maximin bandit agent's observation event for that pair, built once by
+    ``make_agent`` with ``returns`` as its off-branch return (``None`` for
+    every other agent); it stays out of ``==`` and ``repr``. Updates are
+    functional: each observation returns a new state sharing the same
+    stream, ``returns`` and ``events``.
 
     ``memo`` caches the work of ``select_policy`` and ``ib_observe`` on this
     state: ``"ties"`` holds ``(grid, tied indices)`` of the last value pass,
@@ -141,6 +147,9 @@ class AgentState:
     flavor: str
     returns: ReturnFunction = field(compare=False)
     raw_support: tuple[float, ...] = (0.0, 1.0)
+    events: tuple[tuple[ObservationEvent, ...], ...] | None = field(
+        default=None, repr=False, compare=False
+    )
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -160,10 +169,12 @@ def make_agent(
     environment's rewards first if needed), on Newcomb from the model's own
     reward matrix. A Newcomb agent is ``ib_maximin`` only and takes no
     reward table; a bandit agent has one ``raw_support`` reward per outcome.
-    Anything else raises ``ConfigError`` here rather than at its first step."""
+    Anything else raises ``ConfigError`` here rather than at its first step.
+    A maximin bandit agent also gets its table of observation events."""
     if flavor not in ("ib_maximin", "bayes_greedy", "bayes_thompson"):
         raise ConfigError(f"unknown agent flavor {flavor!r}")
     model = belief.model
+    events = None
     if isinstance(model, NewcombModel):
         if flavor != "ib_maximin":
             raise ConfigError(f"a Newcomb agent is ib_maximin, not {flavor!r}")
@@ -179,6 +190,11 @@ def make_agent(
             raise ConfigError("reward convention must be nonnegative; shift it first")
         if len(raw_support) != model.outcome_count:
             raise ConfigError(f"raw_support needs one reward per outcome ({model.outcome_count})")
+        if flavor == "ib_maximin":
+            events = tuple(
+                tuple(model.observation(arm, o, returns) for o in range(model.outcome_count))
+                for arm in range(model.arm_count)
+            )
     else:
         raise RepresentationError(f"{type(model).__name__} has no policy-dependent returns")
     return AgentState(
@@ -187,6 +203,7 @@ def make_agent(
         flavor=flavor,
         returns=returns,
         raw_support=tuple(float(r) for r in raw_support),
+        events=events,
     )
 
 
@@ -231,12 +248,14 @@ def act(policy: Policy, rng: np.random.Generator) -> int:
 def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
     """Fold one observation into the belief.
 
-    The maximin flavor conditions fully through ``updates.condition``, which
-    also drops points the observation refutes when they would make
-    renormalization degenerate. Classical flavors keep the points and
+    The maximin flavor conditions fully through ``updates.condition`` on
+    its prebuilt event for the validated ``(action, outcome)`` pair;
+    conditioning also drops points the observation refutes when they would
+    make renormalization degenerate. Classical flavors keep the points and
     advance the belief's history only, with no event, which realizes the
     ordinary Bayes posterior through the world model's predictive
-    reweighting. A reward that is not a finite number raises ``ConfigError``.
+    reweighting. A reward that is not a finite number raises ``ConfigError``;
+    an arm that is not an in-range ``int`` raises ``RepresentationError``.
 
     The successor belief is memoized on ``state`` by ``(action, reward)``,
     or by one constant key on Newcomb, whose observation ignores both. An
@@ -254,14 +273,16 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
             outcome = diffs.index(min(diffs))
             if diffs[outcome] > 1e-9:
                 raise ConfigError(f"reward {reward!r} is not in the agent's support")
+            model.validate_indicator((action, outcome))
             if state.flavor == "ib_maximin":
-                belief = condition(state.belief, model.observation(action, outcome, state.returns))
+                belief = condition(state.belief, state.events[action][outcome])
             else:
-                model.validate_indicator((action, outcome))
                 history = model.next_history(state.belief.history, (action, outcome))
                 belief = Infradistribution(state.belief.points, history)
         state.memo[key] = belief
-    return AgentState(belief, state.rng, state.flavor, state.returns, state.raw_support)
+    return AgentState(
+        belief, state.rng, state.flavor, state.returns, state.raw_support, state.events
+    )
 
 
 def bayes_select(state: AgentState) -> int:

@@ -1,8 +1,9 @@
-"""Ground-truth data-generating processes and their regret arithmetic.
+"""Ground-truth data-generating processes and the expected rewards regret
+is measured against.
 
 Environments are plain functions of (config, action, stream) so that a
-rollout is reproducible from its seed alone. Expected regret is always
-computed against the best expected one-step reward available in the realized
+rollout is reproducible from its seed alone. The runners compute expected
+regret against the best expected one-step reward available in the realized
 world, using the environment's raw reward units (agents may rescale rewards
 internally; regret reporting does not).
 """
@@ -22,12 +23,6 @@ def bernoulli_step(p: float, rng: np.random.Generator) -> int:
     if not 0.0 <= p <= 1.0:
         raise ConfigError("success probability must lie in [0, 1]")
     return 1 if rng.random() < p else 0
-
-
-def expected_regret(expected_rewards: np.ndarray, action: int) -> float:
-    """Best expected reward minus the taken action's expected reward."""
-    er = np.asarray(expected_rewards, dtype=float)
-    return float(er.max() - er[action])
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +71,15 @@ def ku_probabilities(
     cfg: KUBanditConfig, action: int, rng: np.random.Generator
 ) -> tuple[float, ...]:
     """Realized per-arm probabilities for one step, after the adversary (if
-    any) has reacted to the action."""
+    any) has reacted to the action.
+
+    ``per_step_random`` draws each arm as ``lo + (hi - lo) * rng.random()``,
+    which is numpy's own algorithm for ``rng.uniform(lo, hi)``: the same
+    value from the same one uniform, without that call's overhead."""
     if cfg.mode == "fixed_point":
         return tuple(cfg.fixed_point)
     if cfg.mode == "per_step_random":
-        return tuple(rng.uniform(lo, hi) for lo, hi in cfg.intervals)
+        return tuple(lo + (hi - lo) * rng.random() for lo, hi in cfg.intervals)
     return tuple(
         lo if arm == action else hi for arm, (lo, hi) in enumerate(cfg.intervals)
     )

@@ -55,7 +55,6 @@ from ..environments import (
     NewcombEnvConfig,
     TrapWorldConfig,
     bernoulli_step,
-    expected_regret,
     ku_step,
     newcomb_step,
     trap_expected_rewards,
@@ -428,9 +427,8 @@ def _run_ku_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
 
             def env_step(policy, action):
                 reward, probs = ku_step(env, action, env_rng)
-                exp_rewards = np.asarray(probs)
-                regret = float(exp_rewards.max()) - reward
-                return float(reward), expected_regret(exp_rewards, action), regret
+                best = max(probs)
+                return float(reward), best - probs[action], best - reward
 
             records += _rollout(cfg, label, run, state, candidates, env_step, steps)
     return records

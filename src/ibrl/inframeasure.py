@@ -67,7 +67,7 @@ def evaluate(a: AMeasure, f: ReturnFunction, history: object) -> float:
 
     Zero-scale points skip the expectation entirely; the history may be
     impossible under their own measure, and their value is the offset."""
-    if f.model != a.model:
+    if f.model is not a.model and f.model != a.model:
         raise RepresentationError("return function belongs to a different world model")
     if a.scale == 0.0:
         return a.offset
@@ -88,7 +88,7 @@ class Infradistribution:
             raise RepresentationError("an infradistribution needs at least one point")
         first = self.points[0]
         for a in self.points[1:]:
-            if a.model != first.model:
+            if a.model is not first.model and a.model != first.model:
                 raise RepresentationError("all points must share one world model")
 
     @property
@@ -114,7 +114,8 @@ def lower_expectations(psi: Infradistribution, f: ReturnFunction, probs: np.ndar
     is taken as ``min`` takes it (a later point wins only when strictly
     lower), so entry ``i`` equals ``lower_expectation`` of ``f`` mixed by row
     ``i`` whenever the world model's values do."""
-    if f.model != psi.model:
+    model = psi.model
+    if f.model is not model and f.model != model:
         raise RepresentationError("return function belongs to a different world model")
     worst = None
     for a in psi.points:

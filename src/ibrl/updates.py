@@ -53,7 +53,7 @@ def raw_update(a: AMeasure, event: ObservationEvent, history: object) -> AMeasur
     observation), to the event's branch and bank the off-branch return into
     its offset. A zero-scale point is returned unchanged: its value is its
     offset whatever its measure."""
-    if event.model != a.model:
+    if event.model is not a.model and event.model != a.model:
         raise RepresentationError("event belongs to a different world model")
     if a.scale == 0.0:
         return a

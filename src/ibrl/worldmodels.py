@@ -49,7 +49,13 @@ of a Knightian box) bypasses both the memo and the arithmetic: its posterior
 is a shared read-only ``[1.0]`` and its predictive is its ``p``, which is
 what the general formula gives on every possible history. An impossible
 history (a success under ``p == 0``, a failure under ``p == 1``) still
-raises, on every call.
+raises, on every call. When every arm is such a point (every corner of a
+Knightian box), the per-arm action values depend on the value table alone,
+so the measure keeps one more one-entry memo, ``(table, values)``, keyed by
+the identity of a read-only table (a return function's table is one) and
+served read-only; each call still checks the history against the arms with
+``p`` 0 or 1 before it reads the memo. ``restrict`` returns Python floats,
+so the scales and offsets it feeds conditioning never become numpy scalars.
 
 scipy is imported lazily, inside the functions that use it
 (``log_branch_probability`` here, ``inframeasure._convex_dominated``), and
@@ -71,6 +77,11 @@ from .errors import ConfigError, DegenerateUpdateError, RepresentationError
 WEIGHT_TOL = 1e-9
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Return functions and observation events
 # ---------------------------------------------------------------------------
@@ -87,7 +98,10 @@ class ReturnFunction:
     one evaluates a randomized policy). The Newcomb model reads the one-boxing
     probability ``action_probs[0]`` and evaluates its own reward matrix.
 
-    All values lie within the declared bounds ``[f_min, f_max]``.
+    All values lie within the declared bounds ``[f_min, f_max]``. ``values``
+    and ``action_probs`` are stored as read-only float copies, so a caller
+    that later writes to its own arrays cannot move the table off its
+    bounds, and a world model may key a memo on the table's identity.
     """
 
     model: "WorldModel"
@@ -102,9 +116,13 @@ class ReturnFunction:
         if self.f_min > self.f_max:
             raise RepresentationError("return-function bounds are inverted")
         if self.values is not None:
-            v = np.asarray(self.values, dtype=float)
+            v = _read_only(np.array(self.values, dtype=float))
             if v.size and (v.min() < self.f_min - WEIGHT_TOL or v.max() > self.f_max + WEIGHT_TOL):
                 raise RepresentationError("return values fall outside declared bounds")
+            object.__setattr__(self, "values", v)
+        if self.action_probs is not None:
+            probs = _read_only(np.array(self.action_probs, dtype=float))
+            object.__setattr__(self, "action_probs", probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +143,8 @@ class ObservationEvent:
     offbranch_return: ReturnFunction
 
     def __post_init__(self) -> None:
-        if self.offbranch_return.model != self.model:
+        owner = self.offbranch_return.model
+        if owner is not self.model and owner != self.model:
             raise RepresentationError("off-branch return belongs to a different world model")
         if self.offbranch_return.f_min < 0.0:
             raise RepresentationError(
@@ -391,11 +410,6 @@ class ExplicitFiniteModel(WorldModel):
 # ---------------------------------------------------------------------------
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 class ArmTable(NamedTuple):
     """One arm's component arrays, built once per measure: log weights, log
     success and log failure probabilities, and success probabilities."""
@@ -416,13 +430,20 @@ class BernoulliArmMeasure:
 
     ``tables[j]`` holds arm ``j``'s read-only log tables and ``memo[j]`` the
     last ``((pulls, successes), posterior weights)`` computed for it (``None``
-    before the first, and always for a one-component arm); neither takes
-    part in equality or hashing. NaN weights or probabilities are rejected.
+    before the first, and always for a one-component arm). When every arm
+    has one component, ``values_memo[0]`` is the last ``(table, action
+    values)`` pair of ``expected_action_values`` (``None`` before the
+    first); otherwise ``values_memo`` is ``None``. ``certain_arms`` lists the
+    one-component arms whose ``p`` is 0 or 1, the only point arms a history
+    can refute. None of these takes part in equality or hashing. NaN
+    weights or probabilities are rejected.
     """
 
     arms: tuple[tuple[tuple[float, float], ...], ...]
     tables: tuple[ArmTable, ...] = field(init=False, repr=False, compare=False)
     memo: list = field(init=False, repr=False, compare=False)
+    values_memo: list | None = field(init=False, repr=False, compare=False)
+    certain_arms: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.arms:
@@ -442,8 +463,12 @@ class BernoulliArmMeasure:
             with np.errstate(divide="ignore", invalid="ignore"):
                 logs = np.log(w), np.log(p), np.log1p(-p)
             tables.append(ArmTable(*(_read_only(a) for a in (*logs, p))))
+        point = all(t.p.size == 1 for t in tables)
+        certain = tuple(j for j, t in enumerate(tables) if t.p.size == 1 and t.p[0] in (0.0, 1.0))
         object.__setattr__(self, "tables", tuple(tables))
         object.__setattr__(self, "memo", [None] * len(self.arms))
+        object.__setattr__(self, "values_memo", [None] if point else None)
+        object.__setattr__(self, "certain_arms", certain)
 
 
 @dataclass(frozen=True)
@@ -476,6 +501,15 @@ def _arm_log_weights(table: ArmTable, pulls: int, successes: int) -> np.ndarray:
 _POINT_WEIGHT = _read_only(np.ones(1))
 
 
+def _check_point_arm(q: float, history: BanditHistory, arm: int) -> None:
+    """Raise if the history refutes a one-component arm with success
+    probability ``q``: a success under ``q == 0`` or a failure under ``q == 1``."""
+    if (q == 0.0 and history.successes[arm] > 0) or (
+        q == 1.0 and history.pulls[arm] > history.successes[arm]
+    ):
+        raise DegenerateUpdateError("history is impossible under every component of this arm")
+
+
 def _arm_posterior(
     measure: BernoulliArmMeasure, history: BanditHistory, arm: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -485,11 +519,7 @@ def _arm_posterior(
     weight is ``exp(0.0) / 1.0`` on any history that does not raise."""
     table = measure.tables[arm]
     if table.p.size == 1:
-        q = table.p[0]
-        if (q == 0.0 and history.successes[arm] > 0) or (
-            q == 1.0 and history.pulls[arm] > history.successes[arm]
-        ):
-            raise DegenerateUpdateError("history is impossible under every component of this arm")
+        _check_point_arm(table.p[0], history, arm)
         return _POINT_WEIGHT, table.p
     key = (history.pulls[arm], history.successes[arm])
     hit = measure.memo[arm]
@@ -552,9 +582,10 @@ def observe(history: BanditHistory, arm: int, reward: int) -> BanditHistory:
         raise RepresentationError("bandit rewards are 0 or 1")
     if not 0 <= arm < len(history.pulls):
         raise RepresentationError("arm index out of range")
-    pulls = tuple(n + 1 if j == arm else n for j, n in enumerate(history.pulls))
-    successes = tuple(r + reward if j == arm else r for j, r in enumerate(history.successes))
-    return BanditHistory(pulls, successes)
+    pulls, successes = list(history.pulls), list(history.successes)
+    pulls[arm] += 1
+    successes[arm] += reward
+    return BanditHistory(tuple(pulls), tuple(successes))
 
 
 def mix_measures(
@@ -621,7 +652,27 @@ class BernoulliArmsModel(BanditModel):
     def expected_action_values(
         self, measure: BernoulliArmMeasure, history: BanditHistory, values: np.ndarray
     ) -> np.ndarray:
+        """On a measure whose every arm is one point hypothesis, the values
+        depend on the table alone: a read-only table (every return
+        function's is) is served from the measure's one-entry memo, keyed by
+        its identity, as a read-only array. Each call still checks the
+        history against the arms with ``p`` 0 or 1 first."""
         self._check_history(history)
+        memo = measure.values_memo
+        if memo is None or values.flags.writeable:
+            return self._action_values(measure, history, values)
+        for arm in measure.certain_arms:
+            _check_point_arm(measure.tables[arm].p[0], history, arm)
+        hit = memo[0]
+        if hit is not None and hit[0] is values:
+            return hit[1]
+        out = _read_only(self._action_values(measure, history, values))
+        memo[0] = (values, out)
+        return out
+
+    def _action_values(
+        self, measure: BernoulliArmMeasure, history: BanditHistory, values: np.ndarray
+    ) -> np.ndarray:
         out = np.empty(self.arm_count)
         for arm in range(self.arm_count):
             p1 = predictive(measure, history, arm)
@@ -654,7 +705,7 @@ class BernoulliArmsModel(BanditModel):
         p_obs = p1 if outcome == 1 else 1.0 - p1
         off_outcome = 1 - outcome
         g = event.offbranch_return.values
-        off_value = (1.0 - p_obs) * g[arm, off_outcome]
+        off_value = (1.0 - p_obs) * float(g[arm, off_outcome])
         return Restriction(measure, p_obs, off_value)
 
     def next_history(self, history: BanditHistory, indicator: tuple[int, int]) -> BanditHistory:

@@ -429,36 +429,43 @@ def bandit_agents(kind):
     )
 
 
+@pytest.fixture
+def events(monkeypatch):
+    """Every ``ObservationEvent`` built while the test runs."""
+    built = []
+    original = ObservationEvent.__post_init__
+
+    def counting(event):
+        built.append(event)
+        original(event)
+
+    monkeypatch.setattr(ObservationEvent, "__post_init__", counting)
+    return built
+
+
 class TestClassicalObservation:
     """Classical flavors advance their history from the ``(arm, outcome)``
     pair without building an ``ObservationEvent``; they must agree with the
     maximin path on the history and on every error."""
 
-    @pytest.fixture
-    def events(self, monkeypatch):
-        built = []
-        original = ObservationEvent.__post_init__
-
-        def counting(event):
-            built.append(event)
-            original(event)
-
-        monkeypatch.setattr(ObservationEvent, "__post_init__", counting)
-        return built
-
     @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
     def test_no_event_is_built_and_the_history_matches_maximin(self, kind, events):
-        _, support, agent = bandit_agents(kind)
+        """Only ``make_agent`` builds events, one per ``(arm, outcome)`` and
+        only for the maximin agent; no observation builds one."""
+        model, support, agent = bandit_agents(kind)
         for action, reward in [(1, support[-1]), (0, support[0]), (1, support[1])]:
-            maximin = ib_observe(agent("ib_maximin"), action, reward)
-            assert [event.indicator[0] for event in events] == [action]
+            state = agent("ib_maximin")
+            pairs = [(arm, o) for arm in range(model.arm_count) for o in range(model.outcome_count)]
+            assert [event.indicator for event in events] == pairs
+            events.clear()
+            maximin = ib_observe(state, action, reward)
             for flavor in ("bayes_greedy", "bayes_thompson"):
                 state = agent(flavor)
+                assert state.events is None
                 classical = ib_observe(state, action, reward)
                 assert classical.belief.history == maximin.belief.history
                 assert classical.belief.history != state.belief.history
-            assert len(events) == 1
-            events.clear()
+            assert events == []
 
     @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
     def test_errors_match_the_maximin_path(self, kind):
@@ -467,7 +474,10 @@ class TestClassicalObservation:
             (0, float("nan"), ConfigError),
             (0, support[0] + 0.25, ConfigError),
             (model.arm_count, support[0], RepresentationError),
+            (-1, support[0], RepresentationError),
             (0.5, support[-1], RepresentationError),
+            (0.0, support[-1], RepresentationError),
+            (np.int64(1), support[-1], RepresentationError),
         ]
         for action, reward, error in cases:
             for flavor in ("ib_maximin", "bayes_greedy", "bayes_thompson"):
@@ -476,6 +486,28 @@ class TestClassicalObservation:
                     ib_observe(state, action, reward)
                 assert type(raised.value) is error
                 assert state.memo == {}
+
+
+class TestEventTable:
+    """A maximin bandit agent builds its events once, in ``make_agent``."""
+
+    def test_a_ku_run_builds_one_event_per_arm_and_outcome(self, events):
+        cfg = ExperimentConfig("ku-bandit", seed=3, settings={"steps": 200, "agents": "ib"})
+        records = ibrl.harness.runner.run_experiment(cfg)
+        assert len(records) == 200
+        assert sorted(event.indicator for event in events) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_successors_share_the_table_and_it_stays_out_of_comparisons(self):
+        belief = corner_belief(BernoulliArmsModel(2), KU_CORNERS)
+        state = make_agent(belief, np.random.default_rng(0), reward_values=VALUES)
+        table = state.events
+        assert [[e.indicator for e in row] for row in table] == [[(0, 0), (0, 1)], [(1, 0), (1, 1)]]
+        assert all(e.offbranch_return is state.returns for row in table for e in row)
+        successor = ib_observe(state, 1, 1.0)
+        assert successor.events is table
+        assert "events" not in repr(state)
+        twin = make_agent(state.belief, state.rng, reward_values=VALUES)
+        assert twin.events is not table and twin == state
 
 
 KU_CORNERS = [(a, b) for a in (0.3, 0.7) for b in (0.4, 0.8)]

@@ -10,7 +10,6 @@ from ibrl import (
     NewcombModel,
     TrapWorldConfig,
     bernoulli_step,
-    expected_regret,
     ku_probabilities,
     ku_step,
     newcomb_policy_rewards,
@@ -35,14 +34,6 @@ class TestBernoulliStep:
     def test_invalid_probability_rejected(self):
         with pytest.raises(ConfigError):
             bernoulli_step(1.2, np.random.default_rng(0))
-
-
-class TestExpectedRegret:
-    def test_best_action_has_zero_regret(self):
-        assert expected_regret(np.array([0.2, 0.7]), 1) == 0.0
-
-    def test_regret_is_the_gap_to_the_best(self):
-        np.testing.assert_allclose(expected_regret(np.array([0.2, 0.7]), 0), 0.5)
 
 
 class TestKUBandit:
@@ -87,6 +78,25 @@ class TestKUBandit:
             p = ku_probabilities(cfg, 0, rng)
             assert 0.3 <= p[0] <= 0.7
             assert 0.4 <= p[1] <= 0.8
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_per_step_random_draws_like_uniform_bit_for_bit(self, seed):
+        """Each arm's draw is ``rng.uniform(lo, hi)``'s value from the same
+        one uniform, and leaves the stream in the same state, on random
+        intervals and on degenerate ones at 0, 1 and inside."""
+        rng = np.random.default_rng(seed)
+        edges = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.25, 0.25), (0.0, 0.5), (0.5, 1.0)]
+        for _ in range(200):
+            intervals = tuple(tuple(sorted(rng.random(2).tolist())) for _ in range(3))
+            intervals += (edges[int(rng.integers(len(edges)))],)
+            cfg = KUBanditConfig(intervals=intervals, mode="per_step_random")
+            ours, theirs = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+            for _ in range(3):
+                got = ku_probabilities(cfg, 0, ours)
+                want = tuple(theirs.uniform(lo, hi) for lo, hi in intervals)
+                assert got == want
+                assert all(type(p) is float for p in got)
+                assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_step_returns_reward_and_probabilities(self):
         cfg = KUBanditConfig()
@@ -185,7 +195,7 @@ class TestTrapWorld:
         cfg = TrapWorldConfig(alpha_dgp=1.0)
         world = trap_sample_world(cfg, np.random.default_rng(0))
         expected = trap_expected_rewards(world, cfg)
-        np.testing.assert_allclose(expected_regret(expected, world.trap_arm), 9.6, atol=1e-9)
+        np.testing.assert_allclose(expected.max() - expected[world.trap_arm], 9.6, atol=1e-9)
 
     def test_step_on_safe_world_is_plain_bernoulli(self):
         cfg = TrapWorldConfig(alpha_dgp=0.0)

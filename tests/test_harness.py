@@ -10,12 +10,13 @@ from ibrl import (
     AMeasure,
     BernoulliArmsModel,
     ConfigError,
+    KUBanditConfig,
     DegenerateUpdateError,
     Infradistribution,
     NewcombModel,
     TrapWorldConfig,
     deterministic_grid,
-    expected_regret,
+    ku_step,
     make_agent,
     mix_knightian,
     newcomb_expected_reward,
@@ -332,10 +333,38 @@ class TestRunners:
         with pytest.raises(DegenerateUpdateError, match=expected):
             _rollout(cfg, "ib", 4, state, deterministic_grid(1), env_step, 5, ", world W")
 
-    def test_regret_column_equals_expected_regret_bit_for_bit(self):
+    @pytest.mark.parametrize(
+        "arm1, arm2, seed, agent, step",
+        [
+            ((0.5, 1.0), (0.4, 0.8), 5, "bayes_corner_1_0.4", 5),
+            ((0.0, 0.5), (0.0, 0.5), 6, "bayes_corner_0_0", 6),
+        ],
+    )
+    def test_a_refuted_corner_names_its_step(self, arm1, arm2, seed, agent, step):
+        """A corner agent whose ``p == 1`` arm fails, or whose ``p == 0`` arm
+        succeeds, is refuted at its next selection, which reads the point
+        measure's warm action-value memo; the error names that step."""
+        settings = {"env.mode": "per_step_random", "env.arm1": arm1, "env.arm2": arm2}
+        settings["agents"] = "corners"
+
+        def run(steps):
+            cfg = ExperimentConfig("ku-bandit", seed, settings={**settings, "steps": steps})
+            return run_experiment(cfg)
+
+        expected = (
+            f"^ku-bandit: agent '{agent}', episode 0, step {step}: "
+            "history is impossible under every component of this arm$"
+        )
+        for _ in range(2):
+            with pytest.raises(DegenerateUpdateError, match=expected):
+                run(step + 1)
+        assert run(step)
+
+    def test_regret_column_is_the_gap_to_the_best_arm_bit_for_bit(self):
         """Trap and validate-classical read each step's expected regret from
-        a table built once per run; every entry a step reads must equal
-        ``expected_regret`` exactly, and every arm is read somewhere."""
+        a table built once per run, and ku computes it in plain floats; every
+        entry must equal ``max(rewards) - rewards[action]`` taken in numpy
+        exactly, and every arm is read somewhere."""
         trap = ExperimentConfig("trap-bandit", seed=11, settings={"env.runs": 4, "env.horizon": 30})
         env = TrapWorldConfig(runs=4, horizon=30)
 
@@ -351,9 +380,24 @@ class TestRunners:
         for cfg, rewards_of in ((trap, trap_rewards), (validate, validate_rewards)):
             arms = set()
             for rec in run_experiment(cfg):
-                assert rec.exp_regret == expected_regret(rewards_of(rec.episode), rec.action)
+                rewards = rewards_of(rec.episode)
+                assert rec.exp_regret == float(rewards.max() - rewards[rec.action])
                 arms.add(rec.action)
             assert arms == {0, 1}
+
+        ku = ExperimentConfig(
+            "ku-bandit", seed=11, settings={"steps": 60, "env.mode": "per_step_random"}
+        )
+        env = KUBanditConfig(mode="per_step_random")
+        rngs, arms = {}, set()
+        for rec in run_experiment(ku):
+            rng = rngs.setdefault(rec.agent, derive_stream(11, 0, ENV_STREAM))
+            reward, probs = ku_step(env, rec.action, rng)
+            rewards = np.asarray(probs)
+            exp_regret = float(rewards.max() - rewards[rec.action])
+            assert (rec.reward, rec.exp_regret) == (reward, exp_regret)
+            arms.add(rec.action)
+        assert len(rngs) == 5 and arms == {0, 1}
 
     def test_records_hold_plain_python_values(self):
         """The CSV writer passes the six leading fields through as stored,

@@ -3,7 +3,7 @@
 After every ``condition`` an agent runs inside an experiment, the checker
 asserts the four invariants of the conditioning pipeline:
 
-- every scale and offset is finite and nonnegative;
+- every scale and offset is a Python ``float``, finite and nonnegative;
 - the constants 0 and 1 evaluate to 0 and 1;
 - the belief never grows;
 - every lower expectation the agent uses (each arm's return, and the
@@ -71,6 +71,10 @@ def probe_returns(event):
 def invariant_violations(before, after, reference, event):
     problems = []
     for i, a in enumerate(after.points):
+        if type(a.scale) is not float or type(a.offset) is not float:
+            problems.append(
+                f"point {i} stores {type(a.scale).__name__} scale, {type(a.offset).__name__} offset"
+            )
         if not (math.isfinite(a.scale) and math.isfinite(a.offset)):
             problems.append(f"point {i} has scale {a.scale!r}, offset {a.offset!r}")
         if a.scale < 0.0 or a.offset < 0.0:
