@@ -27,14 +27,15 @@ them once, one per ``(arm, outcome)``, and every observation reuses one.
 Both ``select_policy`` and ``ib_observe`` are pure functions of an immutable
 ``AgentState``, so each memoizes its work on the state it is given: the tied
 candidates of the last value pass, keyed by the identity of the grid, and
-the successor belief of each observed ``(action, reward)`` (one successor
-in all on Newcomb, whose observation ignores both).
+the successor belief of each observed ``(action, reward)``. On Newcomb,
+whose observation ignores both, the one successor state itself is stored.
 A reused state, as every Newcomb episode reuses its cell's state, pays for
-one value pass and one conditioning per Newcomb cell. A hit still draws the
-tie-break from the stream whenever several policies tie, so RNG use is
-unchanged. Observations that raise are never stored, and successor states
-are not stored either, so the memo never chains a rollout's states
-together.
+one value pass, one conditioning and one successor state per Newcomb cell.
+A hit still draws the tie-break from the stream whenever several policies
+tie, so RNG use is unchanged. Observations that raise are never stored.
+Bandit successor states are not stored, so the memo never chains a bandit
+rollout's states together; a Newcomb rollout is one step from its cell's
+state, so its stored successor ends the chain.
 """
 
 from __future__ import annotations
@@ -137,10 +138,10 @@ class AgentState:
 
     ``memo`` caches the work of ``select_policy`` and ``ib_observe`` on this
     state: ``"ties"`` holds ``(grid, tied indices)`` of the last value pass,
-    and each observed ``(action, reward)`` (the key ``"newcomb"`` on
-    Newcomb) maps to its successor belief. It is a cache, not state: it
-    stays out of ``==``, ``hash``, ``repr`` and serialization, and every
-    successor starts with an empty one."""
+    each observed ``(action, reward)`` maps to its successor belief, and on
+    Newcomb the key ``"newcomb"`` holds the successor state. It is a cache,
+    not state: it stays out of ``==``, ``hash``, ``repr`` and
+    serialization, and every successor starts with an empty one."""
 
     belief: Infradistribution
     rng: np.random.Generator
@@ -257,29 +258,37 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
     reweighting. A reward that is not a finite number raises ``ConfigError``;
     an arm that is not an in-range ``int`` raises ``RepresentationError``.
 
-    The successor belief is memoized on ``state`` by ``(action, reward)``,
-    or by one constant key on Newcomb, whose observation ignores both. An
-    observation that raises is not stored, so it raises on every call."""
+    The successor belief is memoized on ``state`` by ``(action, reward)``;
+    on Newcomb, whose observation ignores both, the successor state is
+    memoized under one constant key. An observation that raises is not
+    stored, so it raises on every call."""
     if not math.isfinite(reward):
         raise ConfigError(f"reward {reward!r} is not a finite number")
     model = state.model
-    key = "newcomb" if isinstance(model, NewcombModel) else (action, reward)
+    if isinstance(model, NewcombModel):
+        successor = state.memo.get("newcomb")
+        if successor is None:
+            belief = condition(state.belief, model.observation())
+            successor = state.memo["newcomb"] = _successor(state, belief)
+        return successor
+    key = (action, reward)
     belief = state.memo.get(key)
     if belief is None:
-        if key == "newcomb":
-            belief = condition(state.belief, model.observation())
+        diffs = [abs(reward - r) for r in state.raw_support]
+        outcome = diffs.index(min(diffs))
+        if diffs[outcome] > 1e-9:
+            raise ConfigError(f"reward {reward!r} is not in the agent's support")
+        model.validate_indicator((action, outcome))
+        if state.flavor == "ib_maximin":
+            belief = condition(state.belief, state.events[action][outcome])
         else:
-            diffs = [abs(reward - r) for r in state.raw_support]
-            outcome = diffs.index(min(diffs))
-            if diffs[outcome] > 1e-9:
-                raise ConfigError(f"reward {reward!r} is not in the agent's support")
-            model.validate_indicator((action, outcome))
-            if state.flavor == "ib_maximin":
-                belief = condition(state.belief, state.events[action][outcome])
-            else:
-                history = model.next_history(state.belief.history, (action, outcome))
-                belief = Infradistribution(state.belief.points, history)
+            history = model.next_history(state.belief.history, (action, outcome))
+            belief = Infradistribution(state.belief.points, history)
         state.memo[key] = belief
+    return _successor(state, belief)
+
+
+def _successor(state: AgentState, belief: Infradistribution) -> AgentState:
     return AgentState(
         belief, state.rng, state.flavor, state.returns, state.raw_support, state.events
     )

@@ -55,11 +55,31 @@ class AMeasure:
     model: WorldModel
 
     def __post_init__(self) -> None:
-        if not self.scale >= 0.0:
-            raise RepresentationError(f"scale must be nonnegative, got {self.scale!r}")
-        if not self.offset >= 0.0:
-            raise RepresentationError(f"offset must be nonnegative, got {self.offset!r}")
+        _check_scale_offset(self.scale, self.offset)
         self.model.validate_measure(self.measure)
+
+
+_new_object, _set_field = object.__new__, object.__setattr__
+
+
+def _point(scale: float, measure: object, offset: float, model: WorldModel) -> AMeasure:
+    """A point whose scale and offset the caller has already checked and
+    whose measure ``model`` already holds valid: the fields are set as the
+    frozen ``__init__`` sets them, and nothing is re-run."""
+    a = _new_object(AMeasure)
+    _set_field(a, "scale", scale)
+    _set_field(a, "measure", measure)
+    _set_field(a, "offset", offset)
+    _set_field(a, "model", model)
+    return a
+
+
+def _check_scale_offset(scale: float, offset: float) -> None:
+    """Raise ``RepresentationError`` unless both are nonnegative (NaN fails)."""
+    if not scale >= 0.0:
+        raise RepresentationError(f"scale must be nonnegative, got {scale!r}")
+    if not offset >= 0.0:
+        raise RepresentationError(f"offset must be nonnegative, got {offset!r}")
 
 
 def evaluate(a: AMeasure, f: ReturnFunction, history: object) -> float:
@@ -190,18 +210,6 @@ def mix_knightian(components: Sequence[Infradistribution]) -> Infradistribution:
     return Infradistribution(points, history)
 
 
-def _dedupe(points: Sequence[AMeasure]) -> list[AMeasure]:
-    seen = set()
-    kept = []
-    for a in points:
-        key = (a.scale, a.measure, a.offset)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(a)
-    return kept
-
-
 def _finite_dominated(points: Sequence[AMeasure]) -> list[bool]:
     """Componentwise domination on explicit finite points.
 
@@ -251,6 +259,32 @@ def _convex_dominated(points: Sequence[AMeasure], index: int) -> bool:
     return bool(result.success)
 
 
+def _kept_points(
+    points: Sequence[AMeasure], model: WorldModel, offset_bound: float = np.inf
+) -> list[AMeasure]:
+    """The points ``prune`` keeps before its convex test, in order: every
+    point with offset at most ``offset_bound`` that is not a duplicate of an
+    earlier one, and on explicit finite models no componentwise-dominated
+    point. Duplicates are found by ``(scale, offset)`` first; measures are
+    compared (``is``, then ``==``) only among points that share both."""
+    seen: dict[tuple[float, float], list[object]] = {}
+    kept = []
+    for a in points:
+        if not a.offset <= offset_bound:
+            continue
+        measures = seen.setdefault((a.scale, a.offset), [])
+        for m in measures:
+            if m is a.measure or m == a.measure:
+                break
+        else:
+            measures.append(a.measure)
+            kept.append(a)
+    if len(kept) > 1 and isinstance(model, ExplicitFiniteModel):
+        removable = _finite_dominated(kept)
+        kept = [a for a, gone in zip(kept, removable) if not gone]
+    return kept
+
+
 def prune(
     psi: Infradistribution, convex: bool = False, offset_bound: float = np.inf
 ) -> Infradistribution:
@@ -263,17 +297,14 @@ def prune(
     componentwise-dominated points go as well, and with ``convex=True`` so do
     points dominated by a convex combination of the others; these removals
     preserve ``lower_expectation`` for every nonnegative bounded return."""
-    kept = [a for a in _dedupe(psi.points) if a.offset <= offset_bound]
-    if isinstance(psi.model, ExplicitFiniteModel):
-        removable = _finite_dominated(kept)
-        kept = [a for a, gone in zip(kept, removable) if not gone]
-        if convex:
-            changed = True
-            while changed and len(kept) > 1:
-                changed = False
-                for i in range(len(kept)):
-                    if _convex_dominated(kept, i):
-                        kept.pop(i)
-                        changed = True
-                        break
+    kept = _kept_points(psi.points, psi.model, offset_bound)
+    if convex and isinstance(psi.model, ExplicitFiniteModel):
+        changed = True
+        while changed and len(kept) > 1:
+            changed = False
+            for i in range(len(kept)):
+                if _convex_dominated(kept, i):
+                    kept.pop(i)
+                    changed = True
+                    break
     return Infradistribution(tuple(kept), psi.history)

@@ -1,5 +1,6 @@
-"""Belief conditioning: raw per-point updates, renormalization, and the
-composed update pipeline.
+"""Belief conditioning: one-pass ``condition``, and its three public stages
+``update_infra`` (with ``raw_update`` per point), ``renormalize`` and
+``inframeasure.prune``.
 
 Observing a branch ``L`` with off-branch return ``g`` maps each point
 
@@ -36,16 +37,106 @@ points, so their bits never change, and lower expectations of returns bounded
 by ``M`` are preserved while later off-branch returns share that bound, as an
 agent's one return does. The test is strict: a zero-scale point at offset
 exactly ``M`` may be the one attaining beta.
+
+``condition`` runs the three steps in one pass. It restricts each point once
+and keeps its raw scale and offset as floats; it then takes alpha and beta,
+checks the span, renormalizes, range-prunes and drops duplicates, and builds
+one ``AMeasure`` per renormalized point and one ``Infradistribution``. Every
+number is checked where a stage would check it, so a negative or NaN scale or
+offset raises ``RepresentationError`` before pruning could drop it. The
+staged functions share its private helpers, so the raw update, alpha and
+beta, renormalization, duplicate and range rules are each written once, and
+they stay the reference it is tested against: ``prune(renormalize(
+update_infra(psi, event)), offset_bound=M)``, with the same degenerate-span
+fallback, equals ``condition(psi, event)`` point for point and bit for bit.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .errors import DegenerateUpdateError, RepresentationError
-from .inframeasure import AMeasure, Infradistribution, prune
-from .worldmodels import ObservationEvent
+from .inframeasure import AMeasure, Infradistribution, _check_scale_offset, _kept_points, _point
+from .worldmodels import ObservationEvent, WorldModel
 
 # A renormalization span at or below this is treated as a refuted belief.
 DEGENERATE_TOL = 1e-12
+
+# A point's (scale, measure, offset) while it is being conditioned.
+_Numbers = tuple[float, object, float]
+
+
+def _check_event(event: ObservationEvent, model: WorldModel) -> None:
+    if event.model is not model and event.model != model:
+        raise RepresentationError("event belongs to a different world model")
+
+
+def _raw_points(
+    points: Sequence[AMeasure], event: ObservationEvent, history: object, model: WorldModel
+) -> list[_Numbers]:
+    """The raw update of each point, checked as ``AMeasure`` checks a point:
+    scale, then offset, then a measure ``restrict`` returned anew. A
+    zero-scale point keeps its numbers."""
+    out = []
+    for a in points:
+        scale, measure, offset = a.scale, a.measure, a.offset
+        if scale != 0.0:
+            r = model.restrict(measure, history, event)
+            scale, offset = scale * r.scale_factor, offset + scale * r.offbranch_value
+            if not (scale >= 0.0 and offset >= 0.0):
+                _check_scale_offset(scale, offset)
+            if r.measure is not measure:
+                measure = r.measure
+                model.validate_measure(measure)
+        out.append((scale, measure, offset))
+    return out
+
+
+def _masses(points: list[_Numbers], model: WorldModel, history: object) -> list[float | None]:
+    """``scale * conditioned mass`` per point, ``None`` at zero scale, whose
+    measure is never consulted."""
+    return [
+        None if scale == 0.0 else scale * model.conditioned_mass(measure, history)
+        for scale, measure, _ in points
+    ]
+
+
+def _alpha_span(points: list[_Numbers], masses: list[float | None]) -> tuple[float, float]:
+    """Alpha, the least offset, and ``beta - alpha``, with beta the least
+    ``scale * conditioned mass + offset`` (the offset at zero scale). Each
+    least value is taken by ``min``'s rule (the first value, replaced only
+    by a strictly smaller one) in one loop, with no list built for either.
+    A span at or below tolerance raises ``DegenerateUpdateError``."""
+    alpha = beta = None
+    for (_, _, offset), mass in zip(points, masses):
+        one = offset if mass is None else mass + offset
+        if alpha is None:
+            alpha, beta = offset, one
+            continue
+        if offset < alpha:
+            alpha = offset
+        if one < beta:
+            beta = one
+    span = beta - alpha
+    if span <= DEGENERATE_TOL:
+        raise DegenerateUpdateError(
+            f"renormalization span {span!r} is degenerate (observation has zero lower probability)"
+        )
+    return alpha, span
+
+
+def _renormalized(
+    points: list[_Numbers], alpha: float, span: float, model: WorldModel
+) -> list[AMeasure]:
+    """Every point under the shared affine map, each scale and offset
+    checked as it is built."""
+    out = []
+    for scale, measure, offset in points:
+        scale, offset = scale / span, (offset - alpha) / span
+        if not (scale >= 0.0 and offset >= 0.0):
+            _check_scale_offset(scale, offset)
+        out.append(_point(scale, measure, offset, model))
+    return out
 
 
 def raw_update(a: AMeasure, event: ObservationEvent, history: object) -> AMeasure:
@@ -53,17 +144,11 @@ def raw_update(a: AMeasure, event: ObservationEvent, history: object) -> AMeasur
     observation), to the event's branch and bank the off-branch return into
     its offset. A zero-scale point is returned unchanged: its value is its
     offset whatever its measure."""
-    if event.model is not a.model and event.model != a.model:
-        raise RepresentationError("event belongs to a different world model")
+    _check_event(event, a.model)
     if a.scale == 0.0:
         return a
-    r = a.model.restrict(a.measure, history, event)
-    return AMeasure(
-        a.scale * r.scale_factor,
-        r.measure,
-        a.offset + a.scale * r.offbranch_value,
-        a.model,
-    )
+    ((scale, measure, offset),) = _raw_points((a,), event, history, a.model)
+    return _point(scale, measure, offset, a.model)
 
 
 def update_infra(psi: Infradistribution, event: ObservationEvent) -> Infradistribution:
@@ -74,17 +159,6 @@ def update_infra(psi: Infradistribution, event: ObservationEvent) -> Infradistri
     return Infradistribution(points, psi.model.next_history(psi.history, event.indicator))
 
 
-def _alpha_beta(psi: Infradistribution) -> tuple[float, float]:
-    alpha = min(a.offset for a in psi.points)
-    beta = min(
-        a.offset
-        if a.scale == 0.0
-        else a.scale * a.model.conditioned_mass(a.measure, psi.history) + a.offset
-        for a in psi.points
-    )
-    return alpha, beta
-
-
 def renormalize(psi: Infradistribution) -> Infradistribution:
     """Rescale and shift the whole point set so the constants 0 and 1 again
     evaluate to 0 and 1.
@@ -92,21 +166,14 @@ def renormalize(psi: Infradistribution) -> Infradistribution:
     Raises ``DegenerateUpdateError`` when the span between those two values
     is at or below tolerance, meaning the observation carried zero lower
     probability and the belief cannot be conditioned."""
-    alpha, beta = _alpha_beta(psi)
-    span = beta - alpha
-    if span <= DEGENERATE_TOL:
-        raise DegenerateUpdateError(
-            f"renormalization span {span!r} is degenerate (observation has zero lower probability)"
-        )
-    points = tuple(
-        AMeasure(a.scale / span, a.measure, (a.offset - alpha) / span, a.model)
-        for a in psi.points
-    )
-    return Infradistribution(points, psi.history)
+    model = psi.model
+    points = [(a.scale, a.measure, a.offset) for a in psi.points]
+    alpha, span = _alpha_span(points, _masses(points, model, psi.history))
+    return Infradistribution(tuple(_renormalized(points, alpha, span, model)), psi.history)
 
 
 def condition(psi: Infradistribution, event: ObservationEvent) -> Infradistribution:
-    """Full conditioning pipeline: raw update, renormalize, range-prune.
+    """Full conditioning in one pass: raw update, renormalize, range-prune.
 
     On a single-point belief this is exactly a Bayes update: the point
     returns to scale 1 and offset 0 and only the belief's history moves.
@@ -114,20 +181,27 @@ def condition(psi: Infradistribution, event: ObservationEvent) -> Infradistribut
     If the observation refutes some points (zero scale, or zero mass left on
     the observed branch) and that makes renormalization degenerate, the
     refuted points are dropped and the survivors renormalized on their own.
-    ``DegenerateUpdateError`` is raised only when no point survives."""
-    updated = update_infra(psi, event)
+    ``DegenerateUpdateError`` is raised only when no point survives.
+
+    The result equals ``prune(renormalize(update_infra(psi, event)),
+    offset_bound=max(1, f_max))``, with the same fallback, point for point
+    and bit for bit, and the same inputs raise the same errors. Each point is
+    restricted once and its numbers stay floats until it is renormalized."""
+    model = psi.model
+    _check_event(event, model)
+    points = _raw_points(psi.points, event, psi.history, model)
+    history = model.next_history(psi.history, event.indicator)
+    masses = _masses(points, model, history)
     try:
-        renormalized = renormalize(updated)
+        alpha, span = _alpha_span(points, masses)
     except DegenerateUpdateError:
-        live = tuple(
-            a
-            for a in updated.points
-            if a.scale > 0.0
-            and a.scale * a.model.conditioned_mass(a.measure, updated.history) > DEGENERATE_TOL
-        )
+        live = [i for i, m in enumerate(masses) if m is not None and m > DEGENERATE_TOL]
         if not live:
             raise DegenerateUpdateError(
                 "every point assigned the observation zero probability; belief refuted"
             )
-        renormalized = renormalize(Infradistribution(live, updated.history))
-    return prune(renormalized, offset_bound=max(1.0, event.offbranch_return.f_max))
+        points, masses = [points[i] for i in live], [masses[i] for i in live]
+        alpha, span = _alpha_span(points, masses)
+    renormalized = _renormalized(points, alpha, span, model)
+    kept = _kept_points(renormalized, model, max(1.0, event.offbranch_return.f_max))
+    return Infradistribution(tuple(kept), history)

@@ -645,6 +645,27 @@ class TestMemo:
         assert len(cells) == 51
         assert len(conditionings) == len(cells)
 
+    def test_newcomb_observation_reuses_one_successor_state(self):
+        state = newcomb_state(3)
+        successor = ib_observe(state, 0, 10.0)
+        assert ib_observe(state, 1, 1.0) is successor
+        assert point_fields(successor.belief) == point_fields(state.belief)
+        assert successor.memo == {}
+        assert successor.rng is state.rng and successor.returns is state.returns
+
+    def test_newcomb_sweep_builds_one_successor_state_per_cell(self, monkeypatch):
+        """Each cell builds its agent and that agent's one successor."""
+        built = []
+        original = ibrl.agents.AgentState
+
+        def counting(*args, **kwargs):
+            built.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ibrl.agents, "AgentState", counting)
+        _, cells = run_newcomb_sweep(ExperimentConfig("newcomb", seed=7, settings={"episodes": 40}))
+        assert len(built) == 2 * len(cells)
+
     def test_newcomb_sweep_builds_one_policy_grid(self, monkeypatch):
         """Every cell scores the same candidates, so the sweep builds the
         grid once and shares it; each cell's tie memo is on its own state."""

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ibrl import (
     AMeasure,
+    BernoulliArmsModel,
     ExplicitFiniteModel,
     FiniteOutcomeMeasure,
     Infradistribution,
@@ -127,6 +128,16 @@ class TestPrune:
         twin = finite_point(1.0, (0.5, 0.5, 0.0), 0.1)
         pruned = prune(Infradistribution((point, twin)))
         assert len(pruned.points) == 1
+
+    def test_duplicates_are_matched_by_numbers_then_by_measure(self):
+        """Equal but distinct measures at one scale and offset collapse to
+        the first point; different measures at the same numbers both stay."""
+        model = BernoulliArmsModel(2)
+        first, other, twin = (model.point_measure(c) for c in ((0.3, 0.4), (0.3, 0.8), (0.3, 0.4)))
+        assert twin is not first and twin == first
+        points = tuple(AMeasure(1.0, m, 0.25, model) for m in (first, other, twin))
+        pruned = prune(Infradistribution(points, model.initial_history()))
+        assert pruned.points == points[:2]
 
     def test_removes_componentwise_dominated_points(self):
         low = finite_point(0.5, (0.4, 0.4, 0.2), 0.0)

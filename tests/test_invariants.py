@@ -99,7 +99,7 @@ def checked(monkeypatch):
     invariant checks; returns the per-rollout step counts."""
     where = {}
     steps = []
-    rollout, condition = ibrl.harness.runner._rollout, ibrl.agents.condition
+    rollout = ibrl.harness.runner._rollout
 
     def tracked_rollout(cfg, label, episode, state, *args, **kwargs):
         where.update(experiment=cfg.experiment, agent=label, episode=episode, step=0)
@@ -109,7 +109,8 @@ def checked(monkeypatch):
         return records
 
     def checked_condition(psi, event):
-        after = condition(psi, event)
+        # Looked up per call, so a test may wrap ``ibrl.updates.condition``.
+        after = ibrl.updates.condition(psi, event)
         where["reference"] = reference = reference_condition(where["reference"], event)
         problems = invariant_violations(psi, after, reference, event)
         if problems:
@@ -155,16 +156,17 @@ def test_checker_names_the_failing_step(checked, monkeypatch):
     """A conditioning that shifts every offset is reported with its
     experiment, agent, episode and step."""
     calls = []
+    condition = ibrl.updates.condition
 
-    def shifting_prune(psi, **kwargs):
+    def shifting_condition(psi, event):
         calls.append(None)
-        psi = prune(psi, **kwargs)
+        psi = condition(psi, event)
         if len(calls) < 4:
             return psi
         shifted = tuple(AMeasure(a.scale, a.measure, a.offset + 0.5, a.model) for a in psi.points)
         return Infradistribution(shifted, psi.history)
 
-    monkeypatch.setattr(ibrl.updates, "prune", shifting_prune)
+    monkeypatch.setattr(ibrl.updates, "condition", shifting_condition)
     cfg = ExperimentConfig(
         "ku-bandit", seed=7, settings={"steps": 10, "env.mode": "per_step_random", "agents": "ib"}
     )

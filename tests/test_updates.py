@@ -1,19 +1,26 @@
 """Tests for the update pipeline: raw reweighting, renormalization,
 conditioning, and degeneracy handling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibrl import (
+    STATELESS,
     AMeasure,
     BernoulliArmsModel,
     DegenerateUpdateError,
     ExplicitFiniteModel,
     FiniteOutcomeMeasure,
+    IBRLError,
     Infradistribution,
     JointHypothesisBanditModel,
+    NewcombModel,
+    RepresentationError,
+    Restriction,
     TrapWorldConfig,
     condition,
     evaluate,
@@ -25,6 +32,7 @@ from ibrl import (
     update_infra,
 )
 from ibrl.harness.runner import trap_ib_belief, trap_model
+from ibrl.updates import DEGENERATE_TOL
 
 VALUES = ((0.0, 1.0), (0.0, 1.0))
 
@@ -337,3 +345,267 @@ class TestLinearity:
         v2, b2 = effective(u2)
         np.testing.assert_allclose(vs, v1 + v2, atol=1e-12)
         np.testing.assert_allclose(bs, b1 + b2, atol=1e-12)
+
+
+def staged_condition(psi, event):
+    """``condition`` as its public stages: raw update, renormalize, then
+    prune with the range bound ``max(1, f_max)``, plus the degenerate-span
+    fallback."""
+    updated = update_infra(psi, event)
+    try:
+        renormalized = renormalize(updated)
+    except DegenerateUpdateError:
+        live = tuple(
+            a
+            for a in updated.points
+            if a.scale > 0.0
+            and a.scale * a.model.conditioned_mass(a.measure, updated.history) > DEGENERATE_TOL
+        )
+        if not live:
+            raise DegenerateUpdateError(
+                "every point assigned the observation zero probability; belief refuted"
+            )
+        renormalized = renormalize(Infradistribution(live, updated.history))
+    return prune(renormalized, offset_bound=max(1.0, event.offbranch_return.f_max))
+
+
+def outcome_of(fn, psi, event):
+    """The belief ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(psi, event)
+    except IBRLError as error:
+        return type(error), str(error)
+
+
+def assert_same_as_stages(psi, event):
+    """``condition`` and the staged reference agree point for point: count,
+    order, the bits of every scale and offset (Python floats both), the
+    measure, and the history; or they raise the same error."""
+    got, want = outcome_of(condition, psi, event), outcome_of(staged_condition, psi, event)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return got
+    assert len(got.points) == len(want.points)
+    for a, b in zip(got.points, want.points):
+        assert type(a.scale) is float and type(a.offset) is float
+        assert type(b.scale) is float and type(b.offset) is float
+        assert a.scale.hex() == b.scale.hex() and a.offset.hex() == b.offset.hex()
+        assert a.measure == b.measure
+    assert got.history == want.history
+    return got
+
+
+def random_numbers(rng):
+    """A scale and an offset, often on the values where zero scale, ties and
+    the range bound meet."""
+    scale = float(rng.choice([0.0, 0.5, 1.0, 2.0 * rng.random()]))
+    offset = float(rng.choice([0.0, 1.0, 1.5, 2.0 * rng.random()]))
+    return scale, offset
+
+
+def random_history(rng, model, pulls):
+    history = model.initial_history()
+    for _ in range(pulls):
+        indicator = (int(rng.integers(model.arm_count)), int(rng.integers(model.outcome_count)))
+        history = model.next_history(history, indicator)
+    return history
+
+
+def random_case(rng, family):
+    """A belief of one to five points, some of them duplicates with equal but
+    distinct measures, and one event on it."""
+    if family in ("bernoulli_point", "bernoulli_grid"):
+        model = BernoulliArmsModel(int(rng.integers(1, 3)))
+        probs = (0.0, 0.2, 0.5, 0.8, 1.0)
+        if family == "bernoulli_point":
+            measures = [
+                model.point_measure(rng.choice(probs, model.arm_count).tolist()) for _ in range(3)
+            ]
+        else:
+            measures = [
+                model.grid_measure(rng.choice(probs, 2, replace=False).tolist(), [0.3, 0.7])
+                for _ in range(3)
+            ]
+        history = random_history(rng, model, int(rng.integers(4)))
+    elif family == "trap":
+        env = TrapWorldConfig()
+        model, _, _ = trap_model(env)
+        measures = [a.measure for a in trap_ib_belief(model, env).points]
+        history = random_history(rng, model, int(rng.integers(4)))
+    elif family == "finite":
+        model = ExplicitFiniteModel(int(rng.integers(2, 5)))
+        n = model.outcome_count
+        # Some outcomes carry no mass, so a restriction can leave a live
+        # scale on zero mass.
+        masses = rng.dirichlet(np.ones(n), 3) * rng.random((3, 1))
+        masses[rng.random((3, n)) < 0.3] = 0.0
+        measures = [FiniteOutcomeMeasure(tuple(row)) for row in masses.tolist()]
+        history = None
+    else:
+        model = NewcombModel(accuracy=float(rng.uniform(0.5, 1.0)))
+        measures = [STATELESS]
+        history = None
+    points = []
+    for _ in range(int(rng.integers(1, 4))):
+        scale, offset = random_numbers(rng)
+        points.append(AMeasure(scale, measures[int(rng.integers(len(measures)))], offset, model))
+    if rng.random() < 0.5:
+        twin = points[int(rng.integers(len(points)))]
+        points.append(AMeasure(twin.scale, dataclasses.replace(twin.measure), twin.offset, model))
+    if family == "finite" and rng.random() < 0.5:
+        # A point every other return values at or above the first one.
+        first = points[0]
+        points.append(AMeasure(first.scale + 0.5, first.measure, first.offset + 0.25, model))
+    psi = Infradistribution(tuple(points), history)
+    fmax = float(rng.choice([0.5, 1.0, 3.0]))
+    if family == "finite":
+        n = model.outcome_count
+        kept = rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist()
+        event = model.observation(kept, model.return_function(tuple(rng.random(n) * fmax)))
+    elif family == "newcomb":
+        event = model.observation()
+    else:
+        table = rng.random((model.arm_count, model.outcome_count)) * fmax
+        arm = int(rng.integers(model.arm_count))
+        event = model.observation(
+            arm, int(rng.integers(model.outcome_count)), model.arm_return(arm, table)
+        )
+    return psi, event
+
+
+class TestOnePassEqualsStages:
+    """``condition`` conditions in one pass; the public stages are its
+    reference, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["bernoulli_point", "bernoulli_grid", "trap", "finite", "newcomb"]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_condition_equals_the_staged_pipeline(self, family, seed):
+        rng = np.random.default_rng(seed)
+        psi, event = random_case(rng, family)
+        for _ in range(3):
+            got = assert_same_as_stages(psi, event)
+            if isinstance(got, tuple):
+                break
+            psi = got
+
+    def test_trap_catastrophe_then_degenerate_span_fallback(self):
+        """A catastrophe refutes the safe point; once the risky point's
+        offset reaches the refuted point's, the span is zero and the
+        fallback renormalizes the risky point alone."""
+        env = TrapWorldConfig()
+        model, raw_support, values = trap_model(env)
+        belief = trap_ib_belief(model, env)
+        returns = model.policy_return([0.5, 0.5], values)
+        catastrophe = raw_support.index(env.catastrophe_reward)
+        refuted = assert_same_as_stages(belief, model.observation(1, catastrophe, returns))
+        safe, risky = refuted.points
+        assert safe.scale == 0.0
+        psi = Infradistribution(
+            (safe, AMeasure(0.5, risky.measure, safe.offset, model)), refuted.history
+        )
+        event = model.observation(1, raw_support.index(1.0), returns)
+        with pytest.raises(DegenerateUpdateError):
+            renormalize(update_infra(psi, event))
+        conditioned = assert_same_as_stages(psi, event)
+        assert [a.measure for a in conditioned.points] == [risky.measure]
+
+    def test_dominated_finite_points(self):
+        model = ExplicitFiniteModel(3)
+        low = AMeasure(0.5, FiniteOutcomeMeasure((0.4, 0.4, 0.2)), 0.0, model)
+        high = AMeasure(1.0, FiniteOutcomeMeasure((0.4, 0.4, 0.2)), 0.3, model)
+        other = AMeasure(1.0, FiniteOutcomeMeasure((0.1, 0.1, 0.8)), 0.0, model)
+        event = model.observation([0, 2], model.return_function((1.0, 0.5, 0.0)))
+        conditioned = assert_same_as_stages(Infradistribution((high, low, other)), event)
+        assert len(conditioned.points) == 2
+
+    def test_equal_measures_collapse_and_different_ones_stay(self):
+        """Two corners that differ only on the arm not pulled keep equal
+        numbers and both stay; an equal but distinct copy of one goes."""
+        model = BernoulliArmsModel(2)
+        a, b, twin = (model.point_measure(c) for c in ((0.3, 0.4), (0.3, 0.8), (0.3, 0.4)))
+        assert twin is not a and twin == a
+        psi = Infradistribution(
+            tuple(AMeasure(1.0, m, 0.0, model) for m in (a, b, twin)), model.initial_history()
+        )
+        event = model.observation(0, 1, model.arm_return(0, VALUES))
+        conditioned = assert_same_as_stages(psi, event)
+        assert [p.measure for p in conditioned.points] == [a, b]
+        assert conditioned.points[0].measure is a
+
+    def test_zero_scale_point_is_renormalized_to_the_bound(self):
+        """A refuted point at offset 0.9 next to a live point whose raw
+        offset is 0.5 and whose beta is 1.0 lands exactly on the bound 1."""
+        model = BernoulliArmsModel(1)
+        zero = AMeasure(0.0, model.point_measure([1.0]), 0.9, model)
+        live = AMeasure(1.0, model.point_measure([0.5]), 0.0, model)
+        psi = Infradistribution((zero, live), model.initial_history())
+        event = model.observation(0, 0, model.arm_return(0, [[0.0, 1.0]]))
+        conditioned = assert_same_as_stages(psi, event)
+        assert [(a.scale, a.offset) for a in conditioned.points][0] == (0.0, 1.0)
+        assert len(conditioned.points) == 2
+
+
+BAD_NUMBERS = [
+    pytest.param(float("nan"), 0.0, 0.0, "scale", id="nan-scale-factor"),
+    pytest.param(-0.5, 0.0, 0.0, "scale", id="negative-scale-factor"),
+    pytest.param(0.5, float("nan"), 0.0, "offset", id="nan-offbranch"),
+    pytest.param(0.5, -3.0, 0.0, "offset", id="negative-offbranch"),
+    pytest.param(float("nan"), 0.0, 5.0, "scale", id="nan-scale-factor-above-bound"),
+    pytest.param(0.5, float("nan"), 5.0, "offset", id="nan-offbranch-above-bound"),
+]
+
+
+class TestConditionChecksEveryNumber:
+    """A negative or NaN scale or offset raises ``RepresentationError``;
+    range pruning never drops it quietly."""
+
+    def stub_restrict(self, monkeypatch, numbers):
+        """``restrict`` returns ``numbers[measure]`` as (scale factor,
+        off-branch value) for the measures listed there."""
+        original = BernoulliArmsModel.restrict
+
+        def restrict(self, measure, history, event):
+            for m, (factor, offbranch) in numbers:
+                if m is measure:
+                    return Restriction(measure, factor, offbranch)
+            return original(self, measure, history, event)
+
+        monkeypatch.setattr(BernoulliArmsModel, "restrict", restrict)
+
+    @pytest.mark.parametrize("factor, offbranch, offset, field", BAD_NUMBERS)
+    def test_bad_raw_numbers_raise(self, monkeypatch, factor, offbranch, offset, field):
+        model = BernoulliArmsModel(1)
+        bad = model.point_measure([0.3])
+        self.stub_restrict(monkeypatch, [(bad, (factor, offbranch))])
+        psi = Infradistribution(
+            (
+                AMeasure(1.0, model.point_measure([0.5]), 0.0, model),
+                AMeasure(1.0, bad, offset, model),
+            ),
+            model.initial_history(),
+        )
+        event = model.observation(0, 1, model.arm_return(0, [[0.0, 1.0]]))
+        for fn in (condition, staged_condition):
+            with pytest.raises(RepresentationError, match=f"{field} must be nonnegative"):
+                fn(psi, event)
+
+    def test_nan_after_renormalization_raises(self, monkeypatch):
+        """An infinite scale makes the span infinite, and the point whose
+        offset is infinite renormalizes to NaN, above the bound."""
+        model = BernoulliArmsModel(1)
+        infinite_offset, infinite_scale = model.point_measure([0.3]), model.point_measure([0.6])
+        self.stub_restrict(
+            monkeypatch,
+            [(infinite_offset, (0.5, float("inf"))), (infinite_scale, (float("inf"), 0.0))],
+        )
+        psi = Infradistribution(
+            (AMeasure(1.0, infinite_offset, 0.0, model), AMeasure(1.0, infinite_scale, 0.0, model)),
+            model.initial_history(),
+        )
+        event = model.observation(0, 1, model.arm_return(0, [[0.0, 1.0]]))
+        for fn in (condition, staged_condition):
+            with pytest.raises(RepresentationError, match="offset must be nonnegative, got nan"):
+                fn(psi, event)
