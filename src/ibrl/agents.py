@@ -274,10 +274,13 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
     key = (action, reward)
     belief = state.memo.get(key)
     if belief is None:
-        diffs = [abs(reward - r) for r in state.raw_support]
-        outcome = diffs.index(min(diffs))
-        if diffs[outcome] > 1e-9:
-            raise ConfigError(f"reward {reward!r} is not in the agent's support")
+        try:
+            outcome = state.raw_support.index(reward)
+        except ValueError:
+            diffs = [abs(reward - r) for r in state.raw_support]
+            outcome = diffs.index(min(diffs))
+            if diffs[outcome] > 1e-9:
+                raise ConfigError(f"reward {reward!r} is not in the agent's support")
         model.validate_indicator((action, outcome))
         if state.flavor == "ib_maximin":
             belief = condition(state.belief, state.events[action][outcome])

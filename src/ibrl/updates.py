@@ -81,12 +81,12 @@ def _raw_points(
     for a in points:
         scale, measure, offset = a.scale, a.measure, a.offset
         if scale != 0.0:
-            r = model.restrict(measure, history, event)
-            scale, offset = scale * r.scale_factor, offset + scale * r.offbranch_value
+            restricted, factor, off_value = model.restrict(measure, history, event)
+            scale, offset = scale * factor, offset + scale * off_value
             if not (scale >= 0.0 and offset >= 0.0):
                 _check_scale_offset(scale, offset)
-            if r.measure is not measure:
-                measure = r.measure
+            if restricted is not measure:
+                measure = restricted
                 model.validate_measure(measure)
         out.append((scale, measure, offset))
     return out

@@ -33,29 +33,17 @@ supplies only its measures, histories, restriction and that one computation.
 Posterior weights are computed in log space per component and renormalized
 (per arm for the independent model, globally for the joint model) so that
 histories with on the order of a thousand pulls do not underflow. Each bandit
-measure builds its log tables once, when it is constructed (per arm ``log c``,
-``log p``, ``log1p(-p)`` and ``p`` for the independent model; the guarded log
-weights, ``probs`` and ``log probs`` for the joint model), read-only and
-outside equality and hashing. Each measure also keeps a one-entry memo keyed
-by the exact counts: per arm the last ``(pulls, successes)`` and posterior for
-the independent model; the last count table, its log-likelihood terms and
-posterior for the joint model. A point asks for the same posterior several
-times per step (per arm in the value pass, again in ``restrict``), and between
-steps only the pulled arm's counts move, so a point builds one posterior per
-observation, rewriting one cell of joint terms. A memo hit returns the very
-array the same numpy operations produced on the miss: no bit changes. An
-independent arm with one component (a point hypothesis, as in every corner
-of a Knightian box) bypasses both the memo and the arithmetic: its posterior
-is a shared read-only ``[1.0]`` and its predictive is its ``p``, which is
-what the general formula gives on every possible history. An impossible
-history (a success under ``p == 0``, a failure under ``p == 1``) still
-raises, on every call. When every arm is such a point (every corner of a
-Knightian box), the per-arm action values depend on the value table alone,
-so the measure keeps one more one-entry memo, ``(table, values)``, keyed by
-the identity of a read-only table (a return function's table is one) and
-served read-only; each call still checks the history against the arms with
-``p`` 0 or 1 before it reads the memo. ``restrict`` returns Python floats,
-so the scales and offsets it feeds conditioning never become numpy scalars.
+measure builds its read-only log tables once and keeps a one-entry memo of
+its last posterior, keyed by the counts (the measure classes list both). A
+point asks for the same posterior several times per step (per arm in the
+value pass, again in ``restrict``), and between steps only the pulled arm's
+counts move, so a point builds one posterior per observation, rewriting one
+cell of joint terms. A memo hit returns the very array the same numpy
+operations produced on the miss: no bit changes. A one-component independent
+arm skips the posterior arithmetic, though an impossible history still raises
+on every call (``_arm_posterior``), and a measure of such arms memoizes its
+action values per value table. ``restrict`` returns Python floats, so the
+scales and offsets it feeds conditioning never become numpy scalars.
 
 scipy is imported lazily, inside the functions that use it
 (``log_branch_probability`` here, ``inframeasure._convex_dominated``), and
@@ -153,8 +141,7 @@ class ObservationEvent:
         self.model.validate_indicator(self.indicator)
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(NamedTuple):
     """Result of restricting a measure to an observed branch.
 
     ``scale_factor`` multiplies the point's scale (the branch probability for
@@ -206,7 +193,9 @@ class WorldModel(ABC):
     def next_history(self, history: object, indicator: object) -> object:
         """The history after observing a validated event ``indicator``, shared
         by every point of a belief, so it is built once per observation.
-        History-free models keep their history (``None``) unchanged."""
+        History-free models keep their history (``None``) unchanged. Trusted
+        input: ``history`` passed its constructor and ``indicator`` passed
+        ``validate_indicator``, so the successor skips the constructor's checks."""
         return history
 
     @abstractmethod
@@ -473,7 +462,8 @@ class BernoulliArmMeasure:
 
 @dataclass(frozen=True)
 class BanditHistory:
-    """Per-arm pull and success counts; order within an arm is immaterial."""
+    """Per-arm pull and success counts; order within an arm is immaterial.
+    Only the constructor checks them: ``observe`` checks just what it adds."""
 
     pulls: tuple[int, ...]
     successes: tuple[int, ...]
@@ -585,7 +575,10 @@ def observe(history: BanditHistory, arm: int, reward: int) -> BanditHistory:
     pulls, successes = list(history.pulls), list(history.successes)
     pulls[arm] += 1
     successes[arm] += reward
-    return BanditHistory(tuple(pulls), tuple(successes))
+    new = object.__new__(BanditHistory)
+    object.__setattr__(new, "pulls", tuple(pulls))
+    object.__setattr__(new, "successes", tuple(successes))
+    return new
 
 
 def mix_measures(
@@ -905,22 +898,28 @@ class JointHypothesisMeasure:
 
 @dataclass(frozen=True)
 class OutcomeCountHistory:
-    """Per-arm, per-outcome observation counts."""
+    """Per-arm, per-outcome observation counts, checked by the constructor
+    only. ``next_history`` sets ``prev``, the predecessor's ``counts`` tuple,
+    and ``last``, the indicator (``None`` when constructed); neither is state."""
 
     counts: tuple[tuple[int, ...], ...]
+    prev: tuple | None = field(init=False, default=None, repr=False, compare=False)
+    last: tuple[int, int] | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(min(row, default=0) < 0 for row in self.counts):
             raise RepresentationError("counts must be nonnegative")
 
 
-def _changed_cell(old: tuple, new: tuple) -> tuple[int, int] | None:
-    """The one ``(row, column)`` where equal-shape count tables differ, else ``None``."""
-    rows = [j for j, (a, b) in enumerate(zip(old, new)) if a != b]
-    if len(old) != len(new) or len(rows) != 1 or len(old[rows[0]]) != len(new[rows[0]]):
-        return None
-    cells = [(rows[0], o) for o, (a, b) in enumerate(zip(old[rows[0]], new[rows[0]])) if a != b]
-    return cells[0] if len(cells) == 1 else None
+def _log_terms(measure: JointHypothesisMeasure, counts: tuple) -> np.ndarray:
+    """``count * log p`` per hypothesis and cell, 0 where the count is 0. A
+    count table that is not ``(arms, outcomes)`` raises ``RepresentationError``."""
+    arms, outcomes = measure.probs.shape[1:]
+    if len(counts) != arms or any(len(row) != outcomes for row in counts):
+        raise RepresentationError("count table must be (arms, outcomes)")
+    c = np.asarray(counts, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return np.where(c > 0, c * measure.log_probs, 0.0)
 
 
 @dataclass(frozen=True)
@@ -964,28 +963,21 @@ class JointHypothesisBanditModel(BanditModel):
     def _posterior(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory
     ) -> np.ndarray:
-        """Posterior hypothesis weights, read-only; served from the measure's
-        memo when the counts are unchanged. If one cell moved to a positive
-        count, only its slice of the memo's ``count * log p`` terms is redone.
-        A count table that is not ``(arms, outcomes)`` raises
-        ``RepresentationError``; only a full rebuild checks, since a memo hit
-        or a one-cell change keeps the shape the memo was checked at."""
+        """Posterior hypothesis weights, read-only; served from the memo when
+        the counts are unchanged. If ``history.prev`` is the memo's counts
+        tuple, only the ``history.last`` slice of its ``count * log p`` terms
+        is redone. Any other history takes ``_log_terms``, the one path that
+        checks the shape: a memo hit or a derived history keeps the memo's."""
         counts = history.counts
         hit = measure.memo[0]
-        if hit is not None and hit[0] == counts:
-            return hit[2]
-        cell = None if hit is None else _changed_cell(hit[0], counts)
-        if cell is not None and counts[cell[0]][cell[1]] > 0:
-            arm, outcome = cell
+        if hit is not None and history.prev is hit[0]:
+            arm, outcome = history.last
             terms = hit[1].copy()
             terms[:, arm, outcome] = counts[arm][outcome] * measure.log_probs[:, arm, outcome]
+        elif hit is not None and hit[0] == counts:
+            return hit[2]
         else:
-            arms, outcomes = measure.probs.shape[1:]
-            if len(counts) != arms or any(len(row) != outcomes for row in counts):
-                raise RepresentationError("count table must be (arms, outcomes)")
-            c = np.asarray(counts, dtype=float)
-            with np.errstate(invalid="ignore"):
-                terms = np.where(c > 0, c * measure.log_probs, 0.0)
+            terms = _log_terms(measure, counts)
         lw = measure.log_weights + terms.sum(axis=(1, 2))
         peak = lw.max()
         if peak == -np.inf:
@@ -1032,9 +1024,14 @@ class JointHypothesisBanditModel(BanditModel):
 
     def next_history(self, history: OutcomeCountHistory, indicator: tuple) -> OutcomeCountHistory:
         arm, outcome = indicator
-        row = list(history.counts[arm])
+        counts = history.counts
+        row = list(counts[arm])
         row[outcome] += 1
-        return OutcomeCountHistory(history.counts[:arm] + (tuple(row),) + history.counts[arm + 1 :])
+        new = object.__new__(OutcomeCountHistory)
+        object.__setattr__(new, "counts", counts[:arm] + (tuple(row),) + counts[arm + 1 :])
+        object.__setattr__(new, "prev", counts)
+        object.__setattr__(new, "last", indicator)
+        return new
 
     def mix(
         self, measures: Sequence[JointHypothesisMeasure], weights: Sequence[float]

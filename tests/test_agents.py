@@ -8,6 +8,7 @@ import pytest
 
 import ibrl.agents
 import ibrl.harness.runner
+import ibrl.worldmodels
 from ibrl import (
     STATELESS,
     AMeasure,
@@ -487,6 +488,24 @@ class TestClassicalObservation:
                 assert type(raised.value) is error
                 assert state.memo == {}
 
+    @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
+    def test_rewards_within_tolerance_map_to_their_outcome(self, kind):
+        """An exact support value is looked up directly; a reward 1e-12 off
+        one still maps to its outcome, and one 1e-6 off still raises."""
+        model, support, agent = bandit_agents(kind)
+        for outcome, exact in enumerate(support):
+            near = exact + 1e-12
+            assert near not in support
+            for flavor in ("ib_maximin", "bayes_greedy", "bayes_thompson"):
+                want = ib_observe(agent(flavor), 1, exact).belief
+                got = ib_observe(agent(flavor), 1, near).belief
+                assert got.history == want.history
+                assert point_fields(got) == point_fields(want)
+                state = agent(flavor)
+                with pytest.raises(ConfigError, match="not in the agent's support"):
+                    ib_observe(state, 1, exact + 1e-6)
+                assert state.memo == {}
+
 
 class TestEventTable:
     """A maximin bandit agent builds its events once, in ``make_agent``."""
@@ -522,16 +541,16 @@ def newcomb_state(seed, accuracy=0.55, matrix=((10.0, 0.0), (11.0, 1.0))):
     return make_agent(singleton_belief(model, STATELESS), np.random.default_rng(seed))
 
 
-def count_calls(monkeypatch, name):
-    """Count the calls ``ibrl.agents`` makes to its binding ``name``."""
+def count_calls(monkeypatch, name, module=ibrl.agents):
+    """Record the arguments of every call ``module`` makes to its binding ``name``."""
     calls = []
-    original = getattr(ibrl.agents, name)
+    original = getattr(module, name)
 
     def counting(*args):
-        calls.append(1)
+        calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(ibrl.agents, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -679,6 +698,19 @@ class TestMemo:
         _, cells = run_newcomb_sweep(ExperimentConfig("newcomb", seed=7, settings={"episodes": 3}))
         assert len(cells) == 51
         assert calls == [(2, 0.1)]
+
+    def test_trap_roster_rebuilds_each_posterior_once_per_rollout(self, monkeypatch):
+        """Every joint posterior after a rollout's first query is a memo hit
+        or a one-slice rewrite of the previous step's terms: one full
+        rebuild per measure per rollout, two for the ``ib`` agent's points
+        and one for each of the four classical agents'."""
+        rebuilt = count_calls(monkeypatch, "_log_terms", ibrl.worldmodels)
+        cfg = ExperimentConfig("trap-bandit", seed=42, settings={"env.runs": 2})
+        records = ibrl.harness.runner.run_experiment(cfg)
+        assert len(records) == 2 * 5 * 100
+        assert len(rebuilt) == 2 * (2 + 4)
+        # ``rebuilt`` keeps every measure alive, so no two share an id.
+        assert len({id(measure) for measure, _ in rebuilt}) == len(rebuilt)
 
     def test_memo_is_not_state(self):
         state = newcomb_state(3)

@@ -14,8 +14,10 @@ from ibrl import (
     DegenerateUpdateError,
     Infradistribution,
     NewcombModel,
+    OutcomeCountHistory,
     TrapWorldConfig,
     deterministic_grid,
+    ib_observe,
     ku_step,
     make_agent,
     mix_knightian,
@@ -47,7 +49,7 @@ from ibrl.harness import (
 )
 from ibrl.harness import acceptance
 from ibrl.harness.cli import main
-from ibrl.harness.runner import DEFAULT_VALIDATE_PAIRS, _rollout
+from ibrl.harness.runner import DEFAULT_VALIDATE_PAIRS, _rollout, trap_ib_belief, trap_model
 
 
 class TestConfigParsing:
@@ -246,6 +248,24 @@ class TestSerialization:
             "point.0.measure.arms.1.0.1 = 0.7\n"
         )
         assert serialize_infradistribution(belief) == expected
+
+    def test_a_derived_history_serializes_like_a_constructed_one(self):
+        """After one trap step the belief's history came from
+        ``next_history`` and carries its provenance; none of it is state."""
+        env = TrapWorldConfig()
+        model, raw_support, values = trap_model(env)
+        state = make_agent(
+            trap_ib_belief(model, env), np.random.default_rng(0), "ib_maximin", values, raw_support
+        )
+        belief = ib_observe(state, 1, raw_support[-1]).belief
+        assert belief.history.prev is not None
+        constructed = Infradistribution(
+            belief.points, OutcomeCountHistory(tuple(row for row in belief.history.counts))
+        )
+        text = serialize_infradistribution(belief)
+        assert text == serialize_infradistribution(constructed)
+        assert "history.counts.1.2 = 1" in text
+        assert "prev" not in text and "last" not in text
 
 
 class TestStreams:

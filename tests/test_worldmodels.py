@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ibrl.worldmodels
 from ibrl import (
     BanditHistory,
     BernoulliArmMeasure,
@@ -360,6 +361,20 @@ def _walk_events():
     )
 
 
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """The ``(measure, counts)`` of every full joint-posterior rebuild."""
+    calls = []
+    original = ibrl.worldmodels._log_terms
+
+    def counting(measure, counts):
+        calls.append((measure, counts))
+        return original(measure, counts)
+
+    monkeypatch.setattr(ibrl.worldmodels, "_log_terms", counting)
+    return calls
+
+
 def _reference_arm_posterior(components, pulls, successes):
     """One arm's posterior rebuilt from the raw ``(weight, p)`` tuples, in
     the order of operations the library uses."""
@@ -476,21 +491,24 @@ class TestPosteriorMemo:
                     for a in (0, 1)
                 ]
 
-    def test_joint_memo_rewrites_one_slice_only_where_that_is_exact(self):
-        """Consecutive queries on one measure whose counts move by one
-        increment, in several cells, by one decrement, back to 0 in a cell
-        that hypothesis 1 rules out (``log p = -inf``), and by one increment
-        into a cell that hypothesis 0 rules out. Each step must match a cold
-        measure and the reference posterior bit for bit."""
+    def test_joint_memo_rewrites_one_slice_only_where_that_is_exact(self, rebuilds):
+        """Consecutive queries on one measure with constructor-built
+        histories whose counts move by one increment, in several cells, by
+        one decrement, back to 0 in a cell that hypothesis 1 rules out
+        (``log p = -inf``), and by one increment into a cell that hypothesis
+        0 rules out. None came from ``next_history``, so every changed table
+        takes the full rebuild, even a one-cell increment; an unchanged one
+        is a memo hit. Each step must match a cold measure and the reference
+        posterior bit for bit."""
         tables = [
-            ((0, 0, 0), (0, 0, 0)),
-            ((0, 0, 1), (0, 0, 0)),  # one increment: slice rewrite
-            ((1, 0, 1), (0, 2, 0)),  # several cells: full rebuild
-            ((1, 0, 1), (0, 1, 0)),  # one decrement, still positive: slice
-            ((1, 0, 0), (0, 1, 0)),  # back to 0 where log p = -inf: full
-            ((1, 0, 0), (0, 1, 1)),  # one increment where log p = -inf: slice
+            ((0, 0, 0), (0, 0, 0)),  # cold memo: rebuild
+            ((0, 0, 1), (0, 0, 0)),  # one increment: rebuild
+            ((1, 0, 1), (0, 2, 0)),  # several cells: rebuild
+            ((1, 0, 1), (0, 1, 0)),  # one decrement: rebuild
+            ((1, 0, 0), (0, 1, 0)),  # back to 0 where log p = -inf: rebuild
+            ((1, 0, 0), (0, 1, 1)),  # one increment where log p = -inf: rebuild
             ((1, 0, 0), (0, 1, 1)),  # unchanged: memo hit
-            ((3, 0, 0), (0, 1, 1)),  # one cell moved by 2: slice
+            ((3, 0, 0), (0, 1, 1)),  # one cell moved by 2: rebuild
         ]
         g = self.JOINT.arm_return(0, self.VALUES["joint"])
         m = self._measure("joint")
@@ -502,6 +520,29 @@ class TestPosteriorMemo:
             assert got == self._observables("joint", self._measure("joint"), h, event, k)
             reference = _reference_joint_posterior(m.weights, m.outcome_probs, counts)
             assert got["posterior"] == reference.tolist()
+        assert [counts for measure, counts in rebuilds if measure is m] == tables[:6] + tables[7:]
+
+    def test_chained_histories_rewrite_one_slice(self, rebuilds):
+        """The same kinds of step through ``next_history``: increments into
+        cells that hypotheses 0, 1 and 3 rule out, repeats of one cell and
+        both arms. After the cold first query each step rewrites only the
+        observed cell's slice, and must match a cold measure and the
+        reference posterior bit for bit."""
+        indicators = [(0, 2), (1, 1), (1, 1), (0, 0), (1, 2), (1, 0), (0, 2), (0, 1), (1, 2)]
+        g = self.JOINT.arm_return(0, self.VALUES["joint"])
+        m = self._measure("joint")
+        h = self.JOINT.initial_history()
+        for k, indicator in enumerate(indicators):
+            event = self.JOINT.observation(*indicator, g)
+            got = self._observables("joint", m, h, event, k)
+            assert m.memo[0][0] is h.counts
+            assert got == self._observables("joint", self._measure("joint"), h, event, k)
+            reference = _reference_joint_posterior(m.weights, m.outcome_probs, h.counts)
+            assert got["posterior"] == reference.tolist()
+            h = self.JOINT.next_history(h, event.indicator)
+        assert [counts for measure, counts in rebuilds if measure is m] == [
+            self.JOINT.initial_history().counts
+        ]
 
     @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
     def test_memo_holds_one_entry_per_arm_after_a_long_walk(self, kind):
@@ -798,6 +839,105 @@ class TestMalformedCountTables:
             with pytest.raises(RepresentationError, match=r"\(arms, outcomes\)"):
                 self.MODEL._posterior(m, OutcomeCountHistory(counts))
             self.MODEL._posterior(m, self.MODEL.initial_history())
+
+    def test_histories_derived_from_a_mis_shaped_table_are_rejected(self):
+        """A successor of a table the memo never accepted is not trusted."""
+        m = self.MODEL.measure((0.8, 0.2), self.TABLES)
+        h = OutcomeCountHistory(((0, 0, 1),))
+        for _ in range(3):
+            h = self.MODEL.next_history(h, (0, 1))
+            with pytest.raises(RepresentationError, match=r"\(arms, outcomes\)"):
+                self.MODEL._posterior(m, h)
+
+
+class TestDerivedHistories:
+    """``next_history`` and ``observe`` build their successors without the
+    history constructor's checks, and the joint posterior trusts a derived
+    history only by identity with the memo's counts. Nothing else may take
+    that shortcut, and a derived history must be indistinguishable from a
+    constructed one."""
+
+    MODEL = JointHypothesisBanditModel(2, (0.0, 0.5, 1.0))
+    TABLES = TestPosteriorMemo.JOINT_TABLES
+    WEIGHTS = TestPosteriorMemo.JOINT_WEIGHTS
+
+    def _measure(self):
+        return self.MODEL.measure(self.WEIGHTS, self.TABLES)
+
+    def test_a_constructed_twin_takes_the_rebuild_with_the_same_bits(self, rebuilds):
+        chained, twinned = self._measure(), self._measure()
+        h = self.MODEL.initial_history()
+        for indicator in [(0, 2), (1, 0), (1, 0), (0, 1), (1, 2)]:
+            self.MODEL._posterior(chained, h)
+            self.MODEL._posterior(twinned, h)
+            h = self.MODEL.next_history(h, indicator)
+            twin = OutcomeCountHistory(tuple(tuple(row) for row in h.counts))
+            assert twin == h and twin.prev is None
+            del rebuilds[:]
+            got = self.MODEL._posterior(chained, h).tolist()
+            assert rebuilds == []
+            assert self.MODEL._posterior(twinned, twin).tolist() == got
+            assert rebuilds == [(twinned, twin.counts)]
+            assert got == _reference_joint_posterior(self.WEIGHTS, self.TABLES, h.counts).tolist()
+
+    def test_a_derived_history_is_trusted_only_from_the_memos_own_counts(self, rebuilds):
+        """The memo moved on, or holds an equal but distinct tuple: the
+        successor takes the rebuild."""
+        m = self._measure()
+        h0 = self.MODEL.next_history(self.MODEL.initial_history(), (0, 0))
+        h1 = self.MODEL.next_history(h0, (1, 2))
+        equal = OutcomeCountHistory(tuple(row for row in h0.counts))
+        assert equal.counts == h0.counts and equal.counts is not h0.counts
+        for warm in (OutcomeCountHistory(((0, 0, 0), (0, 0, 1))), equal):
+            self.MODEL._posterior(m, warm)
+            del rebuilds[:]
+            got = self.MODEL._posterior(m, h1).tolist()
+            assert rebuilds == [(m, h1.counts)]
+            assert got == _reference_joint_posterior(self.WEIGHTS, self.TABLES, h1.counts).tolist()
+
+    def test_provenance_stays_out_of_equality_hashing_and_repr(self):
+        h = self.MODEL.next_history(self.MODEL.initial_history(), (1, 2))
+        twin = OutcomeCountHistory(((0, 0, 0), (0, 0, 1)))
+        assert h.prev == self.MODEL.initial_history().counts and h.last == (1, 2)
+        assert h == twin and hash(h) == hash(twin)
+        assert repr(h) == repr(twin) == "OutcomeCountHistory(counts=((0, 0, 0), (0, 0, 1)))"
+        b = observe(BernoulliArmsModel(2).initial_history(), 1, 1)
+        assert b == BanditHistory((0, 1), (0, 1))
+        assert hash(b) == hash(BanditHistory((0, 1), (0, 1)))
+        assert repr(b) == repr(BanditHistory((0, 1), (0, 1)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: OutcomeCountHistory(((0, -1, 0), (0, 0, 0))),
+            lambda: BanditHistory((1, 1), (0,)),
+            lambda: BanditHistory((1, 1), (2, 0)),
+            lambda: BanditHistory((1, 1), (-1, 0)),
+            lambda: observe(BanditHistory((1, 1), (0, 1)), 0, 2),
+            lambda: observe(BanditHistory((1, 1), (0, 1)), 2, 1),
+            lambda: observe(observe(BanditHistory((1, 1), (0, 1)), 1, 1), -1, 0),
+        ],
+    )
+    def test_constructor_and_observe_errors_still_raise(self, build):
+        with pytest.raises(RepresentationError):
+            build()
+
+    def test_a_long_chain_equals_the_constructed_history(self):
+        draws = np.random.default_rng(11).integers(0, [2, 3], (1000, 2)).tolist()
+        bernoulli = BernoulliArmsModel(2)
+        h, b = self.MODEL.initial_history(), bernoulli.initial_history()
+        counts = np.zeros((2, 3), dtype=int)
+        pulls, successes = [0, 0], [0, 0]
+        for arm, outcome in draws:
+            h = self.MODEL.next_history(h, (arm, outcome))
+            counts[arm, outcome] += 1
+            b = bernoulli.next_history(b, (arm, outcome % 2))
+            pulls[arm] += 1
+            successes[arm] += outcome % 2
+        assert h == OutcomeCountHistory(tuple(tuple(row) for row in counts.tolist()))
+        assert b == BanditHistory(tuple(pulls), tuple(successes))
+        assert all(type(n) is int for row in h.counts for n in row)
+        assert all(type(n) is int for n in b.pulls + b.successes)
 
 
 class TestBanditHistoryArmCount:
