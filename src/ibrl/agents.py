@@ -140,8 +140,8 @@ class AgentState:
     state: ``"ties"`` holds ``(grid, tied indices)`` of the last value pass,
     each observed ``(action, reward)`` maps to its successor belief, and on
     Newcomb the key ``"newcomb"`` holds the successor state. It is a cache,
-    not state: it stays out of ``==``, ``hash``, ``repr`` and
-    serialization, and every successor starts with an empty one."""
+    not state: it stays out of ``==``, ``hash`` and ``repr``, and every
+    successor starts with an empty one."""
 
     belief: Infradistribution
     rng: np.random.Generator
@@ -206,16 +206,6 @@ def make_agent(
         raw_support=tuple(float(r) for r in raw_support),
         events=events,
     )
-
-
-def policy_value(state: AgentState, policy: Policy) -> float:
-    """Robust value of one policy: the lower expectation of the agent's
-    return, with the worst case taken against the full mixed policy (the
-    return function is mixed by the action probabilities first, then the
-    minimum over points is taken). This is the one-row case of
-    ``select_policy``'s value pass."""
-    probs = np.array([policy.action_probs])
-    return float(lower_expectations(state.belief, state.returns, probs)[0])
 
 
 def select_policy(state: AgentState, grid: PolicyGrid) -> Policy:

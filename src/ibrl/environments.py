@@ -1,11 +1,11 @@
 """Ground-truth data-generating processes and the expected rewards regret
 is measured against.
 
-Environments are plain functions of (config, action, stream) so that a
-rollout is reproducible from its seed alone. The runners compute expected
-regret against the best expected one-step reward available in the realized
-world, using the environment's raw reward units (agents may rescale rewards
-internally; regret reporting does not).
+Environments are plain functions of (config or model, action, stream) so
+that a rollout is reproducible from its seed alone. The runners compute
+expected regret against the best expected one-step reward available in the
+realized world, using the environment's raw reward units (agents may rescale
+rewards internally; regret reporting does not).
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ class KUBanditConfig:
         for lo, hi in self.intervals:
             if not (0.0 <= lo <= hi <= 1.0):
                 raise ConfigError("arm intervals must be ordered and lie in [0, 1]")
+        if self.fixed_point is not None and self.mode != "fixed_point":
+            raise ConfigError(f"a fixed point needs fixed_point mode, not {self.mode!r}")
         if self.mode == "fixed_point":
             if self.fixed_point is None:
                 raise ConfigError("fixed_point mode needs a fixed probability point")
@@ -101,18 +103,8 @@ def ku_step(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NewcombEnvConfig:
-    model: NewcombModel = NewcombModel()
-    episodes: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.episodes < 1:
-            raise ConfigError("episodes must be at least 1")
-
-
 def newcomb_step(
-    cfg: NewcombEnvConfig, p_one_box: float, action: int, rng: np.random.Generator
+    model: NewcombModel, p_one_box: float, action: int, rng: np.random.Generator
 ) -> float:
     """Resolve one episode given the committed policy and the sampled action.
 
@@ -121,26 +113,9 @@ def newcomb_step(
     one-boxing, then the reward is read from the matrix."""
     if action not in (0, 1):
         raise ConfigError("action must be 0 (one-box) or 1 (two-box)")
-    q = newcomb_prediction_prob(p_one_box, cfg.model.accuracy)
+    q = newcomb_prediction_prob(p_one_box, model.accuracy)
     prediction = 0 if rng.random() < q else 1
-    return float(cfg.model.reward_matrix[action][prediction])
-
-
-def newcomb_policy_rewards(cfg: NewcombEnvConfig) -> np.ndarray:
-    """Expected reward of the two deterministic policies (one-box, two-box).
-
-    The value of a mixed policy is quadratic in the one-boxing probability,
-    with leading coefficient ``(2 * accuracy - 1) * (m00 - m01 - m10 + m11)``.
-    It is affine, so these two values bound every mixed policy, only when
-    that coefficient is 0: for the default matrix, or at accuracy 0.5.
-    Otherwise a mixed policy can beat both; with matrix ``((0, 2), (2, 0))``
-    at accuracy 1, one-boxing with probability 0.5 is worth 1 and both
-    deterministic policies are worth 0."""
-    from .worldmodels import newcomb_expected_reward
-
-    return np.array(
-        [newcomb_expected_reward(1.0, cfg.model), newcomb_expected_reward(0.0, cfg.model)]
-    )
+    return float(model.reward_matrix[action][prediction])
 
 
 # ---------------------------------------------------------------------------

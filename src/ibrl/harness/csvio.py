@@ -11,19 +11,9 @@ import csv
 from typing import Iterable, Sequence
 
 from ..errors import ConfigError, IBRLError
+from .runner import RunRecord
 
-CSV_COLUMNS = (
-    "experiment",
-    "agent",
-    "seed",
-    "episode",
-    "step",
-    "action",
-    "reward",
-    "exp_regret",
-    "cum_regret",
-    "cum_exp_regret",
-)
+CSV_COLUMNS = RunRecord._fields
 
 
 def _row(record) -> tuple:
@@ -59,8 +49,6 @@ def emit_csv(records: Iterable[object], path: str) -> None:
 
 def read_records(path: str) -> list:
     """Parse a file produced by ``emit_csv`` back into run records."""
-    from .runner import RunRecord
-
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)

@@ -52,7 +52,6 @@ from ..agents import (
 from ..environments import (
     KU_MODES,
     KUBanditConfig,
-    NewcombEnvConfig,
     TrapWorldConfig,
     bernoulli_step,
     ku_step,
@@ -120,6 +119,8 @@ def _float_setting(cfg: ExperimentConfig, key: str, default: float) -> float:
     value = cfg.setting(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {key!r}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"field {key!r}: must be finite, got {value!r}")
     return float(value)
 
 
@@ -230,7 +231,7 @@ def trap_hypothesis_tables(
 def trap_model(env: TrapWorldConfig) -> tuple[JointHypothesisBanditModel, tuple[float, ...], np.ndarray]:
     """World model plus the agent-side reward convention for trap bandits."""
     raw, scaled = trap_support(env)
-    model = JointHypothesisBanditModel(env.arm_count, tuple(scaled.tolist()))
+    model = JointHypothesisBanditModel(env.arm_count, len(raw))
     values = np.tile(scaled, (env.arm_count, 1))
     return model, raw, values
 
@@ -491,7 +492,6 @@ def run_newcomb_sweep(
     summaries: list[NewcombCellSummary] = []
     for ci, alpha in enumerate(alphas):
         model = NewcombModel(reward_matrix=matrix, accuracy=alpha)
-        env = NewcombEnvConfig(model, episodes)
         env_rng = derive_stream(cfg.seed, ci, ENV_STREAM)
         agent_rng = derive_stream(cfg.seed, ci, AGENT_STREAM)
         # Conditioning on a Newcomb observation is the identity, so every
@@ -509,7 +509,7 @@ def run_newcomb_sweep(
 
         def env_step(policy, action):
             p_star = policy.action_probs[0]
-            reward = newcomb_step(env, p_star, action, env_rng)
+            reward = newcomb_step(model, p_star, action, env_rng)
             mean, second = moments[policy]
             episode_stats.append((p_star, reward, mean, second))
             return reward, best - mean, best - reward

@@ -59,8 +59,8 @@ def bootstrap_percentiles(
     data = np.asarray(samples, dtype=float)
     if data.size == 0:
         raise ConfigError("bootstrap needs at least one sample")
-    if not 0.0 < q < 1.0:
-        raise ConfigError("quantile level must lie in (0, 1)")
+    if not 0.0 < q <= 1.0:
+        raise ConfigError("quantile level must lie in (0, 1]")
     if n_boot < 1:
         raise ConfigError("resample count must be at least 1")
     estimate = nearest_rank(data, q)

@@ -34,8 +34,6 @@ from .worldmodels import ExplicitFiniteModel, ReturnFunction, WorldModel, _check
 
 # Absolute tolerance for value comparisons (ties, weight sums).
 VALUE_TOL = 1e-9
-# Tolerance below which pruning must not move any lower expectation.
-PRUNE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,18 +144,6 @@ def lower_expectations(psi: Infradistribution, f: ReturnFunction, probs: np.ndar
             values = a.scale * expected + a.offset
         worst = values if worst is None else np.where(values < worst, values, worst)
     return worst
-
-
-def argmin_point(psi: Infradistribution, f: ReturnFunction) -> AMeasure:
-    """The point attaining the lower expectation; ties go to the lowest
-    insertion index."""
-    best = psi.points[0]
-    best_value = evaluate(best, f, psi.history)
-    for a in psi.points[1:]:
-        value = evaluate(a, f, psi.history)
-        if value < best_value:
-            best, best_value = a, value
-    return best
 
 
 def _common_frame(components: Sequence[Infradistribution]) -> tuple[WorldModel, object]:

@@ -45,8 +45,8 @@ on every call (``_arm_posterior``), and a measure of such arms memoizes its
 action values per value table. ``restrict`` returns Python floats, so the
 scales and offsets it feeds conditioning never become numpy scalars.
 
-scipy is imported lazily, inside the functions that use it
-(``log_branch_probability`` here, ``inframeasure._convex_dominated``), and
+This module never imports scipy. The one scipy use in the package,
+``inframeasure._convex_dominated``, imports it on first call, and
 ``tests/test_imports.py`` enforces this.
 """
 
@@ -545,27 +545,6 @@ def predictive(measure: BernoulliArmMeasure, history: BanditHistory, arm: int) -
     return float(p[0]) if p.size == 1 else float(np.dot(w, p))
 
 
-def log_branch_probability(measure: BernoulliArmMeasure, history: BanditHistory) -> float:
-    """Log probability of the observed history; factorizes across arms.
-
-    ``scipy.special`` is imported here, on first use, so that importing
-    ``ibrl`` and running the experiments never loads scipy."""
-    from scipy.special import logsumexp
-
-    total = 0.0
-    for arm, table in enumerate(measure.tables):
-        lw = _arm_log_weights(table, history.pulls[arm], history.successes[arm])
-        total += float(logsumexp(lw))
-    return total
-
-def branch_probability(measure: BernoulliArmMeasure, history: BanditHistory) -> float:
-    """Probability the measure assigns to the observed (ordered) history.
-
-    Computed in log space; extremely long histories may round to 0.0 here even
-    though posterior weights remain well defined."""
-    return float(math.exp(log_branch_probability(measure, history)))
-
-
 def observe(history: BanditHistory, arm: int, reward: int) -> BanditHistory:
     """Append one pull of ``arm`` with binary ``reward`` to the history."""
     if reward not in (0, 1):
@@ -579,32 +558,6 @@ def observe(history: BanditHistory, arm: int, reward: int) -> BanditHistory:
     object.__setattr__(new, "pulls", tuple(pulls))
     object.__setattr__(new, "successes", tuple(successes))
     return new
-
-
-def mix_measures(
-    components: Sequence[BernoulliArmMeasure], weights: Sequence[float]
-) -> BernoulliArmMeasure:
-    """Convex combination of bandit measures.
-
-    Per arm, component lists are concatenated with weights scaled by the
-    mixture weight; components with identical success probability are merged
-    and zero-weight entries dropped."""
-    w = _check_weights(weights)
-    if len(components) != w.size:
-        raise RepresentationError("measure and weight counts differ")
-    arm_count = len(components[0].arms)
-    if any(len(m.arms) != arm_count for m in components):
-        raise RepresentationError("all measures must have the same arm count")
-    arms = []
-    for arm in range(arm_count):
-        merged: dict[float, float] = {}
-        for wk, m in zip(w, components):
-            for c, p in m.arms[arm]:
-                if wk * c == 0.0:
-                    continue
-                merged[p] = merged.get(p, 0.0) + wk * c
-        arms.append(tuple((c, p) for p, c in merged.items()))
-    return BernoulliArmMeasure(tuple(arms))
 
 
 @dataclass(frozen=True)
@@ -707,7 +660,27 @@ class BernoulliArmsModel(BanditModel):
     def mix(
         self, measures: Sequence[BernoulliArmMeasure], weights: Sequence[float]
     ) -> BernoulliArmMeasure:
-        return mix_measures(measures, weights)
+        """Convex combination of bandit measures.
+
+        Per arm, component lists are concatenated with weights scaled by the
+        mixture weight; components with identical success probability are
+        merged and zero-weight entries dropped."""
+        w = _check_weights(weights)
+        if len(measures) != w.size:
+            raise RepresentationError("measure and weight counts differ")
+        arm_count = len(measures[0].arms)
+        if any(len(m.arms) != arm_count for m in measures):
+            raise RepresentationError("all measures must have the same arm count")
+        arms = []
+        for arm in range(arm_count):
+            merged: dict[float, float] = {}
+            for wk, m in zip(w, measures):
+                for c, p in m.arms[arm]:
+                    if wk * c == 0.0:
+                        continue
+                    merged[p] = merged.get(p, 0.0) + wk * c
+            arms.append(tuple((c, p) for p, c in merged.items()))
+        return BernoulliArmMeasure(tuple(arms))
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +803,15 @@ def newcomb_expected_reward(p_one_box: float, model: NewcombModel) -> float:
     """Expected reward of the policy that one-boxes with probability ``p``.
 
     With the default matrix this is affine in ``p`` with slope
-    ``20 * accuracy - 11``, so the optimal policy flips at accuracy 0.55."""
+    ``20 * accuracy - 11``, so the optimal policy flips at accuracy 0.55.
+
+    In general it is quadratic in ``p``, with leading coefficient
+    ``(2 * accuracy - 1) * (m00 - m01 - m10 + m11)``. It is affine, so the
+    two deterministic policies bound every mixed policy, only when that
+    coefficient is 0: for the default matrix, or at accuracy 0.5. Otherwise
+    a mixed policy can beat both; with matrix ``((0, 2), (2, 0))`` at
+    accuracy 1, one-boxing with probability 0.5 is worth 1 and both
+    deterministic policies are worth 0."""
     m = np.asarray(model.reward_matrix, dtype=float)
     return float(_newcomb_expectation(p_one_box, model.accuracy, m))
 
@@ -924,20 +905,16 @@ def _log_terms(measure: JointHypothesisMeasure, counts: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JointHypothesisBanditModel(BanditModel):
-    """Bandit whose arms share a finite reward ``support`` and are coupled
-    through joint hypotheses."""
+    """Bandit whose arms share ``outcome_count`` reward outcomes and are
+    coupled through joint hypotheses."""
 
     arm_count: int
-    support: tuple[float, ...]
+    outcome_count: int
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if len(self.support) < 2:
-            raise ConfigError("support needs at least two outcomes")
-
-    @property
-    def outcome_count(self) -> int:
-        return len(self.support)
+        if self.outcome_count < 2:
+            raise ConfigError("outcome_count must be at least 2")
 
     def initial_history(self) -> OutcomeCountHistory:
         return OutcomeCountHistory(((0,) * self.outcome_count,) * self.arm_count)

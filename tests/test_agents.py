@@ -34,14 +34,12 @@ from ibrl import (
     make_agent,
     mix_knightian,
     policy_grid,
-    policy_value,
     select_policy,
     trap_sample_world,
     trap_step,
 )
 from ibrl.harness import ExperimentConfig, derive_stream, run_newcomb_sweep
 from ibrl.harness.runner import trap_bayes_belief, trap_ib_belief, trap_model
-from ibrl.harness.serialize import _flatten
 
 VALUES = np.array([[0.0, 1.0], [0.0, 1.0]])
 
@@ -160,8 +158,8 @@ class TestSelection:
         model = BernoulliArmsModel(2)
         belief = corner_belief(model, [(0.3, 0.8), (0.7, 0.4)])
         state = make_agent(belief, np.random.default_rng(0), "ib_maximin", VALUES)
-        value = policy_value(state, Policy((1.0, 0.0)))
-        np.testing.assert_allclose(value, 0.3)
+        value = lower_expectations(state.belief, state.returns, np.array([[1.0, 0.0]]))
+        np.testing.assert_allclose(value, [0.3])
 
     def test_newcomb_mixed_policy_beats_both_deterministic_ones(self):
         """With matrix ((0, 2), (2, 0)) and a perfect predictor the value is
@@ -215,6 +213,7 @@ class TestValuePass:
         )
         for action, reward in [(1, 1.0), (1, 0.0), (0, 1.0), (1, 1.0)]:
             state = ib_observe(state, action, reward)
+            assert state.belief.history.prev is not None
         assert len(state.belief.points) == 2
         self.assert_matches_scalar(
             state.belief,
@@ -715,18 +714,12 @@ class TestMemo:
     def test_memo_is_not_state(self):
         state = newcomb_state(3)
         twin = make_agent(state.belief, state.rng)
-        lines_before: list[str] = []
-        _flatten("state", state, lines_before)
         select_policy(state, policy_grid(2, 0.1))
         ib_observe(state, 0, 10.0)
         assert len(state.memo) == 2 and twin.memo == {}
         assert state == twin
         assert hash(state) == hash(twin)
         assert repr(state) == repr(twin) and "memo" not in repr(state)
-        lines_after: list[str] = []
-        _flatten("state", state, lines_after)
-        assert lines_after == lines_before
-        assert not any("memo" in line for line in lines_after)
 
     def test_memo_does_not_keep_a_rollout_alive(self):
         """``state0`` stays alive through the whole rollout; the memo must

@@ -6,18 +6,18 @@ import pytest
 from ibrl import (
     ConfigError,
     KUBanditConfig,
-    NewcombEnvConfig,
     NewcombModel,
     TrapWorldConfig,
     bernoulli_step,
     ku_probabilities,
     ku_step,
-    newcomb_policy_rewards,
+    newcomb_expected_reward,
     newcomb_step,
     trap_expected_rewards,
     trap_sample_world,
     trap_step,
 )
+from ibrl.harness import ExperimentConfig, run_newcomb_sweep
 
 
 class TestBernoulliStep:
@@ -62,6 +62,11 @@ class TestKUBandit:
     def test_fixed_point_mode_requires_a_point(self):
         with pytest.raises(ConfigError):
             KUBanditConfig(mode="fixed_point")
+
+    @pytest.mark.parametrize("mode", ["per_step_random", "worst_case_vs_agent"])
+    def test_a_point_outside_fixed_point_mode_is_rejected(self, mode):
+        with pytest.raises(ConfigError, match="fixed_point mode"):
+            KUBanditConfig(mode=mode, fixed_point=(0.9, 0.9))
 
     def test_worst_case_mode_minimizes_the_pulled_arm(self):
         """The adversary grants the pulled arm its lower endpoint and every
@@ -113,31 +118,30 @@ class TestKUBandit:
 
 class TestNewcombEnv:
     def test_perfect_predictor_rewards_match_the_matrix(self):
-        cfg = NewcombEnvConfig(model=NewcombModel(accuracy=1.0))
+        model = NewcombModel(accuracy=1.0)
         rng = np.random.default_rng(0)
-        assert newcomb_step(cfg, 1.0, 0, rng) == 10.0
-        assert newcomb_step(cfg, 0.0, 1, rng) == 1.0
+        assert newcomb_step(model, 1.0, 0, rng) == 10.0
+        assert newcomb_step(model, 0.0, 1, rng) == 1.0
 
     def test_perfect_predictor_punishes_defection_from_a_one_box_policy(self):
         """Policy commits to one-boxing, the sampled action two-boxes: the
         predictor saw the policy, so both boxes are full."""
-        cfg = NewcombEnvConfig(model=NewcombModel(accuracy=1.0))
-        assert newcomb_step(cfg, 1.0, 1, np.random.default_rng(0)) == 11.0
+        model = NewcombModel(accuracy=1.0)
+        assert newcomb_step(model, 1.0, 1, np.random.default_rng(0)) == 11.0
 
     def test_action_must_be_binary(self):
-        cfg = NewcombEnvConfig()
         with pytest.raises(ConfigError):
-            newcomb_step(cfg, 0.5, 2, np.random.default_rng(0))
+            newcomb_step(NewcombModel(), 0.5, 2, np.random.default_rng(0))
 
     def test_policy_rewards_order_flips_with_accuracy(self):
-        low = newcomb_policy_rewards(NewcombEnvConfig(model=NewcombModel(accuracy=0.5)))
-        high = newcomb_policy_rewards(NewcombEnvConfig(model=NewcombModel(accuracy=0.9)))
-        assert low[1] > low[0]
-        assert high[0] > high[1]
+        low, high = NewcombModel(accuracy=0.5), NewcombModel(accuracy=0.9)
+        assert newcomb_expected_reward(0.0, low) > newcomb_expected_reward(1.0, low)
+        assert newcomb_expected_reward(1.0, high) > newcomb_expected_reward(0.0, high)
 
     def test_episode_count_validated(self):
-        with pytest.raises(ConfigError):
-            NewcombEnvConfig(episodes=0)
+        cfg = ExperimentConfig("newcomb", seed=1, settings={"episodes": 0})
+        with pytest.raises(ConfigError, match="'episodes'"):
+            run_newcomb_sweep(cfg)
 
 
 class TestTrapWorld:

@@ -1,5 +1,5 @@
 """Tests for the experiment harness: config parsing, statistics, CSV
-records, serialization, runners, and the command line."""
+records, runners, and the command line."""
 
 import re
 
@@ -7,17 +7,13 @@ import numpy as np
 import pytest
 
 from ibrl import (
-    AMeasure,
     BernoulliArmsModel,
     ConfigError,
     KUBanditConfig,
     DegenerateUpdateError,
-    Infradistribution,
     NewcombModel,
-    OutcomeCountHistory,
     TrapWorldConfig,
     deterministic_grid,
-    ib_observe,
     ku_step,
     make_agent,
     mix_knightian,
@@ -45,11 +41,10 @@ from ibrl.harness import (
     read_records,
     run_experiment,
     run_newcomb_sweep,
-    serialize_infradistribution,
 )
 from ibrl.harness import acceptance
 from ibrl.harness.cli import main
-from ibrl.harness.runner import DEFAULT_VALIDATE_PAIRS, _rollout, trap_ib_belief, trap_model
+from ibrl.harness.runner import DEFAULT_VALIDATE_PAIRS, _rollout
 
 
 class TestConfigParsing:
@@ -217,55 +212,6 @@ class TestCsv:
         path.write_text(",".join(CSV_COLUMNS) + "\n" + good + "\nshort,row\n")
         with pytest.raises(ConfigError, match="line 3"):
             read_records(path)
-
-
-class TestSerialization:
-    def test_flat_text_form_of_a_classical_belief(self):
-        model = BernoulliArmsModel(2)
-        belief = Infradistribution.singleton(
-            AMeasure(1.0, model.point_measure([0.3, 0.7]), 0.0, model), model.initial_history()
-        )
-        expected = (
-            "model.kind = 'BernoulliArmsModel'\n"
-            "model.params.arm_count = 2\n"
-            "history.pulls.len = 2\n"
-            "history.pulls.0 = 0\n"
-            "history.pulls.1 = 0\n"
-            "history.successes.len = 2\n"
-            "history.successes.0 = 0\n"
-            "history.successes.1 = 0\n"
-            "points = 1\n"
-            "point.0.scale = 1.0\n"
-            "point.0.offset = 0.0\n"
-            "point.0.measure.arms.len = 2\n"
-            "point.0.measure.arms.0.len = 1\n"
-            "point.0.measure.arms.0.0.len = 2\n"
-            "point.0.measure.arms.0.0.0 = 1.0\n"
-            "point.0.measure.arms.0.0.1 = 0.3\n"
-            "point.0.measure.arms.1.len = 1\n"
-            "point.0.measure.arms.1.0.len = 2\n"
-            "point.0.measure.arms.1.0.0 = 1.0\n"
-            "point.0.measure.arms.1.0.1 = 0.7\n"
-        )
-        assert serialize_infradistribution(belief) == expected
-
-    def test_a_derived_history_serializes_like_a_constructed_one(self):
-        """After one trap step the belief's history came from
-        ``next_history`` and carries its provenance; none of it is state."""
-        env = TrapWorldConfig()
-        model, raw_support, values = trap_model(env)
-        state = make_agent(
-            trap_ib_belief(model, env), np.random.default_rng(0), "ib_maximin", values, raw_support
-        )
-        belief = ib_observe(state, 1, raw_support[-1]).belief
-        assert belief.history.prev is not None
-        constructed = Infradistribution(
-            belief.points, OutcomeCountHistory(tuple(row for row in belief.history.counts))
-        )
-        text = serialize_infradistribution(belief)
-        assert text == serialize_infradistribution(constructed)
-        assert "history.counts.1.2 = 1" in text
-        assert "prev" not in text and "last" not in text
 
 
 class TestStreams:
@@ -509,6 +455,21 @@ class TestCli:
     def test_missing_experiment_exits_two(self, capsys):
         assert main(["run"]) == 2
 
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            ("newcomb", "alpha.min", "nan"),
+            ("newcomb", "alpha.step", "inf"),
+            ("trap-bandit", "env.catastrophe_reward", "nan"),
+            ("trap-bandit", "env.catastrophe_reward", "-inf"),
+        ],
+    )
+    def test_non_finite_setting_exits_two(self, tmp_path, capsys, experiment, key, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{key} = {value}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"field {key!r}: must be finite" in capsys.readouterr().err
+
     def test_report_summarizes_an_output_file(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         main(
@@ -530,6 +491,22 @@ class TestCli:
         text = capsys.readouterr().out
         assert "ib p50" in text
         assert "p95" in text
+
+    def test_report_p100_is_one_line_per_agent(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("experiment = ku-bandit\nseed = 3\nsteps = 5\nruns = 3\n")
+        out = tmp_path / "r.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        finals = final_cumulative_regrets(read_records(out))
+        capsys.readouterr()
+        code = main(["report", "--in", str(out), "--percentiles", "100", "--bootstrap", "50"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(finals) > 1
+        # p100 is the sample maximum.
+        assert [line.split()[:3] for line in lines] == [
+            [agent, "p100", f"{max(finals[agent]):.2f}"] for agent in sorted(finals)
+        ]
 
     def test_report_rejects_bad_percentiles(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

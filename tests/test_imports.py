@@ -1,8 +1,7 @@
 """Cold-start guard: importing ``ibrl`` and running every experiment family
-loads no scipy module. scipy is imported only inside the functions that use
-it (``branch_probability``/``log_branch_probability`` and
-``prune(convex=True)``), so a new eager ``import scipy`` fails here instead
-of adding its import time and memory to every run."""
+loads no scipy module. scipy is imported only inside the one function that
+uses it (``prune(convex=True)``), so a new eager ``import scipy`` fails here
+instead of adding its import time and memory to every run."""
 
 import os
 import subprocess
@@ -31,10 +30,14 @@ for text in CONFIGS:
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, f"scipy loaded without use: {loaded[:5]}"
 
-model = ibrl.BernoulliArmsModel(1)
-p = ibrl.branch_probability(model.point_measure([0.5]), model.initial_history())
-assert p == 1.0, p
-assert "scipy.special" in sys.modules
+model = ibrl.ExplicitFiniteModel(3)
+points = tuple(
+    ibrl.AMeasure(1.0, ibrl.FiniteOutcomeMeasure(m), 0.0, model)
+    for m in [(1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.0, 1.0, 0.0)]
+)
+pruned = ibrl.prune(ibrl.Infradistribution(points), convex=True)
+assert len(pruned.points) == 2, pruned
+assert "scipy.optimize" in sys.modules
 print("ok")
 """
 

@@ -12,7 +12,6 @@ from ibrl import (
     FiniteOutcomeMeasure,
     Infradistribution,
     RepresentationError,
-    argmin_point,
     evaluate,
     lower_expectation,
     mix_classical,
@@ -67,7 +66,6 @@ class TestInfradistribution:
         psi = Infradistribution((a, b))
         f = MODEL3.return_function((0.2, 0.9, 0.5))
         np.testing.assert_allclose(lower_expectation(psi, f), 0.2)
-        assert argmin_point(psi, f) is a
 
     def test_singleton_wraps_one_point(self):
         point = finite_point(1.0, (0.3, 0.3, 0.4), 0.0)

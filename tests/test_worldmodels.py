@@ -20,7 +20,6 @@ from ibrl import (
     ObservationEvent,
     OutcomeCountHistory,
     RepresentationError,
-    branch_probability,
     newcomb_expected_reward,
     newcomb_prediction_prob,
     observe,
@@ -97,12 +96,6 @@ class TestBernoulliArms:
         m = model.grid_measure([0.3, 0.7])
         h = observe(model.initial_history(), 0, 1)
         np.testing.assert_allclose(predictive(m, h, 0), 0.58)
-
-    def test_branch_probability_of_an_ordered_history(self):
-        model = BernoulliArmsModel(1)
-        m = model.point_measure([0.5])
-        h = BanditHistory((2,), (1,))
-        np.testing.assert_allclose(branch_probability(m, h), 0.25)
 
     def test_impossible_history_raises(self):
         model = BernoulliArmsModel(1)
@@ -237,7 +230,7 @@ class TestNewcomb:
 
 class TestJointHypothesisModel:
     def setup_method(self):
-        self.model = JointHypothesisBanditModel(2, (0.0, 0.5, 1.0))
+        self.model = JointHypothesisBanditModel(2, 3)
         self.tables = np.array(
             [
                 [[0.0, 0.3, 0.7], [0.0, 0.6, 0.4]],
@@ -296,7 +289,7 @@ def _random_bandit(kind, rng):
     arms = int(rng.integers(1, 4))
     if kind == "joint":
         outcomes = int(rng.integers(2, 5))
-        model = JointHypothesisBanditModel(arms, tuple(np.linspace(0.0, 1.0, outcomes)))
+        model = JointHypothesisBanditModel(arms, outcomes)
         hypotheses = int(rng.integers(1, 6))
         m = model.measure(
             rng.dirichlet(np.ones(hypotheses)),
@@ -338,7 +331,7 @@ class TestBanditSurface:
     @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
     def test_events_out_of_range_are_rejected(self, kind):
         model = (
-            JointHypothesisBanditModel(2, (0.0, 0.5, 1.0))
+            JointHypothesisBanditModel(2, 3)
             if kind == "joint"
             else BernoulliArmsModel(2)
         )
@@ -415,7 +408,7 @@ class TestPosteriorMemo:
         ((0.5, 0.3), (0.3, 0.7), (0.2, 0.9), (0.0, 1.0)),
         ((0.25, 0.0), (0.75, 0.6)),
     )
-    JOINT = JointHypothesisBanditModel(2, (0.0, 0.5, 1.0))
+    JOINT = JointHypothesisBanditModel(2, 3)
     # Hypothesis 2 allows every outcome, so no walk is impossible.
     JOINT_WEIGHTS = (0.5, 0.3, 0.2, 0.0)
     JOINT_TABLES = (
@@ -826,7 +819,7 @@ class TestNaNIsRejected:
 
 
 class TestMalformedCountTables:
-    MODEL = JointHypothesisBanditModel(2, (0.0, 0.5, 1.0))
+    MODEL = JointHypothesisBanditModel(2, 3)
     TABLES = (((0.2, 0.3, 0.5), (0.6, 0.4, 0.0)), ((0.5, 0.5, 0.0), (0.1, 0.1, 0.8)))
 
     @pytest.mark.parametrize(
@@ -857,7 +850,7 @@ class TestDerivedHistories:
     that shortcut, and a derived history must be indistinguishable from a
     constructed one."""
 
-    MODEL = JointHypothesisBanditModel(2, (0.0, 0.5, 1.0))
+    MODEL = JointHypothesisBanditModel(2, 3)
     TABLES = TestPosteriorMemo.JOINT_TABLES
     WEIGHTS = TestPosteriorMemo.JOINT_WEIGHTS
 
