@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError, RepresentationError
-from .inframeasure import VALUE_TOL, Infradistribution, lower_expectations
+from .inframeasure import VALUE_TOL, Infradistribution, _belief, lower_expectations
 from .updates import condition
 from .worldmodels import BanditModel, NewcombModel, ObservationEvent, ReturnFunction, WorldModel
 
@@ -77,7 +77,7 @@ class Policy:
 class PolicyGrid:
     """Finite candidate policy set; always contains every deterministic
     policy. ``probs`` is its (policies, actions) probability matrix, built
-    once."""
+    once and read-only, so a world model may key a memo on its identity."""
 
     policies: tuple[Policy, ...]
     probs: np.ndarray = field(init=False, repr=False, compare=False)
@@ -85,7 +85,9 @@ class PolicyGrid:
     def __post_init__(self) -> None:
         if not self.policies:
             raise ConfigError("policy grid is empty")
-        object.__setattr__(self, "probs", np.array([p.action_probs for p in self.policies]))
+        probs = np.array([p.action_probs for p in self.policies])
+        probs.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
 
 
 def policy_grid(action_count: int, step: float) -> PolicyGrid:
@@ -276,7 +278,7 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
             belief = condition(state.belief, state.events[action][outcome])
         else:
             history = model.next_history(state.belief.history, (action, outcome))
-            belief = Infradistribution(state.belief.points, history)
+            belief = _belief(state.belief.points, history)
         state.memo[key] = belief
     return _successor(state, belief)
 

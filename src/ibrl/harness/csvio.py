@@ -8,6 +8,7 @@ files, so the format must stay byte-stable for a given (config, seed).
 from __future__ import annotations
 
 import csv
+import io
 from typing import Iterable, Sequence
 
 from ..errors import ConfigError, IBRLError
@@ -16,33 +17,34 @@ from .runner import RunRecord
 CSV_COLUMNS = RunRecord._fields
 
 
-def _row(record) -> tuple:
-    """One CSV row from a ``RunRecord``: the six leading fields (two names,
-    four ints) pass through as stored, for the writer to render with
-    ``str``, and the four floats are pre-formatted at 6 decimals."""
-    experiment, agent, seed, episode, step, action, reward, exp_regret, cum_regret, cum_exp = record
-    return (
-        experiment,
-        agent,
-        seed,
-        episode,
-        step,
-        action,
-        f"{reward:.6f}",
-        f"{exp_regret:.6f}",
-        f"{cum_regret:.6f}",
-        f"{cum_exp:.6f}",
-    )
+# Every column after the two names: four ints, then four floats at 6 decimals.
+_NUMBERS = "%s,%s,%s,%s,%.6f,%.6f,%.6f,%.6f\n"
+
+
+def _names(experiment: object, agent: object) -> str:
+    """The ``experiment,agent,`` prefix of a row, quoted by ``csv.writer``
+    as it quotes those two fields in a whole row."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((experiment, agent))
+    return buffer.getvalue()[:-1] + ","
 
 
 def emit_csv(records: Iterable[object], path: str) -> None:
     """Write a header row plus one row per ``RunRecord``, floats at 6
-    decimals, every row newline-terminated."""
+    decimals, every row newline-terminated. The name prefix is rendered by
+    ``csv.writer`` once per distinct ``(experiment, agent)`` pair and the
+    numbers by one format string, which gives the bytes ``csv.writer`` gives
+    for the whole row: numbers never need quoting."""
+    prefixes: dict[tuple, str] = {}
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(map(_row, records))
+            handle.write(",".join(CSV_COLUMNS) + "\n")
+            for record in records:
+                names = record[:2]
+                prefix = prefixes.get(names)
+                if prefix is None:
+                    prefix = prefixes[names] = _names(*names)
+                handle.write(prefix + _NUMBERS % record[2:])
     except OSError as exc:
         raise IBRLError(f"cannot write CSV {path!r}: {exc}") from None
 

@@ -392,13 +392,19 @@ def _run_ku_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
         _pair_setting(cfg, "env.arm1", (0.3, 0.7)),
         _pair_setting(cfg, "env.arm2", (0.4, 0.8)),
     )
+    for key, (lo, hi) in zip(("env.arm1", "env.arm2"), intervals):
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ConfigError(f"field {key!r}: arm intervals must be ordered and lie in [0, 1]")
     mode = _str_setting(cfg, "env.mode", "worst_case_vs_agent")
     if mode not in KU_MODES:
         raise ConfigError(f"field 'env.mode': unknown adversary mode {mode!r}")
     point = cfg.setting("env.point", None)
     if point is not None:
         point = _pair_setting(cfg, "env.point", (0.0, 0.0))
-    env = KUBanditConfig(intervals=intervals, mode=mode, fixed_point=point)
+    try:
+        env = KUBanditConfig(intervals=intervals, mode=mode, fixed_point=point)
+    except ConfigError as exc:  # with the intervals and mode valid, only the point is left
+        raise ConfigError(f"field 'env.point': {exc}") from None
 
     model = BernoulliArmsModel(2)
     values = np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -483,6 +489,9 @@ def run_newcomb_sweep(
         _pair_setting(cfg, "matrix.onebox", (10.0, 0.0)),
         _pair_setting(cfg, "matrix.twobox", (11.0, 1.0)),
     )
+    for key, row in zip(("matrix.onebox", "matrix.twobox"), matrix):
+        if not all(map(math.isfinite, row)):
+            raise ConfigError(f"field {key!r}: reward matrix must be a finite 2x2 table")
     # One grid serves every cell: the agent's tie memo lives on each cell's
     # own state, keyed by the grid's identity.
     candidates = policy_grid(2, pstep)

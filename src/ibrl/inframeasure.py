@@ -18,7 +18,8 @@ A single point therefore reduces to an ordinary expectation, a classical
 mixture combines points linearly, and a Knightian combination is a plain set
 union whose lower expectation is the envelope (pointwise minimum) of its
 parts. ``lower_expectations`` scores a whole matrix of policies at once: one
-world-model call per point, then the minimum over points per policy.
+world-model call per point, then, on Python floats, each point's affine map
+and the minimum over points per policy, bit for bit what numpy would give.
 """
 
 from __future__ import annotations
@@ -57,19 +58,27 @@ class AMeasure:
         self.model.validate_measure(self.measure)
 
 
-_new_object, _set_field = object.__new__, object.__setattr__
+_new_object = object.__new__
 
 
 def _point(scale: float, measure: object, offset: float, model: WorldModel) -> AMeasure:
     """A point whose scale and offset the caller has already checked and
-    whose measure ``model`` already holds valid: the fields are set as the
-    frozen ``__init__`` sets them, and nothing is re-run."""
+    whose measure ``model`` already holds valid: the fields are written into
+    the frozen instance's ``__dict__``, where ``__init__`` puts them, and
+    nothing is re-run."""
     a = _new_object(AMeasure)
-    _set_field(a, "scale", scale)
-    _set_field(a, "measure", measure)
-    _set_field(a, "offset", offset)
-    _set_field(a, "model", model)
+    fields = a.__dict__
+    fields["scale"], fields["measure"] = scale, measure
+    fields["offset"], fields["model"] = offset, model
     return a
+
+
+def _belief(points: tuple[AMeasure, ...], history: object) -> "Infradistribution":
+    """A belief whose points the caller knows to be nonempty and on one
+    world model, built as ``_point`` builds a point."""
+    psi = _new_object(Infradistribution)
+    psi.__dict__["points"], psi.__dict__["history"] = points, history
+    return psi
 
 
 def _check_scale_offset(scale: float, offset: float) -> None:
@@ -128,22 +137,26 @@ def lower_expectations(psi: Infradistribution, f: ReturnFunction, probs: np.ndar
     actions) matrix of action distributions.
 
     Each point values every policy in one world-model call; a zero-scale
-    point contributes its offset, as in ``evaluate``. The minimum over points
-    is taken as ``min`` takes it (a later point wins only when strictly
-    lower), so entry ``i`` equals ``lower_expectation`` of ``f`` mixed by row
-    ``i`` whenever the world model's values do."""
+    point contributes its offset, as in ``evaluate``. The rest is done on
+    Python floats: each value is ``scale * e + offset``, the IEEE operations
+    numpy would run elementwise, and the minimum over points is taken as
+    ``min`` takes it (a later point wins only when strictly lower). So entry
+    ``i`` equals ``lower_expectation`` of ``f`` mixed by row ``i`` whenever
+    the world model's values do. The result is a float array."""
     model = psi.model
     if f.model is not model and f.model != model:
         raise RepresentationError("return function belongs to a different world model")
+    history = psi.history
     worst = None
     for a in psi.points:
-        if a.scale == 0.0:
-            values = np.full(len(probs), a.offset)
+        scale, offset = a.scale, a.offset
+        if scale == 0.0:
+            values = [offset] * len(probs)
         else:
-            expected = a.model.policy_expectations(a.measure, psi.history, f, probs)
-            values = a.scale * expected + a.offset
-        worst = values if worst is None else np.where(values < worst, values, worst)
-    return worst
+            expected = a.model.policy_expectations(a.measure, history, f, probs).tolist()
+            values = [scale * e + offset for e in expected]
+        worst = values if worst is None else [v if v < w else w for v, w in zip(values, worst)]
+    return np.array(worst)
 
 
 def _common_frame(components: Sequence[Infradistribution]) -> tuple[WorldModel, object]:

@@ -57,6 +57,7 @@ from typing import Sequence
 
 from .errors import DegenerateUpdateError, RepresentationError
 from .inframeasure import AMeasure, Infradistribution, _check_scale_offset, _kept_points, _point
+from .inframeasure import _belief
 from .worldmodels import ObservationEvent, WorldModel
 
 # A renormalization span at or below this is treated as a refuted belief.
@@ -204,4 +205,4 @@ def condition(psi: Infradistribution, event: ObservationEvent) -> Infradistribut
         alpha, span = _alpha_span(points, masses)
     renormalized = _renormalized(points, alpha, span, model)
     kept = _kept_points(renormalized, model, max(1.0, event.offbranch_return.f_max))
-    return Infradistribution(tuple(kept), history)
+    return _belief(tuple(kept), history)

@@ -41,9 +41,12 @@ counts move, so a point builds one posterior per observation, rewriting one
 cell of joint terms. A memo hit returns the very array the same numpy
 operations produced on the miss: no bit changes. A one-component independent
 arm skips the posterior arithmetic, though an impossible history still raises
-on every call (``_arm_posterior``), and a measure of such arms memoizes its
-action values per value table. ``restrict`` returns Python floats, so the
-scales and offsets it feeds conditioning never become numpy scalars.
+on every call (``_arm_posterior``). A measure of such arms has a predictive
+that ignores the history, so it memoizes its action values per value table,
+its policy values per value table and policy matrix, and its restriction per
+event; every call checks the history before it reads a memo. ``restrict``
+returns Python floats, so the scales and offsets it feeds conditioning never
+become numpy scalars.
 
 This module never imports scipy. The one scipy use in the package,
 ``inframeasure._convex_dominated``, imports it on first call, and
@@ -420,18 +423,25 @@ class BernoulliArmMeasure:
     ``tables[j]`` holds arm ``j``'s read-only log tables and ``memo[j]`` the
     last ``((pulls, successes), posterior weights)`` computed for it (``None``
     before the first, and always for a one-component arm). When every arm
-    has one component, ``values_memo[0]`` is the last ``(table, action
-    values)`` pair of ``expected_action_values`` (``None`` before the
-    first); otherwise ``values_memo`` is ``None``. ``certain_arms`` lists the
-    one-component arms whose ``p`` is 0 or 1, the only point arms a history
-    can refute. None of these takes part in equality or hashing. NaN
-    weights or probabilities are rejected.
+    has one component, the predictive ignores the history, so three memos
+    hold constants of the measure (``None`` before their first entry):
+    ``values_memo[0]`` is the last ``(table, action values)`` pair of
+    ``expected_action_values``, ``policy_memo[0]`` the last ``(table,
+    probs, policy values)`` triple of ``policy_expectations``, and
+    ``restrict_memo`` maps an event's ``(arm, outcome)`` to the last
+    ``(event, Restriction)`` of ``restrict``. On any other measure all three
+    are ``None``. ``certain_arms`` lists the one-component arms whose ``p``
+    is 0 or 1, the only point arms a history can refute. None of these
+    takes part in equality or hashing. NaN weights or probabilities are
+    rejected.
     """
 
     arms: tuple[tuple[tuple[float, float], ...], ...]
     tables: tuple[ArmTable, ...] = field(init=False, repr=False, compare=False)
     memo: list = field(init=False, repr=False, compare=False)
     values_memo: list | None = field(init=False, repr=False, compare=False)
+    policy_memo: list | None = field(init=False, repr=False, compare=False)
+    restrict_memo: dict | None = field(init=False, repr=False, compare=False)
     certain_arms: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -457,6 +467,8 @@ class BernoulliArmMeasure:
         object.__setattr__(self, "tables", tuple(tables))
         object.__setattr__(self, "memo", [None] * len(self.arms))
         object.__setattr__(self, "values_memo", [None] if point else None)
+        object.__setattr__(self, "policy_memo", [None] if point else None)
+        object.__setattr__(self, "restrict_memo", {} if point else None)
         object.__setattr__(self, "certain_arms", certain)
 
 
@@ -555,8 +567,8 @@ def observe(history: BanditHistory, arm: int, reward: int) -> BanditHistory:
     pulls[arm] += 1
     successes[arm] += reward
     new = object.__new__(BanditHistory)
-    object.__setattr__(new, "pulls", tuple(pulls))
-    object.__setattr__(new, "successes", tuple(successes))
+    fields = new.__dict__
+    fields["pulls"], fields["successes"] = tuple(pulls), tuple(successes)
     return new
 
 
@@ -581,6 +593,13 @@ class BernoulliArmsModel(BanditModel):
         if len(history.pulls) != self.arm_count:
             raise RepresentationError("history has the wrong arm count")
 
+    def _check_point_history(self, measure: BernoulliArmMeasure, history: BanditHistory) -> None:
+        """What every memo read of an all-point measure checks first: the
+        arm count, then each arm with ``p`` 0 or 1 against its counts."""
+        self._check_history(history)
+        for arm in measure.certain_arms:
+            _check_point_arm(measure.tables[arm].p[0], history, arm)
+
     def point_measure(self, probs: Sequence[float]) -> BernoulliArmMeasure:
         """Single-hypothesis measure fixing each arm's success probability."""
         if len(probs) != self.arm_count:
@@ -603,17 +622,34 @@ class BernoulliArmsModel(BanditModel):
         function's is) is served from the measure's one-entry memo, keyed by
         its identity, as a read-only array. Each call still checks the
         history against the arms with ``p`` 0 or 1 first."""
-        self._check_history(history)
         memo = measure.values_memo
         if memo is None or values.flags.writeable:
+            self._check_history(history)
             return self._action_values(measure, history, values)
-        for arm in measure.certain_arms:
-            _check_point_arm(measure.tables[arm].p[0], history, arm)
+        self._check_point_history(measure, history)
         hit = memo[0]
         if hit is not None and hit[0] is values:
             return hit[1]
         out = _read_only(self._action_values(measure, history, values))
         memo[0] = (values, out)
+        return out
+
+    def policy_expectations(
+        self, measure: BernoulliArmMeasure, history: BanditHistory, f: ReturnFunction, probs
+    ) -> np.ndarray:
+        """On an all-point measure, a read-only ``probs`` (every policy
+        grid's is) is served, read-only, from the one-entry policy memo keyed
+        by the identities of ``f.values`` and ``probs``. Each call still
+        checks the history as ``expected_action_values`` does first."""
+        memo = measure.policy_memo
+        if memo is None or probs.flags.writeable:
+            return super().policy_expectations(measure, history, f, probs)
+        self._check_point_history(measure, history)
+        hit, values = memo[0], f.values
+        if hit is not None and hit[0] is values and hit[1] is probs:
+            return hit[2]
+        out = _read_only(probs @ self.expected_action_values(measure, history, values))
+        memo[0] = (values, probs, out)
         return out
 
     def _action_values(
@@ -645,14 +681,26 @@ class BernoulliArmsModel(BanditModel):
     def restrict(
         self, measure: BernoulliArmMeasure, history: BanditHistory, event: ObservationEvent
     ) -> Restriction:
+        """On an all-point measure the restriction to an event is constant:
+        it is served from the restriction memo when that holds this very
+        event. Each call still checks the history first, as a miss does."""
         self._check_history(history)
         arm, outcome = event.indicator
+        memo = measure.restrict_memo
+        if memo is not None:
+            _check_point_arm(measure.tables[arm].p[0], history, arm)
+            hit = memo.get(event.indicator)
+            if hit is not None and hit[0] is event:
+                return hit[1]
         p1 = predictive(measure, history, arm)
         p_obs = p1 if outcome == 1 else 1.0 - p1
         off_outcome = 1 - outcome
         g = event.offbranch_return.values
         off_value = (1.0 - p_obs) * float(g[arm, off_outcome])
-        return Restriction(measure, p_obs, off_value)
+        out = Restriction(measure, p_obs, off_value)
+        if memo is not None:
+            memo[event.indicator] = (event, out)
+        return out
 
     def next_history(self, history: BanditHistory, indicator: tuple[int, int]) -> BanditHistory:
         return observe(history, *indicator)

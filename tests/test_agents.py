@@ -38,7 +38,7 @@ from ibrl import (
     trap_sample_world,
     trap_step,
 )
-from ibrl.harness import ExperimentConfig, derive_stream, run_newcomb_sweep
+from ibrl.harness import ExperimentConfig, derive_stream, run_experiment, run_newcomb_sweep
 from ibrl.harness.runner import trap_bayes_belief, trap_ib_belief, trap_model
 
 VALUES = np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -662,6 +662,25 @@ class TestMemo:
         _, cells = run_newcomb_sweep(ExperimentConfig("newcomb", seed=7, settings={"episodes": 40}))
         assert len(cells) == 51
         assert len(conditionings) == len(cells)
+
+    def test_ku_long_values_and_restricts_each_corner_once(self, monkeypatch):
+        """``ku-long`` at its smoke size (50 steps): each corner's action
+        values are computed once, and ``predictive`` runs twice per corner
+        for them plus once per (corner, event) restricted, not per step.
+        The 106 restrictions (4 points for 3 steps, then 2) touch 8 pairs."""
+        value_calls = count_calls(monkeypatch, "expected_action_values", BernoulliArmsModel)
+        action_values = count_calls(monkeypatch, "_action_values", BernoulliArmsModel)
+        predictives = count_calls(monkeypatch, "predictive", ibrl.worldmodels)
+        restricts = count_calls(monkeypatch, "restrict", BernoulliArmsModel)
+        cfg = ExperimentConfig(
+            "ku-bandit", seed=42, settings={"steps": 50, "env.mode": "per_step_random", "agents": "ib"}
+        )
+        assert len(run_experiment(cfg)) == 50
+        corners = {id(args[1]) for args in action_values}
+        assert len(corners) == len(action_values) == len(value_calls) == 4
+        pairs = {(id(args[1]), id(args[3])) for args in restricts}
+        assert (len(restricts), len(pairs)) == (106, 8)
+        assert len(predictives) == 2 * len(corners) + len(pairs) == 16
 
     def test_newcomb_observation_reuses_one_successor_state(self):
         state = newcomb_state(3)

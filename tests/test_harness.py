@@ -1,6 +1,7 @@
 """Tests for the experiment harness: config parsing, statistics, CSV
 records, runners, and the command line."""
 
+import csv
 import re
 
 import numpy as np
@@ -190,6 +191,29 @@ class TestCsv:
         emit_csv(records, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().endswith(b"\n")
+
+    def test_rows_match_the_csv_writer_byte_for_byte(self, tmp_path):
+        """Names that need quoting, under one and under several pairs, and
+        floats that round, are negative zero, huge or exact."""
+        names = [("ku-bandit", "ib"), ("a,b", 'say "hi"'), ("line\nbreak", ""), ("a,b", "ib")]
+        floats = [0.1234565, -0.0, 1e300, 2.5, -1e-7, 123456.7890125]
+        records = [
+            self.record(
+                experiment=names[i % 4][0], agent=names[i % 4][1], seed=i, step=i * 7, action=i % 3,
+                reward=floats[i % 6], exp_regret=floats[(i + 1) % 6],
+                cum_regret=floats[(i + 2) % 6], cum_exp_regret=float(i),
+            )
+            for i in range(24)
+        ]
+        path = tmp_path / "out.csv"
+        emit_csv(records, path)
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            for r in records:
+                writer.writerow((*r[:6], *(f"{x:.6f}" for x in r[6:])))
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert read_records(path)[1].agent == 'say "hi"'
 
     def test_round_trip_preserves_every_field(self, tmp_path):
         records = [self.record(step=i, reward=float(i % 2), exp_regret=0.25) for i in range(4)]
@@ -469,6 +493,26 @@ class TestCli:
         cfg.write_text(f"experiment = {experiment}\n{key} = {value}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         assert f"field {key!r}: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, lines, key",
+        [
+            ("ku-bandit", "env.point = 0.9, 0.9", "env.point"),
+            ("ku-bandit", "env.mode = fixed_point", "env.point"),
+            ("ku-bandit", "env.mode = fixed_point\nenv.point = 0.1, 0.5", "env.point"),
+            ("ku-bandit", "env.arm1 = 0.3, inf", "env.arm1"),
+            ("ku-bandit", "env.arm2 = 0.8, 0.4", "env.arm2"),
+            ("newcomb", "matrix.onebox = nan, 0", "matrix.onebox"),
+            ("newcomb", "matrix.twobox = 11, -inf", "matrix.twobox"),
+        ],
+        ids=["point-off-mode", "point-missing", "point-outside", "arm1-inf", "arm2-unordered",
+             "onebox-nan", "twobox-inf"],
+    )
+    def test_environment_errors_name_their_field(self, tmp_path, capsys, experiment, lines, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{lines}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"config error: field {key!r}: " in capsys.readouterr().err
 
     def test_report_summarizes_an_output_file(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -1,5 +1,7 @@
 """Tests for the three world-model families and their measures."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,13 @@ from ibrl import (
     observe,
     predictive,
 )
-from ibrl.agents import policy_grid
+from ibrl.agents import deterministic_grid, policy_grid
+from ibrl.inframeasure import (
+    AMeasure,
+    Infradistribution,
+    lower_expectation,
+    lower_expectations,
+)
 from ibrl.worldmodels import (
     _POINT_WEIGHT,
     DEFAULT_NEWCOMB_MATRIX,
@@ -766,6 +774,126 @@ class TestPointValuesMemo:
                 model.expected_action_values(m, BanditHistory(*impossible), values)
             assert model.expected_action_values(m, BanditHistory(*possible), values) is want
         assert model.point_measure([0.5]).certain_arms == ()
+
+
+class TestPointMeasureMemos:
+    """An all-point measure memoizes its policy values per (table, probs)
+    and its restriction per event. Every memoized result must equal, bit
+    for bit, that of a freshly built twin measure, and every call must
+    still check the history first."""
+
+    @staticmethod
+    def _hex(values):
+        return [float(v).hex() for v in values]
+
+    @staticmethod
+    def _random_case(rng):
+        arms = int(rng.integers(1, 4))
+        model = BernoulliArmsModel(arms)
+        pool = [0.0, 1.0, 0.5, 1e-300]
+        measures = [
+            model.point_measure([pool[i] if i < 4 else rng.random() for i in rng.integers(0, 7, arms)])
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        # Histories only refute an arm with p 0 or 1 by luck; most stay possible.
+        pulls = rng.integers(0, 6, arms).tolist()
+        successes = [int(rng.integers(0, n + 1)) for n in pulls]
+        values = rng.random((arms, 2)) * 3.0
+        return model, measures, BanditHistory(tuple(pulls), tuple(successes)), values
+
+    def test_memoized_results_equal_a_fresh_twins_bit_for_bit(self):
+        rng = np.random.default_rng(1809)
+        refuted = 0
+        for _ in range(150):
+            model, measures, h, values = self._random_case(rng)
+            grids = [deterministic_grid(model.arm_count).probs]
+            if model.arm_count == 2:
+                grids.append(policy_grid(2, 0.25).probs)
+            f = model.policy_return(np.full(model.arm_count, 1.0 / model.arm_count), values)
+            # Two events per (arm, outcome), whose off-branch tables differ.
+            g = model.policy_return(f.action_probs, rng.random((model.arm_count, 2)))
+            events = [
+                model.observation(arm, o, r)
+                for arm in range(model.arm_count)
+                for o in (0, 1)
+                for r in (f, g)
+            ]
+            points = tuple(
+                AMeasure(float(rng.choice([0.0, 1.0, rng.random() * 2])), m, rng.random(), model)
+                for m in measures
+            )
+            belief = Infradistribution(points, h)
+
+            def twin_belief():
+                return Infradistribution(
+                    tuple(
+                        AMeasure(a.scale, BernoulliArmMeasure(a.measure.arms), a.offset, model)
+                        for a in points
+                    ),
+                    h,
+                )
+
+            for _ in range(3):  # a miss, then hits
+                for ret, probs in itertools.product((f, g), grids):
+                    got = _outcome(lower_expectations, belief, ret, probs)
+                    want = _outcome(lower_expectations, twin_belief(), ret, probs)
+                    if isinstance(want, tuple):
+                        refuted += 1
+                        assert got == want
+                        continue
+                    assert self._hex(got) == self._hex(want)
+                    if probs is grids[0]:  # one-hot rows, where ``expectation`` agrees exactly
+                        rows = [
+                            lower_expectation(belief, model.policy_return(row, ret.values))
+                            for row in probs
+                        ]
+                        assert self._hex(got) == self._hex(rows)
+                for m in measures:
+                    for event in events:
+                        got = _outcome(model.restrict, m, h, event)
+                        twin = BernoulliArmMeasure(m.arms)
+                        want = _outcome(model.restrict, twin, h, event)
+                        if isinstance(want, tuple):
+                            assert got == want
+                            continue
+                        assert got.measure is m and want.measure is twin
+                        assert self._hex(got[1:]) == self._hex(want[1:])
+        assert refuted > 0
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_impossible_histories_raise_on_every_call_hit_or_miss(self, p):
+        model = BernoulliArmsModel(2)
+        m = model.point_measure([p, 0.4])
+        f = model.policy_return([0.5, 0.5], np.array([[0.2, 0.9], [0.1, 0.7]]))
+        probs = deterministic_grid(2).probs
+        event = model.observation(0, 1, f)
+        good = BanditHistory((3, 1), (3 * int(p), 0))
+        bad = BanditHistory((3, 1), (1 if p == 0.0 else 2, 0))
+
+        def belief(h):
+            return Infradistribution.singleton(AMeasure(1.0, m, 0.0, model), h)
+
+        message = "^history is impossible under every component of this arm$"
+        for warm in (False, True, True):
+            if warm:
+                want_values = lower_expectations(belief(good), f, probs).tolist()
+                want_restriction = model.restrict(m, good, event)
+            with pytest.raises(DegenerateUpdateError, match=message):
+                lower_expectations(belief(bad), f, probs)
+            with pytest.raises(DegenerateUpdateError, match=message):
+                model.restrict(m, bad, event)
+            with pytest.raises(RepresentationError, match="wrong arm count"):
+                model.restrict(m, BanditHistory((1,), (0,)), event)
+            with pytest.raises(RepresentationError, match="wrong arm count"):
+                model.policy_expectations(m, BanditHistory((1,), (0,)), f, probs)
+        assert lower_expectations(belief(good), f, probs).tolist() == want_values
+        assert model.restrict(m, good, event) is want_restriction
+
+    def test_grid_probabilities_are_read_only(self):
+        probs = deterministic_grid(2).probs
+        with pytest.raises(ValueError):
+            probs[0, 0] = 0.5
+        assert not policy_grid(2, 0.1).probs.flags.writeable
 
 
 class TestReturnFunctionOwnsItsTables:
