@@ -4,8 +4,8 @@ When the belief set contains a single full-mass point, conditioning reduces
 to the familiar posterior update and the maximin policy rule reduces to
 expected-value maximization. This demo conditions a grid prior step by step
 next to a hand-rolled Bayes computation, then runs the robust agent and a
-classical greedy agent on the same reward stream and shows their action
-sequences coincide.
+hand-rolled greedy Bayes agent on the same reward stream and shows their
+action sequences coincide.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from ibrl import (
     BernoulliArmsModel,
     Infradistribution,
     act,
-    bayes_select,
     bernoulli_step,
     condition,
     deterministic_grid,
@@ -49,18 +48,20 @@ model2 = BernoulliArmsModel(2)
 values2 = np.array([[0.0, 1.0], [0.0, 1.0]])
 pair = (0.35, 0.65)
 candidates = deterministic_grid(2)
-
-
-def fresh(flavor):
-    belief = Infradistribution.singleton(
-        AMeasure(1.0, model2.grid_measure(np.linspace(0.0, 1.0, 11)), 0.0, model2),
+hypotheses = np.linspace(0.0, 1.0, 11)
+robust_agent = make_agent(
+    Infradistribution.singleton(
+        AMeasure(1.0, model2.grid_measure(hypotheses), 0.0, model2),
         model2.initial_history(),
-    )
-    return make_agent(belief, np.random.default_rng(123), flavor, values2)
-
-
-robust_agent = fresh("ib_maximin")
-greedy_agent = fresh("bayes_greedy")
+    ),
+    np.random.default_rng(123),
+    "ib_maximin",
+    values2,
+)
+# Greedy Bayes by hand: one posterior per arm, the arm of best posterior
+# mean, and ties within 1e-9 drawn from its own copy of the agent's stream.
+posteriors = np.full((2, hypotheses.size), 1.0 / hypotheses.size)
+greedy_rng = np.random.default_rng(123)
 env_robust = np.random.default_rng(99)
 env_greedy = np.random.default_rng(99)
 robust_actions, greedy_actions = [], []
@@ -71,9 +72,12 @@ for _ in range(30):
     robust_agent = ib_observe(robust_agent, a1, float(r1))
     robust_actions.append(a1)
 
-    a2 = bayes_select(greedy_agent)
+    means = (posteriors @ hypotheses).tolist()
+    tied = [a for a, m in enumerate(means) if m >= max(means) - 1e-9]
+    a2 = tied[0] if len(tied) == 1 else tied[int(greedy_rng.integers(len(tied)))]
     r2 = bernoulli_step(pair[a2], env_greedy)
-    greedy_agent = ib_observe(greedy_agent, a2, float(r2))
+    posteriors[a2] *= hypotheses if r2 else 1.0 - hypotheses
+    posteriors[a2] /= posteriors[a2].sum()
     greedy_actions.append(a2)
 
 print(f"  robust: {''.join(map(str, robust_actions))}")

@@ -11,10 +11,12 @@ the full mixed policy, then picks the argmax with uniform random
 tie-breaking. Every candidate is scored in one value pass per step: each
 belief point values the grid's whole (policies, actions) probability matrix
 in one world-model call, and the minimum over points is taken per policy.
-Classical flavors (greedy and Thompson sampling) score arms by
-posterior-predictive expected return on a single-point belief; a maximin
-agent whose belief is a single point makes identical choices, which is the
-classical-recovery property the test suite pins down.
+The greedy classical flavor is this agent on a single-point belief: its one
+point has scale 1 and offset 0, so on the one-hot bandit grid a policy's
+value is its arm's posterior-predictive expected return, and greedy selects
+through ``select_policy`` and ``act`` as the maximin flavor does. That is
+the classical-recovery property the test suite pins down. Only Thompson
+sampling selects an arm directly, through ``bayes_select``.
 
 Observation handling differs by flavor: the maximin flavor runs the full
 conditioning pipeline of ``updates.condition`` (restrict, renormalize, prune,
@@ -25,17 +27,15 @@ agent's events are fixed by its return function, so ``make_agent`` builds
 them once, one per ``(arm, outcome)``, and every observation reuses one.
 
 Both ``select_policy`` and ``ib_observe`` are pure functions of an immutable
-``AgentState``, so each memoizes its work on the state it is given: the tied
+``AgentState``, so they memoize work on the state they are given: the tied
 candidates of the last value pass, keyed by the identity of the grid, and
-the successor belief of each observed ``(action, reward)``. On Newcomb,
-whose observation ignores both, the one successor state itself is stored.
-A reused state, as every Newcomb episode reuses its cell's state, pays for
-one value pass, one conditioning and one successor state per Newcomb cell.
-A hit still draws the tie-break from the stream whenever several policies
-tie, so RNG use is unchanged. Observations that raise are never stored.
-Bandit successor states are not stored, so the memo never chains a bandit
-rollout's states together; a Newcomb rollout is one step from its cell's
-state, so its stored successor ends the chain.
+on Newcomb, whose observation ignores the action and the reward, the one
+successor state. A reused state, as every Newcomb episode reuses its cell's
+state, pays for one value pass, one conditioning and one successor state per
+Newcomb cell. A hit still draws the tie-break from the stream whenever
+several policies tie, so RNG use is unchanged. Observations that raise are
+never stored. A bandit state observes once, so nothing of its observation
+is stored and the memo never chains a rollout's states together.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class AgentState:
     """Belief plus return function plus the agent's private random stream.
 
     ``returns`` is the agent's one return function, built by ``make_agent``:
-    every policy is scored on it, classical selection reads its ``values``
+    every policy is scored on it, Thompson selection reads its ``values``
     table, and on bandits it is the off-branch return of every observation.
     It compares by identity, so it stays out of ``==``. ``raw_support`` maps
     environment rewards to outcome indices. ``events[arm][outcome]`` is a
@@ -140,8 +140,7 @@ class AgentState:
 
     ``memo`` caches the work of ``select_policy`` and ``ib_observe`` on this
     state: ``"ties"`` holds ``(grid, tied indices)`` of the last value pass,
-    each observed ``(action, reward)`` maps to its successor belief, and on
-    Newcomb the key ``"newcomb"`` holds the successor state. It is a cache,
+    and on Newcomb ``"newcomb"`` holds the successor state. It is a cache,
     not state: it stays out of ``==``, ``hash`` and ``repr``, and every
     successor starts with an empty one."""
 
@@ -173,7 +172,9 @@ def make_agent(
     reward matrix. A Newcomb agent is ``ib_maximin`` only and takes no
     reward table; a bandit agent has one ``raw_support`` reward per outcome.
     Anything else raises ``ConfigError`` here rather than at its first step.
-    A maximin bandit agent also gets its table of observation events."""
+    A maximin bandit agent also gets its table of observation events; a
+    classical one needs one point at scale 1 and offset 0, on which greedy's
+    policy values are its arm values (else ``ContractViolationError``)."""
     if flavor not in ("ib_maximin", "bayes_greedy", "bayes_thompson"):
         raise ConfigError(f"unknown agent flavor {flavor!r}")
     model = belief.model
@@ -198,6 +199,8 @@ def make_agent(
                 tuple(model.observation(arm, o, returns) for o in range(model.outcome_count))
                 for arm in range(model.arm_count)
             )
+        elif [(a.scale, a.offset) for a in belief.points] != [(1.0, 0.0)]:
+            raise ContractViolationError("classical agents need one point at scale 1, offset 0")
     else:
         raise RepresentationError(f"{type(model).__name__} has no policy-dependent returns")
     return AgentState(
@@ -250,10 +253,9 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
     reweighting. A reward that is not a finite number raises ``ConfigError``;
     an arm that is not an in-range ``int`` raises ``RepresentationError``.
 
-    The successor belief is memoized on ``state`` by ``(action, reward)``;
-    on Newcomb, whose observation ignores both, the successor state is
-    memoized under one constant key. An observation that raises is not
-    stored, so it raises on every call."""
+    On Newcomb, whose observation ignores the action and the reward, the
+    successor state is memoized on ``state`` under one constant key; an
+    observation that raises is not stored."""
     if not math.isfinite(reward):
         raise ConfigError(f"reward {reward!r} is not a finite number")
     model = state.model
@@ -263,23 +265,19 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
             belief = condition(state.belief, model.observation())
             successor = state.memo["newcomb"] = _successor(state, belief)
         return successor
-    key = (action, reward)
-    belief = state.memo.get(key)
-    if belief is None:
-        try:
-            outcome = state.raw_support.index(reward)
-        except ValueError:
-            diffs = [abs(reward - r) for r in state.raw_support]
-            outcome = diffs.index(min(diffs))
-            if diffs[outcome] > 1e-9:
-                raise ConfigError(f"reward {reward!r} is not in the agent's support")
-        model.validate_indicator((action, outcome))
-        if state.flavor == "ib_maximin":
-            belief = condition(state.belief, state.events[action][outcome])
-        else:
-            history = model.next_history(state.belief.history, (action, outcome))
-            belief = _belief(state.belief.points, history)
-        state.memo[key] = belief
+    try:
+        outcome = state.raw_support.index(reward)
+    except ValueError:
+        diffs = [abs(reward - r) for r in state.raw_support]
+        outcome = diffs.index(min(diffs))
+        if diffs[outcome] > 1e-9:
+            raise ConfigError(f"reward {reward!r} is not in the agent's support")
+    model.validate_indicator((action, outcome))
+    if state.flavor == "ib_maximin":
+        belief = condition(state.belief, state.events[action][outcome])
+    else:
+        history = model.next_history(state.belief.history, (action, outcome))
+        belief = _belief(state.belief.points, history)
     return _successor(state, belief)
 
 
@@ -290,22 +288,17 @@ def _successor(state: AgentState, belief: Infradistribution) -> AgentState:
 
 
 def bayes_select(state: AgentState) -> int:
-    """Classical action selection on a single-point belief.
-
-    ``bayes_thompson`` samples hypothesis components proportional to
-    posterior weight and is greedy for the sample; every other flavor takes
-    the argmax of posterior-predictive expected return per arm. Ties within
-    1e-9 are broken uniformly from the agent's stream."""
-    if len(state.belief.points) != 1:
-        raise ContractViolationError(
-            "classical selection requires a single-point (classical) belief"
-        )
+    """Thompson sampling's arm: one hypothesis component is sampled per arm
+    (one joint hypothesis on the joint model) proportional to posterior
+    weight, and the arm of best expected return under the sample is taken.
+    Ties within 1e-9 are broken uniformly from the agent's stream. Greedy
+    selects through ``select_policy``; any flavor but ``bayes_thompson``
+    raises ``ContractViolationError``."""
+    if state.flavor != "bayes_thompson":
+        raise ContractViolationError(f"bayes_select is Thompson sampling, not {state.flavor!r}")
     measure, history = state.belief.points[0].measure, state.belief.history
-    table = state.returns.values
-    if state.flavor == "bayes_thompson":
-        values = state.model.sampled_action_values(measure, history, table, state.rng).tolist()
-    else:
-        values = state.model.expected_action_values(measure, history, table).tolist()
+    values = state.model.sampled_action_values(measure, history, state.returns.values, state.rng)
+    values = values.tolist()
     best = max(values)
     candidates = [i for i, v in enumerate(values) if v >= best - VALUE_TOL]
     if len(candidates) == 1:

@@ -144,6 +144,12 @@ class TrapWorldConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1 or self.runs < 1:
             raise ConfigError("horizon and run count must be at least 1")
+        if not 0.0 <= self.alpha_dgp <= 1.0:
+            raise ConfigError("alpha_dgp must lie in [0, 1]")
+        if not 0.0 <= self.p_cat <= 1.0:
+            raise ConfigError("p_cat must lie in [0, 1]")
+        if self.catastrophe_reward >= 0.0:
+            raise ConfigError("the catastrophe reward must be negative")
         if not self.arm_pairs:
             raise ConfigError("need at least one arm-probability pair")
         arms = len(self.arm_pairs[0])
@@ -154,12 +160,6 @@ class TrapWorldConfig:
                 raise ConfigError("arm probabilities must lie in [0, 1]")
             if max(pair) + self.p_cat > 1.0 + 1e-12:
                 raise ConfigError("p_cat plus the trap arm probability exceeds 1")
-        if not 0.0 <= self.alpha_dgp <= 1.0:
-            raise ConfigError("alpha_dgp must lie in [0, 1]")
-        if not 0.0 <= self.p_cat <= 1.0:
-            raise ConfigError("p_cat must lie in [0, 1]")
-        if self.catastrophe_reward >= 0.0:
-            raise ConfigError("the catastrophe reward must be negative")
 
     @property
     def arm_count(self) -> int:

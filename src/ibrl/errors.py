@@ -21,4 +21,4 @@ class DegenerateUpdateError(IBRLError):
 
 class ContractViolationError(IBRLError):
     """An operation was invoked on a belief state outside its supported class
-    (for example, a classical-only selector on a multi-point belief)."""
+    (for example, a classical agent on a multi-point belief)."""

@@ -76,11 +76,38 @@ def _result(number: int, name: str, problems: list[str], ok_detail: str) -> Crit
 # ---------------------------------------------------------------------------
 
 
-def check_classical_recovery(seed: int = DEFAULT_SEED) -> CriterionResult:
+def _greedy_departures(records: list, seed: int, runs: int, grid: np.ndarray) -> int:
+    """Runs on which the ``bayes`` agent leaves greedy Bayes written out
+    here: the arm of best linear-space posterior mean on the uniform grid
+    prior, ties within 1e-9 drawn from the run's agent stream. Records come
+    sorted by (agent, episode, step)."""
+    prior, departed = np.full(grid.size, 1.0 / grid.size), set()
+    for rec in records:
+        if rec.agent != "bayes" or rec.episode in departed:
+            continue
+        if rec.step == 0:
+            rng = derive_stream(seed, *divmod(rec.episode, runs), AGENT_STREAM)
+            counts, means = [[0, 0], [0, 0]], [float(prior @ grid)] * 2
+        tied = [a for a, m in enumerate(means) if m >= max(means) - 1e-9]
+        if rec.action != (tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]):
+            departed.add(rec.episode)
+            continue
+        counts[rec.action][0] += 1
+        counts[rec.action][1] += int(rec.reward)
+        means[rec.action] = float(_oracle_posterior(grid, prior, *counts[rec.action]) @ grid)
+    return len(departed)
+
+
+def check_classical_recovery(
+    seed: int = DEFAULT_SEED, runs: int = 10, steps: int = 500
+) -> CriterionResult:
     """Single-point robust agent vs classical Bayes agent: identical actions
-    and identical cumulative regret, exactly, on every run."""
-    cfg = ExperimentConfig("validate-classical", seed=seed)
-    records = run_experiment(cfg)
+    and identical cumulative regret, exactly, on every run. Both agents
+    select through ``select_policy``, so the Bayes agent's actions are also
+    replayed against greedy Bayes written out independently."""
+    grid = np.linspace(0.0, 1.0, 11)
+    settings = {"runs": runs, "steps": steps, "grid.points": grid.size}
+    records = run_experiment(ExperimentConfig("validate-classical", seed=seed, settings=settings))
     by_agent: dict[str, dict[tuple[int, int], tuple[int, float, float]]] = {}
     for rec in records:
         by_agent.setdefault(rec.agent, {})[(rec.episode, rec.step)] = (
@@ -98,8 +125,10 @@ def check_classical_recovery(seed: int = DEFAULT_SEED) -> CriterionResult:
             problems.append(
                 f"{mismatches} of {len(ib)} steps differ in action or cumulative regret"
             )
+    departures = _greedy_departures(records, seed, runs, grid)
+    if departures:
+        problems.append(f"the Bayes agent leaves the greedy Bayes rule on {departures} runs")
     episodes = {rec.episode for rec in records}
-    steps = max(rec.step for rec in records) + 1
     return _result(
         1,
         "classical recovery",

@@ -1,7 +1,7 @@
 """Experiment orchestration: seeded rollouts producing run records.
 
 Every experiment runs the same loop, ``_rollout``: per step the agent
-selects a policy (classical agents select an arm directly), samples an
+selects a policy (a Thompson agent selects an arm directly), samples an
 action, the environment resolves the step, the step is recorded, and the
 observation is folded back into the agent's belief. Experiments differ only
 in their belief builders, stream keys and a small environment-step closure.
@@ -144,16 +144,22 @@ def _pair_setting(cfg: ExperimentConfig, key: str, default: tuple[float, float])
 def _numbered_pairs(
     cfg: ExperimentConfig, prefix: str, default: tuple[tuple[float, float], ...]
 ) -> tuple[tuple[float, float], ...]:
-    """Collect keys ``<prefix>1, <prefix>2, ...`` into an ordered pair list."""
+    """Collect the probability pairs of keys ``<prefix>1, <prefix>2, ...``
+    in numeric order; two keys of one number (``1`` and ``01``) raise."""
     pattern = re.compile(re.escape(prefix) + r"(\d+)$")
-    found: dict[int, tuple[float, float]] = {}
+    found: dict[int, tuple[str, tuple[float, float]]] = {}
     for key in cfg.settings:
         match = pattern.match(key)
         if match:
-            found[int(match.group(1))] = _pair_setting(cfg, key, (0.0, 0.0))
+            index, pair = int(match.group(1)), _pair_setting(cfg, key, (0.0, 0.0))
+            if index in found:
+                raise ConfigError(f"fields {found[index][0]!r} and {key!r} have the same number")
+            if not all(0.0 <= p <= 1.0 for p in pair):
+                raise ConfigError(f"field {key!r}: probabilities must lie in [0, 1]")
+            found[index] = key, pair
     if not found:
         return default
-    return tuple(found[i] for i in sorted(found))
+    return tuple(found[i][1] for i in sorted(found))
 
 
 def _roster(cfg: ExperimentConfig, default: tuple[str, ...]) -> tuple[str, ...]:
@@ -279,22 +285,22 @@ def _rollout(
 ) -> list[RunRecord]:
     """Run one agent for ``steps`` steps: select, act, step, record, observe.
 
-    Maximin agents score the ``candidates`` on their return function and
-    sample an action from the chosen policy; classical agents pick an arm
-    and pass ``None`` as the policy. ``env_step(policy, action)`` returns
-    ``(reward, expected regret, realized regret)``. A degenerate update is
-    re-raised naming the experiment, agent, episode and step, followed by
-    ``where`` (extra context such as the sampled world)."""
+    Maximin and greedy agents score the ``candidates`` on their return
+    function and sample an action from the chosen policy; Thompson agents
+    pick an arm and pass ``None`` as the policy. ``env_step(policy,
+    action)`` returns ``(reward, expected regret, realized regret)``. A
+    degenerate update is re-raised naming the experiment, agent, episode and
+    step, followed by ``where`` (extra context such as the sampled world)."""
     records: list[RunRecord] = []
     cum_reg = cum_exp = 0.0
     try:
         for t in range(steps):
-            if state.flavor == "ib_maximin":
-                policy = select_policy(state, candidates)
-                action = act(policy, state.rng)
-            else:
+            if state.flavor == "bayes_thompson":
                 policy = None
                 action = bayes_select(state)
+            else:
+                policy = select_policy(state, candidates)
+                action = act(policy, state.rng)
             reward, step_exp, step_reg = env_step(policy, action)
             cum_exp += step_exp
             cum_reg += step_reg
@@ -326,19 +332,12 @@ _VALIDATE_KEYS = {
 DEFAULT_VALIDATE_PAIRS = ((0.3, 0.7), (0.8, 0.2), (0.55, 0.45), (0.5, 0.5))
 
 
-def _check_probability_pair(pair: tuple[float, float], key: str) -> None:
-    if not all(0.0 <= p <= 1.0 for p in pair):
-        raise ConfigError(f"field {key!r}: probabilities must lie in [0, 1]")
-
-
 def _run_validate_classical(cfg: ExperimentConfig) -> list[RunRecord]:
     check_settings(cfg, _VALIDATE_KEYS)
     steps = _int_setting(cfg, "steps", 500)
     runs = _int_setting(cfg, "runs", 10)
     grid_points = _int_setting(cfg, "grid.points", 11, minimum=2)
     pairs = _numbered_pairs(cfg, "setting.", DEFAULT_VALIDATE_PAIRS)
-    for pair in pairs:
-        _check_probability_pair(pair, "setting")
 
     model = BernoulliArmsModel(2)
     grid = np.linspace(0.0, 1.0, grid_points)
@@ -466,15 +465,23 @@ class NewcombCellSummary:
 
 def _newcomb_alphas(cfg: ExperimentConfig) -> tuple[float, ...]:
     if "env.alpha" in cfg.settings:
-        return (round(_float_setting(cfg, "env.alpha", 0.5), 10),)
-    lo = _float_setting(cfg, "alpha.min", 0.50)
-    hi = _float_setting(cfg, "alpha.max", 1.00)
-    step = _float_setting(cfg, "alpha.step", 0.01)
-    if step <= 0.0 or hi < lo:
-        raise ConfigError("field 'alpha.*': need alpha.min <= alpha.max and alpha.step > 0")
-    count = int(round((hi - lo) / step)) + 1
-    alphas = tuple(round(lo + i * step, 10) for i in range(count))
-    return tuple(a for a in alphas if a <= hi + 1e-12)
+        alphas, keys = (round(_float_setting(cfg, "env.alpha", 0.5), 10),), ("env.alpha",)
+    else:
+        lo = _float_setting(cfg, "alpha.min", 0.50)
+        hi = _float_setting(cfg, "alpha.max", 1.00)
+        step = _float_setting(cfg, "alpha.step", 0.01)
+        if step <= 0.0 or hi < lo:
+            raise ConfigError("field 'alpha.*': need alpha.min <= alpha.max and alpha.step > 0")
+        count = int(round((hi - lo) / step)) + 1
+        alphas = tuple(round(lo + i * step, 10) for i in range(count))
+        alphas, keys = tuple(a for a in alphas if a <= hi + 1e-12), ("alpha.min", "alpha.max")
+    # The sweep ascends, so the models of its ends check every cell's accuracy.
+    for key, alpha in zip(keys, alphas[:1] + alphas[-1:]):
+        try:
+            NewcombModel(accuracy=alpha)
+        except ConfigError as exc:
+            raise ConfigError(f"field {key!r}: {exc}") from None
+    return alphas
 
 
 def run_newcomb_sweep(
@@ -494,7 +501,10 @@ def run_newcomb_sweep(
             raise ConfigError(f"field {key!r}: reward matrix must be a finite 2x2 table")
     # One grid serves every cell: the agent's tie memo lives on each cell's
     # own state, keyed by the grid's identity.
-    candidates = policy_grid(2, pstep)
+    try:
+        candidates = policy_grid(2, pstep)
+    except ConfigError as exc:  # with two actions, only the step is left
+        raise ConfigError(f"field 'policy.step': {exc}") from None
     alphas = _newcomb_alphas(cfg)
 
     records: list[RunRecord] = []
@@ -582,16 +592,32 @@ def _trap_agent_specs(roster: Sequence[str]) -> list[tuple[str, str, float | Non
     return specs
 
 
+# The config key each ``TrapWorldConfig`` check names; the joint check names
+# the term every pair shares. ``_numbered_pairs`` checks the pairs per key.
+_TRAP_FIELD_ERRORS = {
+    "alpha_dgp must lie in [0, 1]": "env.alpha_dgp",
+    "p_cat must lie in [0, 1]": "env.p_cat",
+    "the catastrophe reward must be negative": "env.catastrophe_reward",
+    "p_cat plus the trap arm probability exceeds 1": "env.p_cat",
+}
+
+
 def _run_trap_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
     check_settings(cfg, _TRAP_KEYS)
-    env = TrapWorldConfig(
-        arm_pairs=_numbered_pairs(cfg, "env.pair.", ((0.3, 0.7), (0.7, 0.3))),
-        alpha_dgp=_float_setting(cfg, "env.alpha_dgp", 0.99),
-        p_cat=_float_setting(cfg, "env.p_cat", 0.01),
-        catastrophe_reward=_float_setting(cfg, "env.catastrophe_reward", -1000.0),
-        horizon=_int_setting(cfg, "env.horizon", 100),
-        runs=_int_setting(cfg, "env.runs", 200),
-    )
+    try:
+        env = TrapWorldConfig(
+            arm_pairs=_numbered_pairs(cfg, "env.pair.", ((0.3, 0.7), (0.7, 0.3))),
+            alpha_dgp=_float_setting(cfg, "env.alpha_dgp", 0.99),
+            p_cat=_float_setting(cfg, "env.p_cat", 0.01),
+            catastrophe_reward=_float_setting(cfg, "env.catastrophe_reward", -1000.0),
+            horizon=_int_setting(cfg, "env.horizon", 100),
+            runs=_int_setting(cfg, "env.runs", 200),
+        )
+    except ConfigError as exc:
+        key = _TRAP_FIELD_ERRORS.get(str(exc))
+        if key is None:
+            raise
+        raise ConfigError(f"field {key!r}: {exc}") from None
     model, raw_support, values = trap_model(env)
     candidates = deterministic_grid(model.arm_count)
     specs = _trap_agent_specs(_roster(cfg, DEFAULT_TRAP_ROSTER))

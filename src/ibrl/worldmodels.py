@@ -25,10 +25,10 @@ are provided.
 The two bandit models share one surface, ``BanditModel``: return functions
 over an ``(arms, outcomes)`` value table, ``(arm, outcome index)`` events,
 and every expectation built from the model's one per-arm value computation,
-``expected_action_values``. A single pull, a mixed policy, a policy grid and
-classical selection therefore read the same bits per arm, which is what lets
-a one-point maximin agent recover the classical one exactly. Each model
-supplies only its measures, histories, restriction and that one computation.
+``expected_action_values``. A single pull, a mixed policy and a policy grid
+therefore read the same bits per arm, which is what lets a one-point maximin
+agent be the greedy classical one exactly. Each model supplies only its
+measures, histories, restriction and that one computation.
 
 Posterior weights are computed in log space per component and renormalized
 (per arm for the independent model, globally for the joint model) so that
@@ -42,11 +42,10 @@ cell of joint terms. A memo hit returns the very array the same numpy
 operations produced on the miss: no bit changes. A one-component independent
 arm skips the posterior arithmetic, though an impossible history still raises
 on every call (``_arm_posterior``). A measure of such arms has a predictive
-that ignores the history, so it memoizes its action values per value table,
-its policy values per value table and policy matrix, and its restriction per
-event; every call checks the history before it reads a memo. ``restrict``
-returns Python floats, so the scales and offsets it feeds conditioning never
-become numpy scalars.
+that ignores the history, so it memoizes its policy values per value table
+and policy matrix, and its restriction per event; every call checks the
+history before it reads a memo. ``restrict`` returns Python floats, so the
+scales and offsets it feeds conditioning never become numpy scalars.
 
 This module never imports scipy. The one scipy use in the package,
 ``inframeasure._convex_dominated``, imports it on first call, and
@@ -423,23 +422,19 @@ class BernoulliArmMeasure:
     ``tables[j]`` holds arm ``j``'s read-only log tables and ``memo[j]`` the
     last ``((pulls, successes), posterior weights)`` computed for it (``None``
     before the first, and always for a one-component arm). When every arm
-    has one component, the predictive ignores the history, so three memos
-    hold constants of the measure (``None`` before their first entry):
-    ``values_memo[0]`` is the last ``(table, action values)`` pair of
-    ``expected_action_values``, ``policy_memo[0]`` the last ``(table,
-    probs, policy values)`` triple of ``policy_expectations``, and
-    ``restrict_memo`` maps an event's ``(arm, outcome)`` to the last
-    ``(event, Restriction)`` of ``restrict``. On any other measure all three
+    has one component, the predictive ignores the history, so two memos
+    hold constants of the measure: ``policy_memo[0]`` is the last ``(table,
+    probs, policy values)`` of ``policy_expectations`` (``None`` before the
+    first), and ``restrict_memo`` maps an event's ``(arm, outcome)`` to the
+    last ``(event, Restriction)`` of ``restrict``; on any other measure both
     are ``None``. ``certain_arms`` lists the one-component arms whose ``p``
     is 0 or 1, the only point arms a history can refute. None of these
     takes part in equality or hashing. NaN weights or probabilities are
-    rejected.
-    """
+    rejected."""
 
     arms: tuple[tuple[tuple[float, float], ...], ...]
     tables: tuple[ArmTable, ...] = field(init=False, repr=False, compare=False)
     memo: list = field(init=False, repr=False, compare=False)
-    values_memo: list | None = field(init=False, repr=False, compare=False)
     policy_memo: list | None = field(init=False, repr=False, compare=False)
     restrict_memo: dict | None = field(init=False, repr=False, compare=False)
     certain_arms: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -466,7 +461,6 @@ class BernoulliArmMeasure:
         certain = tuple(j for j, t in enumerate(tables) if t.p.size == 1 and t.p[0] in (0.0, 1.0))
         object.__setattr__(self, "tables", tuple(tables))
         object.__setattr__(self, "memo", [None] * len(self.arms))
-        object.__setattr__(self, "values_memo", [None] if point else None)
         object.__setattr__(self, "policy_memo", [None] if point else None)
         object.__setattr__(self, "restrict_memo", {} if point else None)
         object.__setattr__(self, "certain_arms", certain)
@@ -593,13 +587,6 @@ class BernoulliArmsModel(BanditModel):
         if len(history.pulls) != self.arm_count:
             raise RepresentationError("history has the wrong arm count")
 
-    def _check_point_history(self, measure: BernoulliArmMeasure, history: BanditHistory) -> None:
-        """What every memo read of an all-point measure checks first: the
-        arm count, then each arm with ``p`` 0 or 1 against its counts."""
-        self._check_history(history)
-        for arm in measure.certain_arms:
-            _check_point_arm(measure.tables[arm].p[0], history, arm)
-
     def point_measure(self, probs: Sequence[float]) -> BernoulliArmMeasure:
         """Single-hypothesis measure fixing each arm's success probability."""
         if len(probs) != self.arm_count:
@@ -617,21 +604,11 @@ class BernoulliArmsModel(BanditModel):
     def expected_action_values(
         self, measure: BernoulliArmMeasure, history: BanditHistory, values: np.ndarray
     ) -> np.ndarray:
-        """On a measure whose every arm is one point hypothesis, the values
-        depend on the table alone: a read-only table (every return
-        function's is) is served from the measure's one-entry memo, keyed by
-        its identity, as a read-only array. Each call still checks the
-        history against the arms with ``p`` 0 or 1 first."""
-        memo = measure.values_memo
-        if memo is None or values.flags.writeable:
-            self._check_history(history)
-            return self._action_values(measure, history, values)
-        self._check_point_history(measure, history)
-        hit = memo[0]
-        if hit is not None and hit[0] is values:
-            return hit[1]
-        out = _read_only(self._action_values(measure, history, values))
-        memo[0] = (values, out)
+        self._check_history(history)
+        out = np.empty(self.arm_count)
+        for arm in range(self.arm_count):
+            p1 = predictive(measure, history, arm)
+            out[arm] = (1.0 - p1) * values[arm, 0] + p1 * values[arm, 1]
         return out
 
     def policy_expectations(
@@ -639,26 +616,19 @@ class BernoulliArmsModel(BanditModel):
     ) -> np.ndarray:
         """On an all-point measure, a read-only ``probs`` (every policy
         grid's is) is served, read-only, from the one-entry policy memo keyed
-        by the identities of ``f.values`` and ``probs``. Each call still
-        checks the history as ``expected_action_values`` does first."""
+        by the identities of ``f.values`` and ``probs``. Each call first
+        checks the history's arm count and its arms with ``p`` 0 or 1."""
         memo = measure.policy_memo
         if memo is None or probs.flags.writeable:
             return super().policy_expectations(measure, history, f, probs)
-        self._check_point_history(measure, history)
+        self._check_history(history)
+        for arm in measure.certain_arms:
+            _check_point_arm(measure.tables[arm].p[0], history, arm)
         hit, values = memo[0], f.values
         if hit is not None and hit[0] is values and hit[1] is probs:
             return hit[2]
         out = _read_only(probs @ self.expected_action_values(measure, history, values))
         memo[0] = (values, probs, out)
-        return out
-
-    def _action_values(
-        self, measure: BernoulliArmMeasure, history: BanditHistory, values: np.ndarray
-    ) -> np.ndarray:
-        out = np.empty(self.arm_count)
-        for arm in range(self.arm_count):
-            p1 = predictive(measure, history, arm)
-            out[arm] = (1.0 - p1) * values[arm, 0] + p1 * values[arm, 1]
         return out
 
     def sampled_action_values(

@@ -241,14 +241,21 @@ class TestValuePass:
 
 class TestBayesSelect:
     def test_greedy_picks_the_best_posterior_mean(self):
+        """Greedy selects through ``select_policy``: on a point measure and
+        on a grid prior after two successes on arm 0, the arm of best
+        posterior mean."""
         model = BernoulliArmsModel(2)
-        state = make_agent(
-            singleton_belief(model, model.point_measure([0.2, 0.6])),
-            np.random.default_rng(0),
-            "bayes_greedy",
-            VALUES,
-        )
-        assert bayes_select(state) == 1
+        grid = deterministic_grid(2)
+        for measure, observed, best in [
+            (model.point_measure([0.2, 0.6]), [], 1),
+            (model.grid_measure([0.1, 0.5, 0.9]), [(0, 1.0), (0, 1.0)], 0),
+        ]:
+            state = make_agent(
+                singleton_belief(model, measure), np.random.default_rng(0), "bayes_greedy", VALUES
+            )
+            for arm, reward in observed:
+                state = ib_observe(state, arm, reward)
+            assert select_policy(state, grid) is grid.policies[best]
 
     def test_thompson_samples_vary_with_the_stream(self):
         model = BernoulliArmsModel(2)
@@ -282,39 +289,59 @@ class TestBayesSelect:
         assert states[0].rng.bit_generator.state == states[1].rng.bit_generator.state
 
     def test_multi_point_belief_is_rejected(self):
+        """Both classical flavors need one point at scale 1 and offset 0,
+        checked by ``make_agent``; ``bayes_select`` is Thompson's alone."""
         model = BernoulliArmsModel(2)
-        belief = corner_belief(model, [(0.3, 0.4), (0.7, 0.8)])
-        state = make_agent(belief, np.random.default_rng(0), "bayes_greedy", VALUES)
-        with pytest.raises(ContractViolationError):
-            bayes_select(state)
+        measure = model.point_measure([0.3, 0.4])
+        rejected = [
+            corner_belief(model, [(0.3, 0.4), (0.7, 0.8)]),
+            Infradistribution.singleton(AMeasure(0.5, measure, 0.0, model), model.initial_history()),
+            Infradistribution.singleton(AMeasure(1.0, measure, 0.25, model), model.initial_history()),
+        ]
+        for flavor in ("bayes_greedy", "bayes_thompson"):
+            for belief in rejected:
+                with pytest.raises(ContractViolationError, match="one point"):
+                    make_agent(belief, np.random.default_rng(0), flavor, VALUES)
+        for flavor in ("bayes_greedy", "ib_maximin"):
+            state = make_agent(singleton_belief(model, measure), np.random.default_rng(0), flavor, VALUES)
+            with pytest.raises(ContractViolationError, match="Thompson"):
+                bayes_select(state)
 
     def test_one_point_maximin_agent_recovers_greedy_on_trap_bandits(self):
-        """Maximin on a one-point trap belief takes the greedy agent's
-        actions when both share the environment and agent streams."""
+        """On a one-point trap belief, the maximin and greedy agents take
+        the classical greedy rule's actions, draw for draw, when all three
+        share the environment and agent streams. The rule is written out
+        here: argmax of the posterior expected return per arm, ties within
+        1e-9 drawn uniformly from the agent's stream."""
         env = TrapWorldConfig()
         model, raw_support, values = trap_model(env)
         grid = deterministic_grid(model.arm_count)
         for run in range(3):
-            actions = {}
-            for flavor in ("ib_maximin", "bayes_greedy"):
+            actions, streams = {}, {}
+            for flavor in ("ib_maximin", "bayes_greedy", "rule"):
                 env_rng = derive_stream(42, run, 0)
                 world = trap_sample_world(env, env_rng)
                 state = make_agent(
                     trap_bayes_belief(model, env, 0.5),
                     derive_stream(42, run, 1),
-                    flavor,
+                    "bayes_greedy" if flavor == "rule" else flavor,
                     values,
                     raw_support,
                 )
                 taken = actions[flavor] = []
                 for _ in range(100):
-                    if flavor == "ib_maximin":
-                        action = act(select_policy(state, grid), state.rng)
+                    if flavor == "rule":
+                        measure, history = state.belief.points[0].measure, state.belief.history
+                        arm_values = model.expected_action_values(measure, history, values).tolist()
+                        tied = [i for i, v in enumerate(arm_values) if v >= max(arm_values) - 1e-9]
+                        action = tied[int(state.rng.integers(len(tied)))] if len(tied) > 1 else tied[0]
                     else:
-                        action = bayes_select(state)
+                        action = act(select_policy(state, grid), state.rng)
                     taken.append(action)
                     state = ib_observe(state, action, trap_step(world, env, action, env_rng))
-            assert actions["ib_maximin"] == actions["bayes_greedy"]
+                streams[flavor] = state.rng.bit_generator.state
+            assert actions["ib_maximin"] == actions["bayes_greedy"] == actions["rule"]
+            assert streams["ib_maximin"] == streams["bayes_greedy"] == streams["rule"]
 
 
 class TestObserve:
@@ -641,20 +668,19 @@ class TestMemo:
         assert len(conditionings) == 2
         assert state.memo == {}
 
-    @pytest.mark.parametrize("flavor", ["ib_maximin", "bayes_greedy"])
-    def test_repeated_observations_reuse_one_conditioning(self, flavor, conditionings):
+    def test_bandit_states_store_no_successor(self, conditionings):
+        """A bandit state observes once in a rollout, so a repeated
+        observation is worked out again: the maximin agent conditions on
+        every call and neither flavor stores anything on the state."""
         model = BernoulliArmsModel(2)
-        belief = corner_belief(model, KU_CORNERS[:1] if flavor == "bayes_greedy" else KU_CORNERS)
-        state = make_agent(belief, np.random.default_rng(0), flavor, VALUES)
-        first = ib_observe(state, 1, 1.0)
-        second = ib_observe(state, 1, 1.0)
-        assert second.belief is first.belief
-        assert first.memo == {} and second.memo == {}
-        fresh = ib_observe(make_agent(belief, np.random.default_rng(0), flavor, VALUES), 1, 1.0)
-        assert point_fields(second.belief) == point_fields(fresh.belief)
-        other = ib_observe(state, 1, 0.0)
-        assert point_fields(other.belief) != point_fields(first.belief)
-        assert len(conditionings) == (3 if flavor == "ib_maximin" else 0)
+        for flavor, corners in (("ib_maximin", KU_CORNERS), ("bayes_greedy", KU_CORNERS[:1])):
+            state = make_agent(corner_belief(model, corners), np.random.default_rng(0), flavor, VALUES)
+            first = ib_observe(state, 1, 1.0)
+            second = ib_observe(state, 1, 1.0)
+            assert second.belief is not first.belief
+            assert point_fields(second.belief) == point_fields(first.belief)
+            assert state.memo == {} and first.memo == {}
+        assert len(conditionings) == 2
 
     def test_newcomb_sweep_conditions_once_per_cell(self, conditionings):
         """A Newcomb observation ignores the action and the reward, so every
@@ -669,15 +695,14 @@ class TestMemo:
         for them plus once per (corner, event) restricted, not per step.
         The 106 restrictions (4 points for 3 steps, then 2) touch 8 pairs."""
         value_calls = count_calls(monkeypatch, "expected_action_values", BernoulliArmsModel)
-        action_values = count_calls(monkeypatch, "_action_values", BernoulliArmsModel)
         predictives = count_calls(monkeypatch, "predictive", ibrl.worldmodels)
         restricts = count_calls(monkeypatch, "restrict", BernoulliArmsModel)
         cfg = ExperimentConfig(
             "ku-bandit", seed=42, settings={"steps": 50, "env.mode": "per_step_random", "agents": "ib"}
         )
         assert len(run_experiment(cfg)) == 50
-        corners = {id(args[1]) for args in action_values}
-        assert len(corners) == len(action_values) == len(value_calls) == 4
+        corners = {id(args[1]) for args in value_calls}
+        assert len(corners) == len(value_calls) == 4
         pairs = {(id(args[1]), id(args[3])) for args in restricts}
         assert (len(restricts), len(pairs)) == (106, 8)
         assert len(predictives) == 2 * len(corners) + len(pairs) == 16
@@ -758,7 +783,7 @@ class TestMemo:
         gc.collect()
         assert state_ref() is None
         assert belief_ref() is None
-        assert len(state0.memo) == 1
+        assert state0.memo == {}
 
 
 class TestMakeAgent:

@@ -504,15 +504,38 @@ class TestCli:
             ("ku-bandit", "env.arm2 = 0.8, 0.4", "env.arm2"),
             ("newcomb", "matrix.onebox = nan, 0", "matrix.onebox"),
             ("newcomb", "matrix.twobox = 11, -inf", "matrix.twobox"),
+            ("newcomb", "alpha.min = 0.4", "alpha.min"),
+            ("newcomb", "alpha.max = 1.5", "alpha.max"),
+            ("newcomb", "env.alpha = 1.5", "env.alpha"),
+            ("newcomb", "policy.step = 0", "policy.step"),
+            ("trap-bandit", "env.p_cat = 2", "env.p_cat"),
+            ("trap-bandit", "env.p_cat = 0.5", "env.p_cat"),
+            ("trap-bandit", "env.alpha_dgp = 1.5", "env.alpha_dgp"),
+            ("trap-bandit", "env.pair.1 = 0.3, 1.2", "env.pair.1"),
+            ("trap-bandit", "env.catastrophe_reward = 5", "env.catastrophe_reward"),
+            ("validate-classical", "setting.2 = -0.1, 0.5", "setting.2"),
         ],
         ids=["point-off-mode", "point-missing", "point-outside", "arm1-inf", "arm2-unordered",
-             "onebox-nan", "twobox-inf"],
+             "onebox-nan", "twobox-inf", "alpha-min-low", "alpha-max-high", "alpha-high",
+             "policy-step-zero", "p-cat-high", "p-cat-plus-arm", "alpha-dgp-high", "pair-high",
+             "catastrophe-positive", "setting-negative"],
     )
     def test_environment_errors_name_their_field(self, tmp_path, capsys, experiment, lines, key):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"experiment = {experiment}\n{lines}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         assert f"config error: field {key!r}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, first, second",
+        [("validate-classical", "setting.1", "setting.01"), ("trap-bandit", "env.pair.2", "env.pair.002")],
+    )
+    def test_numbered_keys_of_one_number_are_rejected(self, tmp_path, capsys, experiment, first, second):
+        """Both keys would be read as the same entry, and one silently dropped."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{first} = 0.3, 0.7\n{second} = 0.9, 0.1\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"config error: fields {first!r} and {second!r} have the same number" in capsys.readouterr().err
 
     def test_report_summarizes_an_output_file(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -618,6 +641,18 @@ class TestCli:
             assert re.fullmatch(
                 rf"criterion {number} \({name}\): {status} \(\d+\.\d s\) - stub", line
             ), line
+
+
+def test_classical_recovery_catches_a_selection_rule_both_agents_share(monkeypatch):
+    """Both agents select through ``select_policy``, so they agree even on a
+    wrong rule; criterion 1 also replays the Bayes agent against greedy
+    Bayes written out in the check, and that replay fails."""
+    assert acceptance.check_classical_recovery(runs=1, steps=50).passed
+    monkeypatch.setattr(
+        "ibrl.harness.runner.select_policy", lambda state, grid: grid.policies[-1]
+    )
+    result = acceptance.check_classical_recovery(runs=1, steps=50)
+    assert result.detail == "the Bayes agent leaves the greedy Bayes rule on 4 runs"
 
 
 def _sweep_config(tmp_path):

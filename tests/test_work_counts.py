@@ -1,0 +1,139 @@
+"""Work budgets of the three benchmark workloads, pinned as call counts.
+
+Each workload's experiment config runs at its smoke size with counting
+wrappers around the operations whose counts the speed-ups lowered. Counts
+are deterministic for a (config, seed), so a change that re-adds per-step
+work fails here even while every output digest holds. A change that lowers
+a count updates the table and says so in CHANGES.md.
+"""
+
+from collections import Counter
+
+import ibrl.agents
+import ibrl.harness.runner
+import ibrl.worldmodels
+from ibrl import AgentState, ObservationEvent
+from ibrl.harness import ExperimentConfig, run_experiment
+
+# The benchmark workloads' configs at their smoke sizes, seed 42.
+WORKLOADS = {
+    "trap-roster": ExperimentConfig(
+        "trap-bandit",
+        seed=42,
+        settings={
+            "env.alpha_dgp": 0.99,
+            "env.p_cat": 0.01,
+            "env.catastrophe_reward": -1000.0,
+            "env.horizon": 100,
+            "env.runs": 1,
+            "env.pair.1": (0.3, 0.7),
+            "env.pair.2": (0.7, 0.3),
+            "agents": (
+                "ib", "greedy_prior0.99", "greedy_prior0.01",
+                "thompson_prior0.99", "thompson_prior0.01",
+            ),
+        },
+    ),
+    "newcomb-sweep": ExperimentConfig(
+        "newcomb",
+        seed=42,
+        settings={
+            "episodes": 2,
+            "alpha.min": 0.5,
+            "alpha.max": 1.0,
+            "alpha.step": 0.01,
+            "policy.step": 0.1,
+            "matrix.onebox": (10.0, 0.0),
+            "matrix.twobox": (11.0, 1.0),
+        },
+    ),
+    "ku-long": ExperimentConfig(
+        "ku-bandit",
+        seed=42,
+        settings={
+            "steps": 50,
+            "runs": 1,
+            "env.arm1": (0.3, 0.7),
+            "env.arm2": (0.4, 0.8),
+            "env.mode": "per_step_random",
+            "agents": "ib",
+        },
+    ),
+}
+
+# Per workload: rows written, then calls per operation. Selections are keyed
+# by the selecting agent's flavor: greedy steps reach ``select_policy`` and
+# only Thompson steps reach ``bayes_select``.
+#
+# * trap-roster: 5 agents x 100 steps. The ``ib`` agent conditions every
+#   step, restricting both points until one is pruned (108 restrictions),
+#   and builds its 2 x 3 events once; each of the six measures rebuilds its
+#   joint posterior terms once per rollout.
+# * newcomb-sweep: 51 cells x 2 episodes. A cell's state is reused, so it
+#   runs one value pass, one conditioning and builds one successor.
+# * ku-long: 50 steps of one agent over 4 corners, 2 after the third step;
+#   its 2 x 2 events are built once.
+BUDGETS = {
+    "trap-roster": (500, {
+        "select_policy[ib_maximin]": 100,
+        "select_policy[bayes_greedy]": 200,
+        "bayes_select[bayes_thompson]": 200,
+        "lower_expectations": 300,
+        "condition": 100,
+        "_log_terms": 6,
+        "restrict": 108,
+        "ObservationEvent": 6,
+        "AgentState": 505,
+    }),
+    "newcomb-sweep": (102, {
+        "select_policy[ib_maximin]": 102,
+        "lower_expectations": 51,
+        "condition": 51,
+        "restrict": 51,
+        "ObservationEvent": 51,
+        "AgentState": 102,
+    }),
+    "ku-long": (50, {
+        "select_policy[ib_maximin]": 50,
+        "lower_expectations": 50,
+        "condition": 50,
+        "restrict": 106,
+        "ObservationEvent": 4,
+        "AgentState": 51,
+    }),
+}
+
+
+def _count(monkeypatch, counts, owner, name, label=None):
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counts[label(*args) if label else name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def _by_flavor(name):
+    return lambda state, *_: f"{name}[{state.flavor}]"
+
+
+def test_benchmark_workloads_keep_their_work_budgets(monkeypatch):
+    counts = Counter()
+    runner = ibrl.harness.runner
+    _count(monkeypatch, counts, runner, "select_policy", _by_flavor("select_policy"))
+    _count(monkeypatch, counts, runner, "bayes_select", _by_flavor("bayes_select"))
+    _count(monkeypatch, counts, ibrl.agents, "lower_expectations")
+    _count(monkeypatch, counts, ibrl.agents, "condition")
+    _count(monkeypatch, counts, ibrl.worldmodels, "_log_terms")
+    for model in vars(ibrl.worldmodels).values():
+        if isinstance(model, type) and "restrict" in vars(model):
+            _count(monkeypatch, counts, model, "restrict")
+    for built in (ObservationEvent, AgentState):
+        _count(monkeypatch, counts, built, "__init__", lambda obj, *_: type(obj).__name__)
+    table = {}
+    for name, cfg in WORKLOADS.items():
+        counts.clear()
+        rows = len(run_experiment(cfg))
+        table[name] = (rows, dict(counts))
+    assert table == BUDGETS

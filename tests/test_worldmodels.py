@@ -693,29 +693,24 @@ class TestPointHypothesisArms:
                 assert _outcome(observables, point, h, event, k) == want
 
 
-class TestPointValuesMemo:
-    """A measure whose every arm is one point hypothesis serves
-    ``expected_action_values`` from a one-entry memo keyed by the identity of
-    a read-only table. It must never change a result or skip a refutation."""
+class TestPointArmValues:
+    """On a measure whose every arm is one point hypothesis, the action
+    values are the per-arm formula, and a history that refutes an arm with
+    ``p`` 0 or 1 raises on every call."""
 
     MODEL = BernoulliArmsModel(3)
-    PS = (0.3, 0.6, 0.9)
-
-    @staticmethod
-    def _table(rng):
-        return _read_only(rng.random((3, 2)))
 
     @staticmethod
     def _formula(ps, values):
         return [(1.0 - p) * values[arm, 0] + p * values[arm, 1] for arm, p in enumerate(ps)]
 
-    def test_memo_is_bit_equal_to_the_per_arm_formula(self):
+    def test_values_are_bit_equal_to_the_per_arm_formula(self):
         rng = np.random.default_rng(23)
         for _ in range(300):
             ps = rng.choice([0.0, 1.0, 1e-300, rng.random(), rng.random()], 3).tolist()
             m = self.MODEL.point_measure(ps)
             twin = BernoulliArmMeasure(tuple(((1.0, p), (0.0, 0.5)) for p in ps))
-            values = self._table(rng)
+            values = _read_only(rng.random((3, 2)))
             h = BanditHistory(
                 tuple(0 if p in (0.0, 1.0) else 5 for p in ps),
                 tuple(0 for _ in ps),
@@ -723,56 +718,22 @@ class TestPointValuesMemo:
             want = self._formula(ps, values)
             assert self.MODEL.expected_action_values(twin, h, values).tolist() == want
             for _ in range(2):
-                got = self.MODEL.expected_action_values(m, h, values)
-                assert got.tolist() == want
-                assert not got.flags.writeable
-            assert m.values_memo[0][0] is values and m.values_memo[0][1] is got
-
-    def test_a_second_table_is_not_served_from_the_first_tables_entry(self):
-        rng = np.random.default_rng(5)
-        m, h = self.MODEL.point_measure(self.PS), self.MODEL.initial_history()
-        first, second = self._table(rng), self._table(rng)
-        equal = _read_only(first.copy())
-        for values in (first, second, equal, first):
-            got = self.MODEL.expected_action_values(m, h, values)
-            assert got.tolist() == self._formula(self.PS, values)
-            assert m.values_memo[0][0] is values
-
-    def test_writable_tables_are_never_memoized(self):
-        m, h = self.MODEL.point_measure(self.PS), self.MODEL.initial_history()
-        values = np.random.default_rng(2).random((3, 2))
-        before = self.MODEL.expected_action_values(m, h, values).tolist()
-        values[1, 1] = 5.0
-        after = self.MODEL.expected_action_values(m, h, values).tolist()
-        assert after != before and after == self._formula(self.PS, values)
-        assert m.values_memo == [None]
-
-    def test_multi_component_arms_never_fill_the_memo(self):
-        values = _read_only(np.array([[0.0, 1.0]] * 3))
-        for arms in [
-            (((0.5, 0.3), (0.5, 0.7)),) * 3,
-            (((1.0, 0.3),), ((1.0, 0.6),), ((0.5, 0.3), (0.5, 0.7))),
-        ]:
-            m = BernoulliArmMeasure(arms)
-            assert m.values_memo is None
-            self.MODEL.expected_action_values(m, self.MODEL.initial_history(), values)
-            assert m.values_memo is None
-        assert self.MODEL.point_measure(self.PS).values_memo == [None]
+                assert self.MODEL.expected_action_values(m, h, values).tolist() == want
 
     @pytest.mark.parametrize(
         "p, possible, impossible",
         [(0.0, ((5,), (0,)), ((5,), (1,))), (1.0, ((5,), (5,)), ((5,), (4,)))],
     )
-    def test_impossible_histories_raise_on_every_call_after_a_hit(self, p, possible, impossible):
+    def test_impossible_histories_raise_on_every_call(self, p, possible, impossible):
         model, values = BernoulliArmsModel(1), _read_only(np.array([[0.25, 0.75]]))
         m = model.point_measure([p])
         assert m.certain_arms == (0,)
-        want = model.expected_action_values(m, BanditHistory(*possible), values)
+        want = model.expected_action_values(m, BanditHistory(*possible), values).tolist()
         for _ in range(3):
             message = "^history is impossible under every component of this arm$"
             with pytest.raises(DegenerateUpdateError, match=message):
                 model.expected_action_values(m, BanditHistory(*impossible), values)
-            assert model.expected_action_values(m, BanditHistory(*possible), values) is want
+            assert model.expected_action_values(m, BanditHistory(*possible), values).tolist() == want
         assert model.point_measure([0.5]).certain_arms == ()
 
 
