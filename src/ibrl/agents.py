@@ -34,8 +34,9 @@ successor state. A reused state, as every Newcomb episode reuses its cell's
 state, pays for one value pass, one conditioning and one successor state per
 Newcomb cell. A hit still draws the tie-break from the stream whenever
 several policies tie, so RNG use is unchanged. Observations that raise are
-never stored. A bandit state observes once, so nothing of its observation
-is stored and the memo never chains a rollout's states together.
+never stored. A bandit successor that keeps its state's very tuple of
+history-free points (a converged Knightian belief, a classical corner
+agent) shares the state's memo; a tie hit then runs the history checks.
 """
 
 from __future__ import annotations
@@ -139,10 +140,10 @@ class AgentState:
     stream, ``returns`` and ``events``.
 
     ``memo`` caches the work of ``select_policy`` and ``ib_observe`` on this
-    state: ``"ties"`` holds ``(grid, tied indices)`` of the last value pass,
-    and on Newcomb ``"newcomb"`` holds the successor state. It is a cache,
-    not state: it stays out of ``==``, ``hash`` and ``repr``, and every
-    successor starts with an empty one."""
+    state: ``"ties"`` holds ``(grid, tied indices, history)`` of the last
+    value pass, and on Newcomb ``"newcomb"`` holds the successor state. It
+    is a cache, not state: it stays out of ``==``, ``hash`` and ``repr``,
+    and only a successor on the same history-free points shares it."""
 
     belief: Infradistribution
     rng: np.random.Generator
@@ -216,16 +217,21 @@ def make_agent(
 def select_policy(state: AgentState, grid: PolicyGrid) -> Policy:
     """Argmax of the robust policy value over the grid; policies within
     1e-9 of the best are treated as tied and drawn uniformly from the
-    agent's stream. The tied indices are memoized on the state per grid; the
-    draw is not."""
+    agent's stream. The tied indices are memoized per grid, the draw is
+    not; a hit at another history runs the skipped value pass's checks."""
+    psi = state.belief
     hit = state.memo.get("ties")
     if hit is not None and hit[0] is grid:
+        if hit[2] is not psi.history:
+            for a in psi.points:
+                if a.scale != 0.0:
+                    a.model.check_history(a.measure, psi.history)
         candidates = hit[1]
     else:
-        values = lower_expectations(state.belief, state.returns, grid.probs).tolist()
+        values = lower_expectations(psi, state.returns, grid.probs).tolist()
         best = max(values)
         candidates = [i for i, v in enumerate(values) if v >= best - VALUE_TOL]
-        state.memo["ties"] = (grid, candidates)
+        state.memo["ties"] = (grid, candidates, psi.history)
     if len(candidates) == 1:
         return grid.policies[candidates[0]]
     return grid.policies[candidates[int(state.rng.integers(len(candidates)))]]
@@ -251,11 +257,7 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
     advance the belief's history only, with no event, which realizes the
     ordinary Bayes posterior through the world model's predictive
     reweighting. A reward that is not a finite number raises ``ConfigError``;
-    an arm that is not an in-range ``int`` raises ``RepresentationError``.
-
-    On Newcomb, whose observation ignores the action and the reward, the
-    successor state is memoized on ``state`` under one constant key; an
-    observation that raises is not stored."""
+    an arm that is not an in-range ``int`` raises ``RepresentationError``."""
     if not math.isfinite(reward):
         raise ConfigError(f"reward {reward!r} is not a finite number")
     model = state.model
@@ -274,11 +276,17 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
             raise ConfigError(f"reward {reward!r} is not in the agent's support")
     model.validate_indicator((action, outcome))
     if state.flavor == "ib_maximin":
-        belief = condition(state.belief, state.events[action][outcome])
+        event = state.events[action][outcome]
+        belief = condition(state.belief, event)
+        fixed = event.fixed_set
     else:
-        history = model.next_history(state.belief.history, (action, outcome))
-        belief = _belief(state.belief.points, history)
-    return _successor(state, belief)
+        points = state.belief.points
+        belief = _belief(points, model.next_history(state.belief.history, (action, outcome)))
+        fixed = points if points[0].measure.history_free else None
+    successor = _successor(state, belief)
+    if belief.points is fixed:
+        object.__setattr__(successor, "memo", state.memo)
+    return successor
 
 
 def _successor(state: AgentState, belief: Infradistribution) -> AgentState:

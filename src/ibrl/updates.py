@@ -49,6 +49,12 @@ beta, renormalization, duplicate and range rules are each written once, and
 they stay the reference it is tested against: ``prune(renormalize(
 update_infra(psi, event)), offset_bound=M)``, with the same degenerate-span
 fallback, equals ``condition(psi, event)`` point for point and bit for bit.
+
+A converged belief is a fixed point: when every measure is ``history_free``
+and the kept points equal the input (scales and offsets ``==``, measures
+``is``), ``condition`` returns the input's own tuple and the event keeps it
+as ``fixed_set``. A call on that very tuple runs only ``restrict``'s history
+checks (``check_history``) per nonzero-scale point, then ``next_history``.
 """
 
 from __future__ import annotations
@@ -184,13 +190,16 @@ def condition(psi: Infradistribution, event: ObservationEvent) -> Infradistribut
     refuted points are dropped and the survivors renormalized on their own.
     ``DegenerateUpdateError`` is raised only when no point survives.
 
-    The result equals ``prune(renormalize(update_infra(psi, event)),
-    offset_bound=max(1, f_max))``, with the same fallback, point for point
-    and bit for bit, and the same inputs raise the same errors. Each point is
-    restricted once and its numbers stay floats until it is renormalized."""
-    model = psi.model
+    The staged reference (module docstring) gives the same points, bit for
+    bit, and raises the same errors, on a fixed-point hit as on a miss."""
+    model, given = psi.model, psi.points
+    if given is event.fixed_set:
+        for a in given:
+            if a.scale != 0.0:
+                model.check_history(a.measure, psi.history, event)
+        return _belief(given, model.next_history(psi.history, event.indicator))
     _check_event(event, model)
-    points = _raw_points(psi.points, event, psi.history, model)
+    points = _raw_points(given, event, psi.history, model)
     history = model.next_history(psi.history, event.indicator)
     masses = _masses(points, model, history)
     try:
@@ -205,4 +214,11 @@ def condition(psi: Infradistribution, event: ObservationEvent) -> Infradistribut
         alpha, span = _alpha_span(points, masses)
     renormalized = _renormalized(points, alpha, span, model)
     kept = _kept_points(renormalized, model, max(1.0, event.offbranch_return.f_max))
+    if given[0].measure.history_free and len(kept) == len(given) and all(
+        a.scale == b.scale and a.offset == b.offset and a.measure is b.measure
+        and b.measure.history_free
+        for a, b in zip(kept, given)
+    ):
+        object.__setattr__(event, "fixed_set", given)
+        return _belief(given, history)
     return _belief(tuple(kept), history)

@@ -41,11 +41,11 @@ counts move, so a point builds one posterior per observation, rewriting one
 cell of joint terms. A memo hit returns the very array the same numpy
 operations produced on the miss: no bit changes. A one-component independent
 arm skips the posterior arithmetic, though an impossible history still raises
-on every call (``_arm_posterior``). A measure of such arms has a predictive
-that ignores the history, so it memoizes its policy values per value table
-and policy matrix, and its restriction per event; every call checks the
-history before it reads a memo. ``restrict`` returns Python floats, so the
-scales and offsets it feeds conditioning never become numpy scalars.
+on every call (``_arm_posterior``). A measure of such arms is
+``history_free``: it memoizes its policy values per value table and policy
+matrix, and its restriction per event, and every call runs ``check_history``
+before it reads a memo. ``restrict`` returns Python floats, so the scales
+and offsets it feeds conditioning never become numpy scalars.
 
 This module never imports scipy. The one scipy use in the package,
 ``inframeasure._convex_dominated``, imports it on first call, and
@@ -126,11 +126,14 @@ class ObservationEvent:
     into point offsets by the raw update. Off-branch returns must be
     nonnegative, which keeps offsets nonnegative. Shift the reward convention
     first if the environment's raw rewards can be negative.
+    ``fixed_set`` caches the last tuple of history-free points that
+    ``updates.condition`` found this event maps to itself (else ``None``).
     """
 
     model: "WorldModel"
     indicator: object
     offbranch_return: ReturnFunction
+    fixed_set: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         owner = self.offbranch_return.model
@@ -316,6 +319,7 @@ class FiniteOutcomeMeasure:
     """
 
     masses: tuple[float, ...]
+    history_free = False
 
     def __post_init__(self) -> None:
         m = np.asarray(self.masses, dtype=float)
@@ -422,15 +426,15 @@ class BernoulliArmMeasure:
     ``tables[j]`` holds arm ``j``'s read-only log tables and ``memo[j]`` the
     last ``((pulls, successes), posterior weights)`` computed for it (``None``
     before the first, and always for a one-component arm). When every arm
-    has one component, the predictive ignores the history, so two memos
-    hold constants of the measure: ``policy_memo[0]`` is the last ``(table,
-    probs, policy values)`` of ``policy_expectations`` (``None`` before the
-    first), and ``restrict_memo`` maps an event's ``(arm, outcome)`` to the
-    last ``(event, Restriction)`` of ``restrict``; on any other measure both
-    are ``None``. ``certain_arms`` lists the one-component arms whose ``p``
-    is 0 or 1, the only point arms a history can refute. None of these
-    takes part in equality or hashing. NaN weights or probabilities are
-    rejected."""
+    has one component, the predictive ignores the history (``history_free``
+    is true, as on no other measure), so two memos hold constants of the
+    measure: ``policy_memo[0]`` is the last ``(table, probs, policy
+    values)`` of ``policy_expectations`` (``None`` before the first), and
+    ``restrict_memo`` maps an event's ``(arm, outcome)`` to the last
+    ``(event, Restriction)`` of ``restrict``; on any other measure both are
+    ``None``. ``certain_arms`` lists the one-component arms whose ``p`` is 0
+    or 1, the only point arms a history can refute. None of these takes
+    part in equality or hashing. NaN weights or probabilities are rejected."""
 
     arms: tuple[tuple[tuple[float, float], ...], ...]
     tables: tuple[ArmTable, ...] = field(init=False, repr=False, compare=False)
@@ -438,6 +442,7 @@ class BernoulliArmMeasure:
     policy_memo: list | None = field(init=False, repr=False, compare=False)
     restrict_memo: dict | None = field(init=False, repr=False, compare=False)
     certain_arms: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    history_free: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.arms:
@@ -464,6 +469,7 @@ class BernoulliArmMeasure:
         object.__setattr__(self, "policy_memo", [None] if point else None)
         object.__setattr__(self, "restrict_memo", {} if point else None)
         object.__setattr__(self, "certain_arms", certain)
+        object.__setattr__(self, "history_free", point)
 
 
 @dataclass(frozen=True)
@@ -621,9 +627,7 @@ class BernoulliArmsModel(BanditModel):
         memo = measure.policy_memo
         if memo is None or probs.flags.writeable:
             return super().policy_expectations(measure, history, f, probs)
-        self._check_history(history)
-        for arm in measure.certain_arms:
-            _check_point_arm(measure.tables[arm].p[0], history, arm)
+        self.check_history(measure, history)
         hit, values = memo[0], f.values
         if hit is not None and hit[0] is values and hit[1] is probs:
             return hit[2]
@@ -654,11 +658,10 @@ class BernoulliArmsModel(BanditModel):
         """On an all-point measure the restriction to an event is constant:
         it is served from the restriction memo when that holds this very
         event. Each call still checks the history first, as a miss does."""
-        self._check_history(history)
+        self.check_history(measure, history, event)
         arm, outcome = event.indicator
         memo = measure.restrict_memo
         if memo is not None:
-            _check_point_arm(measure.tables[arm].p[0], history, arm)
             hit = memo.get(event.indicator)
             if hit is not None and hit[0] is event:
                 return hit[1]
@@ -671,6 +674,14 @@ class BernoulliArmsModel(BanditModel):
         if memo is not None:
             memo[event.indicator] = (event, out)
         return out
+
+    def check_history(self, measure: BernoulliArmMeasure, history: BanditHistory, event=None) -> None:
+        """The checks of a memo hit: the history's arm count, then that it
+        refutes no certain arm (with an event, only the event's arm)."""
+        self._check_history(history)
+        for arm in measure.certain_arms:
+            if event is None or arm == event.indicator[0]:
+                _check_point_arm(measure.tables[arm].p[0], history, arm)
 
     def next_history(self, history: BanditHistory, indicator: tuple[int, int]) -> BanditHistory:
         return observe(history, *indicator)
@@ -709,6 +720,8 @@ class BernoulliArmsModel(BanditModel):
 @dataclass(frozen=True)
 class StatelessMeasure:
     """Placeholder measure for world models that carry no stochastic state."""
+
+    history_free = False
 
 
 STATELESS = StatelessMeasure()
@@ -868,6 +881,7 @@ class JointHypothesisMeasure:
 
     weights: tuple[float, ...]
     outcome_probs: tuple[tuple[tuple[float, ...], ...], ...]
+    history_free = False
     log_weights: np.ndarray = field(init=False, repr=False, compare=False)
     probs: np.ndarray = field(init=False, repr=False, compare=False)
     log_probs: np.ndarray = field(init=False, repr=False, compare=False)

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,10 +39,18 @@ from ibrl import (
     trap_sample_world,
     trap_step,
 )
-from ibrl.harness import ExperimentConfig, derive_stream, run_experiment, run_newcomb_sweep
+from ibrl.harness import (
+    ExperimentConfig,
+    config_from_mapping,
+    derive_stream,
+    parse_config_text,
+    run_experiment,
+    run_newcomb_sweep,
+)
 from ibrl.harness.runner import trap_bayes_belief, trap_ib_belief, trap_model
 
 VALUES = np.array([[0.0, 1.0], [0.0, 1.0]])
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def singleton_belief(model, measure):
@@ -693,7 +702,9 @@ class TestMemo:
         """``ku-long`` at its smoke size (50 steps): each corner's action
         values are computed once, and ``predictive`` runs twice per corner
         for them plus once per (corner, event) restricted, not per step.
-        The 106 restrictions (4 points for 3 steps, then 2) touch 8 pairs."""
+        The 16 restrictions (4 points for 3 steps, then 2 for the two steps
+        whose conditioning stores the converged pair as each event's fixed
+        point; later steps restrict nothing) touch 8 pairs."""
         value_calls = count_calls(monkeypatch, "expected_action_values", BernoulliArmsModel)
         predictives = count_calls(monkeypatch, "predictive", ibrl.worldmodels)
         restricts = count_calls(monkeypatch, "restrict", BernoulliArmsModel)
@@ -704,8 +715,62 @@ class TestMemo:
         corners = {id(args[1]) for args in value_calls}
         assert len(corners) == len(value_calls) == 4
         pairs = {(id(args[1]), id(args[3])) for args in restricts}
-        assert (len(restricts), len(pairs)) == (106, 8)
+        assert (len(restricts), len(pairs)) == (16, 8)
         assert len(predictives) == 2 * len(corners) + len(pairs) == 16
+
+    def test_ku_corner_agents_value_once_per_run(self, monkeypatch, value_passes):
+        """The shipped ``ku_bandit.cfg`` at ``per_step_random``: each classical
+        corner agent keeps its one history-free point, so every successor
+        shares the tie memo and one value pass serves the whole run."""
+        labels = []
+        rollout = ibrl.harness.runner._rollout
+
+        def labelled(cfg, label, *args, **kwargs):
+            labels.append((label, len(value_passes)))
+            return rollout(cfg, label, *args, **kwargs)
+
+        monkeypatch.setattr(ibrl.harness.runner, "_rollout", labelled)
+        mapping = parse_config_text((CONFIGS / "ku_bandit.cfg").read_text())
+        cfg = config_from_mapping({**mapping, "env.mode": "per_step_random"})
+        assert len(run_experiment(cfg)) == 5 * 100
+        ends = [start for _, start in labels[1:]] + [len(value_passes)]
+        passes = {label: end - start for (label, start), end in zip(labels, ends)}
+        corners = {label: n for label, n in passes.items() if label.startswith("bayes_corner")}
+        assert corners == dict.fromkeys(corners, 1) and len(corners) == 4
+
+    def test_a_refuting_history_raises_alike_on_a_tie_hit_and_a_miss(self):
+        """A greedy corner agent whose arm 1 succeeds with certainty observes
+        a failure there: its successor shares the tie memo, and selecting
+        raises what a fresh state's full value pass raises."""
+        model = BernoulliArmsModel(2)
+        grid = deterministic_grid(2)
+        belief = corner_belief(model, [(1.0, 0.4)])
+        state = make_agent(belief, np.random.default_rng(0), "bayes_greedy", VALUES)
+        select_policy(state, grid)
+        refuted = ib_observe(state, 0, 0.0)
+        assert refuted.memo is state.memo
+        fresh = make_agent(refuted.belief, np.random.default_rng(0), "bayes_greedy", VALUES)
+        errors = []
+        for s in (refuted, fresh):
+            with pytest.raises(DegenerateUpdateError) as raised:
+                select_policy(s, grid)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+
+    def test_converged_maximin_successors_share_one_memo(self):
+        """Once the corner pair maps to itself, each successor shares its
+        state's memo; before that every successor starts empty."""
+        model = BernoulliArmsModel(2)
+        grid = deterministic_grid(2)
+        belief = corner_belief(model, KU_CORNERS)
+        state = make_agent(belief, np.random.default_rng(1), reward_values=VALUES)
+        shared = []
+        for reward in (0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0):
+            select_policy(state, grid)
+            successor = ib_observe(state, 1, reward)
+            shared.append(successor.memo is state.memo)
+            state = successor
+        assert shared == [False, False, False, True, True, True, True]
 
     def test_newcomb_observation_reuses_one_successor_state(self):
         state = newcomb_state(3)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ibrl.agents
 from ibrl import (
     STATELESS,
     AMeasure,
+    BanditHistory,
     BernoulliArmsModel,
     DegenerateUpdateError,
     ExplicitFiniteModel,
@@ -23,14 +25,17 @@ from ibrl import (
     Restriction,
     TrapWorldConfig,
     condition,
+    deterministic_grid,
     evaluate,
     lower_expectation,
+    lower_expectations,
     mix_knightian,
     prune,
     raw_update,
     renormalize,
     update_infra,
 )
+from ibrl.harness import ExperimentConfig, run_experiment
 from ibrl.harness.runner import trap_ib_belief, trap_model
 from ibrl.updates import DEGENERATE_TOL
 
@@ -609,3 +614,93 @@ class TestConditionChecksEveryNumber:
         for fn in (condition, staged_condition):
             with pytest.raises(RepresentationError, match="offset must be nonnegative, got nan"):
                 fn(psi, event)
+
+
+def clear_fixed_set(event):
+    object.__setattr__(event, "fixed_set", None)
+
+
+def corner_events(model, corners):
+    """A Knightian corner belief and, per ``(arm, outcome)``, its event
+    under the uniform-policy return, as a maximin agent builds them."""
+    returns = model.policy_return([0.5, 0.5], VALUES)
+    belief = mix_knightian([bandit_singleton(model, model.point_measure(c)) for c in corners])
+    events = {(a, o): model.observation(a, o, returns) for a in range(2) for o in range(2)}
+    return belief, returns, events
+
+
+class TestFixedPoint:
+    """Once conditioning maps a history-free belief to itself, the event
+    stores that point tuple, and a later call on the very tuple checks and
+    advances the history only. A hit must equal a full ``condition``."""
+
+    def test_a_hit_equals_a_full_condition_with_the_memo_cleared(self):
+        """The ``ku-long`` event sequence at seed 42: the corner pair left
+        after step 2 maps to itself on both arm-2 events."""
+        model = BernoulliArmsModel(2)
+        corners = [(a, b) for a in (0.3, 0.7) for b in (0.4, 0.8)]
+        psi, returns, events = corner_events(model, corners)
+        probs = deterministic_grid(2).probs
+        hits = 0
+        for indicator in [(1, 0), (1, 0), (1, 1), (1, 0), (1, 1), (1, 1), (1, 0), (1, 0)]:
+            event = events[indicator]
+            hit = psi.points is event.fixed_set
+            got = condition(psi, event)
+            stored = event.fixed_set
+            clear_fixed_set(event)
+            want = condition(psi, event)
+            assert event.fixed_set is stored
+            assert (got.points is psi.points) == (want.points is psi.points)
+            for a, b in zip(got.points, want.points, strict=True):
+                assert a.scale.hex() == b.scale.hex() and a.offset.hex() == b.offset.hex()
+                assert a.measure is b.measure
+            assert got.history == want.history
+            assert lower_expectations(got, returns, probs).tolist() == (
+                lower_expectations(want, returns, probs).tolist()
+            )
+            if hit:
+                assert_same_as_stages(psi, event)
+            hits += hit
+            psi = got
+        assert hits == 3 and len(psi.points) == 2
+
+    def test_a_history_refuting_a_certain_arm_raises_alike_on_hit_and_miss(self):
+        """Arm 1 succeeds with certainty at both corners, so a success there
+        maps the belief to itself; a history with an arm-1 failure refutes
+        both."""
+        model = BernoulliArmsModel(2)
+        psi, _, events = corner_events(model, [(1.0, 0.4), (1.0, 0.8)])
+        event = events[(0, 1)]
+        assert condition(psi, event).points is psi.points is event.fixed_set
+        refuted = Infradistribution(psi.points, BanditHistory((1, 0), (0, 0)))
+        got = outcome_of(condition, refuted, event)
+        clear_fixed_set(event)
+        want = outcome_of(condition, refuted, event)
+        assert got == want and got[0] is DegenerateUpdateError
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig("trap-bandit", seed=42, settings={"env.runs": 1, "agents": "ib"}),
+            ExperimentConfig("validate-classical", seed=42, settings={"steps": 50, "runs": 1}),
+        ],
+        ids=lambda cfg: cfg.experiment,
+    )
+    def test_beliefs_whose_measures_read_the_history_store_nothing(self, monkeypatch, cfg):
+        """The trap agent's joint measure and ``ib_single``'s grid measure
+        read the history: their one-point beliefs often map to themselves,
+        and no event stores them."""
+        seen = []
+
+        def recording(psi, event):
+            after = condition(psi, event)
+            fixed = [(a.scale, a.offset, a.measure) for a in after.points] == [
+                (a.scale, a.offset, a.measure) for a in psi.points
+            ]
+            seen.append((fixed, event.fixed_set))
+            return after
+
+        monkeypatch.setattr(ibrl.agents, "condition", recording)
+        run_experiment(cfg)
+        assert sum(fixed for fixed, _ in seen) > len(seen) / 3
+        assert {stored for _, stored in seen} == {None}

@@ -63,41 +63,55 @@ WORKLOADS = {
 
 # Per workload: rows written, then calls per operation. Selections are keyed
 # by the selecting agent's flavor: greedy steps reach ``select_policy`` and
-# only Thompson steps reach ``bayes_select``.
+# only Thompson steps reach ``bayes_select``. ``policy_expectations`` counts
+# value passes per point, ``next_history`` history builds.
 #
 # * trap-roster: 5 agents x 100 steps. The ``ib`` agent conditions every
-#   step, restricting both points until one is pruned (108 restrictions),
-#   and builds its 2 x 3 events once; each of the six measures rebuilds its
-#   joint posterior terms once per rollout.
+#   step, restricting and valuing both points until one is pruned (108
+#   each), and builds its 2 x 3 events once; each of the six measures
+#   rebuilds its joint posterior terms once per rollout. Every agent builds
+#   one history per step. The ``ib`` agent's joint measure reads the
+#   history, so its one-point belief is never stored as a fixed point.
 # * newcomb-sweep: 51 cells x 2 episodes. A cell's state is reused, so it
 #   runs one value pass, one conditioning and builds one successor.
 # * ku-long: 50 steps of one agent over 4 corners, 2 after the third step;
-#   its 2 x 2 events are built once.
+#   its 2 x 2 events are built once. The pair left after the third step is
+#   a fixed point: the first conditioning on it per event (steps 3 and 4;
+#   the agent only pulls arm 2) stores it, later ones only check and advance
+#   the history, and successors share the tie memo. So 4 value passes
+#   (4 + 4 + 4 + 2 points) and 16 restrictions (4 + 4 + 4 + 2 + 2) serve
+#   all 50 steps.
 BUDGETS = {
     "trap-roster": (500, {
         "select_policy[ib_maximin]": 100,
         "select_policy[bayes_greedy]": 200,
         "bayes_select[bayes_thompson]": 200,
         "lower_expectations": 300,
+        "policy_expectations": 308,
         "condition": 100,
         "_log_terms": 6,
         "restrict": 108,
+        "next_history": 500,
         "ObservationEvent": 6,
         "AgentState": 505,
     }),
     "newcomb-sweep": (102, {
         "select_policy[ib_maximin]": 102,
         "lower_expectations": 51,
+        "policy_expectations": 51,
         "condition": 51,
         "restrict": 51,
+        "next_history": 51,
         "ObservationEvent": 51,
         "AgentState": 102,
     }),
     "ku-long": (50, {
         "select_policy[ib_maximin]": 50,
-        "lower_expectations": 50,
+        "lower_expectations": 4,
+        "policy_expectations": 14,
         "condition": 50,
-        "restrict": 106,
+        "restrict": 16,
+        "next_history": 50,
         "ObservationEvent": 4,
         "AgentState": 51,
     }),
@@ -126,9 +140,10 @@ def test_benchmark_workloads_keep_their_work_budgets(monkeypatch):
     _count(monkeypatch, counts, ibrl.agents, "lower_expectations")
     _count(monkeypatch, counts, ibrl.agents, "condition")
     _count(monkeypatch, counts, ibrl.worldmodels, "_log_terms")
-    for model in vars(ibrl.worldmodels).values():
-        if isinstance(model, type) and "restrict" in vars(model):
-            _count(monkeypatch, counts, model, "restrict")
+    for name in ("restrict", "policy_expectations", "next_history"):
+        for model in vars(ibrl.worldmodels).values():
+            if isinstance(model, type) and name in vars(model):
+                _count(monkeypatch, counts, model, name)
     for built in (ObservationEvent, AgentState):
         _count(monkeypatch, counts, built, "__init__", lambda obj, *_: type(obj).__name__)
     table = {}
