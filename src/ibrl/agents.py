@@ -37,6 +37,12 @@ several policies tie, so RNG use is unchanged. Observations that raise are
 never stored. A bandit successor that keeps its state's very tuple of
 history-free points (a converged Knightian belief, a classical corner
 agent) shares the state's memo; a tie hit then runs the history checks.
+Successors are built by ``_successor`` without re-running ``__init__``.
+
+Nothing in a state is per run but its stream and its memo, so runs of one
+agent may share a belief, return function and events, and be stepped in
+lockstep: the harness steps every run of a trap roster entry together and
+warms the joint measures they share once per step (``worldmodels``).
 """
 
 from __future__ import annotations
@@ -260,12 +266,13 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
     an arm that is not an in-range ``int`` raises ``RepresentationError``."""
     if not math.isfinite(reward):
         raise ConfigError(f"reward {reward!r} is not a finite number")
-    model = state.model
+    psi = state.belief
+    model = psi.points[0].model
     if isinstance(model, NewcombModel):
         successor = state.memo.get("newcomb")
         if successor is None:
-            belief = condition(state.belief, model.observation())
-            successor = state.memo["newcomb"] = _successor(state, belief)
+            belief = condition(psi, model.observation())
+            successor = state.memo["newcomb"] = _successor(state, belief, {})
         return successor
     try:
         outcome = state.raw_support.index(reward)
@@ -277,22 +284,25 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
     model.validate_indicator((action, outcome))
     if state.flavor == "ib_maximin":
         event = state.events[action][outcome]
-        belief = condition(state.belief, event)
+        belief = condition(psi, event)
         fixed = event.fixed_set
     else:
-        points = state.belief.points
-        belief = _belief(points, model.next_history(state.belief.history, (action, outcome)))
+        points = psi.points
+        belief = _belief(points, model.next_history(psi.history, (action, outcome)))
         fixed = points if points[0].measure.history_free else None
-    successor = _successor(state, belief)
-    if belief.points is fixed:
-        object.__setattr__(successor, "memo", state.memo)
+    return _successor(state, belief, state.memo if belief.points is fixed else {})
+
+
+def _successor(state: AgentState, belief: Infradistribution, memo: dict) -> AgentState:
+    """``state`` with ``belief`` and ``memo``, built as ``_point`` builds a
+    point: the fields are copied into the new instance's ``__dict__``, where
+    ``__init__`` puts them, and nothing is re-run. Every successor state is
+    built here."""
+    successor = object.__new__(AgentState)
+    fields = successor.__dict__
+    fields.update(state.__dict__)
+    fields["belief"], fields["memo"] = belief, memo
     return successor
-
-
-def _successor(state: AgentState, belief: Infradistribution) -> AgentState:
-    return AgentState(
-        belief, state.rng, state.flavor, state.returns, state.raw_support, state.events
-    )
 
 
 def bayes_select(state: AgentState) -> int:

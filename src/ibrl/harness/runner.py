@@ -1,10 +1,14 @@
 """Experiment orchestration: seeded rollouts producing run records.
 
-Every experiment runs the same loop, ``_rollout``: per step the agent
-selects a policy (a Thompson agent selects an arm directly), samples an
-action, the environment resolves the step, the step is recorded, and the
-observation is folded back into the agent's belief. Experiments differ only
-in their belief builders, stream keys and a small environment-step closure.
+Every experiment runs the same loop, ``_rollout``, on blocks: a block is
+every episode of one agent label, stepped in lockstep. Per step and episode
+the agent selects a policy (a Thompson agent selects an arm directly),
+samples an action, the environment resolves the step, the step is recorded,
+and the observation is folded back into the agent's belief. Experiments
+differ only in their belief builders, stream keys and a small
+environment-step closure. A trap roster entry builds its belief, return
+function and events once, and before each step one batch per joint measure
+computes every live run's posterior and arm values.
 A Newcomb episode is a one-step rollout from its cell's initial belief, with
 the cell's agent and environment streams shared across episodes; this is
 exact because conditioning on a Newcomb observation is the identity. Every
@@ -18,9 +22,11 @@ once per cell (every candidate's reward moments, in one array pass).
 All randomness flows through named streams derived from
 ``(seed, unit indices, role)``, so any run unit can be reproduced in
 isolation and the full record list is a pure function of (config, seed).
-Units are independent, which would let a scheduler fan them out; the
-built-in scheduler is sequential and emits records in canonical
-(agent, episode, step) order either way.
+Units are independent, which would let a scheduler fan them out, and a
+block's episodes draw exactly what they would draw one after another. If
+units fail, the config raises the failure of the unit that comes first in
+sequential order (setting, run, then agent; cell, then episode). Records
+are emitted in canonical (agent, episode, step) order.
 
 Environment streams are keyed without an agent index: agents compared within
 one experiment face identical sampled worlds (common random numbers). The
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -273,49 +279,99 @@ def trap_bayes_belief(
 # ---------------------------------------------------------------------------
 
 
+# One episode of a block: ``(episode, initial state, env_step, order,
+# where)``. ``order`` is its place in its experiment's sequential loop and
+# ``where`` follows the step in a failure's message. A plain tuple, because a
+# Newcomb sweep builds one per episode.
+Episode = tuple[
+    int, AgentState, Callable[[Policy | None, int], tuple[float, float, float]], tuple[int, ...], str
+]
+
+
 def _rollout(
     cfg: ExperimentConfig,
     label: str,
-    episode: int,
-    state: AgentState,
+    block: Sequence[Episode],
     candidates: PolicyGrid,
-    env_step: Callable[[Policy | None, int], tuple[float, float, float]],
     steps: int,
-    where: str = "",
-) -> list[RunRecord]:
-    """Run one agent for ``steps`` steps: select, act, step, record, observe.
+    before_step: Callable[[list[AgentState]], None] | None = None,
+) -> tuple[list[RunRecord], list[tuple[tuple[int, ...], DegenerateUpdateError]]]:
+    """Run a block, episodes of agent ``label``, for ``steps`` steps in
+    lockstep: each step calls ``before_step`` on the live episodes' states,
+    then selects, acts, steps, records and observes per episode in block
+    order. Episodes share a stream only when they run one step each, so the
+    draws are those of running them one after another.
 
     Maximin and greedy agents score the ``candidates`` on their return
     function and sample an action from the chosen policy; Thompson agents
     pick an arm and pass ``None`` as the policy. ``env_step(policy,
     action)`` returns ``(reward, expected regret, realized regret)``. A
-    degenerate update is re-raised naming the experiment, agent, episode and
-    step, followed by ``where`` (extra context such as the sampled world)."""
-    records: list[RunRecord] = []
-    cum_reg = cum_exp = 0.0
-    try:
-        for t in range(steps):
-            if state.flavor == "bayes_thompson":
-                policy = None
-                action = bayes_select(state)
-            else:
-                policy = select_policy(state, candidates)
-                action = act(policy, state.rng)
-            reward, step_exp, step_reg = env_step(policy, action)
-            cum_exp += step_exp
-            cum_reg += step_reg
-            records.append(
-                RunRecord(
-                    cfg.experiment, label, cfg.seed, episode, t,
-                    action, reward, step_exp, cum_reg, cum_exp,
+    degenerate update stops its episode only; it comes back as ``(order,
+    error)``, the error naming the experiment, agent, episode and step,
+    followed by ``where``. Records come back per episode, in block order."""
+    # Per episode: [state, cumulative regret, cumulative expected regret,
+    # records, episode]; a failure drops it from ``live``.
+    slots = [[e[1], 0.0, 0.0, [], e] for e in block]
+    failures = []
+    live = slots
+    experiment, seed = cfg.experiment, cfg.seed
+    record = RunRecord._make  # skips the keyword handling of ``RunRecord(...)``
+    for t in range(steps):
+        if before_step is not None:
+            before_step([slot[0] for slot in live])
+        stopped = []
+        for slot in live:
+            state, cum_reg, cum_exp, rows, e = slot
+            try:
+                if state.flavor == "bayes_thompson":
+                    policy = None
+                    action = bayes_select(state)
+                else:
+                    policy = select_policy(state, candidates)
+                    action = act(policy, state.rng)
+                reward, step_exp, step_reg = e[2](policy, action)
+                slot[1] = cum_reg = cum_reg + step_reg
+                slot[2] = cum_exp = cum_exp + step_exp
+                row = experiment, label, seed, e[0], t, action, reward, step_exp, cum_reg, cum_exp
+                rows.append(record(row))
+                slot[0] = ib_observe(state, action, reward)
+            except DegenerateUpdateError as exc:
+                error = DegenerateUpdateError(
+                    f"{experiment}: agent {label!r}, episode {e[0]}, step {t}{e[4]}: {exc}"
                 )
-            )
-            state = ib_observe(state, action, reward)
-    except DegenerateUpdateError as exc:
-        raise DegenerateUpdateError(
-            f"{cfg.experiment}: agent {label!r}, episode {episode}, step {t}{where}: {exc}"
-        ) from exc
+                error.__cause__ = exc
+                failures.append((e[3], error))
+                stopped.append(id(slot))
+        if stopped:
+            live = [slot for slot in live if id(slot) not in stopped]
+    return [rec for slot in slots for rec in slot[3]], failures
+
+
+def _run_blocks(cfg, blocks, candidates, steps, before_step=None) -> list[RunRecord]:
+    """Roll out each ``(label, block)`` in turn; if episodes failed, raise
+    the failure the sequential loop would have reached first."""
+    records: list[RunRecord] = []
+    failures = []
+    for label, block in blocks:
+        block_records, block_failures = _rollout(cfg, label, block, candidates, steps, before_step)
+        records += block_records
+        failures += block_failures
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     return records
+
+
+def _warm_joint_posteriors(states: list[AgentState]) -> None:
+    """Warm every joint measure of a trap block's live episodes, once per
+    step, with all their histories: posteriors, and arm values under the
+    block's one return function unless its agents sample (Thompson)."""
+    if states:
+        first = states[0]
+        values = None if first.flavor == "bayes_thompson" else first.returns.values
+        histories = [state.belief.history for state in states]
+        measures = {id(a.measure): a.measure for state in states for a in state.belief.points}
+        for measure in measures.values():
+            first.model.warm(measure, histories, values)
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +400,13 @@ def _run_validate_classical(cfg: ExperimentConfig) -> list[RunRecord]:
     values = np.array([[0.0, 1.0], [0.0, 1.0]])
     candidates = deterministic_grid(2)
 
-    records: list[RunRecord] = []
+    blocks: list[tuple[str, list[Episode]]] = [("ib_single", []), ("bayes", [])]
     for s, pair in enumerate(pairs):
         exp_rewards = np.asarray(pair, dtype=float)
         best = float(exp_rewards.max())
         regrets = (exp_rewards.max() - exp_rewards).tolist()
         for r in range(runs):
-            for agent_name, flavor in (("ib_single", "ib_maximin"), ("bayes", "bayes_greedy")):
+            for ai, flavor in enumerate(("ib_maximin", "bayes_greedy")):
                 # Both agents get byte-identical environment AND agent
                 # streams: matched seeds are the point of this experiment.
                 env_rng = derive_stream(cfg.seed, s, r, ENV_STREAM)
@@ -362,14 +418,13 @@ def _run_validate_classical(cfg: ExperimentConfig) -> list[RunRecord]:
                     values,
                 )
 
-                def env_step(policy, action):
-                    reward = float(bernoulli_step(pair[action], env_rng))
+                # Defaults bind this episode's values: the step runs later.
+                def env_step(policy, action, pair=pair, rng=env_rng, regrets=regrets, best=best):
+                    reward = float(bernoulli_step(pair[action], rng))
                     return reward, regrets[action], best - reward
 
-                records += _rollout(
-                    cfg, agent_name, s * runs + r, state, candidates, env_step, steps
-                )
-    return records
+                blocks[ai][1].append((s * runs + r, state, env_step, (s, r, ai), ""))
+    return _run_blocks(cfg, blocks, candidates, steps)
 
 
 _KU_KEYS = {
@@ -420,7 +475,7 @@ def _run_ku_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
         else:
             raise ConfigError(f"field 'agents': unknown agent {name!r} (use 'ib' or 'corners')")
 
-    records: list[RunRecord] = []
+    blocks: list[tuple[str, list[Episode]]] = [(label, []) for label, _, _ in specs]
     for run in range(runs):
         for ai, (label, flavor, corner) in enumerate(specs):
             env_rng = derive_stream(cfg.seed, run, ENV_STREAM)
@@ -431,13 +486,14 @@ def _run_ku_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
                 belief = classical_belief(model, model.point_measure(corner))
             state = make_agent(belief, agent_rng, flavor, values)
 
-            def env_step(policy, action):
-                reward, probs = ku_step(env, action, env_rng)
+            # The default binds this episode's stream: the step runs later.
+            def env_step(policy, action, rng=env_rng):
+                reward, probs = ku_step(env, action, rng)
                 best = max(probs)
                 return float(reward), best - probs[action], best - reward
 
-            records += _rollout(cfg, label, run, state, candidates, env_step, steps)
-    return records
+            blocks[ai][1].append((run, state, env_step, (run, ai), ""))
+    return _run_blocks(cfg, blocks, candidates, steps)
 
 
 _NEWCOMB_KEYS = {
@@ -533,8 +589,8 @@ def run_newcomb_sweep(
             episode_stats.append((p_star, reward, mean, second))
             return reward, best - mean, best - reward
 
-        for e in range(episodes):
-            records += _rollout(cfg, label, e, state, candidates, env_step, 1)
+        block = [(e, state, env_step, (e,), "") for e in range(episodes)]
+        records += _run_blocks(cfg, [(label, block)], candidates, 1)
 
         sum_p = sum_reward = sum_value = sum_var = 0.0
         for p_star, reward, mean, second in episode_stats:
@@ -622,9 +678,19 @@ def _run_trap_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
     candidates = deterministic_grid(model.arm_count)
     specs = _trap_agent_specs(_roster(cfg, DEFAULT_TRAP_ROSTER))
 
-    records: list[RunRecord] = []
+    # Each roster entry's state is built once, without a stream; its runs
+    # share its belief, return function and events, and add their streams.
+    agents = [
+        make_agent(
+            trap_ib_belief(model, env) if flavor == "ib_maximin"
+            else trap_bayes_belief(model, env, alpha_prior),
+            None, flavor, values, raw_support,
+        )
+        for _, flavor, alpha_prior in specs
+    ]
+    blocks: list[tuple[str, list[Episode]]] = [(label, []) for label, _, _ in specs]
     for run in range(env.runs):
-        for ai, (label, flavor, alpha_prior) in enumerate(specs):
+        for ai, agent in enumerate(agents):
             # Same environment stream for every agent in the roster: they
             # face the same sampled world and the same uniform draws.
             env_rng = derive_stream(cfg.seed, run, ENV_STREAM)
@@ -633,21 +699,15 @@ def _run_trap_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
             exp_rewards = trap_expected_rewards(world, env)
             best = float(exp_rewards.max())
             regrets = (exp_rewards.max() - exp_rewards).tolist()
-            if flavor == "ib_maximin":
-                belief = trap_ib_belief(model, env)
-            else:
-                belief = trap_bayes_belief(model, env, alpha_prior)
-            state = make_agent(belief, agent_rng, flavor, values, raw_support)
 
-            def env_step(policy, action):
-                reward = trap_step(world, env, action, env_rng)
+            # Defaults bind this episode's values: the step runs later.
+            def env_step(policy, action, world=world, rng=env_rng, regrets=regrets, best=best):
+                reward = trap_step(world, env, action, rng)
                 return reward, regrets[action], best - reward
 
-            records += _rollout(
-                cfg, label, run, state, candidates, env_step, env.horizon,
-                where=f", world {world}",
-            )
-    return records
+            state = replace(agent, rng=agent_rng)
+            blocks[ai][1].append((run, state, env_step, (run, ai), f", world {world}"))
+    return _run_blocks(cfg, blocks, candidates, env.horizon, _warm_joint_posteriors)
 
 
 # ---------------------------------------------------------------------------

@@ -182,8 +182,13 @@ def renormalize(psi: Infradistribution) -> Infradistribution:
 def condition(psi: Infradistribution, event: ObservationEvent) -> Infradistribution:
     """Full conditioning in one pass: raw update, renormalize, range-prune.
 
-    On a single-point belief this is exactly a Bayes update: the point
-    returns to scale 1 and offset 0 and only the belief's history moves.
+    On a single-point belief this is a Bayes update up to rounding: the
+    history moves, the offset stays 0, and the scale returns to 1 within a
+    few ulps, since renormalizing divides the raw scale by a span that need
+    not round back to it. Over 9,211 one-point trap conditionings (the
+    ``ib`` agent after pruning, 5 seeds x 20 runs) a third moved the scale,
+    by at most 15 ulps of 1.0; the Bernoulli grid points of
+    validate-classical never moved it.
 
     If the observation refutes some points (zero scale, or zero mass left on
     the observed branch) and that makes renormalization degenerate, the

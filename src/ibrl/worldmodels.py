@@ -32,20 +32,21 @@ measures, histories, restriction and that one computation.
 
 Posterior weights are computed in log space per component and renormalized
 (per arm for the independent model, globally for the joint model) so that
-histories with on the order of a thousand pulls do not underflow. Each bandit
-measure builds its read-only log tables once and keeps a one-entry memo of
-its last posterior, keyed by the counts (the measure classes list both). A
-point asks for the same posterior several times per step (per arm in the
-value pass, again in ``restrict``), and between steps only the pulled arm's
-counts move, so a point builds one posterior per observation, rewriting one
-cell of joint terms. A memo hit returns the very array the same numpy
-operations produced on the miss: no bit changes. A one-component independent
-arm skips the posterior arithmetic, though an impossible history still raises
-on every call (``_arm_posterior``). A measure of such arms is
-``history_free``: it memoizes its policy values per value table and policy
-matrix, and its restriction per event, and every call runs ``check_history``
-before it reads a memo. ``restrict`` returns Python floats, so the scales
-and offsets it feeds conditioning never become numpy scalars.
+histories with on the order of a thousand pulls do not underflow. Each
+bandit measure builds its read-only log tables once. An independent-arm
+measure keeps a one-entry posterior memo per arm, keyed by its counts. A
+joint measure keeps a table keyed by count tables: ``warm`` fills it with
+the posteriors (and arm values) of many histories in one batched numpy pass,
+as a rollout does before each step for every run sharing the measure, and
+any other read warms it with its one history. Every row of a batch runs the
+operations of a batch of one, and a hit returns the very array a miss
+produced: no bit changes. A one-component independent arm skips the
+posterior arithmetic, though an impossible history still raises on every
+call (``_arm_posterior``). A measure of such arms is ``history_free``: it
+memoizes its policy values per value table and policy matrix, and its
+restriction per event, and every call runs ``check_history`` before it reads
+a memo. ``restrict`` returns Python floats, so the scales and offsets it
+feeds conditioning never become numpy scalars.
 
 This module never imports scipy. The one scipy use in the package,
 ``inframeasure._convex_dominated``, imports it on first call, and
@@ -875,9 +876,12 @@ class JointHypothesisMeasure:
     observing one arm can shift beliefs about the others.
 
     ``log_weights`` (``-inf`` for zero weights), ``probs`` and ``log_probs``
-    are read-only arrays built once; ``memo[0]`` is the last ``(counts,
-    log-likelihood terms, posterior)`` computed (``None`` before the first).
-    None of them takes part in equality or hashing."""
+    are read-only arrays built once. ``table`` maps each count table of the
+    last ``JointHypothesisBanditModel.warm`` to its read-only posterior;
+    ``values_table[0]`` is that warm's value table (``None`` without one)
+    and ``values_table[1]`` maps the same counts to their arm values.
+    ``rows`` is the last ``(value table, per-hypothesis arm values)`` that
+    Thompson sampling read. None of them takes part in equality or hashing."""
 
     weights: tuple[float, ...]
     outcome_probs: tuple[tuple[tuple[float, ...], ...], ...]
@@ -885,7 +889,9 @@ class JointHypothesisMeasure:
     log_weights: np.ndarray = field(init=False, repr=False, compare=False)
     probs: np.ndarray = field(init=False, repr=False, compare=False)
     log_probs: np.ndarray = field(init=False, repr=False, compare=False)
-    memo: list = field(init=False, repr=False, compare=False)
+    table: dict = field(init=False, repr=False, compare=False)
+    values_table: list = field(init=False, repr=False, compare=False)
+    rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -906,33 +912,29 @@ class JointHypothesisMeasure:
         object.__setattr__(self, "log_weights", _read_only(log_weights))
         object.__setattr__(self, "probs", _read_only(probs))
         object.__setattr__(self, "log_probs", _read_only(log_probs))
-        object.__setattr__(self, "memo", [None])
+        object.__setattr__(self, "table", {})
+        object.__setattr__(self, "values_table", [None, {}])
+        object.__setattr__(self, "rows", [None, None])
 
 
 @dataclass(frozen=True)
 class OutcomeCountHistory:
     """Per-arm, per-outcome observation counts, checked by the constructor
-    only. ``next_history`` sets ``prev``, the predecessor's ``counts`` tuple,
-    and ``last``, the indicator (``None`` when constructed); neither is state."""
+    only. The ``counts`` tuple is the key of a joint measure's table."""
 
     counts: tuple[tuple[int, ...], ...]
-    prev: tuple | None = field(init=False, default=None, repr=False, compare=False)
-    last: tuple[int, int] | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(min(row, default=0) < 0 for row in self.counts):
             raise RepresentationError("counts must be nonnegative")
 
 
-def _log_terms(measure: JointHypothesisMeasure, counts: tuple) -> np.ndarray:
-    """``count * log p`` per hypothesis and cell, 0 where the count is 0. A
-    count table that is not ``(arms, outcomes)`` raises ``RepresentationError``."""
-    arms, outcomes = measure.probs.shape[1:]
-    if len(counts) != arms or any(len(row) != outcomes for row in counts):
-        raise RepresentationError("count table must be (arms, outcomes)")
-    c = np.asarray(counts, dtype=float)
-    with np.errstate(invalid="ignore"):
-        return np.where(c > 0, c * measure.log_probs, 0.0)
+def _entry(table: dict, counts: tuple) -> np.ndarray:
+    """``table[counts]``; a count table that ``warm`` left out is impossible."""
+    out = table.get(counts)
+    if out is None:
+        raise DegenerateUpdateError("history is impossible under every joint hypothesis")
+    return out
 
 
 @dataclass(frozen=True)
@@ -969,31 +971,68 @@ class JointHypothesisBanditModel(BanditModel):
         self.validate_measure(m)
         return m
 
+    def warm(
+        self,
+        measure: JointHypothesisMeasure,
+        histories: Sequence[OutcomeCountHistory],
+        values: np.ndarray | None = None,
+    ) -> None:
+        """Replace the measure's table with the posterior of every history,
+        and given a value table also with every history's arm values, in one
+        pass over the stacked ``(histories, arms, outcomes)`` counts. Each row
+        runs the operations a batch of one runs, so a table entry has the same
+        bits however many histories share the pass. A history impossible
+        under every hypothesis is left out, so reading it raises
+        ``DegenerateUpdateError``; a count or value table that is not
+        ``(arms, outcomes)`` raises ``RepresentationError``."""
+        keys = list(dict.fromkeys(h.counts for h in histories))
+        try:
+            counts = np.array(keys, dtype=float)
+        except ValueError:
+            counts = None
+        shape = measure.probs.shape[1:]
+        if counts is None or counts.shape[1:] != shape:
+            raise RepresentationError("count table must be (arms, outcomes)")
+        # ``count * log p``, and 0 where the count is 0 (also where p is 0).
+        counts = counts[:, None]
+        terms = np.zeros(counts.shape[:1] + measure.log_probs.shape)
+        np.multiply(counts, measure.log_probs, out=terms, where=counts > 0)
+        lw = measure.log_weights + terms.sum(axis=(2, 3))
+        peak = lw.max(axis=1, keepdims=True)
+        if peak.min() == -np.inf:
+            possible = peak[:, 0] > -np.inf
+            keys = [k for k, ok in zip(keys, possible) if ok]
+            lw, peak = lw[possible], peak[possible]
+        post = np.exp(lw - peak)
+        post = _read_only(post / post.sum(axis=1, keepdims=True))
+        table = measure.table
+        table.clear()
+        table.update(zip(keys, post))
+        if values is None:
+            return
+        if values.shape != shape:
+            raise RepresentationError("return table must be (arms, outcomes)")
+        # Sum over outcomes, then over hypotheses, each in index order: the
+        # order of ``np.einsum("c,cjo,jo->j", post, probs, values)`` when
+        # there are at least two arms.
+        terms = post[:, :, None, None] * measure.probs * values
+        per_hypothesis = terms[..., 0]
+        for o in range(1, shape[1]):
+            per_hypothesis = per_hypothesis + terms[..., o]
+        out = per_hypothesis[:, 0]
+        for c in range(1, post.shape[1]):
+            out = out + per_hypothesis[:, c]
+        measure.values_table[:] = values, dict(zip(keys, _read_only(out)))
+
     def _posterior(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory
     ) -> np.ndarray:
-        """Posterior hypothesis weights, read-only; served from the memo when
-        the counts are unchanged. If ``history.prev`` is the memo's counts
-        tuple, only the ``history.last`` slice of its ``count * log p`` terms
-        is redone. Any other history takes ``_log_terms``, the one path that
-        checks the shape: a memo hit or a derived history keeps the memo's."""
-        counts = history.counts
-        hit = measure.memo[0]
-        if hit is not None and history.prev is hit[0]:
-            arm, outcome = history.last
-            terms = hit[1].copy()
-            terms[:, arm, outcome] = counts[arm][outcome] * measure.log_probs[:, arm, outcome]
-        elif hit is not None and hit[0] == counts:
-            return hit[2]
-        else:
-            terms = _log_terms(measure, counts)
-        lw = measure.log_weights + terms.sum(axis=(1, 2))
-        peak = lw.max()
-        if peak == -np.inf:
-            raise DegenerateUpdateError("history is impossible under every joint hypothesis")
-        post = np.exp(lw - peak)
-        post = _read_only(post / post.sum())
-        measure.memo[0] = (counts, terms, post)
+        """Posterior hypothesis weights, read-only, from the measure's
+        table; a miss warms the table with this one history."""
+        post = measure.table.get(history.counts)
+        if post is None:
+            self.warm(measure, (history,))
+            post = _entry(measure.table, history.counts)
         return post
 
     def predictive_outcome_probs(
@@ -1004,8 +1043,15 @@ class JointHypothesisBanditModel(BanditModel):
     def expected_action_values(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, values: np.ndarray
     ) -> np.ndarray:
-        post = self._posterior(measure, history)
-        return np.einsum("c,cjo,jo->j", post, measure.probs, values)
+        """Read-only, from the measure's table when the last warm was given
+        this very read-only ``values``; a miss warms it with this history."""
+        memo = measure.values_table
+        if memo[0] is values and not values.flags.writeable:
+            out = memo[1].get(history.counts)
+            if out is not None:
+                return out
+        self.warm(measure, (history,), values)
+        return _entry(memo[1], history.counts)
 
     def sampled_action_values(
         self,
@@ -1015,10 +1061,14 @@ class JointHypothesisBanditModel(BanditModel):
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Expected return per arm under one joint hypothesis sampled from the
-        posterior (hypotheses are joint, so one draw covers every arm)."""
+        posterior (hypotheses are joint, so one draw covers every arm). Each
+        hypothesis's row is computed once per read-only value table."""
         post = self._posterior(measure, history)
-        c = _draw_index(post, rng)
-        return np.einsum("jo,jo->j", measure.probs[c], values)
+        memo = measure.rows
+        if memo[0] is not values or values.flags.writeable:
+            rows = tuple(_read_only(np.einsum("jo,jo->j", p, values)) for p in measure.probs)
+            memo[:] = values, rows
+        return memo[1][_draw_index(post, rng)]
 
     def restrict(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, event: ObservationEvent
@@ -1037,9 +1087,7 @@ class JointHypothesisBanditModel(BanditModel):
         row = list(counts[arm])
         row[outcome] += 1
         new = object.__new__(OutcomeCountHistory)
-        object.__setattr__(new, "counts", counts[:arm] + (tuple(row),) + counts[arm + 1 :])
-        object.__setattr__(new, "prev", counts)
-        object.__setattr__(new, "last", indicator)
+        new.__dict__["counts"] = counts[:arm] + (tuple(row),) + counts[arm + 1 :]
         return new
 
     def mix(

@@ -222,7 +222,6 @@ class TestValuePass:
         )
         for action, reward in [(1, 1.0), (1, 0.0), (0, 1.0), (1, 1.0)]:
             state = ib_observe(state, action, reward)
-            assert state.belief.history.prev is not None
         assert len(state.belief.points) == 2
         self.assert_matches_scalar(
             state.belief,
@@ -781,17 +780,19 @@ class TestMemo:
         assert successor.rng is state.rng and successor.returns is state.returns
 
     def test_newcomb_sweep_builds_one_successor_state_per_cell(self, monkeypatch):
-        """Each cell builds its agent and that agent's one successor."""
+        """Each cell builds its agent and that agent's one successor;
+        ``_successor`` builds every successor state, without ``__init__``."""
         built = []
-        original = ibrl.agents.AgentState
+        init = ibrl.agents.AgentState.__init__
 
-        def counting(*args, **kwargs):
+        def counting(self, *args, **kwargs):
             built.append(None)
-            return original(*args, **kwargs)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(ibrl.agents, "AgentState", counting)
+        monkeypatch.setattr(ibrl.agents.AgentState, "__init__", counting)
+        successors = count_calls(monkeypatch, "_successor")
         _, cells = run_newcomb_sweep(ExperimentConfig("newcomb", seed=7, settings={"episodes": 40}))
-        assert len(built) == 2 * len(cells)
+        assert len(built) == len(successors) == len(cells)
 
     def test_newcomb_sweep_builds_one_policy_grid(self, monkeypatch):
         """Every cell scores the same candidates, so the sweep builds the
@@ -807,18 +808,30 @@ class TestMemo:
         assert len(cells) == 51
         assert calls == [(2, 0.1)]
 
-    def test_trap_roster_rebuilds_each_posterior_once_per_rollout(self, monkeypatch):
-        """Every joint posterior after a rollout's first query is a memo hit
-        or a one-slice rewrite of the previous step's terms: one full
-        rebuild per measure per rollout, two for the ``ib`` agent's points
-        and one for each of the four classical agents'."""
-        rebuilt = count_calls(monkeypatch, "_log_terms", ibrl.worldmodels)
+    def test_trap_roster_warms_each_joint_measure_once_per_step(self, monkeypatch):
+        """A roster entry's runs share its belief, so the config builds six
+        joint measures (two for ``ib``, one per classical agent), and every
+        posterior the runs read was warmed by the step's one batch of both
+        runs per live measure: no read misses the table. That is 400 batches
+        for the classical agents and 110 for ``ib``, whose second point lives
+        for 10 steps, until the later of its runs prunes it."""
+        warms = count_calls(monkeypatch, "warm", ibrl.worldmodels.JointHypothesisBanditModel)
+        runner = ibrl.harness.runner
+        hooked = []
+
+        def hook(states):
+            before = len(warms)
+            runner_hook(states)
+            hooked.append(len(warms) - before)
+
+        runner_hook = runner._warm_joint_posteriors
+        monkeypatch.setattr(runner, "_warm_joint_posteriors", hook)
         cfg = ExperimentConfig("trap-bandit", seed=42, settings={"env.runs": 2})
-        records = ibrl.harness.runner.run_experiment(cfg)
-        assert len(records) == 2 * 5 * 100
-        assert len(rebuilt) == 2 * (2 + 4)
-        # ``rebuilt`` keeps every measure alive, so no two share an id.
-        assert len({id(measure) for measure, _ in rebuilt}) == len(rebuilt)
+        assert len(runner.run_experiment(cfg)) == 2 * 5 * 100
+        # ``warms`` keeps every measure alive, so no two share an id.
+        assert len({id(args[1]) for args in warms}) == 6
+        assert len(hooked) == 5 * 100 and sum(hooked) == len(warms) == 510
+        assert [len(args[2]) for args in warms] == [2] * 510
 
     def test_memo_is_not_state(self):
         state = newcomb_state(3)

@@ -45,7 +45,7 @@ from ibrl.harness import (
 )
 from ibrl.harness import acceptance
 from ibrl.harness.cli import main
-from ibrl.harness.runner import DEFAULT_VALIDATE_PAIRS, _rollout
+from ibrl.harness.runner import DEFAULT_VALIDATE_PAIRS, _rollout, _run_blocks
 
 
 class TestConfigParsing:
@@ -305,23 +305,48 @@ class TestRunners:
         assert set(finals) == {"ib"}
         assert finals["ib"].shape == (3,)
 
-    def test_degenerate_update_names_the_step(self):
-        """Both points say the arm always pays; the failure at step 2
-        refutes every point, and the error says where it happened."""
+    @staticmethod
+    def _sure_episode(run, agent, fail_at=None, where=""):
+        """An episode whose two points say the one arm always pays; a
+        failure at step ``fail_at`` refutes every point there."""
         model = BernoulliArmsModel(1)
-        values = np.array([[0.0, 1.0]])
         sure = classical_belief(model, model.point_measure((1.0,)))
-        state = make_agent(mix_knightian([sure, sure]), derive_stream(1), "ib_maximin", values)
-        rewards = iter([1.0, 1.0, 0.0])
+        belief = mix_knightian([sure, sure])
+        state = make_agent(belief, derive_stream(run, agent), "ib_maximin", np.array([[0.0, 1.0]]))
+        rewards = iter([0.0 if t == fail_at else 1.0 for t in range(5)])
 
         def env_step(policy, action):
             reward = next(rewards)
             return reward, 0.0, 1.0 - reward
 
+        return run, state, env_step, (run, agent), where
+
+    def test_degenerate_update_names_the_step(self):
+        """The failure at step 2 stops its episode only; the other episode of
+        the block runs all five steps, and the error says where it happened."""
         cfg = ExperimentConfig("ku-bandit", seed=3)
+        block = [self._sure_episode(4, 0, fail_at=2, where=", world W"), self._sure_episode(5, 0)]
+        records, failures = _rollout(cfg, "ib", block, deterministic_grid(1), 5)
+        assert [rec.step for rec in records if rec.episode == 5] == [0, 1, 2, 3, 4]
+        [(order, error)] = failures
+        assert order == (4, 0)
         expected = r"^ku-bandit: agent 'ib', episode 4, step 2, world W: every point"
         with pytest.raises(DegenerateUpdateError, match=expected):
-            _rollout(cfg, "ib", 4, state, deterministic_grid(1), env_step, 5, ", world W")
+            raise error
+
+    def test_the_failure_the_sequential_loop_reaches_first_is_raised(self):
+        """Agent 'a' fails in run 1 at step 1 and agent 'b' in run 0 at step
+        3. Block 'a' runs, and fails, first, but the loop over runs, then
+        agents, reaches (run 0, 'b') first, so that failure is raised."""
+        cfg = ExperimentConfig("ku-bandit", seed=3)
+        blocks = [
+            ("a", [self._sure_episode(0, 0), self._sure_episode(1, 0, fail_at=1)]),
+            ("b", [self._sure_episode(0, 1, fail_at=3), self._sure_episode(1, 1)]),
+        ]
+        expected = r"^ku-bandit: agent 'b', episode 0, step 3: every point"
+        with pytest.raises(DegenerateUpdateError, match=expected) as raised:
+            _run_blocks(cfg, blocks, deterministic_grid(1), 5)
+        assert isinstance(raised.value.__cause__, DegenerateUpdateError)
 
     @pytest.mark.parametrize(
         "arm1, arm2, seed, agent, step",

@@ -95,21 +95,37 @@ def invariant_violations(before, after, reference, event):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Wrap every rollout and every agent ``condition`` call with the
-    invariant checks; returns the per-rollout step counts."""
-    where = {}
+    """Wrap every rollout, every observation and every agent ``condition``
+    call with the invariant checks. A block steps its episodes in lockstep,
+    so each unit (experiment, agent, episode) keeps its own reference
+    trajectory and step count, found through the state it observes from;
+    returns the step counts per unit, in block order."""
+    units = {}  # id(state) -> (state, unit); the state is kept so ids stay unique
+    current = {}
     steps = []
     rollout = ibrl.harness.runner._rollout
+    observe = ibrl.harness.runner.ib_observe
 
-    def tracked_rollout(cfg, label, episode, state, *args, **kwargs):
-        where.update(experiment=cfg.experiment, agent=label, episode=episode, step=0)
-        where["reference"] = state.belief
-        records = rollout(cfg, label, episode, state, *args, **kwargs)
-        steps.append(where["step"])
-        return records
+    def tracked_rollout(cfg, label, block, *args, **kwargs):
+        block_units = []
+        for episode, state, *_ in block:
+            unit = dict(experiment=cfg.experiment, agent=label, episode=episode, step=0)
+            unit["reference"] = state.belief
+            units[id(state)] = state, unit
+            block_units.append(unit)
+        out = rollout(cfg, label, block, *args, **kwargs)
+        steps.extend(unit["step"] for unit in block_units)
+        return out
+
+    def tracked_observe(state, *args):
+        unit = current["unit"] = units[id(state)][1]
+        successor = observe(state, *args)
+        units[id(successor)] = successor, unit
+        return successor
 
     def checked_condition(psi, event):
         # Looked up per call, so a test may wrap ``ibrl.updates.condition``.
+        where = current["unit"]
         after = ibrl.updates.condition(psi, event)
         where["reference"] = reference = reference_condition(where["reference"], event)
         problems = invariant_violations(psi, after, reference, event)
@@ -122,6 +138,7 @@ def checked(monkeypatch):
         return after
 
     monkeypatch.setattr(ibrl.harness.runner, "_rollout", tracked_rollout)
+    monkeypatch.setattr(ibrl.harness.runner, "ib_observe", tracked_observe)
     monkeypatch.setattr(ibrl.agents, "condition", checked_condition)
     return steps
 

@@ -14,7 +14,7 @@ import ibrl.harness
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ibrl"
 # Total lines of src/ibrl/**/*.py.
-LINE_BUDGET = 4160
+LINE_BUDGET = 4283
 
 MODULES = pytest.mark.parametrize("module", [ibrl, ibrl.harness], ids=lambda m: m.__name__)
 

@@ -1,6 +1,6 @@
 """Work budgets of the three benchmark workloads, pinned as call counts.
 
-Each workload's experiment config runs at its smoke size with counting
+Each workload's experiment config runs at its smoke size (trap at two runs) with counting
 wrappers around the operations whose counts the speed-ups lowered. Counts
 are deterministic for a (config, seed), so a change that re-adds per-step
 work fails here even while every output digest holds. A change that lowers
@@ -12,10 +12,11 @@ from collections import Counter
 import ibrl.agents
 import ibrl.harness.runner
 import ibrl.worldmodels
-from ibrl import AgentState, ObservationEvent
+from ibrl import AgentState, JointHypothesisMeasure, ObservationEvent
 from ibrl.harness import ExperimentConfig, run_experiment
 
-# The benchmark workloads' configs at their smoke sizes, seed 42.
+# The benchmark workloads' configs at their smoke sizes, seed 42, except
+# that trap runs 2 runs, so that work done once per config, not per run, shows.
 WORKLOADS = {
     "trap-roster": ExperimentConfig(
         "trap-bandit",
@@ -25,7 +26,7 @@ WORKLOADS = {
             "env.p_cat": 0.01,
             "env.catastrophe_reward": -1000.0,
             "env.horizon": 100,
-            "env.runs": 1,
+            "env.runs": 2,
             "env.pair.1": (0.3, 0.7),
             "env.pair.2": (0.7, 0.3),
             "agents": (
@@ -64,14 +65,19 @@ WORKLOADS = {
 # Per workload: rows written, then calls per operation. Selections are keyed
 # by the selecting agent's flavor: greedy steps reach ``select_policy`` and
 # only Thompson steps reach ``bayes_select``. ``policy_expectations`` counts
-# value passes per point, ``next_history`` history builds.
+# value passes per point, ``next_history`` history builds, ``warm`` joint
+# batches, ``_successor`` successor states (``AgentState`` counts the rest).
 #
-# * trap-roster: 5 agents x 100 steps. The ``ib`` agent conditions every
-#   step, restricting and valuing both points until one is pruned (108
-#   each), and builds its 2 x 3 events once; each of the six measures
-#   rebuilds its joint posterior terms once per rollout. Every agent builds
-#   one history per step. The ``ib`` agent's joint measure reads the
-#   history, so its one-point belief is never stored as a fixed point.
+# * trap-roster: 5 agents x 2 runs x 100 steps. The ``ib`` agent conditions
+#   every step, restricting and valuing both points until one is pruned (218
+#   each over both runs), and builds its 2 x 3 events once. Each roster
+#   entry's belief is built once per config (6 joint measures) and shared by
+#   its runs, whose states copy the entry's state with their own stream.
+#   Each step warms every live measure once with both runs' histories: 400
+#   classical batches and 110 for ``ib``, whose second point lives until the
+#   later run prunes it (10 steps); no read misses.
+#   The ``ib`` agent's joint measure reads the history, so its one-point
+#   belief is never stored as a fixed point.
 # * newcomb-sweep: 51 cells x 2 episodes. A cell's state is reused, so it
 #   runs one value pass, one conditioning and builds one successor.
 # * ku-long: 50 steps of one agent over 4 corners, 2 after the third step;
@@ -82,18 +88,20 @@ WORKLOADS = {
 #   (4 + 4 + 4 + 2 points) and 16 restrictions (4 + 4 + 4 + 2 + 2) serve
 #   all 50 steps.
 BUDGETS = {
-    "trap-roster": (500, {
-        "select_policy[ib_maximin]": 100,
-        "select_policy[bayes_greedy]": 200,
-        "bayes_select[bayes_thompson]": 200,
-        "lower_expectations": 300,
-        "policy_expectations": 308,
-        "condition": 100,
-        "_log_terms": 6,
-        "restrict": 108,
-        "next_history": 500,
+    "trap-roster": (1000, {
+        "select_policy[ib_maximin]": 200,
+        "select_policy[bayes_greedy]": 400,
+        "bayes_select[bayes_thompson]": 400,
+        "lower_expectations": 600,
+        "policy_expectations": 618,
+        "condition": 200,
+        "warm": 510,
+        "restrict": 218,
+        "next_history": 1000,
         "ObservationEvent": 6,
-        "AgentState": 505,
+        "JointHypothesisMeasure": 6,
+        "AgentState": 15,
+        "_successor": 1000,
     }),
     "newcomb-sweep": (102, {
         "select_policy[ib_maximin]": 102,
@@ -103,7 +111,8 @@ BUDGETS = {
         "restrict": 51,
         "next_history": 51,
         "ObservationEvent": 51,
-        "AgentState": 102,
+        "AgentState": 51,
+        "_successor": 51,
     }),
     "ku-long": (50, {
         "select_policy[ib_maximin]": 50,
@@ -113,7 +122,8 @@ BUDGETS = {
         "restrict": 16,
         "next_history": 50,
         "ObservationEvent": 4,
-        "AgentState": 51,
+        "AgentState": 1,
+        "_successor": 50,
     }),
 }
 
@@ -139,12 +149,12 @@ def test_benchmark_workloads_keep_their_work_budgets(monkeypatch):
     _count(monkeypatch, counts, runner, "bayes_select", _by_flavor("bayes_select"))
     _count(monkeypatch, counts, ibrl.agents, "lower_expectations")
     _count(monkeypatch, counts, ibrl.agents, "condition")
-    _count(monkeypatch, counts, ibrl.worldmodels, "_log_terms")
-    for name in ("restrict", "policy_expectations", "next_history"):
+    _count(monkeypatch, counts, ibrl.agents, "_successor")
+    for name in ("restrict", "policy_expectations", "next_history", "warm"):
         for model in vars(ibrl.worldmodels).values():
             if isinstance(model, type) and name in vars(model):
                 _count(monkeypatch, counts, model, name)
-    for built in (ObservationEvent, AgentState):
+    for built in (ObservationEvent, AgentState, JointHypothesisMeasure):
         _count(monkeypatch, counts, built, "__init__", lambda obj, *_: type(obj).__name__)
     table = {}
     for name, cfg in WORKLOADS.items():

@@ -362,20 +362,6 @@ def _walk_events():
     )
 
 
-@pytest.fixture
-def rebuilds(monkeypatch):
-    """The ``(measure, counts)`` of every full joint-posterior rebuild."""
-    calls = []
-    original = ibrl.worldmodels._log_terms
-
-    def counting(measure, counts):
-        calls.append((measure, counts))
-        return original(measure, counts)
-
-    monkeypatch.setattr(ibrl.worldmodels, "_log_terms", counting)
-    return calls
-
-
 def _reference_arm_posterior(components, pulls, successes):
     """One arm's posterior rebuilt from the raw ``(weight, p)`` tuples, in
     the order of operations the library uses."""
@@ -492,59 +478,6 @@ class TestPosteriorMemo:
                     for a in (0, 1)
                 ]
 
-    def test_joint_memo_rewrites_one_slice_only_where_that_is_exact(self, rebuilds):
-        """Consecutive queries on one measure with constructor-built
-        histories whose counts move by one increment, in several cells, by
-        one decrement, back to 0 in a cell that hypothesis 1 rules out
-        (``log p = -inf``), and by one increment into a cell that hypothesis
-        0 rules out. None came from ``next_history``, so every changed table
-        takes the full rebuild, even a one-cell increment; an unchanged one
-        is a memo hit. Each step must match a cold measure and the reference
-        posterior bit for bit."""
-        tables = [
-            ((0, 0, 0), (0, 0, 0)),  # cold memo: rebuild
-            ((0, 0, 1), (0, 0, 0)),  # one increment: rebuild
-            ((1, 0, 1), (0, 2, 0)),  # several cells: rebuild
-            ((1, 0, 1), (0, 1, 0)),  # one decrement: rebuild
-            ((1, 0, 0), (0, 1, 0)),  # back to 0 where log p = -inf: rebuild
-            ((1, 0, 0), (0, 1, 1)),  # one increment where log p = -inf: rebuild
-            ((1, 0, 0), (0, 1, 1)),  # unchanged: memo hit
-            ((3, 0, 0), (0, 1, 1)),  # one cell moved by 2: rebuild
-        ]
-        g = self.JOINT.arm_return(0, self.VALUES["joint"])
-        m = self._measure("joint")
-        for k, counts in enumerate(tables):
-            h = OutcomeCountHistory(counts)
-            event = self.JOINT.observation(k % 2, k % 3, g)
-            got = self._observables("joint", m, h, event, k)
-            assert m.memo[0][0] == counts
-            assert got == self._observables("joint", self._measure("joint"), h, event, k)
-            reference = _reference_joint_posterior(m.weights, m.outcome_probs, counts)
-            assert got["posterior"] == reference.tolist()
-        assert [counts for measure, counts in rebuilds if measure is m] == tables[:6] + tables[7:]
-
-    def test_chained_histories_rewrite_one_slice(self, rebuilds):
-        """The same kinds of step through ``next_history``: increments into
-        cells that hypotheses 0, 1 and 3 rule out, repeats of one cell and
-        both arms. After the cold first query each step rewrites only the
-        observed cell's slice, and must match a cold measure and the
-        reference posterior bit for bit."""
-        indicators = [(0, 2), (1, 1), (1, 1), (0, 0), (1, 2), (1, 0), (0, 2), (0, 1), (1, 2)]
-        g = self.JOINT.arm_return(0, self.VALUES["joint"])
-        m = self._measure("joint")
-        h = self.JOINT.initial_history()
-        for k, indicator in enumerate(indicators):
-            event = self.JOINT.observation(*indicator, g)
-            got = self._observables("joint", m, h, event, k)
-            assert m.memo[0][0] is h.counts
-            assert got == self._observables("joint", self._measure("joint"), h, event, k)
-            reference = _reference_joint_posterior(m.weights, m.outcome_probs, h.counts)
-            assert got["posterior"] == reference.tolist()
-            h = self.JOINT.next_history(h, event.indicator)
-        assert [counts for measure, counts in rebuilds if measure is m] == [
-            self.JOINT.initial_history().counts
-        ]
-
     @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
     def test_memo_holds_one_entry_per_arm_after_a_long_walk(self, kind):
         model, m = self._model(kind), self._measure(kind)
@@ -552,9 +485,8 @@ class TestPosteriorMemo:
         for h, _, _ in self._walk(kind, steps):
             model.expected_action_values(m, h, self.VALUES[kind])
         if kind == "joint":
-            # One posterior covers every arm.
-            assert len(m.memo) == 1
-            assert m.memo[0][0] == h.counts
+            # A miss warms the table with its one history.
+            assert list(m.table) == list(m.values_table[1]) == [h.counts]
         else:
             assert len(m.memo) == model.arm_count
             assert [key for key, _ in m.memo] == list(zip(h.pulls, h.successes))
@@ -601,6 +533,99 @@ class TestPosteriorMemo:
                 warm, self._model(kind).initial_history(), self.VALUES[kind]
             )
             assert warm == cold and hash(warm) == hash(cold)
+
+
+@st.composite
+def _joint_batches(draw):
+    """A joint measure with zero weights and ``p = 0`` cells, a read-only
+    value table and up to eight count tables, some repeated. Shapes reach
+    8 or more cells per hypothesis and 8 or more hypotheses, where numpy's
+    sums switch to pairwise blocks."""
+    arms, outcomes, hypotheses = draw(st.integers(1, 3)), draw(st.integers(2, 5)), draw(st.integers(1, 10))
+    cells = st.lists(st.integers(0, 3), min_size=outcomes, max_size=outcomes).filter(any)
+    tables = [[draw(cells) for _ in range(arms)] for _ in range(hypotheses)]
+    weights = draw(st.lists(st.integers(0, 3), min_size=hypotheses, max_size=hypotheses).filter(any))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=arms * outcomes, max_size=arms * outcomes))
+    count = st.lists(st.integers(0, 4), min_size=outcomes, max_size=outcomes)
+    counts = draw(st.lists(st.tuples(*[count.map(tuple)] * arms), min_size=1, max_size=8))
+    return (
+        np.array(weights) / sum(weights),
+        [[[p / sum(row) for p in row] for row in table] for table in tables],
+        _read_only(np.array(values).reshape(arms, outcomes)),
+        counts,
+    )
+
+
+class TestJointWarm:
+    """One warm over many histories fills the measure's table with what a
+    batch of one fills it with, bit for bit, and what the references give:
+    the posterior rebuilt from the raw tuples, its predictive, and arm values
+    summed over outcomes, then hypotheses, in Python floats (the order of
+    the parent's ``np.einsum`` on two or more arms). An impossible history
+    never enters the table, and reading it raises."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(batch=_joint_batches())
+    def test_a_batch_equals_batches_of_one_and_the_references(self, batch):
+        weights, tables, values, counts = batch
+        model = JointHypothesisBanditModel(len(tables[0]), len(tables[0][0]))
+        m = model.measure(weights, tables)
+        histories = [OutcomeCountHistory(c) for c in counts]
+        model.warm(m, histories, values)
+        table, arm_table = dict(m.table), dict(m.values_table[1])
+        for h in histories:
+            one = model.measure(weights, tables)
+            model.warm(one, [h], values)
+            with np.errstate(invalid="ignore"):
+                reference = _reference_joint_posterior(m.weights, m.outcome_probs, h.counts)
+            if np.isnan(reference).any():
+                assert h.counts not in table and h.counts not in arm_table
+                assert one.table == one.values_table[1] == {}
+                with pytest.raises(DegenerateUpdateError, match="impossible"):
+                    model.expected_action_values(one, h, values)
+                with pytest.raises(DegenerateUpdateError, match="impossible"):
+                    model.predictive_outcome_probs(one, h, 0)
+                continue
+            post, arm_values = table[h.counts], arm_table[h.counts]
+            assert post.tolist() == one.table[h.counts].tolist() == reference.tolist()
+            assert arm_values.tolist() == one.values_table[1][h.counts].tolist()
+            assert model.expected_action_values(m, h, values) is arm_values
+            written_out = []
+            for arm in range(model.arm_count):
+                total = 0.0
+                for c, weight in enumerate(post.tolist()):
+                    per_hypothesis = 0.0
+                    for o in range(model.outcome_count):
+                        per_hypothesis += weight * m.probs[c, arm, o] * values[arm, o]
+                    total += per_hypothesis
+                written_out.append(total)
+            assert arm_values.tolist() == written_out
+            if model.arm_count > 1:
+                einsum = np.einsum("c,cjo,jo->j", post, m.probs, values)
+                assert arm_values.tolist() == einsum.tolist()
+            for arm in range(model.arm_count):
+                got = model.predictive_outcome_probs(m, h, arm).tolist()
+                assert got == model.predictive_outcome_probs(one, h, arm).tolist()
+                assert got == (reference @ m.probs[:, arm, :]).tolist()
+        # Every read of ``m`` above was a hit: its table is the batch's.
+        assert m.table == table
+
+    def test_thompson_rows_are_built_once_per_read_only_table(self):
+        model = TestPosteriorMemo.JOINT
+        m = model.measure(TestPosteriorMemo.JOINT_WEIGHTS, TestPosteriorMemo.JOINT_TABLES)
+        h = model.next_history(model.initial_history(), (1, 2))
+        values = _read_only(TestPosteriorMemo.VALUES["joint"].copy())
+        for seed in range(20):
+            c = _draw_index(model._posterior(m, h), np.random.default_rng(seed))
+            got = model.sampled_action_values(m, h, values, np.random.default_rng(seed))
+            assert got.tolist() == np.einsum("jo,jo->j", m.probs[c], values).tolist()
+            rows = m.rows[1]
+            assert got is rows[c]
+        writable = values.copy()
+        model.sampled_action_values(m, h, writable, np.random.default_rng(0))
+        assert m.rows[1] is not rows
+        writable[:] = 0.0
+        assert model.sampled_action_values(m, h, writable, np.random.default_rng(0)).tolist() == [0.0, 0.0]
 
 
 def _outcome(fn, *args):
@@ -917,13 +942,13 @@ class TestMalformedCountTables:
     def test_mis_shaped_count_tables_are_rejected(self, counts):
         """A one-row table must not be broadcast over both arms."""
         m = self.MODEL.measure((0.8, 0.2), self.TABLES)
-        for _ in range(2):  # cold memo, then warm
+        for _ in range(2):  # cold table, then warm
             with pytest.raises(RepresentationError, match=r"\(arms, outcomes\)"):
                 self.MODEL._posterior(m, OutcomeCountHistory(counts))
             self.MODEL._posterior(m, self.MODEL.initial_history())
 
     def test_histories_derived_from_a_mis_shaped_table_are_rejected(self):
-        """A successor of a table the memo never accepted is not trusted."""
+        """A successor of a mis-shaped table is checked like the table."""
         m = self.MODEL.measure((0.8, 0.2), self.TABLES)
         h = OutcomeCountHistory(((0, 0, 1),))
         for _ in range(3):
@@ -934,53 +959,15 @@ class TestMalformedCountTables:
 
 class TestDerivedHistories:
     """``next_history`` and ``observe`` build their successors without the
-    history constructor's checks, and the joint posterior trusts a derived
-    history only by identity with the memo's counts. Nothing else may take
-    that shortcut, and a derived history must be indistinguishable from a
-    constructed one."""
+    history constructor's checks. Nothing else may take that shortcut, and a
+    derived history must be indistinguishable from a constructed one."""
 
     MODEL = JointHypothesisBanditModel(2, 3)
-    TABLES = TestPosteriorMemo.JOINT_TABLES
-    WEIGHTS = TestPosteriorMemo.JOINT_WEIGHTS
 
-    def _measure(self):
-        return self.MODEL.measure(self.WEIGHTS, self.TABLES)
-
-    def test_a_constructed_twin_takes_the_rebuild_with_the_same_bits(self, rebuilds):
-        chained, twinned = self._measure(), self._measure()
-        h = self.MODEL.initial_history()
-        for indicator in [(0, 2), (1, 0), (1, 0), (0, 1), (1, 2)]:
-            self.MODEL._posterior(chained, h)
-            self.MODEL._posterior(twinned, h)
-            h = self.MODEL.next_history(h, indicator)
-            twin = OutcomeCountHistory(tuple(tuple(row) for row in h.counts))
-            assert twin == h and twin.prev is None
-            del rebuilds[:]
-            got = self.MODEL._posterior(chained, h).tolist()
-            assert rebuilds == []
-            assert self.MODEL._posterior(twinned, twin).tolist() == got
-            assert rebuilds == [(twinned, twin.counts)]
-            assert got == _reference_joint_posterior(self.WEIGHTS, self.TABLES, h.counts).tolist()
-
-    def test_a_derived_history_is_trusted_only_from_the_memos_own_counts(self, rebuilds):
-        """The memo moved on, or holds an equal but distinct tuple: the
-        successor takes the rebuild."""
-        m = self._measure()
-        h0 = self.MODEL.next_history(self.MODEL.initial_history(), (0, 0))
-        h1 = self.MODEL.next_history(h0, (1, 2))
-        equal = OutcomeCountHistory(tuple(row for row in h0.counts))
-        assert equal.counts == h0.counts and equal.counts is not h0.counts
-        for warm in (OutcomeCountHistory(((0, 0, 0), (0, 0, 1))), equal):
-            self.MODEL._posterior(m, warm)
-            del rebuilds[:]
-            got = self.MODEL._posterior(m, h1).tolist()
-            assert rebuilds == [(m, h1.counts)]
-            assert got == _reference_joint_posterior(self.WEIGHTS, self.TABLES, h1.counts).tolist()
-
-    def test_provenance_stays_out_of_equality_hashing_and_repr(self):
+    def test_derived_histories_compare_hash_and_print_as_constructed_ones(self):
         h = self.MODEL.next_history(self.MODEL.initial_history(), (1, 2))
         twin = OutcomeCountHistory(((0, 0, 0), (0, 0, 1)))
-        assert h.prev == self.MODEL.initial_history().counts and h.last == (1, 2)
+        assert vars(h) == vars(twin)
         assert h == twin and hash(h) == hash(twin)
         assert repr(h) == repr(twin) == "OutcomeCountHistory(counts=((0, 0, 0), (0, 0, 1)))"
         b = observe(BernoulliArmsModel(2).initial_history(), 1, 1)
