@@ -478,6 +478,35 @@ class TestPosteriorMemo:
                     for a in (0, 1)
                 ]
 
+    def test_constructed_histories_with_moving_counts_match_a_cold_measure(self):
+        """Consecutive queries on one measure with constructor-built
+        histories whose counts move by one increment, in several cells, by
+        one decrement, back to 0 in a cell that hypothesis 1 rules out
+        (``log p = -inf``), and by one increment into a cell that hypothesis
+        0 rules out. After each query the table holds that history's entry
+        alone, and it must match a cold measure and the reference posterior
+        bit for bit."""
+        tables = [
+            ((0, 0, 0), (0, 0, 0)),
+            ((0, 0, 1), (0, 0, 0)),  # one increment
+            ((1, 0, 1), (0, 2, 0)),  # several cells
+            ((1, 0, 1), (0, 1, 0)),  # one decrement
+            ((1, 0, 0), (0, 1, 0)),  # back to 0 where log p = -inf
+            ((1, 0, 0), (0, 1, 1)),  # one increment where log p = -inf
+            ((1, 0, 0), (0, 1, 1)),  # unchanged
+            ((3, 0, 0), (0, 1, 1)),  # one cell moved by 2
+        ]
+        g = self.JOINT.arm_return(0, self.VALUES["joint"])
+        m = self._measure("joint")
+        for k, counts in enumerate(tables):
+            h = OutcomeCountHistory(counts)
+            event = self.JOINT.observation(k % 2, k % 3, g)
+            got = self._observables("joint", m, h, event, k)
+            assert list(m.table) == [counts]
+            assert got == self._observables("joint", self._measure("joint"), h, event, k)
+            reference = _reference_joint_posterior(m.weights, m.outcome_probs, counts)
+            assert got["posterior"] == reference.tolist()
+
     @pytest.mark.parametrize("kind", ["bernoulli", "joint"])
     def test_memo_holds_one_entry_per_arm_after_a_long_walk(self, kind):
         model, m = self._model(kind), self._measure(kind)
@@ -974,6 +1003,23 @@ class TestDerivedHistories:
         assert b == BanditHistory((0, 1), (0, 1))
         assert hash(b) == hash(BanditHistory((0, 1), (0, 1)))
         assert repr(b) == repr(BanditHistory((0, 1), (0, 1)))
+
+    def test_a_constructed_twin_reads_the_chained_history_entry(self):
+        """A chained history and its constructed twin are one table key: the
+        twin reads the very array the chained history warmed, with the bits
+        of a cold measure and of the reference posterior."""
+        chained = self.MODEL.measure(TestPosteriorMemo.JOINT_WEIGHTS, TestPosteriorMemo.JOINT_TABLES)
+        h = self.MODEL.initial_history()
+        for indicator in [(0, 2), (1, 0), (1, 0), (0, 1), (1, 2)]:
+            h = self.MODEL.next_history(h, indicator)
+            twin = OutcomeCountHistory(tuple(tuple(row) for row in h.counts))
+            assert twin == h
+            got = self.MODEL._posterior(chained, h)
+            assert self.MODEL._posterior(chained, twin) is got
+            cold = self.MODEL.measure(TestPosteriorMemo.JOINT_WEIGHTS, TestPosteriorMemo.JOINT_TABLES)
+            assert self.MODEL._posterior(cold, twin).tolist() == got.tolist()
+            reference = _reference_joint_posterior(chained.weights, chained.outcome_probs, h.counts)
+            assert got.tolist() == reference.tolist()
 
     @pytest.mark.parametrize(
         "build",
