@@ -229,9 +229,7 @@ def select_policy(state: AgentState, grid: PolicyGrid) -> Policy:
     hit = state.memo.get("ties")
     if hit is not None and hit[0] is grid:
         if hit[2] is not psi.history:
-            for a in psi.points:
-                if a.scale != 0.0:
-                    a.model.check_history(a.measure, psi.history)
+            psi.model.check_points(psi.points, psi.history)
         candidates = hit[1]
     else:
         values = lower_expectations(psi, state.returns, grid.probs).tolist()
@@ -268,7 +266,7 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
         raise ConfigError(f"reward {reward!r} is not a finite number")
     psi = state.belief
     model = psi.points[0].model
-    if isinstance(model, NewcombModel):
+    if type(model) is NewcombModel:  # never subclassed; skips ABCMeta's isinstance
         successor = state.memo.get("newcomb")
         if successor is None:
             belief = condition(psi, model.observation())

@@ -6,6 +6,12 @@ that a rollout is reproducible from its seed alone. The runners compute
 expected regret against the best expected one-step reward available in the
 realized world, using the environment's raw reward units (agents may rescale
 rewards internally; regret reporting does not).
+
+Each step reads ``rng`` (a ``Generator``, or any object with ``random()``)
+through ``rng.random()`` only, a fixed count of uniforms per call, stated
+in its docstring. The runner relies on these counts: it draws each unit's
+exact total a block at a time (``harness.runner.BlockSource``), so changing
+a count changes the unit's draws and its CSV bytes.
 """
 
 from __future__ import annotations
@@ -73,7 +79,8 @@ def ku_probabilities(
     cfg: KUBanditConfig, action: int, rng: np.random.Generator
 ) -> tuple[float, ...]:
     """Realized per-arm probabilities for one step, after the adversary (if
-    any) has reacted to the action.
+    any) has reacted to the action; consumes one uniform per arm under
+    ``per_step_random`` and none otherwise.
 
     ``per_step_random`` draws each arm as ``lo + (hi - lo) * rng.random()``,
     which is numpy's own algorithm for ``rng.uniform(lo, hi)``: the same
@@ -91,7 +98,8 @@ def ku_step(
     cfg: KUBanditConfig, action: int, rng: np.random.Generator
 ) -> tuple[int, tuple[float, ...]]:
     """Resolve one pull: returns the sampled reward and the realized
-    probabilities used for regret accounting."""
+    probabilities used for regret accounting. Consumes one uniform for the
+    pull, after those of ``ku_probabilities``."""
     if not 0 <= action < cfg.arm_count:
         raise ConfigError("action out of range")
     probs = ku_probabilities(cfg, action, rng)
@@ -106,7 +114,8 @@ def ku_step(
 def newcomb_step(
     model: NewcombModel, p_one_box: float, action: int, rng: np.random.Generator
 ) -> float:
-    """Resolve one episode given the committed policy and the sampled action.
+    """Resolve one episode given the committed policy and the sampled
+    action; consumes exactly one uniform.
 
     The predictor reacts to the policy (not to the sampled action): the
     prediction is drawn with the accuracy-tilted probability of forecasting

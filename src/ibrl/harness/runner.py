@@ -22,6 +22,9 @@ once per cell (every candidate's reward moments, in one array pass).
 All randomness flows through named streams derived from
 ``(seed, unit indices, role)``, so any run unit can be reproduced in
 isolation and the full record list is a pure function of (config, seed).
+Every environment step consumes a fixed count of uniforms, so each unit
+reads its environment stream through a ``BlockSource`` of its exact total,
+drawn a block at a time with the bits of one scalar draw each.
 Units are independent, which would let a scheduler fan them out, and a
 block's episodes draw exactly what they would draw one after another. If
 units fail, the config raises the failure of the unit that comes first in
@@ -66,7 +69,7 @@ from ..environments import (
     trap_sample_world,
     trap_step,
 )
-from ..errors import ConfigError, DegenerateUpdateError
+from ..errors import ConfigError, ContractViolationError, DegenerateUpdateError
 from ..inframeasure import AMeasure, Infradistribution, mix_knightian
 from ..worldmodels import (
     STATELESS,
@@ -83,9 +86,36 @@ AGENT_STREAM = 1
 BOOT_STREAM = 2
 
 
+# Uniforms an environment stream draws per ``Generator.random`` call.
+ENV_BLOCK = 1024
+
+
 def derive_stream(*keys: int) -> np.random.Generator:
     """Independent generator for a named unit of work."""
     return np.random.default_rng(np.random.SeedSequence([int(k) for k in keys]))
+
+
+class BlockSource:
+    """A unit's environment stream, read a block at a time: ``random()``
+    returns what ``count`` scalar ``rng.random()`` calls would, in order,
+    drawn lazily as ``rng.random(k)`` blocks of at most ``ENV_BLOCK`` (on
+    PCG64 the same bits) and one block held at a time. The last block stops
+    at ``count``, so a stream read to its end is left in the state those
+    calls leave; reading past it raises ``ContractViolationError``."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator, count: int) -> None:
+        self.random = _uniforms(rng, count).__next__
+
+
+def _uniforms(rng: np.random.Generator, count: int):
+    left = count
+    while left > 0:
+        k = min(left, ENV_BLOCK)
+        left -= k
+        yield from rng.random(k).tolist()
+    raise ContractViolationError(f"environment stream read past its {count} uniforms")
 
 
 class RunRecord(NamedTuple):
@@ -409,7 +439,7 @@ def _run_validate_classical(cfg: ExperimentConfig) -> list[RunRecord]:
             for ai, flavor in enumerate(("ib_maximin", "bayes_greedy")):
                 # Both agents get byte-identical environment AND agent
                 # streams: matched seeds are the point of this experiment.
-                env_rng = derive_stream(cfg.seed, s, r, ENV_STREAM)
+                env_rng = BlockSource(derive_stream(cfg.seed, s, r, ENV_STREAM), steps)
                 agent_rng = derive_stream(cfg.seed, s, r, AGENT_STREAM)
                 state = make_agent(
                     classical_belief(model, model.grid_measure(grid)),
@@ -475,10 +505,12 @@ def _run_ku_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
         else:
             raise ConfigError(f"field 'agents': unknown agent {name!r} (use 'ib' or 'corners')")
 
+    # One uniform per pull, after one per arm where the box is redrawn.
+    draws = steps * (env.arm_count + 1 if mode == "per_step_random" else 1)
     blocks: list[tuple[str, list[Episode]]] = [(label, []) for label, _, _ in specs]
     for run in range(runs):
         for ai, (label, flavor, corner) in enumerate(specs):
-            env_rng = derive_stream(cfg.seed, run, ENV_STREAM)
+            env_rng = BlockSource(derive_stream(cfg.seed, run, ENV_STREAM), draws)
             agent_rng = derive_stream(cfg.seed, run, AGENT_STREAM, ai)
             if flavor == "ib_maximin":
                 belief = ku_knightian_belief(model, intervals)
@@ -567,7 +599,7 @@ def run_newcomb_sweep(
     summaries: list[NewcombCellSummary] = []
     for ci, alpha in enumerate(alphas):
         model = NewcombModel(reward_matrix=matrix, accuracy=alpha)
-        env_rng = derive_stream(cfg.seed, ci, ENV_STREAM)
+        env_rng = BlockSource(derive_stream(cfg.seed, ci, ENV_STREAM), episodes)
         agent_rng = derive_stream(cfg.seed, ci, AGENT_STREAM)
         # Conditioning on a Newcomb observation is the identity, so every
         # episode is a one-step rollout from this same initial state.
@@ -696,12 +728,13 @@ def _run_trap_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
             env_rng = derive_stream(cfg.seed, run, ENV_STREAM)
             agent_rng = derive_stream(cfg.seed, run, AGENT_STREAM, ai)
             world = trap_sample_world(env, env_rng)
+            uniforms = BlockSource(env_rng, env.horizon)  # one per pull
             exp_rewards = trap_expected_rewards(world, env)
             best = float(exp_rewards.max())
             regrets = (exp_rewards.max() - exp_rewards).tolist()
 
             # Defaults bind this episode's values: the step runs later.
-            def env_step(policy, action, world=world, rng=env_rng, regrets=regrets, best=best):
+            def env_step(policy, action, world=world, rng=uniforms, regrets=regrets, best=best):
                 reward = trap_step(world, env, action, rng)
                 return reward, regrets[action], best - reward
 

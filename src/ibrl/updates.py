@@ -54,7 +54,8 @@ A converged belief is a fixed point: when every measure is ``history_free``
 and the kept points equal the input (scales and offsets ``==``, measures
 ``is``), ``condition`` returns the input's own tuple and the event keeps it
 as ``fixed_set``. A call on that very tuple runs only ``restrict``'s history
-checks (``check_history``) per nonzero-scale point, then ``next_history``.
+checks (``check_points``: ``check_history`` per nonzero-scale point, with the
+shared arm count checked once), then ``next_history``.
 """
 
 from __future__ import annotations
@@ -199,9 +200,7 @@ def condition(psi: Infradistribution, event: ObservationEvent) -> Infradistribut
     bit, and raises the same errors, on a fixed-point hit as on a miss."""
     model, given = psi.model, psi.points
     if given is event.fixed_set:
-        for a in given:
-            if a.scale != 0.0:
-                model.check_history(a.measure, psi.history, event)
+        model.check_points(given, psi.history, event)
         return _belief(given, model.next_history(psi.history, event.indicator))
     _check_event(event, model)
     points = _raw_points(given, event, psi.history, model)

@@ -684,6 +684,15 @@ class BernoulliArmsModel(BanditModel):
             if event is None or arm == event.indicator[0]:
                 _check_point_arm(measure.tables[arm].p[0], history, arm)
 
+    def check_points(self, points, history: BanditHistory, event=None) -> None:
+        """``check_history`` on every nonzero-scale point of a memo hit's
+        point set, which always holds one: the shared history's arm count is
+        checked once, so only measures with ``certain_arms`` are visited."""
+        self._check_history(history)
+        for a in points:
+            if a.scale != 0.0 and a.measure.certain_arms:
+                self.check_history(a.measure, history, event)
+
     def next_history(self, history: BanditHistory, indicator: tuple[int, int]) -> BanditHistory:
         return observe(history, *indicator)
 

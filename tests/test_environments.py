@@ -5,9 +5,11 @@ import pytest
 
 from ibrl import (
     ConfigError,
+    ContractViolationError,
     KUBanditConfig,
     NewcombModel,
     TrapWorldConfig,
+    TrueWorld,
     bernoulli_step,
     ku_probabilities,
     ku_step,
@@ -18,6 +20,7 @@ from ibrl import (
     trap_step,
 )
 from ibrl.harness import ExperimentConfig, run_newcomb_sweep
+from ibrl.harness.runner import ENV_BLOCK, BlockSource
 
 
 class TestBernoulliStep:
@@ -227,3 +230,53 @@ class TestTrapWorld:
             trap_step(world, cfg, action, rng)
             shadow.random()
             assert rng.bit_generator.state == shadow.bit_generator.state
+
+
+class TestBlockSource:
+    """A unit's environment stream read a block at a time yields what
+    scalar draws yield, bit for bit, and ends in the state they leave."""
+
+    @pytest.mark.parametrize("after_integers", [False, True], ids=["fresh", "after_integers"])
+    @pytest.mark.parametrize(
+        "count", [0, 1, ENV_BLOCK - 1, ENV_BLOCK, ENV_BLOCK + 1, 3 * ENV_BLOCK + 5]
+    )
+    def test_blocks_equal_scalar_draws(self, count, after_integers):
+        rng, twin = np.random.default_rng(2024), np.random.default_rng(2024)
+        if after_integers:  # the draw trap_sample_world makes before its uniform
+            assert rng.integers(2) == twin.integers(2)
+        source = BlockSource(rng, count)
+        got = [source.random() for _ in range(count)]
+        assert got == [twin.random() for _ in range(count)]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        with pytest.raises(ContractViolationError, match=f"past its {count} uniforms"):
+            source.random()
+
+    def test_draws_one_block_at_a_time_and_none_before_the_first_read(self):
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        source = BlockSource(rng, 3 * ENV_BLOCK + 5)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        source.random()
+        twin.random(ENV_BLOCK)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_every_step_reads_a_source_as_it_reads_a_generator(self):
+        """Per loop: three uniforms for a per-step-random ku pull, one each
+        for a trap pull, a Newcomb episode and a Bernoulli draw."""
+        ku = KUBanditConfig(mode="per_step_random")
+        trap = TrapWorldConfig(arm_pairs=((0.1, 0.4),), p_cat=0.3)
+        world = TrueWorld((0.1, 0.4), True, 1)
+        model = NewcombModel(accuracy=0.7)
+
+        def play(rng):
+            out = []
+            for t in range(200):
+                action = t % 2
+                out.append(ku_step(ku, action, rng))
+                out.append(trap_step(world, trap, action, rng))
+                out.append(newcomb_step(model, 0.5, action, rng))
+                out.append(bernoulli_step(0.4, rng))
+            return out
+
+        steps = play(np.random.default_rng(9))
+        assert play(BlockSource(np.random.default_rng(9), 200 * 6)) == steps
+        assert trap.catastrophe_reward in steps

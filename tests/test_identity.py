@@ -40,6 +40,25 @@ CASES = {
         ),
         "2ff73698ad3a55617636d9a5416cf45474cb51ff9aee4b0d9b2af73dd5b6324b",
     ),
+    # Duplicate labels: each roster entry keeps its own environment stream
+    # (with its own block source), and the CSV holds both entries' rows under
+    # one label. A degenerate arm-1 interval gives two corners per label.
+    "ku-bandit-duplicate-corners": (
+        ExperimentConfig("ku-bandit", seed=42, settings={"env.arm1": (0.5, 0.5)}),
+        "31708f75dbe639f5ea7a7af1e1c671c7b72122398c455d8e184fa54317bedf13",
+    ),
+    "ku-bandit-duplicate-ib": (
+        ExperimentConfig(
+            "ku-bandit",
+            seed=42,
+            settings={"env.mode": "per_step_random", "agents": ("ib", "ib")},
+        ),
+        "955727be08282c90b4a46f2a0b8c4bc28cdaa60ea952bea1790f7a5dbc7fca67",
+    ),
+    "trap-bandit-duplicate-ib": (
+        ExperimentConfig("trap-bandit", seed=42, settings={"env.runs": 3, "agents": ("ib", "ib")}),
+        "9b914a0854fb7f7d558577eef9a93eb7b2686c098f921dc345f0ed61ad976b52",
+    ),
     "newcomb": (
         ExperimentConfig("newcomb", seed=42, settings=dict(NEWCOMB_SETTINGS)),
         "79c3091642df8b93e5226d6b83a9fd461688edf125b7ffb772ae52f4a915c8e0",

@@ -678,6 +678,19 @@ class TestFixedPoint:
         want = outcome_of(condition, refuted, event)
         assert got == want and got[0] is DegenerateUpdateError
 
+    def test_a_history_of_the_wrong_arm_count_raises_alike_on_hit_and_miss(self):
+        """A hit checks the history's arm count once for the whole set, and
+        raises what the miss's first restriction raises."""
+        model = BernoulliArmsModel(2)
+        psi, _, events = corner_events(model, [(1.0, 0.4), (1.0, 0.8)])
+        event = events[(0, 1)]
+        assert condition(psi, event).points is psi.points is event.fixed_set
+        wrong = Infradistribution(psi.points, BanditHistory((0, 0, 0), (0, 0, 0)))
+        got = outcome_of(condition, wrong, event)
+        clear_fixed_set(event)
+        want = outcome_of(condition, wrong, event)
+        assert got == want == (RepresentationError, "history has the wrong arm count")
+
     @pytest.mark.parametrize(
         "cfg",
         [

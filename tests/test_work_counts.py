@@ -67,6 +67,10 @@ WORKLOADS = {
 # only Thompson steps reach ``bayes_select``. ``policy_expectations`` counts
 # value passes per point, ``next_history`` history builds, ``warm`` joint
 # batches, ``_successor`` successor states (``AgentState`` counts the rest).
+# ``random[role, size]`` counts ``Generator.random`` calls per stream role
+# and size (``None`` is one scalar uniform): every environment step reads
+# its unit's block source, which draws at most ``ENV_BLOCK`` at a time and
+# stops at the unit's exact count, so no step makes a scalar draw.
 #
 # * trap-roster: 5 agents x 2 runs x 100 steps. The ``ib`` agent conditions
 #   every step, restricting and valuing both points until one is pruned (218
@@ -77,16 +81,22 @@ WORKLOADS = {
 #   classical batches and 110 for ``ib``, whose second point lives until the
 #   later run prunes it (10 steps); no read misses.
 #   The ``ib`` agent's joint measure reads the history, so its one-point
-#   belief is never stored as a fixed point.
+#   belief is never stored as a fixed point. Each of the 10 units' env
+#   streams draws its world with one scalar uniform (after an ``integers``
+#   draw), then its 100 steps' uniforms in one block; the 400 agent-stream
+#   scalars are Thompson's hypothesis draws.
 # * newcomb-sweep: 51 cells x 2 episodes. A cell's state is reused, so it
-#   runs one value pass, one conditioning and builds one successor.
+#   runs one value pass, one conditioning and builds one successor. A
+#   cell's episodes share one env stream: one block of 2. The 2 agent-stream
+#   scalars sample the mixed policies the all-tied cell at 0.55 picks.
 # * ku-long: 50 steps of one agent over 4 corners, 2 after the third step;
 #   its 2 x 2 events are built once. The pair left after the third step is
 #   a fixed point: the first conditioning on it per event (steps 3 and 4;
 #   the agent only pulls arm 2) stores it, later ones only check and advance
 #   the history, and successors share the tie memo. So 4 value passes
 #   (4 + 4 + 4 + 2 points) and 16 restrictions (4 + 4 + 4 + 2 + 2) serve
-#   all 50 steps.
+#   all 50 steps. Each step reads 3 uniforms (two arms redrawn, one pull):
+#   one block of 150.
 BUDGETS = {
     "trap-roster": (1000, {
         "select_policy[ib_maximin]": 200,
@@ -102,6 +112,9 @@ BUDGETS = {
         "JointHypothesisMeasure": 6,
         "AgentState": 15,
         "_successor": 1000,
+        "random[env, None]": 10,
+        "random[env, 100]": 10,
+        "random[agent, None]": 400,
     }),
     "newcomb-sweep": (102, {
         "select_policy[ib_maximin]": 102,
@@ -113,6 +126,8 @@ BUDGETS = {
         "ObservationEvent": 51,
         "AgentState": 51,
         "_successor": 51,
+        "random[env, 2]": 51,
+        "random[agent, None]": 2,
     }),
     "ku-long": (50, {
         "select_policy[ib_maximin]": 50,
@@ -124,6 +139,7 @@ BUDGETS = {
         "ObservationEvent": 4,
         "AgentState": 1,
         "_successor": 50,
+        "random[env, 150]": 1,
     }),
 }
 
@@ -142,9 +158,32 @@ def _by_flavor(name):
     return lambda state, *_: f"{name}[{state.flavor}]"
 
 
+class _CountingStream:
+    """Forwards to a generator and counts its ``random`` calls by stream
+    role and size (``None`` for a scalar draw)."""
+
+    def __init__(self, rng, role, counts):
+        self._rng, self._role, self._counts = rng, role, counts
+
+    def random(self, size=None):
+        self._counts[f"random[{self._role}, {size}]"] += 1
+        return self._rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 def test_benchmark_workloads_keep_their_work_budgets(monkeypatch):
     counts = Counter()
     runner = ibrl.harness.runner
+    derive = runner.derive_stream
+    roles = {runner.ENV_STREAM: "env", runner.AGENT_STREAM: "agent"}
+
+    def counted_stream(*keys):
+        # Every workload keys its streams (seed, unit, role, ...).
+        return _CountingStream(derive(*keys), roles[keys[2]], counts)
+
+    monkeypatch.setattr(runner, "derive_stream", counted_stream)
     _count(monkeypatch, counts, runner, "select_policy", _by_flavor("select_policy"))
     _count(monkeypatch, counts, runner, "bayes_select", _by_flavor("bayes_select"))
     _count(monkeypatch, counts, ibrl.agents, "lower_expectations")
