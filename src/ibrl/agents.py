@@ -84,7 +84,7 @@ class Policy:
 class PolicyGrid:
     """Finite candidate policy set; always contains every deterministic
     policy. ``probs`` is its (policies, actions) probability matrix, built
-    once and read-only, so a world model may key a memo on its identity."""
+    once and read-only."""
 
     policies: tuple[Policy, ...]
     probs: np.ndarray = field(init=False, repr=False, compare=False)

@@ -54,8 +54,8 @@ A converged belief is a fixed point: when every measure is ``history_free``
 and the kept points equal the input (scales and offsets ``==``, measures
 ``is``), ``condition`` returns the input's own tuple and the event keeps it
 as ``fixed_set``. A call on that very tuple runs only ``restrict``'s history
-checks (``check_points``: ``check_history`` per nonzero-scale point, with the
-shared arm count checked once), then ``next_history``.
+checks (``check_points``: the shared arm count once, then the observed arm of
+each nonzero-scale point if its ``p`` is 0 or 1), then ``next_history``.
 """
 
 from __future__ import annotations

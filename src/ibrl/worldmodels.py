@@ -42,11 +42,10 @@ any other read warms it with its one history. Every row of a batch runs the
 operations of a batch of one, and a hit returns the very array a miss
 produced: no bit changes. A one-component independent arm skips the
 posterior arithmetic, though an impossible history still raises on every
-call (``_arm_posterior``). A measure of such arms is ``history_free``: it
-memoizes its policy values per value table and policy matrix, and its
-restriction per event, and every call runs ``check_history`` before it reads
-a memo. ``restrict`` returns Python floats, so the scales and offsets it
-feeds conditioning never become numpy scalars.
+call (``_arm_posterior``). A measure of such arms is ``history_free``, so
+a converged belief of them can be a fixed point of conditioning
+(``updates``). ``restrict`` returns Python floats, so the scales and offsets
+it feeds conditioning never become numpy scalars.
 
 This module never imports scipy. The one scipy use in the package,
 ``inframeasure._convex_dominated``, imports it on first call, and
@@ -428,20 +427,14 @@ class BernoulliArmMeasure:
     last ``((pulls, successes), posterior weights)`` computed for it (``None``
     before the first, and always for a one-component arm). When every arm
     has one component, the predictive ignores the history (``history_free``
-    is true, as on no other measure), so two memos hold constants of the
-    measure: ``policy_memo[0]`` is the last ``(table, probs, policy
-    values)`` of ``policy_expectations`` (``None`` before the first), and
-    ``restrict_memo`` maps an event's ``(arm, outcome)`` to the last
-    ``(event, Restriction)`` of ``restrict``; on any other measure both are
-    ``None``. ``certain_arms`` lists the one-component arms whose ``p`` is 0
-    or 1, the only point arms a history can refute. None of these takes
-    part in equality or hashing. NaN weights or probabilities are rejected."""
+    is true, as on no other measure). ``certain_arms`` lists the
+    one-component arms whose ``p`` is 0 or 1, the only point arms a history
+    can refute. None of these takes part in equality or hashing. NaN
+    weights or probabilities are rejected."""
 
     arms: tuple[tuple[tuple[float, float], ...], ...]
     tables: tuple[ArmTable, ...] = field(init=False, repr=False, compare=False)
     memo: list = field(init=False, repr=False, compare=False)
-    policy_memo: list | None = field(init=False, repr=False, compare=False)
-    restrict_memo: dict | None = field(init=False, repr=False, compare=False)
     certain_arms: tuple[int, ...] = field(init=False, repr=False, compare=False)
     history_free: bool = field(init=False, repr=False, compare=False)
 
@@ -467,8 +460,6 @@ class BernoulliArmMeasure:
         certain = tuple(j for j, t in enumerate(tables) if t.p.size == 1 and t.p[0] in (0.0, 1.0))
         object.__setattr__(self, "tables", tuple(tables))
         object.__setattr__(self, "memo", [None] * len(self.arms))
-        object.__setattr__(self, "policy_memo", [None] if point else None)
-        object.__setattr__(self, "restrict_memo", {} if point else None)
         object.__setattr__(self, "certain_arms", certain)
         object.__setattr__(self, "history_free", point)
 
@@ -618,24 +609,6 @@ class BernoulliArmsModel(BanditModel):
             out[arm] = (1.0 - p1) * values[arm, 0] + p1 * values[arm, 1]
         return out
 
-    def policy_expectations(
-        self, measure: BernoulliArmMeasure, history: BanditHistory, f: ReturnFunction, probs
-    ) -> np.ndarray:
-        """On an all-point measure, a read-only ``probs`` (every policy
-        grid's is) is served, read-only, from the one-entry policy memo keyed
-        by the identities of ``f.values`` and ``probs``. Each call first
-        checks the history's arm count and its arms with ``p`` 0 or 1."""
-        memo = measure.policy_memo
-        if memo is None or probs.flags.writeable:
-            return super().policy_expectations(measure, history, f, probs)
-        self.check_history(measure, history)
-        hit, values = memo[0], f.values
-        if hit is not None and hit[0] is values and hit[1] is probs:
-            return hit[2]
-        out = _read_only(probs @ self.expected_action_values(measure, history, values))
-        memo[0] = (values, probs, out)
-        return out
-
     def sampled_action_values(
         self,
         measure: BernoulliArmMeasure,
@@ -656,42 +629,29 @@ class BernoulliArmsModel(BanditModel):
     def restrict(
         self, measure: BernoulliArmMeasure, history: BanditHistory, event: ObservationEvent
     ) -> Restriction:
-        """On an all-point measure the restriction to an event is constant:
-        it is served from the restriction memo when that holds this very
-        event. Each call still checks the history first, as a miss does."""
-        self.check_history(measure, history, event)
+        """The observed arm's predictive mass and the off-branch credit, as
+        Python floats. The history's arm count is checked first; the
+        predictive raises if it refutes the observed arm."""
+        self._check_history(history)
         arm, outcome = event.indicator
-        memo = measure.restrict_memo
-        if memo is not None:
-            hit = memo.get(event.indicator)
-            if hit is not None and hit[0] is event:
-                return hit[1]
         p1 = predictive(measure, history, arm)
         p_obs = p1 if outcome == 1 else 1.0 - p1
         off_outcome = 1 - outcome
         g = event.offbranch_return.values
         off_value = (1.0 - p_obs) * float(g[arm, off_outcome])
-        out = Restriction(measure, p_obs, off_value)
-        if memo is not None:
-            memo[event.indicator] = (event, out)
-        return out
-
-    def check_history(self, measure: BernoulliArmMeasure, history: BanditHistory, event=None) -> None:
-        """The checks of a memo hit: the history's arm count, then that it
-        refutes no certain arm (with an event, only the event's arm)."""
-        self._check_history(history)
-        for arm in measure.certain_arms:
-            if event is None or arm == event.indicator[0]:
-                _check_point_arm(measure.tables[arm].p[0], history, arm)
+        return Restriction(measure, p_obs, off_value)
 
     def check_points(self, points, history: BanditHistory, event=None) -> None:
-        """``check_history`` on every nonzero-scale point of a memo hit's
-        point set, which always holds one: the shared history's arm count is
-        checked once, so only measures with ``certain_arms`` are visited."""
+        """The history checks of restricting (given ``event``) or valuing
+        every nonzero-scale point of a memo hit's point set: the shared
+        history's arm count once, then each certain arm (with an event, only
+        the event's arm), so a hit raises what the miss would raise first."""
         self._check_history(history)
         for a in points:
             if a.scale != 0.0 and a.measure.certain_arms:
-                self.check_history(a.measure, history, event)
+                for arm in a.measure.certain_arms:
+                    if event is None or arm == event.indicator[0]:
+                        _check_point_arm(a.measure.tables[arm].p[0], history, arm)
 
     def next_history(self, history: BanditHistory, indicator: tuple[int, int]) -> BanditHistory:
         return observe(history, *indicator)

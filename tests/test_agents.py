@@ -697,26 +697,6 @@ class TestMemo:
         assert len(cells) == 51
         assert len(conditionings) == len(cells)
 
-    def test_ku_long_values_and_restricts_each_corner_once(self, monkeypatch):
-        """``ku-long`` at its smoke size (50 steps): each corner's action
-        values are computed once, and ``predictive`` runs twice per corner
-        for them plus once per (corner, event) restricted, not per step.
-        The 16 restrictions (4 points for 3 steps, then 2 for the two steps
-        whose conditioning stores the converged pair as each event's fixed
-        point; later steps restrict nothing) touch 8 pairs."""
-        value_calls = count_calls(monkeypatch, "expected_action_values", BernoulliArmsModel)
-        predictives = count_calls(monkeypatch, "predictive", ibrl.worldmodels)
-        restricts = count_calls(monkeypatch, "restrict", BernoulliArmsModel)
-        cfg = ExperimentConfig(
-            "ku-bandit", seed=42, settings={"steps": 50, "env.mode": "per_step_random", "agents": "ib"}
-        )
-        assert len(run_experiment(cfg)) == 50
-        corners = {id(args[1]) for args in value_calls}
-        assert len(corners) == len(value_calls) == 4
-        pairs = {(id(args[1]), id(args[3])) for args in restricts}
-        assert (len(restricts), len(pairs)) == (16, 8)
-        assert len(predictives) == 2 * len(corners) + len(pairs) == 16
-
     def test_ku_corner_agents_value_once_per_run(self, monkeypatch, value_passes):
         """The shipped ``ku_bandit.cfg`` at ``per_step_random``: each classical
         corner agent keeps its one history-free point, so every successor

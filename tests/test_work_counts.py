@@ -65,7 +65,8 @@ WORKLOADS = {
 # Per workload: rows written, then calls per operation. Selections are keyed
 # by the selecting agent's flavor: greedy steps reach ``select_policy`` and
 # only Thompson steps reach ``bayes_select``. ``policy_expectations`` counts
-# value passes per point, ``next_history`` history builds, ``warm`` joint
+# value passes per point, ``expected_action_values`` the bandit per-arm value
+# computations they run, ``next_history`` history builds, ``warm`` joint
 # batches, ``_successor`` successor states (``AgentState`` counts the rest).
 # ``random[role, size]`` counts ``Generator.random`` calls per stream role
 # and size (``None`` is one scalar uniform): every environment step reads
@@ -94,8 +95,8 @@ WORKLOADS = {
 #   a fixed point: the first conditioning on it per event (steps 3 and 4;
 #   the agent only pulls arm 2) stores it, later ones only check and advance
 #   the history, and successors share the tie memo. So 4 value passes
-#   (4 + 4 + 4 + 2 points) and 16 restrictions (4 + 4 + 4 + 2 + 2) serve
-#   all 50 steps. Each step reads 3 uniforms (two arms redrawn, one pull):
+#   (4 + 4 + 4 + 2 points, each valuing its corner's arms once) and 16
+#   restrictions (4 + 4 + 4 + 2 + 2) serve all 50 steps. Each step reads 3 uniforms (two arms redrawn, one pull):
 #   one block of 150.
 BUDGETS = {
     "trap-roster": (1000, {
@@ -104,6 +105,7 @@ BUDGETS = {
         "bayes_select[bayes_thompson]": 400,
         "lower_expectations": 600,
         "policy_expectations": 618,
+        "expected_action_values": 618,
         "condition": 200,
         "warm": 510,
         "restrict": 218,
@@ -133,6 +135,7 @@ BUDGETS = {
         "select_policy[ib_maximin]": 50,
         "lower_expectations": 4,
         "policy_expectations": 14,
+        "expected_action_values": 14,
         "condition": 50,
         "restrict": 16,
         "next_history": 50,
@@ -189,7 +192,7 @@ def test_benchmark_workloads_keep_their_work_budgets(monkeypatch):
     _count(monkeypatch, counts, ibrl.agents, "lower_expectations")
     _count(monkeypatch, counts, ibrl.agents, "condition")
     _count(monkeypatch, counts, ibrl.agents, "_successor")
-    for name in ("restrict", "policy_expectations", "next_history", "warm"):
+    for name in ("restrict", "policy_expectations", "expected_action_values", "next_history", "warm"):
         for model in vars(ibrl.worldmodels).values():
             if isinstance(model, type) and name in vars(model):
                 _count(monkeypatch, counts, model, name)

@@ -1,5 +1,6 @@
 """Tests for the three world-model families and their measures."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -791,11 +792,10 @@ class TestPointArmValues:
         assert model.point_measure([0.5]).certain_arms == ()
 
 
-class TestPointMeasureMemos:
-    """An all-point measure memoizes its policy values per (table, probs)
-    and its restriction per event. Every memoized result must equal, bit
-    for bit, that of a freshly built twin measure, and every call must
-    still check the history first."""
+class TestAllPointMeasures:
+    """An all-point measure (every arm a point hypothesis, as at a Knightian
+    corner) values a policy grid and restricts to an event from its arms'
+    ``p`` alone, and every call checks the history first."""
 
     @staticmethod
     def _hex(values):
@@ -816,67 +816,58 @@ class TestPointMeasureMemos:
         values = rng.random((arms, 2)) * 3.0
         return model, measures, BanditHistory(tuple(pulls), tuple(successes)), values
 
-    def test_memoized_results_equal_a_fresh_twins_bit_for_bit(self):
+    @staticmethod
+    def _refutes(history, p, arm):
+        return (p == 0.0 and history.successes[arm] > 0) or (
+            p == 1.0 and history.pulls[arm] > history.successes[arm]
+        )
+
+    def test_grid_values_and_restrictions_follow_the_points(self):
+        """One-hot grid values equal row-wise ``lower_expectation`` bit for
+        bit, and a refuting history raises alike on both; ``restrict``
+        returns the measure itself with the point's mass on the observed
+        branch, or raises exactly when the history refutes the event's arm."""
         rng = np.random.default_rng(1809)
         refuted = 0
         for _ in range(150):
             model, measures, h, values = self._random_case(rng)
-            grids = [deterministic_grid(model.arm_count).probs]
-            if model.arm_count == 2:
-                grids.append(policy_grid(2, 0.25).probs)
+            probs = deterministic_grid(model.arm_count).probs
             f = model.policy_return(np.full(model.arm_count, 1.0 / model.arm_count), values)
-            # Two events per (arm, outcome), whose off-branch tables differ.
             g = model.policy_return(f.action_probs, rng.random((model.arm_count, 2)))
-            events = [
-                model.observation(arm, o, r)
-                for arm in range(model.arm_count)
-                for o in (0, 1)
-                for r in (f, g)
-            ]
             points = tuple(
                 AMeasure(float(rng.choice([0.0, 1.0, rng.random() * 2])), m, rng.random(), model)
                 for m in measures
             )
             belief = Infradistribution(points, h)
-
-            def twin_belief():
-                return Infradistribution(
-                    tuple(
-                        AMeasure(a.scale, BernoulliArmMeasure(a.measure.arms), a.offset, model)
-                        for a in points
-                    ),
-                    h,
+            for ret in (f, g):
+                got = _outcome(lower_expectations, belief, ret, probs)
+                rows = [
+                    _outcome(lower_expectation, belief, model.policy_return(row, ret.values))
+                    for row in probs
+                ]
+                if isinstance(got, tuple):
+                    refuted += 1
+                    assert rows == [got] * len(rows)
+                else:
+                    assert self._hex(got) == self._hex(rows)
+            message = (DegenerateUpdateError, "history is impossible under every component of this arm")
+            for m, arm, outcome, ret in itertools.product(
+                measures, range(model.arm_count), (0, 1), (f, g)
+            ):
+                got = _outcome(model.restrict, m, h, model.observation(arm, outcome, ret))
+                p = m.arms[arm][0][1]
+                if self._refutes(h, p, arm):
+                    assert got == message
+                    continue
+                p_obs = p if outcome == 1 else 1.0 - p
+                assert got.measure is m
+                assert self._hex(got[1:]) == self._hex(
+                    [p_obs, (1.0 - p_obs) * ret.values[arm, 1 - outcome]]
                 )
-
-            for _ in range(3):  # a miss, then hits
-                for ret, probs in itertools.product((f, g), grids):
-                    got = _outcome(lower_expectations, belief, ret, probs)
-                    want = _outcome(lower_expectations, twin_belief(), ret, probs)
-                    if isinstance(want, tuple):
-                        refuted += 1
-                        assert got == want
-                        continue
-                    assert self._hex(got) == self._hex(want)
-                    if probs is grids[0]:  # one-hot rows, where ``expectation`` agrees exactly
-                        rows = [
-                            lower_expectation(belief, model.policy_return(row, ret.values))
-                            for row in probs
-                        ]
-                        assert self._hex(got) == self._hex(rows)
-                for m in measures:
-                    for event in events:
-                        got = _outcome(model.restrict, m, h, event)
-                        twin = BernoulliArmMeasure(m.arms)
-                        want = _outcome(model.restrict, twin, h, event)
-                        if isinstance(want, tuple):
-                            assert got == want
-                            continue
-                        assert got.measure is m and want.measure is twin
-                        assert self._hex(got[1:]) == self._hex(want[1:])
         assert refuted > 0
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
-    def test_impossible_histories_raise_on_every_call_hit_or_miss(self, p):
+    def test_impossible_histories_raise_on_every_call(self, p):
         model = BernoulliArmsModel(2)
         m = model.point_measure([p, 0.4])
         f = model.policy_return([0.5, 0.5], np.array([[0.2, 0.9], [0.1, 0.7]]))
@@ -902,7 +893,56 @@ class TestPointMeasureMemos:
             with pytest.raises(RepresentationError, match="wrong arm count"):
                 model.policy_expectations(m, BanditHistory((1,), (0,)), f, probs)
         assert lower_expectations(belief(good), f, probs).tolist() == want_values
-        assert model.restrict(m, good, event) is want_restriction
+        assert model.restrict(m, good, event) == want_restriction
+
+    @staticmethod
+    @st.composite
+    def _point_beliefs(draw):
+        """An all-point belief with at least one nonzero-scale point, and a
+        history that may refute its arms or have the wrong arm count."""
+        arms = draw(st.integers(1, 3))
+        model = BernoulliArmsModel(arms)
+        probs = st.lists(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0), min_size=arms, max_size=arms)
+        scale = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0)
+        points = [
+            AMeasure(draw(scale), model.point_measure(draw(probs)), draw(st.floats(0.0, 2.0)), model)
+            for _ in range(draw(st.integers(1, 4)))
+        ]
+        if all(a.scale == 0.0 for a in points):
+            i = draw(st.integers(0, len(points) - 1))
+            points[i] = dataclasses.replace(points[i], scale=1.0)
+        n = draw(st.sampled_from([arms, arms, arms, arms + 1, arms - 1]))
+        pulls = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        successes = [draw(st.integers(0, k)) for k in pulls]
+        return model, tuple(points), BanditHistory(tuple(pulls), tuple(successes))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_point_beliefs())
+    def test_check_points_raises_what_the_full_paths_raise_first(self, case):
+        """A fixed-point hit's ``check_points`` raises what restricting every
+        nonzero-scale point in order raises first, given an event, and what
+        ``lower_expectations`` raises without one."""
+        model, points, h = case
+
+        def first_error(*calls):
+            try:
+                for fn, *args in calls:
+                    fn(*args)
+            except (DegenerateUpdateError, RepresentationError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        f = model.policy_return(np.full(model.arm_count, 1.0 / model.arm_count), np.ones((model.arm_count, 2)))
+        live = [a.measure for a in points if a.scale != 0.0]
+        for arm, outcome in itertools.product(range(model.arm_count), (0, 1)):
+            event = model.observation(arm, outcome, f)
+            assert first_error((model.check_points, points, h, event)) == first_error(
+                *((model.restrict, m, h, event) for m in live)
+            )
+        probs = deterministic_grid(model.arm_count).probs
+        assert first_error((model.check_points, points, h)) == first_error(
+            (lower_expectations, Infradistribution(points, h), f, probs)
+        )
 
     def test_grid_probabilities_are_read_only(self):
         probs = deterministic_grid(2).probs
