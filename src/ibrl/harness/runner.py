@@ -16,8 +16,8 @@ episode of a cell starts from the same ``AgentState``, on which the agent
 memoizes its tied candidates and its successor belief, so a cell runs one
 value pass and one conditioning, while each tied selection still draws from
 the cell's agent stream. What does not depend on the cell is built once per
-sweep (the candidate policy grid), and what does not depend on the episode
-once per cell (every candidate's reward moments, in one array pass).
+sweep: the candidate policy grid, the cells' models, and every candidate's
+reward moments in every cell, in one array pass.
 
 All randomness flows through named streams derived from
 ``(seed, unit indices, role)``, so any run unit can be reproduced in
@@ -99,9 +99,10 @@ class BlockSource:
     """A unit's environment stream, read a block at a time: ``random()``
     returns what ``count`` scalar ``rng.random()`` calls would, in order,
     drawn lazily as ``rng.random(k)`` blocks of at most ``ENV_BLOCK`` (on
-    PCG64 the same bits) and one block held at a time. The last block stops
-    at ``count``, so a stream read to its end is left in the state those
-    calls leave; reading past it raises ``ContractViolationError``."""
+    PCG64 the same bits), at most one held and none once its last uniform
+    is out. The last block stops at ``count``, so a stream read to its end
+    is left in the state those calls leave; reading past it raises
+    ``ContractViolationError``."""
 
     __slots__ = ("random",)
 
@@ -114,7 +115,11 @@ def _uniforms(rng: np.random.Generator, count: int):
     while left > 0:
         k = min(left, ENV_BLOCK)
         left -= k
-        yield from rng.random(k).tolist()
+        block = rng.random(k).tolist()
+        last = block.pop()
+        yield from block
+        del block
+        yield last
     raise ContractViolationError(f"environment stream read past its {count} uniforms")
 
 
@@ -594,30 +599,34 @@ def run_newcomb_sweep(
     except ConfigError as exc:  # with two actions, only the step is left
         raise ConfigError(f"field 'policy.step': {exc}") from None
     alphas = _newcomb_alphas(cfg)
+    if not alphas:  # every rounded cell lies past alpha.max
+        return [], []
+    models = [NewcombModel(reward_matrix=matrix, accuracy=alpha) for alpha in alphas]
+    # Every cell's candidate moments in one array pass, looked up by the
+    # one-boxing probability. They are the values each cell's agent compares,
+    # so the best mean is too and the regret column is exactly nonnegative.
+    column = candidates.probs[:, 0]
+    means, seconds = newcomb_reward_moments(column, alphas, models[0].table)
+    cells = zip(models, means.tolist(), seconds.tolist())
 
     records: list[RunRecord] = []
     summaries: list[NewcombCellSummary] = []
-    for ci, alpha in enumerate(alphas):
-        model = NewcombModel(reward_matrix=matrix, accuracy=alpha)
+    for ci, (model, cell_means, cell_seconds) in enumerate(cells):
         env_rng = BlockSource(derive_stream(cfg.seed, ci, ENV_STREAM), episodes)
         agent_rng = derive_stream(cfg.seed, ci, AGENT_STREAM)
         # Conditioning on a Newcomb observation is the identity, so every
         # episode is a one-step rollout from this same initial state.
         state = make_agent(classical_belief(model, STATELESS), agent_rng, "ib_maximin")
-        # Reward moments of every candidate, once per cell. The best mean is
-        # taken over the same candidate values the agent compares, so the
-        # regret column is exactly nonnegative.
-        means, seconds = newcomb_reward_moments(candidates.probs[:, 0], model)
-        moments = dict(zip(candidates.policies, zip(means.tolist(), seconds.tolist())))
-        best = max(mean for mean, _ in moments.values())
-        label = f"ib_alpha{alpha:.2f}"
+        moments = dict(zip(column.tolist(), zip(cell_means, cell_seconds)))
+        best = max(cell_means)
+        label = f"ib_alpha{model.accuracy:.2f}"
         # Per episode: one-boxing probability, reward, and reward moments.
         episode_stats: list[tuple[float, float, float, float]] = []
 
         def env_step(policy, action):
             p_star = policy.action_probs[0]
             reward = newcomb_step(model, p_star, action, env_rng)
-            mean, second = moments[policy]
+            mean, second = moments[p_star]
             episode_stats.append((p_star, reward, mean, second))
             return reward, best - mean, best - reward
 
@@ -632,7 +641,7 @@ def run_newcomb_sweep(
             sum_var += max(0.0, second - mean * mean)
         summaries.append(
             NewcombCellSummary(
-                alpha=alpha,
+                alpha=model.accuracy,
                 selected_one_box_rate=sum_p / episodes,
                 mean_reward=sum_reward / episodes,
                 mean_policy_value=sum_value / episodes,

@@ -706,12 +706,13 @@ def newcomb_prediction_prob(p_one_box: float, accuracy: float) -> float:
     The predictor guesses the sampled action correctly with probability
     ``accuracy`` and guesses uniformly otherwise, which collapses to
     ``p * (2 * accuracy - 1) + 0.5 * (2 - 2 * accuracy)``. Accuracy 0.5 is an
-    uninformed coin flip; accuracy 1 mirrors the policy exactly. An array of
-    one-boxing probabilities gives one forecast per entry and is not
-    range-checked here: it holds policy rows, which ``Policy`` has checked."""
+    uninformed coin flip; accuracy 1 mirrors the policy exactly. Arrays of
+    one-boxing probabilities or accuracies are not range-checked here: they
+    hold policy rows, checked by ``Policy``, or a sweep's cells, checked by
+    their ``NewcombModel``."""
     if not isinstance(p_one_box, np.ndarray) and not 0.0 <= p_one_box <= 1.0:
         raise ConfigError("one-boxing probability must lie in [0, 1]")
-    if not 0.5 <= accuracy <= 1.0:
+    if not isinstance(accuracy, np.ndarray) and not 0.5 <= accuracy <= 1.0:
         raise ConfigError("predictor accuracy must lie in [0.5, 1]")
     return p_one_box * (2.0 * accuracy - 1.0) + 0.5 * (2.0 - 2.0 * accuracy)
 
@@ -723,17 +724,21 @@ class NewcombModel(WorldModel):
 
     The value of a policy is computed analytically, action and prediction
     drawn independently given the policy, so beliefs over this model are
-    policy-dependent but observation-independent."""
+    policy-dependent but observation-independent. ``table`` is the matrix
+    as a read-only float array, built once; every expectation reads it."""
 
     reward_matrix: tuple[tuple[float, float], tuple[float, float]] = DEFAULT_NEWCOMB_MATRIX
     accuracy: float = 0.5
+    table: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.reward_matrix, dtype=float)
-        if m.shape != (2, 2) or not np.all(np.isfinite(m)):
+        table = np.array(self.reward_matrix, dtype=float)
+        if table.shape != (2, 2) or not all(map(math.isfinite, table.ravel().tolist())):
             raise ConfigError("reward matrix must be a finite 2x2 table")
         if not 0.5 <= self.accuracy <= 1.0:
             raise ConfigError("predictor accuracy must lie in [0.5, 1]")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     def initial_history(self) -> None:
         return None
@@ -747,13 +752,12 @@ class NewcombModel(WorldModel):
             raise RepresentationError("Newcomb observations carry no branch structure")
 
     def policy_return(self, p_one_box: float) -> ReturnFunction:
-        m = np.asarray(self.reward_matrix, dtype=float)
         if not 0.0 <= p_one_box <= 1.0:
             raise RepresentationError("one-boxing probability must lie in [0, 1]")
         return ReturnFunction(
             model=self,
-            f_min=float(m.min()),
-            f_max=float(m.max()),
+            f_min=float(self.table.min()),
+            f_max=float(self.table.max()),
             action_probs=np.array([p_one_box, 1.0 - p_one_box]),
         )
 
@@ -770,8 +774,7 @@ class NewcombModel(WorldModel):
     def policy_expectations(
         self, measure: StatelessMeasure, history: None, f: ReturnFunction, probs: np.ndarray
     ) -> np.ndarray:
-        m = np.asarray(self.reward_matrix, dtype=float)
-        return _newcomb_expectation(probs[:, 0], self.accuracy, m)
+        return _newcomb_expectation(probs[:, 0], self.accuracy, self.table)
 
     def conditioned_mass(self, measure: StatelessMeasure, history: None) -> float:
         return 1.0
@@ -788,11 +791,11 @@ class NewcombModel(WorldModel):
         return STATELESS
 
 
-def _newcomb_expectation(p_one_box, accuracy: float, table: np.ndarray):
+def _newcomb_expectation(p_one_box, accuracy, table: np.ndarray):
     """Expectation of ``table[action][prediction]`` with the action drawn
     from the policy and the prediction drawn with the accuracy-tilted
-    probability. ``p_one_box`` is one probability or an array of them; an
-    array runs the same products and sums, so each of its entries equals the
+    probability. Arrays (of policies, or a policy column against a row of
+    accuracies) run the same products and sums, so each entry equals the
     single call's value."""
     q = newcomb_prediction_prob(p_one_box, accuracy)
     action_probs = np.array([p_one_box, 1.0 - p_one_box]).T
@@ -813,19 +816,18 @@ def newcomb_expected_reward(p_one_box: float, model: NewcombModel) -> float:
     a mixed policy can beat both; with matrix ``((0, 2), (2, 0))`` at
     accuracy 1, one-boxing with probability 0.5 is worth 1 and both
     deterministic policies are worth 0."""
-    m = np.asarray(model.reward_matrix, dtype=float)
-    return float(_newcomb_expectation(p_one_box, model.accuracy, m))
+    return float(_newcomb_expectation(p_one_box, model.accuracy, model.table))
 
 
-def newcomb_reward_moments(p_one_box, model: NewcombModel) -> tuple[np.ndarray, np.ndarray]:
-    """First and second moments of the reward of the policies that one-box
-    with probabilities ``p_one_box`` (an array, such as a policy grid's
-    one-boxing column), one entry per policy. Each entry equals the moment
-    of that one policy computed alone."""
-    m = np.asarray(model.reward_matrix, dtype=float)
+def newcomb_reward_moments(p_one_box, accuracies, table) -> tuple[np.ndarray, np.ndarray]:
+    """First and second moments of the reward under a model's ``table``: one
+    row per accuracy (a sweep's cells, checked by their models) and one
+    column per one-boxing probability (a policy grid's). Each entry equals
+    that one policy's moment in that one cell computed alone."""
+    column, accuracy = p_one_box[:, None], np.array(accuracies, dtype=float)
     return (
-        _newcomb_expectation(p_one_box, model.accuracy, m),
-        _newcomb_expectation(p_one_box, model.accuracy, m * m),
+        _newcomb_expectation(column, accuracy, table),
+        _newcomb_expectation(column, accuracy, table * table),
     )
 
 

@@ -1,5 +1,7 @@
 """Tests for the environment step functions and their configs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,24 @@ class TestBlockSource:
         source.random()
         twin.random(ENV_BLOCK)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("count", [ENV_BLOCK, 3 * ENV_BLOCK])
+    def test_a_source_read_to_its_end_holds_no_block(self, count):
+        """A finished unit's source lives as long as its runner, so it must
+        not keep its last block: sources read to their end hold under 1 KB
+        each, where a kept block of 1,024 uniforms is about 33 KB."""
+        rngs = [np.random.default_rng(seed) for seed in range(40)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sources = [BlockSource(rng, count) for rng in rngs]
+            for source in sources:
+                for _ in range(count):
+                    source.random()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1024 * len(sources), held
 
     def test_every_step_reads_a_source_as_it_reads_a_generator(self):
         """Per loop: three uniforms for a per-step-random ku pull, one each

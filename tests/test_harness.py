@@ -433,6 +433,14 @@ class TestRunners:
         with pytest.raises(ConfigError, match="grid step"):
             run_newcomb_sweep(ExperimentConfig("newcomb", seed=1, settings=settings))
 
+    def test_newcomb_sweep_with_no_cells_returns_nothing(self):
+        """``alpha.min == alpha.max`` with more than 10 decimals can round
+        its one cell past ``alpha.max``; the sweep then has no cells, no
+        first model to take the moments' table from, and no records."""
+        alpha = 0.7559108123501284
+        settings = {"episodes": 2, "alpha.min": alpha, "alpha.max": alpha}
+        assert run_newcomb_sweep(ExperimentConfig("newcomb", seed=1, settings=settings)) == ([], [])
+
     def test_catastrophe_rates_count_negative_reward_episodes(self):
         records = [
             RunRecord("trap-bandit", "x", 1, e, s, 0, r, 0.0, 0.0, 0.0)

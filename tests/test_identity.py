@@ -13,6 +13,18 @@ import pytest
 from ibrl.harness import ExperimentConfig, emit_csv, run_experiment, run_newcomb_sweep
 
 NEWCOMB_SETTINGS = {"episodes": 5, "alpha.min": 0.5, "alpha.max": 0.6, "alpha.step": 0.05}
+# A non-affine matrix: at accuracies above 0.5 the mixed policy that one-boxes
+# with probability 0.5 beats both deterministic ones, so ``act`` draws from
+# the agent stream; at 0.5 every candidate ties.
+MIXED_NEWCOMB_SETTINGS = {
+    "episodes": 6,
+    "alpha.min": 0.5,
+    "alpha.max": 1.0,
+    "alpha.step": 0.25,
+    "policy.step": 0.05,
+    "matrix.onebox": (0.0, 2.0),
+    "matrix.twobox": (2.0, 0.0),
+}
 
 CASES = {
     "validate-classical": (
@@ -63,6 +75,10 @@ CASES = {
         ExperimentConfig("newcomb", seed=42, settings=dict(NEWCOMB_SETTINGS)),
         "79c3091642df8b93e5226d6b83a9fd461688edf125b7ffb772ae52f4a915c8e0",
     ),
+    "newcomb-mixed": (
+        ExperimentConfig("newcomb", seed=42, settings=dict(MIXED_NEWCOMB_SETTINGS)),
+        "1694402c574c6bbefea715172a96aaf9f663616f6d6e3cdec8a1fc7c1459f0e6",
+    ),
     # The full default sweep (51 cells) at 40 episodes per cell, including
     # the all-tied cell at accuracy 0.55, where every episode draws a tie-break.
     "newcomb-sweep": (
@@ -82,6 +98,16 @@ NEWCOMB_CELLS = [
     (0.6, 1.0, 8.0, 6.0, 2.1908902300206643),
 ]
 
+# The same fields of the mixed-policy sweep, as float hex.
+MIXED_NEWCOMB_CELLS = [
+    ("0x1.0000000000000p-1", "0x1.4888888888888p-1", "0x1.0000000000000p+0",
+     "0x1.0000000000000p+0", "0x1.a20bd700c2c3dp-2"),
+    ("0x1.8000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p+0",
+     "0x1.0000000000000p+0", "0x1.a20bd700c2c3dp-2"),
+    ("0x1.0000000000000p+0", "0x1.0000000000000p-1", "0x1.0000000000000p+0",
+     "0x1.0000000000000p+0", "0x1.a20bd700c2c3dp-2"),
+]
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_bytes_are_unchanged(name, tmp_path):
@@ -91,11 +117,18 @@ def test_csv_bytes_are_unchanged(name, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_newcomb_cell_summaries_are_unchanged():
-    cfg = ExperimentConfig("newcomb", seed=42, settings=dict(NEWCOMB_SETTINGS))
-    _, cells = run_newcomb_sweep(cfg)
-    got = [
+def _cell_fields(settings):
+    _, cells = run_newcomb_sweep(ExperimentConfig("newcomb", seed=42, settings=dict(settings)))
+    return [
         (c.alpha, c.selected_one_box_rate, c.mean_reward, c.mean_policy_value, c.reward_se)
         for c in cells
     ]
-    assert got == NEWCOMB_CELLS
+
+
+def test_newcomb_cell_summaries_are_unchanged():
+    assert _cell_fields(NEWCOMB_SETTINGS) == NEWCOMB_CELLS
+
+
+def test_mixed_policy_newcomb_cell_summaries_are_unchanged():
+    got = [tuple(x.hex() for x in cell) for cell in _cell_fields(MIXED_NEWCOMB_SETTINGS)]
+    assert got == MIXED_NEWCOMB_CELLS

@@ -86,10 +86,12 @@ WORKLOADS = {
 #   streams draws its world with one scalar uniform (after an ``integers``
 #   draw), then its 100 steps' uniforms in one block; the 400 agent-stream
 #   scalars are Thompson's hypothesis draws.
-# * newcomb-sweep: 51 cells x 2 episodes. A cell's state is reused, so it
-#   runs one value pass, one conditioning and builds one successor. A
-#   cell's episodes share one env stream: one block of 2. The 2 agent-stream
-#   scalars sample the mixed policies the all-tied cell at 0.55 picks.
+# * newcomb-sweep: 51 cells x 2 episodes. One ``newcomb_reward_moments``
+#   call per sweep gives every cell's candidate moments. A cell's state is
+#   reused, so it runs one value pass, one conditioning and builds one
+#   successor. A cell's episodes share one env stream: one block of 2. The 2
+#   agent-stream scalars sample the mixed policies the all-tied cell at 0.55
+#   picks.
 # * ku-long: 50 steps of one agent over 4 corners, 2 after the third step;
 #   its 2 x 2 events are built once. The pair left after the third step is
 #   a fixed point: the first conditioning on it per event (steps 3 and 4;
@@ -120,6 +122,7 @@ BUDGETS = {
     }),
     "newcomb-sweep": (102, {
         "select_policy[ib_maximin]": 102,
+        "newcomb_reward_moments": 1,
         "lower_expectations": 51,
         "policy_expectations": 51,
         "condition": 51,
@@ -189,6 +192,7 @@ def test_benchmark_workloads_keep_their_work_budgets(monkeypatch):
     monkeypatch.setattr(runner, "derive_stream", counted_stream)
     _count(monkeypatch, counts, runner, "select_policy", _by_flavor("select_policy"))
     _count(monkeypatch, counts, runner, "bayes_select", _by_flavor("bayes_select"))
+    _count(monkeypatch, counts, runner, "newcomb_reward_moments")
     _count(monkeypatch, counts, ibrl.agents, "lower_expectations")
     _count(monkeypatch, counts, ibrl.agents, "condition")
     _count(monkeypatch, counts, ibrl.agents, "_successor")

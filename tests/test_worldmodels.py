@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ibrl.worldmodels
 from ibrl import (
+    STATELESS,
     BanditHistory,
     BernoulliArmMeasure,
     BernoulliArmsModel,
@@ -175,6 +176,22 @@ class TestBernoulliArms:
         assert grid.min() - 1e-12 <= p <= grid.max() + 1e-12
 
 
+def _sweep_moments_by_cell(matrix, alphas, candidates):
+    """Check a sweep's moments against each (cell, policy) computed alone
+    and against ``newcomb_expected_reward``, bit for bit; return each
+    cell's model and first-moment row."""
+    column = candidates.probs[:, 0]
+    models = [NewcombModel(matrix, accuracy=alpha) for alpha in alphas]
+    means, seconds = newcomb_reward_moments(column, alphas, models[0].table)
+    assert means.shape == seconds.shape == (len(alphas), len(column))
+    for model, row_means, row_seconds in zip(models, means.tolist(), seconds.tolist()):
+        for p, mean, second in zip(column.tolist(), row_means, row_seconds):
+            alone = newcomb_reward_moments(np.array([p]), [model.accuracy], model.table)
+            assert (mean.hex(), second.hex()) == (alone[0].item().hex(), alone[1].item().hex())
+            assert mean.hex() == newcomb_expected_reward(p, model).hex()
+    return list(zip(models, means.tolist()))
+
+
 class TestNewcomb:
     def test_prediction_probability_interpolates_accuracy(self):
         np.testing.assert_allclose(newcomb_prediction_prob(0.0, 0.75), 0.25)
@@ -213,24 +230,54 @@ class TestNewcomb:
         "matrix", [DEFAULT_NEWCOMB_MATRIX, ((10.0, -5.0), (11.0, 1.0)), ((1.3, -0.7), (2.9, 0.1))]
     )
     def test_array_moments_equal_the_scalar_moments_bit_for_bit(self, matrix):
-        """A cell computes every candidate's moments in one array pass; each
-        entry must equal the one policy's moments computed alone."""
+        """A sweep computes every cell's candidate moments in one array
+        pass; each entry must equal the one policy's moments in that one
+        cell computed alone."""
+        alphas = [round(0.5 + i * 0.01, 10) for i in range(51)]
         for step in (0.1, 0.05, 0.01, 0.25, 0.3, 0.07):
-            column = policy_grid(2, step).probs[:, 0]
-            for i in range(51):
-                model = NewcombModel(matrix, accuracy=round(0.5 + i * 0.01, 10))
-                means, seconds = newcomb_reward_moments(column, model)
-                for p, mean, second in zip(column.tolist(), means.tolist(), seconds.tolist()):
-                    alone = newcomb_reward_moments(p, model)
-                    assert mean.hex() == float(alone[0]).hex()
-                    assert second.hex() == float(alone[1]).hex()
-                    assert mean.hex() == newcomb_expected_reward(p, model).hex()
+            _sweep_moments_by_cell(matrix, alphas, policy_grid(2, step))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        matrix=st.one_of(
+            st.just(((0.0, 2.0), (2.0, 0.0))),
+            st.just(DEFAULT_NEWCOMB_MATRIX),
+            # Decimals in [-1000, 1000]: no entry is -0.0 or so small that a
+            # product underflows to it, which the belief's offset would turn
+            # into +0.0.
+            st.lists(st.integers(-10**6, 10**6).map(lambda n: n / 1000), min_size=4, max_size=4)
+            .map(lambda v: ((v[0], v[1]), (v[2], v[3]))),
+        ),
+        inner=st.lists(st.floats(0.5, 1.0), max_size=6),
+        step=st.floats(0.01, 1.0),
+    )
+    def test_sweep_moments_are_what_each_cells_agent_compares(self, matrix, inner, step):
+        """Per cell, the sweep's first moments are the values the cell's
+        maximin agent compares on its one-point belief, so the regret
+        column's best is their maximum."""
+        candidates = policy_grid(2, step)
+        alphas = sorted({0.5, 1.0, *inner})
+        for model, row_means in _sweep_moments_by_cell(matrix, alphas, candidates):
+            belief = Infradistribution.singleton(AMeasure(1.0, STATELESS, 0.0, model), None)
+            values = lower_expectations(belief, model.policy_return(0.5), candidates.probs).tolist()
+            assert [v.hex() for v in values] == [m.hex() for m in row_means]
+            assert max(values) == max(row_means)
+
+    def test_reward_table_is_a_read_only_float_copy_of_the_matrix(self):
+        model = NewcombModel(((1, 2.0), (3.0, 4.0)), accuracy=0.7)
+        assert model.table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert not model.table.flags.writeable
+        assert model.policy_return(0.5).f_max == 4.0
+        assert model == NewcombModel(((1.0, 2.0), (3.0, 4.0)), accuracy=0.7)
+        assert "table" not in repr(model)
+        inf, nan = float("inf"), float("nan")
+        for bad in (((1.0, 2.0),), ((1.0, 2.0), (3.0, inf)), ((1.0, nan), (3.0, 4.0))):
+            with pytest.raises(ConfigError, match="finite 2x2 table"):
+                NewcombModel(bad)
 
     def test_observation_is_an_identity_update(self):
         """The predictor experiment has no informative feedback between
         episodes, so its observation event keeps the whole measure."""
-        from ibrl import STATELESS
-
         model = NewcombModel(accuracy=0.9)
         restriction = model.restrict(STATELESS, None, model.observation())
         assert restriction.scale_factor == 1.0
