@@ -41,8 +41,9 @@ Successors are built by ``_successor`` without re-running ``__init__``.
 
 Nothing in a state is per run but its stream and its memo, so runs of one
 agent may share a belief, return function and events, and be stepped in
-lockstep: the harness steps every run of a trap roster entry together and
-warms the joint measures they share once per step (``worldmodels``).
+lockstep: the harness steps every run of every trap roster entry together
+and warms all the roster's joint measures in one pass per step
+(``worldmodels``).
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ Subcommands:
 * ``run``       execute one experiment and write its step records as CSV
 * ``sweep``     predictor-accuracy sweep with per-cell summary output
 * ``report``    percentile summaries (with bootstrap CIs) from a record CSV
-* ``validate``  run the acceptance criteria and report pass/fail per line
+* ``validate``  run the acceptance criteria and report pass/fail per line;
+  with ``--seeds A..B``, run them at every seed of the range and report
+  each criterion's pass count
 
 Exit codes: 0 on success, 1 when validation fails, 2 on configuration
 errors (bad flags, malformed config files, unknown settings).
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from collections.abc import Sequence
 
@@ -77,7 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--seed", type=int, help="seed for the bootstrap stream")
 
     val_p = sub.add_parser("validate", help="run the acceptance criteria")
-    val_p.add_argument("--seed", type=int, help="master seed for all criteria")
+    seeds = val_p.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, help="master seed for all criteria")
+    seeds.add_argument("--seeds", help="run the gate at every seed of A..B and count passes")
     return parser
 
 
@@ -193,10 +198,26 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    results = run_all(_resolve_seed(args.seed))
-    for result in results:
-        print(result.line())
-    return 0 if all(r.passed for r in results) else 1
+    if args.seeds is None:
+        results = run_all(_resolve_seed(args.seed))
+        for result in results:
+            print(result.line())
+        return 0 if all(r.passed for r in results) else 1
+    match = re.fullmatch(r"(\d+)\.\.(\d+)", args.seeds)
+    if match is None or int(match.group(1)) > int(match.group(2)):
+        raise ConfigError(f"field 'seeds': expected A..B with A <= B, got {args.seeds!r}")
+    seeds = range(int(match.group(1)), int(match.group(2)) + 1)
+    # Per criterion, in numbered order: the seeds at which it failed.
+    failed: dict[int, list[int]] = {}
+    for seed in seeds:
+        for result in run_all(seed):
+            failed.setdefault(result.number, [])
+            if not result.passed:
+                failed[result.number].append(seed)
+    for number, at in failed.items():
+        where = f" (failed at {', '.join(map(str, at))})" if at else ""
+        print(f"criterion {number}: {len(seeds) - len(at)}/{len(seeds)}{where}")
+    return 1 if any(failed.values()) else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

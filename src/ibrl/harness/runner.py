@@ -1,14 +1,16 @@
 """Experiment orchestration: seeded rollouts producing run records.
 
-Every experiment runs the same loop, ``_rollout``, on blocks: a block is
-every episode of one agent label, stepped in lockstep. Per step and episode
+Every experiment runs the same driver, ``_run_blocks``, on blocks: a block is
+every episode of one agent label, and every episode of every block of a
+config is stepped in lockstep. Per step and episode
 the agent selects a policy (a Thompson agent selects an arm directly),
 samples an action, the environment resolves the step, the step is recorded,
 and the observation is folded back into the agent's belief. Experiments
 differ only in their belief builders, stream keys and a small
 environment-step closure. A trap roster entry builds its belief, return
-function and events once, and before each step one batch per joint measure
-computes every live run's posterior and arm values.
+function and events once; the roster's joint measures are stacked once per
+config, and before each step one numpy pass over them computes every live
+state's posteriors and arm values.
 A Newcomb episode is a one-step rollout from its cell's initial belief, with
 the cell's agent and environment streams shared across episodes; this is
 exact because conditioning on a Newcomb observation is the identity. Every
@@ -323,30 +325,31 @@ Episode = tuple[
 ]
 
 
-def _rollout(
+def _run_blocks(
     cfg: ExperimentConfig,
-    label: str,
-    block: Sequence[Episode],
+    blocks: Sequence[tuple[str, Sequence[Episode]]],
     candidates: PolicyGrid,
     steps: int,
     before_step: Callable[[list[AgentState]], None] | None = None,
-) -> tuple[list[RunRecord], list[tuple[tuple[int, ...], DegenerateUpdateError]]]:
-    """Run a block, episodes of agent ``label``, for ``steps`` steps in
-    lockstep: each step calls ``before_step`` on the live episodes' states,
-    then selects, acts, steps, records and observes per episode in block
-    order. Episodes share a stream only when they run one step each, so the
-    draws are those of running them one after another.
+) -> list[RunRecord]:
+    """Run every ``(label, block)``, each block the episodes of agent
+    ``label``, for ``steps`` steps, all episodes in lockstep: each step
+    calls ``before_step`` on every live episode's state, then selects, acts,
+    steps, records and observes per episode in block order. Episodes share a
+    stream only when they run one step each, so the draws are those of
+    running them one after another.
 
     Maximin and greedy agents score the ``candidates`` on their return
     function and sample an action from the chosen policy; Thompson agents
     pick an arm and pass ``None`` as the policy. ``env_step(policy,
     action)`` returns ``(reward, expected regret, realized regret)``. A
-    degenerate update stops its episode only; it comes back as ``(order,
-    error)``, the error naming the experiment, agent, episode and step,
-    followed by ``where``. Records come back per episode, in block order."""
+    degenerate update stops its episode only. Records come back per
+    episode, in block order; if episodes failed, the failure the sequential
+    loop would have reached first (least ``order``) is raised instead,
+    naming the experiment, agent, episode and step, followed by ``where``."""
     # Per episode: [state, cumulative regret, cumulative expected regret,
-    # records, episode]; a failure drops it from ``live``.
-    slots = [[e[1], 0.0, 0.0, [], e] for e in block]
+    # records, episode, label]; a failure drops it from ``live``.
+    slots = [[e[1], 0.0, 0.0, [], e, label] for label, block in blocks for e in block]
     failures = []
     live = slots
     experiment, seed = cfg.experiment, cfg.seed
@@ -356,7 +359,7 @@ def _rollout(
             before_step([slot[0] for slot in live])
         stopped = []
         for slot in live:
-            state, cum_reg, cum_exp, rows, e = slot
+            state, cum_reg, cum_exp, rows, e, label = slot
             try:
                 if state.flavor == "bayes_thompson":
                     policy = None
@@ -379,34 +382,9 @@ def _rollout(
                 stopped.append(id(slot))
         if stopped:
             live = [slot for slot in live if id(slot) not in stopped]
-    return [rec for slot in slots for rec in slot[3]], failures
-
-
-def _run_blocks(cfg, blocks, candidates, steps, before_step=None) -> list[RunRecord]:
-    """Roll out each ``(label, block)`` in turn; if episodes failed, raise
-    the failure the sequential loop would have reached first."""
-    records: list[RunRecord] = []
-    failures = []
-    for label, block in blocks:
-        block_records, block_failures = _rollout(cfg, label, block, candidates, steps, before_step)
-        records += block_records
-        failures += block_failures
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    return records
-
-
-def _warm_joint_posteriors(states: list[AgentState]) -> None:
-    """Warm every joint measure of a trap block's live episodes, once per
-    step, with all their histories: posteriors, and arm values under the
-    block's one return function unless its agents sample (Thompson)."""
-    if states:
-        first = states[0]
-        values = None if first.flavor == "bayes_thompson" else first.returns.values
-        histories = [state.belief.history for state in states]
-        measures = {id(a.measure): a.measure for state in states for a in state.belief.points}
-        for measure in measures.values():
-            first.model.warm(measure, histories, values)
+    return [rec for slot in slots for rec in slot[3]]
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +544,11 @@ def _newcomb_alphas(cfg: ExperimentConfig) -> tuple[float, ...]:
         if step <= 0.0 or hi < lo:
             raise ConfigError("field 'alpha.*': need alpha.min <= alpha.max and alpha.step > 0")
         count = int(round((hi - lo) / step)) + 1
+        # Cells lie on a 10-decimal grid, so the last one is checked against
+        # alpha.max on that grid: equal bounds always give their one cell.
         alphas = tuple(round(lo + i * step, 10) for i in range(count))
-        alphas, keys = tuple(a for a in alphas if a <= hi + 1e-12), ("alpha.min", "alpha.max")
+        alphas = tuple(a for a in alphas if a <= round(hi, 10) + 1e-12)
+        keys = ("alpha.min", "alpha.max")
     # The sweep ascends, so the models of its ends check every cell's accuracy.
     for key, alpha in zip(keys, alphas[:1] + alphas[-1:]):
         try:
@@ -599,8 +580,6 @@ def run_newcomb_sweep(
     except ConfigError as exc:  # with two actions, only the step is left
         raise ConfigError(f"field 'policy.step': {exc}") from None
     alphas = _newcomb_alphas(cfg)
-    if not alphas:  # every rounded cell lies past alpha.max
-        return [], []
     models = [NewcombModel(reward_matrix=matrix, accuracy=alpha) for alpha in alphas]
     # Every cell's candidate moments in one array pass, looked up by the
     # one-boxing probability. They are the values each cell's agent compares,
@@ -685,7 +664,12 @@ def _trap_agent_specs(roster: Sequence[str]) -> list[tuple[str, str, float | Non
                 "(use 'ib', 'greedy_prior<a>', or 'thompson_prior<a>')"
             )
         flavor = "bayes_greedy" if match.group(1) == "greedy" else "bayes_thompson"
-        specs.append((name, flavor, float(match.group(2))))
+        prior = float(match.group(2))
+        if not 0.0 <= prior <= 1.0:
+            raise ConfigError(
+                f"field 'agents': trap agent {name!r}: prior risky-world probability must lie in [0, 1]"
+            )
+        specs.append((name, flavor, prior))
     return specs
 
 
@@ -729,6 +713,24 @@ def _run_trap_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
         )
         for _, flavor, alpha_prior in specs
     ]
+    # Every joint measure of the roster, warmed in one pass before each step
+    # with the histories of the live states that hold it.
+    points = [(agent, a.measure) for agent in agents for a in agent.belief.points]
+    roster = model.roster(
+        [m for _, m in points],
+        [None if agent.flavor == "bayes_thompson" else agent.returns.values for agent, _ in points],
+    )
+
+    index = roster.index
+
+    def warm(states: list[AgentState]) -> None:
+        histories = [[] for _ in index]
+        for state in states:
+            belief = state.belief
+            for a in belief.points:
+                histories[index[id(a.measure)]].append(belief.history)
+        model.warm(roster, histories)
+
     blocks: list[tuple[str, list[Episode]]] = [(label, []) for label, _, _ in specs]
     for run in range(env.runs):
         for ai, agent in enumerate(agents):
@@ -749,7 +751,7 @@ def _run_trap_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
 
             state = replace(agent, rng=agent_rng)
             blocks[ai][1].append((run, state, env_step, (run, ai), f", world {world}"))
-    return _run_blocks(cfg, blocks, candidates, env.horizon, _warm_joint_posteriors)
+    return _run_blocks(cfg, blocks, candidates, env.horizon, warm)
 
 
 # ---------------------------------------------------------------------------

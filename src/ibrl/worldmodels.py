@@ -35,12 +35,13 @@ Posterior weights are computed in log space per component and renormalized
 histories with on the order of a thousand pulls do not underflow. Each
 bandit measure builds its read-only log tables once. An independent-arm
 measure keeps a one-entry posterior memo per arm, keyed by its counts. A
-joint measure keeps a table keyed by count tables: ``warm`` fills it with
-the posteriors (and arm values) of many histories in one batched numpy pass,
-as a rollout does before each step for every run sharing the measure, and
-any other read warms it with its one history. Every row of a batch runs the
-operations of a batch of one, and a hit returns the very array a miss
-produced: no bit changes. A one-component independent arm skips the
+joint measure keeps a table keyed by count tables: ``warm`` fills the
+tables of a whole ``JointRoster`` (measures stacked and padded once) with
+the posteriors and arm values of many histories in one numpy pass, as the
+trap runner does before each step for every live state of its roster, and
+any other read warms its measure with its one history by the same pass.
+Every row of a pass runs the operations of a batch of one, and a hit
+returns the very array a miss produced: no bit changes. A one-component independent arm skips the
 posterior arithmetic, though an impossible history still raises on every
 call (``_arm_posterior``). A measure of such arms is ``history_free``, so
 a converged belief of them can be a fixed point of conditioning
@@ -57,6 +58,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -848,11 +850,15 @@ class JointHypothesisMeasure:
 
     ``log_weights`` (``-inf`` for zero weights), ``probs`` and ``log_probs``
     are read-only arrays built once. ``table`` maps each count table of the
-    last ``JointHypothesisBanditModel.warm`` to its read-only posterior;
-    ``values_table[0]`` is that warm's value table (``None`` without one)
-    and ``values_table[1]`` maps the same counts to their arm values.
-    ``rows`` is the last ``(value table, per-hypothesis arm values)`` that
-    Thompson sampling read. None of them takes part in equality or hashing."""
+    last ``JointHypothesisBanditModel.warm`` that gave this measure
+    histories (one pass warms every measure of a roster) to its read-only
+    posterior; ``values_table[0]`` is that warm's value table for it
+    (``None`` without one, as for Thompson's measures) and
+    ``values_table[1]`` maps the same counts to their arm values. Warmed
+    without a value table, ``draws`` maps them instead to the normalized
+    cumulative posterior that Thompson sampling searches. ``rows`` is the
+    last ``(value table, per-hypothesis arm values)`` that Thompson
+    sampling read. None of them takes part in equality or hashing."""
 
     weights: tuple[float, ...]
     outcome_probs: tuple[tuple[tuple[float, ...], ...], ...]
@@ -862,6 +868,7 @@ class JointHypothesisMeasure:
     log_probs: np.ndarray = field(init=False, repr=False, compare=False)
     table: dict = field(init=False, repr=False, compare=False)
     values_table: list = field(init=False, repr=False, compare=False)
+    draws: dict = field(init=False, repr=False, compare=False)
     rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -885,6 +892,7 @@ class JointHypothesisMeasure:
         object.__setattr__(self, "log_probs", _read_only(log_probs))
         object.__setattr__(self, "table", {})
         object.__setattr__(self, "values_table", [None, {}])
+        object.__setattr__(self, "draws", {})
         object.__setattr__(self, "rows", [None, None])
 
 
@@ -906,6 +914,28 @@ def _entry(table: dict, counts: tuple) -> np.ndarray:
     if out is None:
         raise DegenerateUpdateError("history is impossible under every joint hypothesis")
     return out
+
+
+class JointRoster(NamedTuple):
+    """Joint measures that ``JointHypothesisBanditModel.warm`` fills in one
+    pass, with their arrays stacked once. Measures with a value table come
+    first, then those without (Thompson's), each part by hypothesis count;
+    ``values``, ``sizes`` (hypothesis counts) and ``index`` (position by
+    ``id``) follow that order, and ``groups`` holds ``(count, first,
+    last + 1)`` per run of measures with one count. ``log_weights``,
+    ``log_probs`` and ``probs`` are padded to the largest count with
+    ``-inf`` weights and zero probabilities; ``valued`` stacks the value
+    tables that are not None."""
+
+    measures: tuple[JointHypothesisMeasure, ...]
+    values: tuple[np.ndarray | None, ...]
+    sizes: tuple[int, ...]
+    index: dict[int, int]
+    groups: tuple[tuple[int, int, int], ...]
+    log_weights: np.ndarray
+    log_probs: np.ndarray
+    probs: np.ndarray
+    valued: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -942,58 +972,108 @@ class JointHypothesisBanditModel(BanditModel):
         self.validate_measure(m)
         return m
 
-    def warm(
-        self,
-        measure: JointHypothesisMeasure,
-        histories: Sequence[OutcomeCountHistory],
-        values: np.ndarray | None = None,
-    ) -> None:
-        """Replace the measure's table with the posterior of every history,
-        and given a value table also with every history's arm values, in one
-        pass over the stacked ``(histories, arms, outcomes)`` counts. Each row
-        runs the operations a batch of one runs, so a table entry has the same
-        bits however many histories share the pass. A history impossible
-        under every hypothesis is left out, so reading it raises
-        ``DegenerateUpdateError``; a count or value table that is not
-        ``(arms, outcomes)`` raises ``RepresentationError``."""
-        keys = list(dict.fromkeys(h.counts for h in histories))
-        try:
-            counts = np.array(keys, dtype=float)
-        except ValueError:
-            counts = None
-        shape = measure.probs.shape[1:]
-        if counts is None or counts.shape[1:] != shape:
+    def roster(
+        self, measures: Sequence[JointHypothesisMeasure], values: Sequence[np.ndarray | None]
+    ) -> JointRoster:
+        """The ``JointRoster`` of ``measures``, each with its value table
+        (``None`` for one that gets no value table); a measure or value
+        table of the wrong shape raises ``RepresentationError``."""
+        for m, v in zip(measures, values, strict=True):
+            self.validate_measure(m)
+            if v is not None and v.shape != m.probs.shape[1:]:
+                raise RepresentationError("return table must be (arms, outcomes)")
+        order = sorted(range(len(measures)), key=lambda i: (values[i] is None, measures[i].probs.shape[0]))
+        measures, values = [measures[i] for i in order], [values[i] for i in order]
+        sizes = [m.probs.shape[0] for m in measures]
+        shape = (len(measures), max(sizes), self.arm_count, self.outcome_count)
+        log_weights, log_probs, probs = np.full(shape[:2], -np.inf), np.full(shape, -np.inf), np.zeros(shape)
+        for i, (m, n) in enumerate(zip(measures, sizes)):
+            log_weights[i, :n], log_probs[i, :n], probs[i, :n] = m.log_weights, m.log_probs, m.probs
+        valued = np.array([v for v in values if v is not None], dtype=float).reshape(-1, *shape[2:])
+        groups, first = [], 0
+        for n, run in groupby(sizes):
+            last = first + len(list(run))
+            groups.append((n, first, last))
+            first = last
+        return JointRoster(
+            tuple(measures), tuple(values), tuple(sizes), {id(m): i for i, m in enumerate(measures)},
+            tuple(groups), log_weights, log_probs, probs, valued,
+        )
+
+    def warm(self, roster: JointRoster, histories: Sequence[Sequence[OutcomeCountHistory]]) -> None:
+        """Replace the table of every roster measure given histories (one
+        sequence per measure, in roster order) with the posterior of each of
+        its histories, and its value table's with each history's arm values
+        (its ``draws`` with what Thompson sampling searches, for a measure
+        without a value table), in one numpy pass over their stacked counts.
+        Each row runs the operations a batch of one runs, so a table entry
+        has the same bits whatever else shares the pass. A history
+        impossible under every hypothesis of its measure is dropped before
+        ``exp``, so reading it raises ``DegenerateUpdateError``; a count
+        table that is not ``(arms, outcomes)`` raises
+        ``RepresentationError``."""
+        keys = [h.counts for hs in histories for h in hs]
+        if not keys:
+            return
+        lens = list(map(len, histories))
+        rows = tuple(chain.from_iterable(keys))
+        if set(map(len, keys)) != {self.arm_count} or set(map(len, rows)) != {self.outcome_count}:
             raise RepresentationError("count table must be (arms, outcomes)")
-        # ``count * log p``, and 0 where the count is 0 (also where p is 0).
-        counts = counts[:, None]
-        terms = np.zeros(counts.shape[:1] + measure.log_probs.shape)
-        np.multiply(counts, measure.log_probs, out=terms, where=counts > 0)
-        lw = measure.log_weights + terms.sum(axis=(2, 3))
+        counts = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * self.outcome_count)
+        counts = counts.reshape(len(keys), 1, self.arm_count, self.outcome_count)
+        # Rows lie measure by measure, on arrays padded to the longest
+        # measure: ``count * log p``, and 0 where the count is 0 (also where
+        # p is 0); padded hypotheses get a ``-inf`` log weight.
+        owner = np.repeat(np.arange(len(lens)), lens)
+        log_probs = roster.log_probs.take(owner, axis=0)
+        terms = np.zeros(log_probs.shape)
+        np.multiply(counts, log_probs, out=terms, where=counts > 0)
+        lw = roster.log_weights.take(owner, axis=0) + terms.sum(axis=(2, 3))
         peak = lw.max(axis=1, keepdims=True)
         if peak.min() == -np.inf:
             possible = peak[:, 0] > -np.inf
-            keys = [k for k, ok in zip(keys, possible) if ok]
-            lw, peak = lw[possible], peak[possible]
+            keys = [k for k, ok in zip(keys, possible.tolist()) if ok]
+            lw, peak, owner = lw[possible], peak[possible], owner[possible]
+            lens = np.bincount(owner, minlength=len(lens)).tolist()
         post = np.exp(lw - peak)
-        post = _read_only(post / post.sum(axis=1, keepdims=True))
-        table = measure.table
-        table.clear()
-        table.update(zip(keys, post))
-        if values is None:
-            return
-        if values.shape != shape:
-            raise RepresentationError("return table must be (arms, outcomes)")
-        # Sum over outcomes, then over hypotheses, each in index order: the
-        # order of ``np.einsum("c,cjo,jo->j", post, probs, values)`` when
-        # there are at least two arms.
-        terms = post[:, :, None, None] * measure.probs * values
-        per_hypothesis = terms[..., 0]
-        for o in range(1, shape[1]):
-            per_hypothesis = per_hypothesis + terms[..., o]
-        out = per_hypothesis[:, 0]
-        for c in range(1, post.shape[1]):
-            out = out + per_hypothesis[:, c]
-        measure.values_table[:] = values, dict(zip(keys, _read_only(out)))
+        # A batch of one sums its measure's own hypotheses, so each run of
+        # measures with one hypothesis count is normalized over that count.
+        bounds = list(accumulate(lens, initial=0))
+        for n, first, last in roster.groups:
+            part = post[bounds[first] : bounds[last], :n]
+            part /= part.sum(axis=1, keepdims=True)
+        post = _read_only(post)
+        valued = len(roster.valued)
+        if valued < len(lens):
+            # Thompson's draw searches the posterior's running sum over its
+            # last entry, as ``_draw_index`` does; padded hypotheses add zeros.
+            cdf = post[bounds[valued] :].cumsum(axis=1)
+            cdf = _read_only(cdf / cdf[:, -1:])
+        if valued:
+            # Sum over outcomes, then over hypotheses, each in index order:
+            # the order of ``np.einsum("c,cjo,jo->j", post, probs, values)``
+            # when there are at least two arms. Padded hypotheses add zeros.
+            owner = owner[: bounds[valued]]
+            terms = post[: bounds[valued], :, None, None] * roster.probs.take(owner, axis=0)
+            terms *= roster.valued.take(owner, axis=0)[:, None]
+            per_hypothesis = terms[..., 0]
+            for o in range(1, self.outcome_count):
+                per_hypothesis = per_hypothesis + terms[..., o]
+            out = per_hypothesis[:, 0]
+            for c in range(1, post.shape[1]):
+                out = out + per_hypothesis[:, c]
+            out = _read_only(out)
+        for i, m in enumerate(roster.measures):
+            if histories[i]:
+                start, stop = bounds[i], bounds[i + 1]
+                m.table.clear()
+                m.table.update(zip(keys[start:stop], post[start:stop, : roster.sizes[i]]))
+                if i < valued:
+                    m.values_table[:] = roster.values[i], dict(zip(keys[start:stop], out[start:stop]))
+                else:
+                    rows = cdf[start - bounds[valued] : stop - bounds[valued], : roster.sizes[i]]
+                    m.draws.clear()
+                    m.draws.update(zip(keys[start:stop], rows))
 
     def _posterior(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory
@@ -1002,7 +1082,7 @@ class JointHypothesisBanditModel(BanditModel):
         table; a miss warms the table with this one history."""
         post = measure.table.get(history.counts)
         if post is None:
-            self.warm(measure, (history,))
+            self.warm(self.roster((measure,), (None,)), ((history,),))
             post = _entry(measure.table, history.counts)
         return post
 
@@ -1021,7 +1101,7 @@ class JointHypothesisBanditModel(BanditModel):
             out = memo[1].get(history.counts)
             if out is not None:
                 return out
-        self.warm(measure, (history,), values)
+        self.warm(self.roster((measure,), (values,)), ((history,),))
         return _entry(memo[1], history.counts)
 
     def sampled_action_values(
@@ -1032,14 +1112,19 @@ class JointHypothesisBanditModel(BanditModel):
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Expected return per arm under one joint hypothesis sampled from the
-        posterior (hypotheses are joint, so one draw covers every arm). Each
-        hypothesis's row is computed once per read-only value table."""
-        post = self._posterior(measure, history)
+        posterior (hypotheses are joint, so one draw covers every arm), the
+        index ``_draw_index`` draws, searched in the measure's ``draws``; a
+        miss warms them with this history. Each hypothesis's row is computed
+        once per read-only value table."""
+        cdf = measure.draws.get(history.counts)
+        if cdf is None:
+            self.warm(self.roster((measure,), (None,)), ((history,),))
+            cdf = _entry(measure.draws, history.counts)
         memo = measure.rows
         if memo[0] is not values or values.flags.writeable:
             rows = tuple(_read_only(np.einsum("jo,jo->j", p, values)) for p in measure.probs)
             memo[:] = values, rows
-        return memo[1][_draw_index(post, rng)]
+        return memo[1][int(cdf.searchsorted(rng.random(), side="right"))]
 
     def restrict(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, event: ObservationEvent

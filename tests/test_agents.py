@@ -702,13 +702,16 @@ class TestMemo:
         corner agent keeps its one history-free point, so every successor
         shares the tie memo and one value pass serves the whole run."""
         labels = []
-        rollout = ibrl.harness.runner._rollout
+        run_blocks = ibrl.harness.runner._run_blocks
 
-        def labelled(cfg, label, *args, **kwargs):
-            labels.append((label, len(value_passes)))
-            return rollout(cfg, label, *args, **kwargs)
+        def one_block_at_a_time(cfg, blocks, *args, **kwargs):
+            records = []
+            for label, block in blocks:
+                labels.append((label, len(value_passes)))
+                records += run_blocks(cfg, [(label, block)], *args, **kwargs)
+            return records
 
-        monkeypatch.setattr(ibrl.harness.runner, "_rollout", labelled)
+        monkeypatch.setattr(ibrl.harness.runner, "_run_blocks", one_block_at_a_time)
         mapping = parse_config_text((CONFIGS / "ku_bandit.cfg").read_text())
         cfg = config_from_mapping({**mapping, "env.mode": "per_step_random"})
         assert len(run_experiment(cfg)) == 5 * 100
@@ -791,27 +794,28 @@ class TestMemo:
     def test_trap_roster_warms_each_joint_measure_once_per_step(self, monkeypatch):
         """A roster entry's runs share its belief, so the config builds six
         joint measures (two for ``ib``, one per classical agent), and every
-        posterior the runs read was warmed by the step's one batch of both
-        runs per live measure: no read misses the table. That is 400 batches
-        for the classical agents and 110 for ``ib``, whose second point lives
-        for 10 steps, until the later of its runs prunes it."""
+        block steps in lockstep, so each step warms the whole roster in one
+        batch, each live measure with the histories of the states that hold
+        it. Every posterior the runs read was warmed by that batch: no read
+        misses the table, since a miss warms a batch of its own. That is 400
+        measure-steps for the classical agents (both runs, every step) and
+        110 for ``ib``, whose second point lives for 10 steps, until the
+        later of its runs prunes it."""
         warms = count_calls(monkeypatch, "warm", ibrl.worldmodels.JointHypothesisBanditModel)
-        runner = ibrl.harness.runner
-        hooked = []
-
-        def hook(states):
-            before = len(warms)
-            runner_hook(states)
-            hooked.append(len(warms) - before)
-
-        runner_hook = runner._warm_joint_posteriors
-        monkeypatch.setattr(runner, "_warm_joint_posteriors", hook)
         cfg = ExperimentConfig("trap-bandit", seed=42, settings={"env.runs": 2})
-        assert len(runner.run_experiment(cfg)) == 2 * 5 * 100
-        # ``warms`` keeps every measure alive, so no two share an id.
-        assert len({id(args[1]) for args in warms}) == 6
-        assert len(hooked) == 5 * 100 and sum(hooked) == len(warms) == 510
-        assert [len(args[2]) for args in warms] == [2] * 510
+        assert len(ibrl.harness.runner.run_experiment(cfg)) == 2 * 5 * 100
+        assert len(warms) == 100
+        [roster] = {id(args[1]): args[1] for args in warms}.values()
+        assert len({id(m) for m in roster.measures}) == 6 and roster.sizes == (2, 2, 4, 4, 4, 4)
+        # The two Thompson measures come last and get no value table.
+        assert [v is None for v in roster.values] == [False] * 4 + [True] * 2
+        assert all(m.values_table == [None, {}] for m in roster.measures[4:])
+        lengths = [[len(h) for h in args[2]] for args in warms]
+        assert all(n[2:] == [2] * 4 for n in lengths)
+        assert sum(len(n) - n.count(0) for n in lengths) == 510
+        # ``ib``'s histories: 2 per step on its kept point, and 18 run-steps
+        # on the pruned one (the 218 restrictions of ``test_work_counts``).
+        assert sum(n[0] + n[1] for n in lengths) == 218
 
     def test_memo_is_not_state(self):
         state = newcomb_state(3)

@@ -45,7 +45,7 @@ from ibrl.harness import (
 )
 from ibrl.harness import acceptance
 from ibrl.harness.cli import main
-from ibrl.harness.runner import DEFAULT_VALIDATE_PAIRS, _rollout, _run_blocks
+from ibrl.harness.runner import DEFAULT_VALIDATE_PAIRS, _run_blocks
 
 
 class TestConfigParsing:
@@ -306,9 +306,10 @@ class TestRunners:
         assert finals["ib"].shape == (3,)
 
     @staticmethod
-    def _sure_episode(run, agent, fail_at=None, where=""):
+    def _sure_episode(run, agent, fail_at=None, where="", pulled=None):
         """An episode whose two points say the one arm always pays; a
-        failure at step ``fail_at`` refutes every point there."""
+        failure at step ``fail_at`` refutes every point there. Each step
+        appends ``run`` to ``pulled``, if given."""
         model = BernoulliArmsModel(1)
         sure = classical_belief(model, model.point_measure((1.0,)))
         belief = mix_knightian([sure, sure])
@@ -316,6 +317,8 @@ class TestRunners:
         rewards = iter([0.0 if t == fail_at else 1.0 for t in range(5)])
 
         def env_step(policy, action):
+            if pulled is not None:
+                pulled.append(run)
             reward = next(rewards)
             return reward, 0.0, 1.0 - reward
 
@@ -325,14 +328,15 @@ class TestRunners:
         """The failure at step 2 stops its episode only; the other episode of
         the block runs all five steps, and the error says where it happened."""
         cfg = ExperimentConfig("ku-bandit", seed=3)
-        block = [self._sure_episode(4, 0, fail_at=2, where=", world W"), self._sure_episode(5, 0)]
-        records, failures = _rollout(cfg, "ib", block, deterministic_grid(1), 5)
-        assert [rec.step for rec in records if rec.episode == 5] == [0, 1, 2, 3, 4]
-        [(order, error)] = failures
-        assert order == (4, 0)
+        pulled = []
+        block = [
+            self._sure_episode(4, 0, fail_at=2, where=", world W", pulled=pulled),
+            self._sure_episode(5, 0, pulled=pulled),
+        ]
         expected = r"^ku-bandit: agent 'ib', episode 4, step 2, world W: every point"
         with pytest.raises(DegenerateUpdateError, match=expected):
-            raise error
+            _run_blocks(cfg, [("ib", block)], deterministic_grid(1), 5)
+        assert pulled == [4, 5, 4, 5, 4, 5, 5, 5]
 
     def test_the_failure_the_sequential_loop_reaches_first_is_raised(self):
         """Agent 'a' fails in run 1 at step 1 and agent 'b' in run 0 at step
@@ -347,6 +351,59 @@ class TestRunners:
         with pytest.raises(DegenerateUpdateError, match=expected) as raised:
             _run_blocks(cfg, blocks, deterministic_grid(1), 5)
         assert isinstance(raised.value.__cause__, DegenerateUpdateError)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig("trap-bandit", seed=42, settings={"env.runs": 3}),
+            ExperimentConfig(
+                "ku-bandit", seed=7, settings={"agents": ("ib", "corners"), "env.mode": "per_step_random"}
+            ),
+            ExperimentConfig("validate-classical", seed=3, settings={"runs": 2, "steps": 60}),
+            # Corner (1, 0.4) is refuted at step 5 while the other blocks run on.
+            ExperimentConfig(
+                "ku-bandit",
+                seed=5,
+                settings={
+                    "agents": ("ib", "corners"),
+                    "env.mode": "per_step_random",
+                    "env.arm1": (0.5, 1.0),
+                    "env.arm2": (0.4, 0.8),
+                },
+            ),
+        ],
+        ids=["trap", "ku", "validate-classical", "ku-refuted-corner"],
+    )
+    def test_blocks_stepped_together_equal_each_block_alone(self, cfg, monkeypatch):
+        """The driver steps every block of a config in lockstep. No two blocks
+        that step more than once share a stream object, so this gives the
+        records, or raises the failure, of running each block alone."""
+
+        def outcome():
+            try:
+                return run_experiment(cfg)
+            except DegenerateUpdateError as exc:
+                return str(exc)
+
+        together = outcome()
+        run_blocks = _run_blocks
+        alone = []
+
+        def one_block_per_call(cfg, blocks, *args):
+            records, failure = [], None
+            for block in blocks:
+                alone.append(block[0])
+                try:
+                    records += run_blocks(cfg, [block], *args)
+                except DegenerateUpdateError as exc:
+                    failure = failure or exc
+            if failure is not None:
+                raise failure
+            return records
+
+        monkeypatch.setattr("ibrl.harness.runner._run_blocks", one_block_per_call)
+        assert outcome() == together
+        assert len(alone) > 1
 
     @pytest.mark.parametrize(
         "arm1, arm2, seed, agent, step",
@@ -433,13 +490,15 @@ class TestRunners:
         with pytest.raises(ConfigError, match="grid step"):
             run_newcomb_sweep(ExperimentConfig("newcomb", seed=1, settings=settings))
 
-    def test_newcomb_sweep_with_no_cells_returns_nothing(self):
-        """``alpha.min == alpha.max`` with more than 10 decimals can round
-        its one cell past ``alpha.max``; the sweep then has no cells, no
-        first model to take the moments' table from, and no records."""
-        alpha = 0.7559108123501284
+    @pytest.mark.parametrize("alpha", [0.7559108123501284, 0.75])
+    def test_equal_newcomb_bounds_run_their_one_cell(self, alpha):
+        """``alpha.min == alpha.max`` gives one cell at the bound rounded to
+        10 decimals, even when that rounds up past ``alpha.max``."""
         settings = {"episodes": 2, "alpha.min": alpha, "alpha.max": alpha}
-        assert run_newcomb_sweep(ExperimentConfig("newcomb", seed=1, settings=settings)) == ([], [])
+        records, cells = run_newcomb_sweep(ExperimentConfig("newcomb", seed=1, settings=settings))
+        assert [cell.alpha for cell in cells] == [round(alpha, 10)]
+        label = f"ib_alpha{alpha:.2f}"
+        assert [(rec.agent, rec.episode) for rec in records] == [(label, 0), (label, 1)]
 
     def test_catastrophe_rates_count_negative_reward_episodes(self):
         records = [
@@ -546,18 +605,27 @@ class TestCli:
             ("trap-bandit", "env.alpha_dgp = 1.5", "env.alpha_dgp"),
             ("trap-bandit", "env.pair.1 = 0.3, 1.2", "env.pair.1"),
             ("trap-bandit", "env.catastrophe_reward = 5", "env.catastrophe_reward"),
+            ("trap-bandit", "agents = ib, greedy_prior2", "agents"),
+            ("trap-bandit", "agents = thompson_prior1.5", "agents"),
             ("validate-classical", "setting.2 = -0.1, 0.5", "setting.2"),
         ],
         ids=["point-off-mode", "point-missing", "point-outside", "arm1-inf", "arm2-unordered",
              "onebox-nan", "twobox-inf", "alpha-min-low", "alpha-max-high", "alpha-high",
              "policy-step-zero", "p-cat-high", "p-cat-plus-arm", "alpha-dgp-high", "pair-high",
-             "catastrophe-positive", "setting-negative"],
+             "catastrophe-positive", "greedy-prior-high", "thompson-prior-high", "setting-negative"],
     )
     def test_environment_errors_name_their_field(self, tmp_path, capsys, experiment, lines, key):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"experiment = {experiment}\n{lines}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         assert f"config error: field {key!r}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["greedy_prior2", "thompson_prior1.5"])
+    def test_an_out_of_range_trap_prior_names_its_entry(self, name):
+        cfg = ExperimentConfig("trap-bandit", seed=1, settings={"agents": ("ib", name)})
+        expected = f"field 'agents': trap agent '{name}': prior risky-world probability must lie in [0, 1]"
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            run_experiment(cfg)
 
     @pytest.mark.parametrize(
         "experiment, first, second",
@@ -652,16 +720,18 @@ class TestCli:
         cells = [line for line in capsys.readouterr().out.splitlines() if line.startswith("alpha=")]
         assert [line.split()[0] for line in cells] == ["alpha=0.55", "alpha=0.60"]
 
+    CHECKS = [
+        "check_classical_recovery",
+        "check_conditioning_oracle",
+        "check_ku_geometry",
+        "check_newcomb_curve",
+        "check_trap_bandit",
+        "check_algebra_properties",
+    ]
+
     def test_validate_prints_each_criterion_with_its_time(self, monkeypatch, capsys):
         """The six checks are stubbed, so this covers only the reporting."""
-        names = [
-            "check_classical_recovery",
-            "check_conditioning_oracle",
-            "check_ku_geometry",
-            "check_newcomb_curve",
-            "check_trap_bandit",
-            "check_algebra_properties",
-        ]
+        names = self.CHECKS
         for number, name in enumerate(names, start=1):
             passed = number != 4
             result = acceptance.CriterionResult(number, name, passed, "stub")
@@ -674,6 +744,33 @@ class TestCli:
             assert re.fullmatch(
                 rf"criterion {number} \({name}\): {status} \(\d+\.\d s\) - stub", line
             ), line
+
+
+    def test_validate_over_a_seed_range_counts_passes(self, monkeypatch, capsys):
+        """The six checks are stubbed: criterion 4 fails at seeds 2 and 5,
+        so ``--seeds 1..6`` counts 4 of 6 there and exits 1."""
+        for number in range(1, 7):
+            name = f"check_{number}"
+
+            def check(seed, number=number, name=name):
+                return acceptance.CriterionResult(number, name, number != 4 or seed % 3 != 2, "stub")
+
+            monkeypatch.setattr(acceptance, self.CHECKS[number - 1], check)
+        assert main(["validate", "--seeds", "1..6"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        expected = [f"criterion {n}: 6/6" for n in range(1, 7)]
+        expected[3] = "criterion 4: 4/6 (failed at 2, 5)"
+        assert lines == expected
+        assert main(["validate", "--seeds", "3..4"]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"criterion {n}: 2/2" for n in range(1, 7)]
+
+    @pytest.mark.parametrize("seeds", ["5..1", "1-5", "a..b", "-1..2"])
+    def test_a_malformed_seed_range_exits_two(self, capsys, seeds):
+        assert main(["validate", f"--seeds={seeds}"]) == 2
+        assert "field 'seeds': expected A..B" in capsys.readouterr().err
+
+    def test_seed_and_seeds_exclude_each_other(self, capsys):
+        assert main(["validate", "--seed", "1", "--seeds", "1..2"]) == 2
 
 
 def test_classical_recovery_catches_a_selection_rule_both_agents_share(monkeypatch):

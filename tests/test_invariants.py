@@ -95,25 +95,27 @@ def invariant_violations(before, after, reference, event):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Wrap every rollout, every observation and every agent ``condition``
-    call with the invariant checks. A block steps its episodes in lockstep,
-    so each unit (experiment, agent, episode) keeps its own reference
-    trajectory and step count, found through the state it observes from;
-    returns the step counts per unit, in block order."""
+    """Wrap every run of blocks, every observation and every agent
+    ``condition`` call with the invariant checks. The driver steps every
+    episode of every block in lockstep, so each unit (experiment, agent,
+    episode) keeps its own reference trajectory and step count, found
+    through the state it observes from; returns the step counts per unit,
+    in block order."""
     units = {}  # id(state) -> (state, unit); the state is kept so ids stay unique
     current = {}
     steps = []
-    rollout = ibrl.harness.runner._rollout
+    run_blocks = ibrl.harness.runner._run_blocks
     observe = ibrl.harness.runner.ib_observe
 
-    def tracked_rollout(cfg, label, block, *args, **kwargs):
+    def tracked_run_blocks(cfg, blocks, *args, **kwargs):
         block_units = []
-        for episode, state, *_ in block:
-            unit = dict(experiment=cfg.experiment, agent=label, episode=episode, step=0)
-            unit["reference"] = state.belief
-            units[id(state)] = state, unit
-            block_units.append(unit)
-        out = rollout(cfg, label, block, *args, **kwargs)
+        for label, block in blocks:
+            for episode, state, *_ in block:
+                unit = dict(experiment=cfg.experiment, agent=label, episode=episode, step=0)
+                unit["reference"] = state.belief
+                units[id(state)] = state, unit
+                block_units.append(unit)
+        out = run_blocks(cfg, blocks, *args, **kwargs)
         steps.extend(unit["step"] for unit in block_units)
         return out
 
@@ -137,7 +139,7 @@ def checked(monkeypatch):
         where["step"] += 1
         return after
 
-    monkeypatch.setattr(ibrl.harness.runner, "_rollout", tracked_rollout)
+    monkeypatch.setattr(ibrl.harness.runner, "_run_blocks", tracked_run_blocks)
     monkeypatch.setattr(ibrl.harness.runner, "ib_observe", tracked_observe)
     monkeypatch.setattr(ibrl.agents, "condition", checked_condition)
     return steps

@@ -78,9 +78,10 @@ WORKLOADS = {
 #   each over both runs), and builds its 2 x 3 events once. Each roster
 #   entry's belief is built once per config (6 joint measures) and shared by
 #   its runs, whose states copy the entry's state with their own stream.
-#   Each step warms every live measure once with both runs' histories: 400
-#   classical batches and 110 for ``ib``, whose second point lives until the
-#   later run prunes it (10 steps); no read misses.
+#   Every block steps in lockstep, so each step warms the whole roster in one
+#   pass: every live measure with the histories of the live states that
+#   hold it, 100 batches in all; no read misses, since a miss would warm a
+#   batch of its own.
 #   The ``ib`` agent's joint measure reads the history, so its one-point
 #   belief is never stored as a fixed point. Each of the 10 units' env
 #   streams draws its world with one scalar uniform (after an ``integers``
@@ -109,7 +110,7 @@ BUDGETS = {
         "policy_expectations": 618,
         "expected_action_values": 618,
         "condition": 200,
-        "warm": 510,
+        "warm": 100,
         "restrict": 218,
         "next_history": 1000,
         "ObservationEvent": 6,

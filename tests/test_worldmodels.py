@@ -613,79 +613,121 @@ class TestPosteriorMemo:
 
 
 @st.composite
-def _joint_batches(draw):
-    """A joint measure with zero weights and ``p = 0`` cells, a read-only
-    value table and up to eight count tables, some repeated. Shapes reach
-    8 or more cells per hypothesis and 8 or more hypotheses, where numpy's
-    sums switch to pairwise blocks."""
-    arms, outcomes, hypotheses = draw(st.integers(1, 3)), draw(st.integers(2, 5)), draw(st.integers(1, 10))
+def _joint_rosters(draw):
+    """One to four joint measures over shared arms and outcomes, each with
+    its own hypothesis count, zero weights and ``p = 0`` cells, a read-only
+    value table or none (Thompson's), and up to eight count tables, some
+    repeated (a measure may get none). Shapes reach 8 or more cells per
+    hypothesis and 8 or more hypotheses, where numpy's sums switch to
+    pairwise blocks, so padding to the longest measure must not reach a
+    shorter measure's sums."""
+    arms, outcomes = draw(st.integers(1, 3)), draw(st.integers(2, 5))
     cells = st.lists(st.integers(0, 3), min_size=outcomes, max_size=outcomes).filter(any)
-    tables = [[draw(cells) for _ in range(arms)] for _ in range(hypotheses)]
-    weights = draw(st.lists(st.integers(0, 3), min_size=hypotheses, max_size=hypotheses).filter(any))
-    values = draw(st.lists(st.floats(0.0, 1.0), min_size=arms * outcomes, max_size=arms * outcomes))
-    count = st.lists(st.integers(0, 4), min_size=outcomes, max_size=outcomes)
-    counts = draw(st.lists(st.tuples(*[count.map(tuple)] * arms), min_size=1, max_size=8))
-    return (
-        np.array(weights) / sum(weights),
-        [[[p / sum(row) for p in row] for row in table] for table in tables],
-        _read_only(np.array(values).reshape(arms, outcomes)),
-        counts,
-    )
+    count = st.lists(st.integers(0, 4), min_size=outcomes, max_size=outcomes).map(tuple)
+    measures = []
+    for _ in range(draw(st.integers(1, 4))):
+        hypotheses = draw(st.integers(1, 10))
+        tables = [[draw(cells) for _ in range(arms)] for _ in range(hypotheses)]
+        weights = draw(st.lists(st.integers(0, 3), min_size=hypotheses, max_size=hypotheses).filter(any))
+        values = None
+        if draw(st.booleans()):
+            flat = draw(st.lists(st.floats(0.0, 1.0), min_size=arms * outcomes, max_size=arms * outcomes))
+            values = _read_only(np.array(flat).reshape(arms, outcomes))
+        counts = draw(st.lists(st.tuples(*[count] * arms), max_size=8))
+        measures.append((
+            np.array(weights) / sum(weights),
+            [[[p / sum(row) for p in row] for row in table] for table in tables],
+            values,
+            counts,
+        ))
+    return arms, outcomes, measures
+
+
+def _hex(a) -> list[str]:
+    return [float(x).hex() for x in np.ravel(a)]
 
 
 class TestJointWarm:
-    """One warm over many histories fills the measure's table with what a
-    batch of one fills it with, bit for bit, and what the references give:
+    """One warm over a roster of measures and their histories fills each
+    measure's table with what a batch of that measure and one history fills
+    it with, bit for bit (in float hex), and with what the references give:
     the posterior rebuilt from the raw tuples, its predictive, and arm values
     summed over outcomes, then hypotheses, in Python floats (the order of
-    the parent's ``np.einsum`` on two or more arms). An impossible history
-    never enters the table, and reading it raises."""
+    the parent's ``np.einsum`` on two or more arms). A measure without a
+    value table gets none, and its sampling table instead holds what
+    ``_draw_index`` searches. An impossible history never enters a table,
+    and reading it raises."""
 
     @settings(max_examples=80, deadline=None)
-    @given(batch=_joint_batches())
-    def test_a_batch_equals_batches_of_one_and_the_references(self, batch):
-        weights, tables, values, counts = batch
-        model = JointHypothesisBanditModel(len(tables[0]), len(tables[0][0]))
-        m = model.measure(weights, tables)
-        histories = [OutcomeCountHistory(c) for c in counts]
-        model.warm(m, histories, values)
-        table, arm_table = dict(m.table), dict(m.values_table[1])
-        for h in histories:
-            one = model.measure(weights, tables)
-            model.warm(one, [h], values)
-            with np.errstate(invalid="ignore"):
-                reference = _reference_joint_posterior(m.weights, m.outcome_probs, h.counts)
-            if np.isnan(reference).any():
-                assert h.counts not in table and h.counts not in arm_table
-                assert one.table == one.values_table[1] == {}
-                with pytest.raises(DegenerateUpdateError, match="impossible"):
-                    model.expected_action_values(one, h, values)
-                with pytest.raises(DegenerateUpdateError, match="impossible"):
-                    model.predictive_outcome_probs(one, h, 0)
-                continue
-            post, arm_values = table[h.counts], arm_table[h.counts]
-            assert post.tolist() == one.table[h.counts].tolist() == reference.tolist()
-            assert arm_values.tolist() == one.values_table[1][h.counts].tolist()
-            assert model.expected_action_values(m, h, values) is arm_values
-            written_out = []
-            for arm in range(model.arm_count):
-                total = 0.0
-                for c, weight in enumerate(post.tolist()):
-                    per_hypothesis = 0.0
-                    for o in range(model.outcome_count):
-                        per_hypothesis += weight * m.probs[c, arm, o] * values[arm, o]
-                    total += per_hypothesis
-                written_out.append(total)
-            assert arm_values.tolist() == written_out
-            if model.arm_count > 1:
-                einsum = np.einsum("c,cjo,jo->j", post, m.probs, values)
-                assert arm_values.tolist() == einsum.tolist()
-            for arm in range(model.arm_count):
-                got = model.predictive_outcome_probs(m, h, arm).tolist()
-                assert got == model.predictive_outcome_probs(one, h, arm).tolist()
-                assert got == (reference @ m.probs[:, arm, :]).tolist()
-        # Every read of ``m`` above was a hit: its table is the batch's.
-        assert m.table == table
+    @given(roster=_joint_rosters())
+    def test_a_batch_equals_batches_of_one_and_the_references(self, roster):
+        arms, outcomes, specs = roster
+        model = JointHypothesisBanditModel(arms, outcomes)
+        measures = [model.measure(weights, tables) for weights, tables, _, _ in specs]
+        batch = model.roster(measures, [values for _, _, values, _ in specs])
+        histories = {id(m): [OutcomeCountHistory(c) for c in spec[3]] for m, spec in zip(measures, specs)}
+        model.warm(batch, [histories[id(m)] for m in batch.measures])
+        for m, (weights, tables, values, counts) in zip(measures, specs):
+            table, arm_table, draws = dict(m.table), dict(m.values_table[1]), dict(m.draws)
+            model_values = _read_only(np.zeros((arms, outcomes))) if values is None else values
+            if values is None:
+                assert m.values_table == [None, {}]
+            else:
+                assert draws == {}
+            for h in histories[id(m)]:
+                one = model.measure(weights, tables)
+                model.warm(model.roster([one], [values]), [[h]])
+                with np.errstate(invalid="ignore"):
+                    reference = _reference_joint_posterior(m.weights, m.outcome_probs, h.counts)
+                if np.isnan(reference).any():
+                    assert h.counts not in table and h.counts not in arm_table and h.counts not in draws
+                    assert one.table == one.values_table[1] == one.draws == {}
+                    with pytest.raises(DegenerateUpdateError, match="impossible"):
+                        model.expected_action_values(one, h, model_values)
+                    with pytest.raises(DegenerateUpdateError, match="impossible"):
+                        model.predictive_outcome_probs(one, h, 0)
+                    continue
+                post = table[h.counts]
+                assert _hex(post) == _hex(one.table[h.counts]) == _hex(reference)
+                for arm in range(arms):
+                    got = model.predictive_outcome_probs(m, h, arm)
+                    assert _hex(got) == _hex(model.predictive_outcome_probs(one, h, arm))
+                    assert _hex(got) == _hex(reference @ m.probs[:, arm, :])
+                if values is None:
+                    # What ``_draw_index`` searches: the running sum over its last entry.
+                    running = reference.cumsum()
+                    assert _hex(draws[h.counts]) == _hex(one.draws[h.counts]) == _hex(running / running[-1])
+                    continue
+                arm_values = arm_table[h.counts]
+                assert _hex(arm_values) == _hex(one.values_table[1][h.counts])
+                assert model.expected_action_values(m, h, values) is arm_values
+                written_out = []
+                for arm in range(arms):
+                    total = 0.0
+                    for c, weight in enumerate(post.tolist()):
+                        per_hypothesis = 0.0
+                        for o in range(outcomes):
+                            per_hypothesis += weight * m.probs[c, arm, o] * values[arm, o]
+                        total += per_hypothesis
+                    written_out.append(total)
+                assert _hex(arm_values) == _hex(written_out)
+                if arms > 1:
+                    assert _hex(arm_values) == _hex(np.einsum("c,cjo,jo->j", post, m.probs, values))
+            # Every read of ``m`` above was a hit: its tables are the batch's.
+            assert m.table == table and m.values_table[1] == arm_table
+
+    def test_a_roster_pass_raises_no_warning_on_impossible_rows(self):
+        """Rows of every measure impossible, next to a possible one: the
+        pass drops them before ``exp`` (the suite turns numpy's
+        ``RuntimeWarning`` into an error)."""
+        model = JointHypothesisBanditModel(1, 2)
+        sure = model.measure((1.0,), (((0.0, 1.0),),))
+        mixed = model.measure((0.5, 0.5), (((0.0, 1.0),), ((0.5, 0.5),)))
+        batch = model.roster([sure, mixed], [None, _read_only(np.array([[0.0, 1.0]]))])
+        refuted, fine = OutcomeCountHistory(((1, 0),)), OutcomeCountHistory(((0, 2),))
+        model.warm(batch, [[refuted, fine] if m is sure else [refuted] for m in batch.measures])
+        assert list(sure.table) == list(sure.draws) == [((0, 2),)] and sure.values_table == [None, {}]
+        assert list(mixed.table) == list(mixed.values_table[1]) == [((1, 0),)] and mixed.draws == {}
 
     def test_thompson_rows_are_built_once_per_read_only_table(self):
         model = TestPosteriorMemo.JOINT
@@ -1167,9 +1209,10 @@ class TestBanditHistoryArmCount:
 
 
 class TestThompsonDraw:
-    """Both ``sampled_action_values`` draw through ``_draw_index``, which
-    must pick the index ``rng.choice(w.size, p=w)`` picks and leave the
-    generator in the same state."""
+    """The Bernoulli ``sampled_action_values`` draws through ``_draw_index``,
+    and the joint one searches the running sum ``_draw_index`` builds
+    (``TestJointWarm``); it must pick the index ``rng.choice(w.size, p=w)``
+    picks and leave the generator in the same state."""
 
     @staticmethod
     def assert_like_choice(w, seed):
