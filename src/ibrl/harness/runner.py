@@ -1,8 +1,9 @@
 """Experiment orchestration: seeded rollouts producing run records.
 
 Every experiment runs the same driver, ``_run_blocks``, on blocks: a block is
-every episode of one agent label, and every episode of every block of a
-config is stepped in lockstep. Per step and episode
+every episode of one agent label, and the driver steps every episode of the
+blocks it is given in lockstep (every block of a config; a Newcomb sweep
+gives it one cell at a time). Per step and episode
 the agent selects a policy (a Thompson agent selects an arm directly),
 samples an action, the environment resolves the step, the step is recorded,
 and the observation is folded back into the agent's belief. Experiments

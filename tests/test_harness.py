@@ -386,7 +386,6 @@ class TestRunners:
                 return str(exc)
 
         together = outcome()
-        run_blocks = _run_blocks
         alone = []
 
         def one_block_per_call(cfg, blocks, *args):
@@ -394,7 +393,7 @@ class TestRunners:
             for block in blocks:
                 alone.append(block[0])
                 try:
-                    records += run_blocks(cfg, [block], *args)
+                    records += _run_blocks(cfg, [block], *args)
                 except DegenerateUpdateError as exc:
                     failure = failure or exc
             if failure is not None:
@@ -605,14 +604,12 @@ class TestCli:
             ("trap-bandit", "env.alpha_dgp = 1.5", "env.alpha_dgp"),
             ("trap-bandit", "env.pair.1 = 0.3, 1.2", "env.pair.1"),
             ("trap-bandit", "env.catastrophe_reward = 5", "env.catastrophe_reward"),
-            ("trap-bandit", "agents = ib, greedy_prior2", "agents"),
-            ("trap-bandit", "agents = thompson_prior1.5", "agents"),
             ("validate-classical", "setting.2 = -0.1, 0.5", "setting.2"),
         ],
         ids=["point-off-mode", "point-missing", "point-outside", "arm1-inf", "arm2-unordered",
              "onebox-nan", "twobox-inf", "alpha-min-low", "alpha-max-high", "alpha-high",
              "policy-step-zero", "p-cat-high", "p-cat-plus-arm", "alpha-dgp-high", "pair-high",
-             "catastrophe-positive", "greedy-prior-high", "thompson-prior-high", "setting-negative"],
+             "catastrophe-positive", "setting-negative"],
     )
     def test_environment_errors_name_their_field(self, tmp_path, capsys, experiment, lines, key):
         cfg = tmp_path / "exp.cfg"
