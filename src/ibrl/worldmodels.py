@@ -1071,9 +1071,9 @@ class JointHypothesisBanditModel(BanditModel):
                 if i < valued:
                     m.values_table[:] = roster.values[i], dict(zip(keys[start:stop], out[start:stop]))
                 else:
-                    rows = cdf[start - bounds[valued] : stop - bounds[valued], : roster.sizes[i]]
+                    running = cdf[start - bounds[valued] : stop - bounds[valued], : roster.sizes[i]]
                     m.draws.clear()
-                    m.draws.update(zip(keys[start:stop], rows))
+                    m.draws.update(zip(keys[start:stop], running))
 
     def _posterior(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory
