@@ -10,8 +10,8 @@ and the observation is folded back into the agent's belief. Experiments
 differ only in their belief builders, stream keys and a small
 environment-step closure. A trap roster entry builds its belief, return
 function and events once; the roster's joint measures are stacked once per
-config, and before each step one numpy pass over them computes every live
-state's posteriors and arm values.
+config, and before each step one numpy pass over them fills every live
+state's posterior, arm values and running sum.
 A Newcomb episode is a one-step rollout from its cell's initial belief, with
 the cell's agent and environment streams shared across episodes; this is
 exact because conditioning on a Newcomb observation is the identity. Every
@@ -349,7 +349,10 @@ def _run_blocks(
     loop would have reached first (least ``order``) is raised instead,
     naming the experiment, agent, episode and step, followed by ``where``."""
     # Per episode: [state, cumulative regret, cumulative expected regret,
-    # records, episode, label]; a failure drops it from ``live``.
+    # records, episode, label]; a failure drops it from ``live``. Slots step
+    # label by label: one flat list in run-major order writes the same bytes
+    # but ran ``trap-roster`` 6% slower (26,562 against 28,318 agent-steps/s
+    # on 2 vCPUs, 4 of 4 alternating pairs).
     slots = [[e[1], 0.0, 0.0, [], e, label] for label, block in blocks for e in block]
     failures = []
     live = slots
@@ -581,17 +584,22 @@ def run_newcomb_sweep(
     except ConfigError as exc:  # with two actions, only the step is left
         raise ConfigError(f"field 'policy.step': {exc}") from None
     alphas = _newcomb_alphas(cfg)
+    # Cells ascend, so two that format to one label are neighbours.
+    labels = [f"ib_alpha{alpha:.2f}" for alpha in alphas]
+    for a, b, label, twin in zip(alphas, alphas[1:], labels, labels[1:]):
+        if label == twin:
+            raise ConfigError(f"field 'alpha.step': cells {a} and {b} share the label {label!r}")
     models = [NewcombModel(reward_matrix=matrix, accuracy=alpha) for alpha in alphas]
     # Every cell's candidate moments in one array pass, looked up by the
     # one-boxing probability. They are the values each cell's agent compares,
     # so the best mean is too and the regret column is exactly nonnegative.
     column = candidates.probs[:, 0]
     means, seconds = newcomb_reward_moments(column, alphas, models[0].table)
-    cells = zip(models, means.tolist(), seconds.tolist())
+    cells = zip(models, labels, means.tolist(), seconds.tolist())
 
     records: list[RunRecord] = []
     summaries: list[NewcombCellSummary] = []
-    for ci, (model, cell_means, cell_seconds) in enumerate(cells):
+    for ci, (model, label, cell_means, cell_seconds) in enumerate(cells):
         env_rng = BlockSource(derive_stream(cfg.seed, ci, ENV_STREAM), episodes)
         agent_rng = derive_stream(cfg.seed, ci, AGENT_STREAM)
         # Conditioning on a Newcomb observation is the identity, so every
@@ -599,7 +607,6 @@ def run_newcomb_sweep(
         state = make_agent(classical_belief(model, STATELESS), agent_rng, "ib_maximin")
         moments = dict(zip(column.tolist(), zip(cell_means, cell_seconds)))
         best = max(cell_means)
-        label = f"ib_alpha{model.accuracy:.2f}"
         # Per episode: one-boxing probability, reward, and reward moments.
         episode_stats: list[tuple[float, float, float, float]] = []
 
@@ -714,23 +721,12 @@ def _run_trap_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
         )
         for _, flavor, alpha_prior in specs
     ]
-    # Every joint measure of the roster, warmed in one pass before each step
-    # with the histories of the live states that hold it.
-    points = [(agent, a.measure) for agent in agents for a in agent.belief.points]
-    roster = model.roster(
-        [m for _, m in points],
-        [None if agent.flavor == "bayes_thompson" else agent.returns.values for agent, _ in points],
-    )
-
-    index = roster.index
+    # Every joint measure of the roster with its agent's value table, warmed
+    # in one pass before each step with the histories of the live states.
+    roster = model.roster([(a.measure, agent.returns.values) for agent in agents for a in agent.belief.points])
 
     def warm(states: list[AgentState]) -> None:
-        histories = [[] for _ in index]
-        for state in states:
-            belief = state.belief
-            for a in belief.points:
-                histories[index[id(a.measure)]].append(belief.history)
-        model.warm(roster, histories)
+        model.warm(roster, [(a.measure, s.belief.history) for s in states for a in s.belief.points])
 
     blocks: list[tuple[str, list[Episode]]] = [(label, []) for label, _, _ in specs]
     for run in range(env.runs):

@@ -35,18 +35,20 @@ Posterior weights are computed in log space per component and renormalized
 histories with on the order of a thousand pulls do not underflow. Each
 bandit measure builds its read-only log tables once. An independent-arm
 measure keeps a one-entry posterior memo per arm, keyed by its counts. A
-joint measure keeps a table keyed by count tables: ``warm`` fills the
-tables of a whole ``JointRoster`` (measures stacked and padded once) with
-the posteriors and arm values of many histories in one numpy pass, as the
-trap runner does before each step for every live state of its roster, and
-any other read warms its measure with its one history by the same pass.
-Every row of a pass runs the operations of a batch of one, and a hit
-returns the very array a miss produced: no bit changes. A one-component independent arm skips the
-posterior arithmetic, though an impossible history still raises on every
-call (``_arm_posterior``). A measure of such arms is ``history_free``, so
-a converged belief of them can be a fixed point of conditioning
-(``updates``). ``restrict`` returns Python floats, so the scales and offsets
-it feeds conditioning never become numpy scalars.
+joint measure keeps one table entry per warmed count table, its
+``(posterior, arm values, running sum)``. ``warm`` fills the tables of a
+whole ``JointRoster`` (``(measure, value table)`` pairs, stacked and padded
+once) from ``(measure, history)`` pairs in one numpy pass that treats every
+measure alike, as the trap runner does before each step for every live
+state of its roster; a read that misses warms its measure with its one
+history by the same pass. Every row of a pass runs the operations of a
+batch of one, and a hit returns the very array a miss produced: no bit
+changes. A one-component independent arm skips the posterior arithmetic,
+though an impossible history still raises on every call
+(``_arm_posterior``). A measure of such arms is ``history_free``, so a
+converged belief of them can be a fixed point of conditioning
+(``updates``). ``restrict`` returns Python floats, so the scales and
+offsets it feeds conditioning never become numpy scalars.
 
 This module never imports scipy. The one scipy use in the package,
 ``inframeasure._convex_dominated``, imports it on first call, and
@@ -58,7 +60,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -849,16 +851,15 @@ class JointHypothesisMeasure:
     observing one arm can shift beliefs about the others.
 
     ``log_weights`` (``-inf`` for zero weights), ``probs`` and ``log_probs``
-    are read-only arrays built once. ``table`` maps each count table of the
-    last ``JointHypothesisBanditModel.warm`` that gave this measure
-    histories (one pass warms every measure of a roster) to its read-only
-    posterior; ``values_table[0]`` is that warm's value table for it
-    (``None`` without one, as for Thompson's measures) and
-    ``values_table[1]`` maps the same counts to their arm values. Warmed
-    without a value table, ``draws`` maps them instead to the normalized
+    are read-only arrays built once. ``table`` is ``[value table,
+    entries]`` from the last ``JointHypothesisBanditModel.warm`` that gave
+    this measure histories (one pass warms every measure of a roster):
+    ``entries`` maps each of those count tables to one read-only
+    ``(posterior, arm values, running sum)``, the arm values under that
+    value table (zeros under ``None``) and the running sum the normalized
     cumulative posterior that Thompson sampling searches. ``rows`` is the
     last ``(value table, per-hypothesis arm values)`` that Thompson
-    sampling read. None of them takes part in equality or hashing."""
+    sampling read. Neither takes part in equality or hashing."""
 
     weights: tuple[float, ...]
     outcome_probs: tuple[tuple[tuple[float, ...], ...], ...]
@@ -866,9 +867,7 @@ class JointHypothesisMeasure:
     log_weights: np.ndarray = field(init=False, repr=False, compare=False)
     probs: np.ndarray = field(init=False, repr=False, compare=False)
     log_probs: np.ndarray = field(init=False, repr=False, compare=False)
-    table: dict = field(init=False, repr=False, compare=False)
-    values_table: list = field(init=False, repr=False, compare=False)
-    draws: dict = field(init=False, repr=False, compare=False)
+    table: list = field(init=False, repr=False, compare=False)
     rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -890,9 +889,7 @@ class JointHypothesisMeasure:
         object.__setattr__(self, "log_weights", _read_only(log_weights))
         object.__setattr__(self, "probs", _read_only(probs))
         object.__setattr__(self, "log_probs", _read_only(log_probs))
-        object.__setattr__(self, "table", {})
-        object.__setattr__(self, "values_table", [None, {}])
-        object.__setattr__(self, "draws", {})
+        object.__setattr__(self, "table", [None, {}])
         object.__setattr__(self, "rows", [None, None])
 
 
@@ -908,24 +905,15 @@ class OutcomeCountHistory:
             raise RepresentationError("counts must be nonnegative")
 
 
-def _entry(table: dict, counts: tuple) -> np.ndarray:
-    """``table[counts]``; a count table that ``warm`` left out is impossible."""
-    out = table.get(counts)
-    if out is None:
-        raise DegenerateUpdateError("history is impossible under every joint hypothesis")
-    return out
-
-
 class JointRoster(NamedTuple):
     """Joint measures that ``JointHypothesisBanditModel.warm`` fills in one
-    pass, with their arrays stacked once. Measures with a value table come
-    first, then those without (Thompson's), each part by hypothesis count;
-    ``values``, ``sizes`` (hypothesis counts) and ``index`` (position by
-    ``id``) follow that order, and ``groups`` holds ``(count, first,
-    last + 1)`` per run of measures with one count. ``log_weights``,
-    ``log_probs`` and ``probs`` are padded to the largest count with
-    ``-inf`` weights and zero probabilities; ``valued`` stacks the value
-    tables that are not None."""
+    pass, each with its value table (or ``None``), their arrays stacked once
+    in order of hypothesis count. ``values``, ``sizes`` (hypothesis counts)
+    and ``index`` (position by ``id``) follow that order, and ``groups``
+    holds ``(count, first, last + 1)`` per run of measures with one count.
+    ``log_weights``, ``log_probs`` and ``probs`` are padded to the largest
+    count with ``-inf`` weights and zero probabilities; ``returns`` stacks
+    the value tables, zeros for ``None``."""
 
     measures: tuple[JointHypothesisMeasure, ...]
     values: tuple[np.ndarray | None, ...]
@@ -935,7 +923,7 @@ class JointRoster(NamedTuple):
     log_weights: np.ndarray
     log_probs: np.ndarray
     probs: np.ndarray
-    valued: np.ndarray
+    returns: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -972,46 +960,44 @@ class JointHypothesisBanditModel(BanditModel):
         self.validate_measure(m)
         return m
 
-    def roster(
-        self, measures: Sequence[JointHypothesisMeasure], values: Sequence[np.ndarray | None]
-    ) -> JointRoster:
-        """The ``JointRoster`` of ``measures``, each with its value table
-        (``None`` for one that gets no value table); a measure or value
-        table of the wrong shape raises ``RepresentationError``."""
-        for m, v in zip(measures, values, strict=True):
+    def roster(self, pairs: Sequence[tuple[JointHypothesisMeasure, np.ndarray | None]]) -> JointRoster:
+        """The ``JointRoster`` of ``(measure, value table)`` pairs, ``None``
+        for a read that has no value table; a measure or value table of the
+        wrong shape raises ``RepresentationError``."""
+        for m, v in pairs:
             self.validate_measure(m)
             if v is not None and v.shape != m.probs.shape[1:]:
                 raise RepresentationError("return table must be (arms, outcomes)")
-        order = sorted(range(len(measures)), key=lambda i: (values[i] is None, measures[i].probs.shape[0]))
-        measures, values = [measures[i] for i in order], [values[i] for i in order]
-        sizes = [m.probs.shape[0] for m in measures]
+        measures, values = zip(*sorted(pairs, key=lambda pair: pair[0].probs.shape[0]))
+        sizes = tuple(m.probs.shape[0] for m in measures)
         shape = (len(measures), max(sizes), self.arm_count, self.outcome_count)
         log_weights, log_probs, probs = np.full(shape[:2], -np.inf), np.full(shape, -np.inf), np.zeros(shape)
         for i, (m, n) in enumerate(zip(measures, sizes)):
             log_weights[i, :n], log_probs[i, :n], probs[i, :n] = m.log_weights, m.log_probs, m.probs
-        valued = np.array([v for v in values if v is not None], dtype=float).reshape(-1, *shape[2:])
-        groups, first = [], 0
-        for n, run in groupby(sizes):
-            last = first + len(list(run))
-            groups.append((n, first, last))
-            first = last
+        returns = np.array([np.zeros(shape[2:]) if v is None else v for v in values], dtype=float)
+        # Sorted, so the measures of one count are one run.
+        groups = tuple((n, sizes.index(n), sizes.index(n) + sizes.count(n)) for n in dict.fromkeys(sizes))
         return JointRoster(
-            tuple(measures), tuple(values), tuple(sizes), {id(m): i for i, m in enumerate(measures)},
-            tuple(groups), log_weights, log_probs, probs, valued,
+            measures, values, sizes, {id(m): i for i, m in enumerate(measures)},
+            groups, log_weights, log_probs, probs, returns,
         )
 
-    def warm(self, roster: JointRoster, histories: Sequence[Sequence[OutcomeCountHistory]]) -> None:
-        """Replace the table of every roster measure given histories (one
-        sequence per measure, in roster order) with the posterior of each of
-        its histories, and its value table's with each history's arm values
-        (its ``draws`` with what Thompson sampling searches, for a measure
-        without a value table), in one numpy pass over their stacked counts.
-        Each row runs the operations a batch of one runs, so a table entry
-        has the same bits whatever else shares the pass. A history
+    def warm(
+        self, roster: JointRoster, points: Sequence[tuple[JointHypothesisMeasure, OutcomeCountHistory]]
+    ) -> None:
+        """Replace the table of every roster measure that ``points`` pairs
+        with histories by one entry per history: its posterior, its arm
+        values under the measure's roster value table, and the running sum
+        Thompson sampling searches, all in one numpy pass over the stacked
+        counts. Each row runs the operations a batch of one runs, so an
+        entry has the same bits whatever else shares the pass. A history
         impossible under every hypothesis of its measure is dropped before
         ``exp``, so reading it raises ``DegenerateUpdateError``; a count
         table that is not ``(arms, outcomes)`` raises
         ``RepresentationError``."""
+        histories = [[] for _ in roster.measures]
+        for m, h in points:
+            histories[roster.index[id(m)]].append(h)
         keys = [h.counts for hs in histories for h in hs]
         if not keys:
             return
@@ -1043,48 +1029,48 @@ class JointHypothesisBanditModel(BanditModel):
             part = post[bounds[first] : bounds[last], :n]
             part /= part.sum(axis=1, keepdims=True)
         post = _read_only(post)
-        valued = len(roster.valued)
-        if valued < len(lens):
-            # Thompson's draw searches the posterior's running sum over its
-            # last entry, as ``_draw_index`` does; padded hypotheses add zeros.
-            cdf = post[bounds[valued] :].cumsum(axis=1)
-            cdf = _read_only(cdf / cdf[:, -1:])
-        if valued:
-            # Sum over outcomes, then over hypotheses, each in index order:
-            # the order of ``np.einsum("c,cjo,jo->j", post, probs, values)``
-            # when there are at least two arms. Padded hypotheses add zeros.
-            owner = owner[: bounds[valued]]
-            terms = post[: bounds[valued], :, None, None] * roster.probs.take(owner, axis=0)
-            terms *= roster.valued.take(owner, axis=0)[:, None]
-            per_hypothesis = terms[..., 0]
-            for o in range(1, self.outcome_count):
-                per_hypothesis = per_hypothesis + terms[..., o]
-            out = per_hypothesis[:, 0]
-            for c in range(1, post.shape[1]):
-                out = out + per_hypothesis[:, c]
-            out = _read_only(out)
+        # Thompson's draw searches the posterior's running sum over its last
+        # entry, as ``_draw_index`` does; padded hypotheses add zeros.
+        cdf = post.cumsum(axis=1)
+        cdf = _read_only(cdf / cdf[:, -1:])
+        # Sum over outcomes, then over hypotheses, each in index order: the
+        # order of ``np.einsum("c,cjo,jo->j", post, probs, values)`` when
+        # there are at least two arms. Padded hypotheses add zeros.
+        terms = post[:, :, None, None] * roster.probs.take(owner, axis=0)
+        terms *= roster.returns.take(owner, axis=0)[:, None]
+        per_hypothesis = terms[..., 0]
+        for o in range(1, self.outcome_count):
+            per_hypothesis = per_hypothesis + terms[..., o]
+        out = per_hypothesis[:, 0]
+        for c in range(1, post.shape[1]):
+            out = out + per_hypothesis[:, c]
+        out = _read_only(out)
         for i, m in enumerate(roster.measures):
             if histories[i]:
-                start, stop = bounds[i], bounds[i + 1]
-                m.table.clear()
-                m.table.update(zip(keys[start:stop], post[start:stop, : roster.sizes[i]]))
-                if i < valued:
-                    m.values_table[:] = roster.values[i], dict(zip(keys[start:stop], out[start:stop]))
-                else:
-                    running = cdf[start - bounds[valued] : stop - bounds[valued], : roster.sizes[i]]
-                    m.draws.clear()
-                    m.draws.update(zip(keys[start:stop], running))
+                n, span = roster.sizes[i], slice(bounds[i], bounds[i + 1])
+                entries = zip(post[span, :n], out[span], cdf[span, :n])
+                m.table[:] = roster.values[i], dict(zip(keys[span], entries))
+
+    def _warmed(
+        self, measure: JointHypothesisMeasure, values: np.ndarray | None, history: OutcomeCountHistory
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The table entry of ``history`` after warming ``measure`` with it
+        alone and ``values``; an impossible history raises."""
+        self.warm(self.roster(((measure, values),)), ((measure, history),))
+        entry = measure.table[1].get(history.counts)
+        if entry is None:
+            raise DegenerateUpdateError("history is impossible under every joint hypothesis")
+        return entry
 
     def _posterior(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory
     ) -> np.ndarray:
         """Posterior hypothesis weights, read-only, from the measure's
         table; a miss warms the table with this one history."""
-        post = measure.table.get(history.counts)
-        if post is None:
-            self.warm(self.roster((measure,), (None,)), ((history,),))
-            post = _entry(measure.table, history.counts)
-        return post
+        entry = measure.table[1].get(history.counts)
+        if entry is None:
+            entry = self._warmed(measure, None, history)
+        return entry[0]
 
     def predictive_outcome_probs(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, arm: int
@@ -1096,13 +1082,12 @@ class JointHypothesisBanditModel(BanditModel):
     ) -> np.ndarray:
         """Read-only, from the measure's table when the last warm was given
         this very read-only ``values``; a miss warms it with this history."""
-        memo = measure.values_table
-        if memo[0] is values and not values.flags.writeable:
-            out = memo[1].get(history.counts)
-            if out is not None:
-                return out
-        self.warm(self.roster((measure,), (values,)), ((history,),))
-        return _entry(memo[1], history.counts)
+        table = measure.table
+        if table[0] is values and not values.flags.writeable:
+            entry = table[1].get(history.counts)
+            if entry is not None:
+                return entry[1]
+        return self._warmed(measure, values, history)[1]
 
     def sampled_action_values(
         self,
@@ -1113,18 +1098,17 @@ class JointHypothesisBanditModel(BanditModel):
     ) -> np.ndarray:
         """Expected return per arm under one joint hypothesis sampled from the
         posterior (hypotheses are joint, so one draw covers every arm), the
-        index ``_draw_index`` draws, searched in the measure's ``draws``; a
-        miss warms them with this history. Each hypothesis's row is computed
-        once per read-only value table."""
-        cdf = measure.draws.get(history.counts)
-        if cdf is None:
-            self.warm(self.roster((measure,), (None,)), ((history,),))
-            cdf = _entry(measure.draws, history.counts)
+        index ``_draw_index`` draws, searched in the running sum of the
+        measure's table entry; a miss warms it with this history. Each
+        hypothesis's row is computed once per read-only value table."""
+        entry = measure.table[1].get(history.counts)
+        if entry is None:
+            entry = self._warmed(measure, values, history)
         memo = measure.rows
         if memo[0] is not values or values.flags.writeable:
             rows = tuple(_read_only(np.einsum("jo,jo->j", p, values)) for p in measure.probs)
             memo[:] = values, rows
-        return memo[1][int(cdf.searchsorted(rng.random(), side="right"))]
+        return memo[1][int(entry[2].searchsorted(rng.random(), side="right"))]
 
     def restrict(
         self, measure: JointHypothesisMeasure, history: OutcomeCountHistory, event: ObservationEvent

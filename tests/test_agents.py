@@ -802,15 +802,24 @@ class TestMemo:
         110 for ``ib``, whose second point lives for 10 steps, until the
         later of its runs prunes it."""
         warms = count_calls(monkeypatch, "warm", ibrl.worldmodels.JointHypothesisBanditModel)
+        agents, make = [], ibrl.harness.runner.make_agent
+
+        def recording(*args):
+            agents.append(make(*args))
+            return agents[-1]
+
+        monkeypatch.setattr(ibrl.harness.runner, "make_agent", recording)
         cfg = ExperimentConfig("trap-bandit", seed=42, settings={"env.runs": 2})
         assert len(ibrl.harness.runner.run_experiment(cfg)) == 2 * 5 * 100
         assert len(warms) == 100
         [roster] = {id(args[1]): args[1] for args in warms}.values()
         assert len({id(m) for m in roster.measures}) == 6 and roster.sizes == (2, 2, 4, 4, 4, 4)
-        # The two Thompson measures come last and get no value table.
-        assert [v is None for v in roster.values] == [False] * 4 + [True] * 2
-        assert all(m.values_table == [None, {}] for m in roster.measures[4:])
-        lengths = [[len(h) for h in args[2]] for args in warms]
+        # Every measure carries its agent's own read-only value table, and
+        # its table was last warmed with it.
+        own = {id(a.measure): agent.returns.values for agent in agents for a in agent.belief.points}
+        assert all(v is own[id(m)] and not v.flags.writeable for m, v in zip(roster.measures, roster.values))
+        assert all(m.table[0] is v for m, v in zip(roster.measures, roster.values))
+        lengths = [[sum(m is r for m, _ in args[2]) for r in roster.measures] for args in warms]
         assert all(n[2:] == [2] * 4 for n in lengths)
         assert sum(len(n) - n.count(0) for n in lengths) == 510
         # ``ib``'s histories: 2 per step on its kept point, and 18 run-steps

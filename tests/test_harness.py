@@ -599,6 +599,7 @@ class TestCli:
             ("newcomb", "alpha.max = 1.5", "alpha.max"),
             ("newcomb", "env.alpha = 1.5", "env.alpha"),
             ("newcomb", "policy.step = 0", "policy.step"),
+            ("newcomb", "alpha.max = 0.51\nalpha.step = 0.005", "alpha.step"),
             ("trap-bandit", "env.p_cat = 2", "env.p_cat"),
             ("trap-bandit", "env.p_cat = 0.5", "env.p_cat"),
             ("trap-bandit", "env.alpha_dgp = 1.5", "env.alpha_dgp"),
@@ -608,8 +609,8 @@ class TestCli:
         ],
         ids=["point-off-mode", "point-missing", "point-outside", "arm1-inf", "arm2-unordered",
              "onebox-nan", "twobox-inf", "alpha-min-low", "alpha-max-high", "alpha-high",
-             "policy-step-zero", "p-cat-high", "p-cat-plus-arm", "alpha-dgp-high", "pair-high",
-             "catastrophe-positive", "setting-negative"],
+             "policy-step-zero", "alpha-step-shared-label", "p-cat-high", "p-cat-plus-arm",
+             "alpha-dgp-high", "pair-high", "catastrophe-positive", "setting-negative"],
     )
     def test_environment_errors_name_their_field(self, tmp_path, capsys, experiment, lines, key):
         cfg = tmp_path / "exp.cfg"
@@ -716,6 +717,17 @@ class TestCli:
         assert main(args) == 0
         cells = [line for line in capsys.readouterr().out.splitlines() if line.startswith("alpha=")]
         assert [line.split()[0] for line in cells] == ["alpha=0.55", "alpha=0.60"]
+
+    def test_run_and_sweep_write_the_same_bytes(self, tmp_path, capsys):
+        """``sweep`` emits its records unsorted and ``run`` sorts them, so the
+        two agree only while the sweep's cell order is the canonical one."""
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("experiment = newcomb\nepisodes = 5\nalpha.min = 0.5\nalpha.max = 0.6\nalpha.step = 0.01\n")
+        run_out, sweep_out = tmp_path / "run.csv", tmp_path / "sweep.csv"
+        assert main(["run", "--config", str(cfg), "--seed", "4", "--out", str(run_out)]) == 0
+        assert main(["sweep", "--config", str(cfg), "--seed", "4", "--out", str(sweep_out)]) == 0
+        assert capsys.readouterr().out.count("alpha=") == 11
+        assert run_out.read_bytes() == sweep_out.read_bytes()
 
     CHECKS = [
         "check_classical_recovery",

@@ -550,7 +550,7 @@ class TestPosteriorMemo:
             h = OutcomeCountHistory(counts)
             event = self.JOINT.observation(k % 2, k % 3, g)
             got = self._observables("joint", m, h, event, k)
-            assert list(m.table) == [counts]
+            assert list(m.table[1]) == [counts]
             assert got == self._observables("joint", self._measure("joint"), h, event, k)
             reference = _reference_joint_posterior(m.weights, m.outcome_probs, counts)
             assert got["posterior"] == reference.tolist()
@@ -562,8 +562,8 @@ class TestPosteriorMemo:
         for h, _, _ in self._walk(kind, steps):
             model.expected_action_values(m, h, self.VALUES[kind])
         if kind == "joint":
-            # A miss warms the table with its one history.
-            assert list(m.table) == list(m.values_table[1]) == [h.counts]
+            # A miss warms the table with its one history and value table.
+            assert m.table[0] is self.VALUES[kind] and list(m.table[1]) == [h.counts]
         else:
             assert len(m.memo) == model.arm_count
             assert [key for key, _ in m.memo] == list(zip(h.pulls, h.successes))
@@ -616,10 +616,10 @@ class TestPosteriorMemo:
 def _joint_rosters(draw):
     """One to four joint measures over shared arms and outcomes, each with
     its own hypothesis count, zero weights and ``p = 0`` cells, a read-only
-    value table or none (Thompson's), and up to eight count tables, some
-    repeated (a measure may get none). Shapes reach 8 or more cells per
-    hypothesis and 8 or more hypotheses, where numpy's sums switch to
-    pairwise blocks, so padding to the longest measure must not reach a
+    value table or none (as a posterior read has), and up to eight count
+    tables, some repeated (a measure may get none). Shapes reach 8 or more
+    cells per hypothesis and 8 or more hypotheses, where numpy's sums switch
+    to pairwise blocks, so padding to the longest measure must not reach a
     shorter measure's sums."""
     arms, outcomes = draw(st.integers(1, 3)), draw(st.integers(2, 5))
     cells = st.lists(st.integers(0, 3), min_size=outcomes, max_size=outcomes).filter(any)
@@ -651,12 +651,11 @@ class TestJointWarm:
     """One warm over a roster of measures and their histories fills each
     measure's table with what a batch of that measure and one history fills
     it with, bit for bit (in float hex), and with what the references give:
-    the posterior rebuilt from the raw tuples, its predictive, and arm values
-    summed over outcomes, then hypotheses, in Python floats (the order of
-    the parent's ``np.einsum`` on two or more arms). A measure without a
-    value table gets none, and its sampling table instead holds what
-    ``_draw_index`` searches. An impossible history never enters a table,
-    and reading it raises."""
+    the posterior rebuilt from the raw tuples, its predictive, the running
+    sum ``_draw_index`` searches, and arm values summed over outcomes, then
+    hypotheses, in Python floats (the order of the parent's ``np.einsum`` on
+    two or more arms), under the value table or zeros without one. An
+    impossible history never enters a table, and reading it raises."""
 
     @settings(max_examples=80, deadline=None)
     @given(roster=_joint_rosters())
@@ -664,57 +663,53 @@ class TestJointWarm:
         arms, outcomes, specs = roster
         model = JointHypothesisBanditModel(arms, outcomes)
         measures = [model.measure(weights, tables) for weights, tables, _, _ in specs]
-        batch = model.roster(measures, [values for _, _, values, _ in specs])
-        histories = {id(m): [OutcomeCountHistory(c) for c in spec[3]] for m, spec in zip(measures, specs)}
-        model.warm(batch, [histories[id(m)] for m in batch.measures])
+        batch = model.roster([(m, spec[2]) for m, spec in zip(measures, specs)])
+        model.warm(batch, [(m, OutcomeCountHistory(c)) for m, spec in zip(measures, specs) for c in spec[3]])
         for m, (weights, tables, values, counts) in zip(measures, specs):
-            table, arm_table, draws = dict(m.table), dict(m.values_table[1]), dict(m.draws)
+            held, entries = m.table[0], dict(m.table[1])
+            # A warmed measure holds its roster value table; an unwarmed one none.
+            assert held is (values if counts else None)
             model_values = _read_only(np.zeros((arms, outcomes))) if values is None else values
-            if values is None:
-                assert m.values_table == [None, {}]
-            else:
-                assert draws == {}
-            for h in histories[id(m)]:
+            for h in map(OutcomeCountHistory, counts):
                 one = model.measure(weights, tables)
-                model.warm(model.roster([one], [values]), [[h]])
+                model.warm(model.roster([(one, values)]), [(one, h)])
                 with np.errstate(invalid="ignore"):
                     reference = _reference_joint_posterior(m.weights, m.outcome_probs, h.counts)
                 if np.isnan(reference).any():
-                    assert h.counts not in table and h.counts not in arm_table and h.counts not in draws
-                    assert one.table == one.values_table[1] == one.draws == {}
+                    assert h.counts not in entries
+                    assert one.table[0] is values and one.table[1] == {}
                     with pytest.raises(DegenerateUpdateError, match="impossible"):
                         model.expected_action_values(one, h, model_values)
                     with pytest.raises(DegenerateUpdateError, match="impossible"):
                         model.predictive_outcome_probs(one, h, 0)
                     continue
-                post = table[h.counts]
-                assert _hex(post) == _hex(one.table[h.counts]) == _hex(reference)
+                post, arm_values, running = entries[h.counts]
+                one_post, one_values, one_running = one.table[1][h.counts]
+                assert _hex(post) == _hex(one_post) == _hex(reference)
                 for arm in range(arms):
                     got = model.predictive_outcome_probs(m, h, arm)
                     assert _hex(got) == _hex(model.predictive_outcome_probs(one, h, arm))
                     assert _hex(got) == _hex(reference @ m.probs[:, arm, :])
-                if values is None:
-                    # What ``_draw_index`` searches: the running sum over its last entry.
-                    running = reference.cumsum()
-                    assert _hex(draws[h.counts]) == _hex(one.draws[h.counts]) == _hex(running / running[-1])
-                    continue
-                arm_values = arm_table[h.counts]
-                assert _hex(arm_values) == _hex(one.values_table[1][h.counts])
-                assert model.expected_action_values(m, h, values) is arm_values
+                # What ``_draw_index`` searches: the running sum over its last entry.
+                cumulative = reference.cumsum()
+                assert _hex(running) == _hex(one_running) == _hex(cumulative / cumulative[-1])
+                assert _hex(arm_values) == _hex(one_values)
+                if values is not None:
+                    assert model.expected_action_values(m, h, values) is arm_values
                 written_out = []
                 for arm in range(arms):
                     total = 0.0
                     for c, weight in enumerate(post.tolist()):
                         per_hypothesis = 0.0
                         for o in range(outcomes):
-                            per_hypothesis += weight * m.probs[c, arm, o] * values[arm, o]
+                            per_hypothesis += weight * m.probs[c, arm, o] * model_values[arm, o]
                         total += per_hypothesis
                     written_out.append(total)
                 assert _hex(arm_values) == _hex(written_out)
                 if arms > 1:
-                    assert _hex(arm_values) == _hex(np.einsum("c,cjo,jo->j", post, m.probs, values))
-            # Every read of ``m`` above was a hit: its tables are the batch's.
-            assert m.table == table and m.values_table[1] == arm_table
+                    assert _hex(arm_values) == _hex(np.einsum("c,cjo,jo->j", post, m.probs, model_values))
+            # Every read of ``m`` above was a hit: its table is the batch's.
+            assert m.table[0] is held and m.table[1] == entries
 
     def test_a_roster_pass_raises_no_warning_on_impossible_rows(self):
         """Rows of every measure impossible, next to a possible one: the
@@ -723,11 +718,14 @@ class TestJointWarm:
         model = JointHypothesisBanditModel(1, 2)
         sure = model.measure((1.0,), (((0.0, 1.0),),))
         mixed = model.measure((0.5, 0.5), (((0.0, 1.0),), ((0.5, 0.5),)))
-        batch = model.roster([sure, mixed], [None, _read_only(np.array([[0.0, 1.0]]))])
+        values = _read_only(np.array([[0.0, 1.0]]))
+        batch = model.roster([(mixed, values), (sure, None)])
+        # Ordered by hypothesis count alone.
+        assert batch.measures[0] is sure and batch.measures[1] is mixed and batch.values == (None, values)
         refuted, fine = OutcomeCountHistory(((1, 0),)), OutcomeCountHistory(((0, 2),))
-        model.warm(batch, [[refuted, fine] if m is sure else [refuted] for m in batch.measures])
-        assert list(sure.table) == list(sure.draws) == [((0, 2),)] and sure.values_table == [None, {}]
-        assert list(mixed.table) == list(mixed.values_table[1]) == [((1, 0),)] and mixed.draws == {}
+        model.warm(batch, [(sure, refuted), (mixed, refuted), (sure, fine)])
+        assert sure.table[0] is None and list(sure.table[1]) == [((0, 2),)]
+        assert mixed.table[0] is values and list(mixed.table[1]) == [((1, 0),)]
 
     def test_thompson_rows_are_built_once_per_read_only_table(self):
         model = TestPosteriorMemo.JOINT
