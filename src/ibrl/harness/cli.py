@@ -204,8 +204,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             print(result.line())
         return 0 if all(r.passed for r in results) else 1
     match = re.fullmatch(r"(\d+)\.\.(\d+)", args.seeds)
-    if match is None or int(match.group(1)) > int(match.group(2)):
-        raise ConfigError(f"field 'seeds': expected A..B with A <= B, got {args.seeds!r}")
+    if match is None or not 1 <= int(match.group(1)) <= int(match.group(2)):
+        raise ConfigError(f"field 'seeds': expected A..B with 1 <= A <= B, got {args.seeds!r}")
     seeds = range(int(match.group(1)), int(match.group(2)) + 1)
     # Per criterion, in numbered order: the seeds at which it failed.
     failed: dict[int, list[int]] = {}

@@ -93,7 +93,7 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r} (expected one of {', '.join(EXPERIMENTS)})"
             )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 1:
-            raise ConfigError(f"seed must be a positive integer, got {self.seed!r}")
+            raise ConfigError(f"field 'seed': must be a positive integer, got {self.seed!r}")
         object.__setattr__(self, "settings", MappingProxyType(dict(self.settings)))
 
     def setting(self, key: str, default: object) -> object:

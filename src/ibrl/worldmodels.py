@@ -9,11 +9,11 @@ are provided.
   outcome space. Everything can be brute forced, which makes this the testing
   oracle for the algebra.
 * ``BernoulliArmsModel``: independent-armed Bernoulli bandits. A measure is a
-  per-arm mixture of point hypotheses ``(weight, success probability)`` and a
-  history is per-arm ``(pulls, successes)`` counts. The probability of an
-  observed history under one hypothesis ``p`` is the ordered product
-  ``(1 - p)^(pulls - successes) * p^successes`` (no binomial coefficient,
-  histories are ordered), and mixtures sum that over components.
+  per-arm mixture of point hypotheses ``(weight, success probability)`` and
+  arm ``j``'s history row is its ``(failures, successes)`` counts. The
+  probability of an observed history under one hypothesis ``p`` is the
+  ordered product ``(1 - p)^failures * p^successes`` (no binomial
+  coefficient, histories are ordered), and mixtures sum that over components.
 * ``NewcombModel``: a one-shot problem described by a 2x2 reward matrix and a
   predictor accuracy. The evaluation depends on the agent's policy directly,
   so measures and histories carry no state and conditioning is a no-op.
@@ -24,17 +24,18 @@ are provided.
 
 The two bandit models share one surface, ``BanditModel``: return functions
 over an ``(arms, outcomes)`` value table, ``(arm, outcome index)`` events,
+one history type, ``OutcomeCountHistory`` (per-arm, per-outcome counts),
 and every expectation built from the model's one per-arm value computation,
 ``expected_action_values``. A single pull, a mixed policy and a policy grid
 therefore read the same bits per arm, which is what lets a one-point maximin
 agent be the greedy classical one exactly. Each model supplies only its
-measures, histories, restriction and that one computation.
+measures, restriction and that one computation.
 
 Posterior weights are computed in log space per component and renormalized
 (per arm for the independent model, globally for the joint model) so that
 histories with on the order of a thousand pulls do not underflow. Each
 bandit measure builds its read-only log tables once. An independent-arm
-measure keeps a one-entry posterior memo per arm, keyed by its counts. A
+measure keeps a one-entry posterior memo per arm, keyed by its count row. A
 joint measure keeps one table entry per warmed count table, its
 ``(posterior, arm values, running sum)``. ``warm`` fills the tables of a
 whole ``JointRoster`` (``(measure, value table)`` pairs, stacked and padded
@@ -175,9 +176,6 @@ class WorldModel(ABC):
     """Owner of one environment type's measure and history representations."""
 
     @abstractmethod
-    def initial_history(self) -> object: ...
-
-    @abstractmethod
     def validate_measure(self, measure: object) -> None: ...
 
     @abstractmethod
@@ -198,6 +196,10 @@ class WorldModel(ABC):
     def restrict(self, measure: object, history: object, event: ObservationEvent) -> Restriction:
         """Restrict the measure to the event's branch, returning the updated
         representation together with the scale factor and off-branch value."""
+
+    def initial_history(self) -> object:
+        """The empty history; ``None`` on history-free models."""
+        return None
 
     def next_history(self, history: object, indicator: object) -> object:
         """The history after observing a validated event ``indicator``, shared
@@ -232,12 +234,29 @@ def _check_weights(weights: Sequence[float]) -> np.ndarray:
     return w
 
 
+@dataclass(frozen=True)
+class OutcomeCountHistory:
+    """Both bandit models' history: ``counts[arm][outcome]``, checked by the
+    constructor only (rows of one length, no count negative); a Bernoulli
+    row is ``(failures, successes)``. The ``counts`` tuple keys a joint
+    measure's table, and each row its arm's independent-arm memo."""
+
+    counts: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if len(set(map(len, self.counts))) > 1:
+            raise RepresentationError("count table must be (arms, outcomes); rows differ in length")
+        if any(min(row, default=0) < 0 for row in self.counts):
+            raise RepresentationError("counts must be nonnegative")
+
+
 class BanditModel(WorldModel):
     """Shared surface of the bandit world models: ``arm_count`` arms, each
     pull yielding one of ``outcome_count`` outcome indices. A return function
     carries an ``(arms, outcomes)`` value table and the action distribution
-    that mixes it; an event is an ``(arm, outcome index)`` pair. Every
-    expectation is built from the subclass's ``expected_action_values``."""
+    that mixes it; an event is an ``(arm, outcome index)`` pair; a history
+    is an ``OutcomeCountHistory``. Every expectation is built from the
+    subclass's ``expected_action_values``."""
 
     arm_count: int
     outcome_count: int
@@ -252,6 +271,18 @@ class BanditModel(WorldModel):
     ) -> np.ndarray:
         """Posterior-predictive expected return of pulling each arm once,
         under the ``(arms, outcomes)`` table ``values``."""
+
+    def initial_history(self) -> OutcomeCountHistory:
+        return OutcomeCountHistory(((0,) * self.outcome_count,) * self.arm_count)
+
+    def next_history(self, history: OutcomeCountHistory, indicator: tuple) -> OutcomeCountHistory:
+        arm, outcome = indicator
+        counts = history.counts
+        row = list(counts[arm])
+        row[outcome] += 1
+        new = object.__new__(OutcomeCountHistory)
+        new.__dict__["counts"] = counts[:arm] + (tuple(row),) + counts[arm + 1 :]
+        return new
 
     def validate_indicator(self, ind: object) -> None:
         if (
@@ -346,9 +377,6 @@ class ExplicitFiniteModel(WorldModel):
         if self.outcome_count < 1:
             raise ConfigError("outcome_count must be at least 1")
 
-    def initial_history(self) -> None:
-        return None
-
     def validate_measure(self, measure: object) -> None:
         if not isinstance(measure, FiniteOutcomeMeasure):
             raise RepresentationError("expected a FiniteOutcomeMeasure")
@@ -428,13 +456,13 @@ class BernoulliArmMeasure:
     independent, so the joint history probability factorizes across arms.
 
     ``tables[j]`` holds arm ``j``'s read-only log tables and ``memo[j]`` the
-    last ``((pulls, successes), posterior weights)`` computed for it (``None``
-    before the first, and always for a one-component arm). When every arm
-    has one component, the predictive ignores the history (``history_free``
-    is true, as on no other measure). ``certain_arms`` lists the
-    one-component arms whose ``p`` is 0 or 1, the only point arms a history
-    can refute. None of these takes part in equality or hashing. NaN
-    weights or probabilities are rejected."""
+    last ``((failures, successes), posterior weights)`` computed for it, the
+    key being the history's own count row (``None`` before the first, and
+    always for a one-component arm). When every arm has one component, the
+    predictive ignores the history (``history_free`` is true, as on no other
+    measure). ``certain_arms`` lists the one-component arms whose ``p`` is 0
+    or 1, the only point arms a history can refute. None of these takes
+    part in equality or hashing. NaN weights or probabilities are rejected."""
 
     arms: tuple[tuple[tuple[float, float], ...], ...]
     tables: tuple[ArmTable, ...] = field(init=False, repr=False, compare=False)
@@ -468,25 +496,8 @@ class BernoulliArmMeasure:
         object.__setattr__(self, "history_free", point)
 
 
-@dataclass(frozen=True)
-class BanditHistory:
-    """Per-arm pull and success counts; order within an arm is immaterial.
-    Only the constructor checks them: ``observe`` checks just what it adds."""
-
-    pulls: tuple[int, ...]
-    successes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.pulls) != len(self.successes):
-            raise RepresentationError("pulls and successes must have equal length")
-        for n, r in zip(self.pulls, self.successes):
-            if not (0 <= r <= n):
-                raise RepresentationError("need 0 <= successes <= pulls per arm")
-
-
-def _arm_log_weights(table: ArmTable, pulls: int, successes: int) -> np.ndarray:
+def _arm_log_weights(table: ArmTable, failures: int, successes: int) -> np.ndarray:
     """Unnormalized log posterior weights of one arm's components."""
-    failures = pulls - successes
     lw = table.log_c
     if successes > 0:
         lw = lw + successes * table.log_p
@@ -499,17 +510,16 @@ def _arm_log_weights(table: ArmTable, pulls: int, successes: int) -> np.ndarray:
 _POINT_WEIGHT = _read_only(np.ones(1))
 
 
-def _check_point_arm(q: float, history: BanditHistory, arm: int) -> None:
+def _check_point_arm(q: float, history: OutcomeCountHistory, arm: int) -> None:
     """Raise if the history refutes a one-component arm with success
     probability ``q``: a success under ``q == 0`` or a failure under ``q == 1``."""
-    if (q == 0.0 and history.successes[arm] > 0) or (
-        q == 1.0 and history.pulls[arm] > history.successes[arm]
-    ):
+    failures, successes = history.counts[arm]
+    if (q == 0.0 and successes > 0) or (q == 1.0 and failures > 0):
         raise DegenerateUpdateError("history is impossible under every component of this arm")
 
 
 def _arm_posterior(
-    measure: BernoulliArmMeasure, history: BanditHistory, arm: int
+    measure: BernoulliArmMeasure, history: OutcomeCountHistory, arm: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized posterior weights and success probabilities for one arm,
     both read-only; served from the arm's memo when its counts are unchanged.
@@ -519,7 +529,7 @@ def _arm_posterior(
     if table.p.size == 1:
         _check_point_arm(table.p[0], history, arm)
         return _POINT_WEIGHT, table.p
-    key = (history.pulls[arm], history.successes[arm])
+    key = history.counts[arm]
     hit = measure.memo[arm]
     if hit is not None and hit[0] == key:
         return hit[1], table.p
@@ -542,7 +552,7 @@ def _draw_index(w: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def predictive(measure: BernoulliArmMeasure, history: BanditHistory, arm: int) -> float:
+def predictive(measure: BernoulliArmMeasure, history: OutcomeCountHistory, arm: int) -> float:
     """Posterior-predictive success probability of the next pull of ``arm``.
 
     Component weights are reweighted by the likelihood of the arm's observed
@@ -553,21 +563,6 @@ def predictive(measure: BernoulliArmMeasure, history: BanditHistory, arm: int) -
     return float(p[0]) if p.size == 1 else float(np.dot(w, p))
 
 
-def observe(history: BanditHistory, arm: int, reward: int) -> BanditHistory:
-    """Append one pull of ``arm`` with binary ``reward`` to the history."""
-    if reward not in (0, 1):
-        raise RepresentationError("bandit rewards are 0 or 1")
-    if not 0 <= arm < len(history.pulls):
-        raise RepresentationError("arm index out of range")
-    pulls, successes = list(history.pulls), list(history.successes)
-    pulls[arm] += 1
-    successes[arm] += reward
-    new = object.__new__(BanditHistory)
-    fields = new.__dict__
-    fields["pulls"], fields["successes"] = tuple(pulls), tuple(successes)
-    return new
-
-
 @dataclass(frozen=True)
 class BernoulliArmsModel(BanditModel):
     """Independent-armed Bernoulli bandit world model."""
@@ -575,19 +570,17 @@ class BernoulliArmsModel(BanditModel):
     arm_count: int
     outcome_count = 2
 
-    def initial_history(self) -> BanditHistory:
-        zeros = (0,) * self.arm_count
-        return BanditHistory(zeros, zeros)
-
     def validate_measure(self, measure: object) -> None:
         if not isinstance(measure, BernoulliArmMeasure):
             raise RepresentationError("expected a BernoulliArmMeasure")
         if len(measure.arms) != self.arm_count:
             raise RepresentationError("measure has the wrong arm count")
 
-    def _check_history(self, history: BanditHistory) -> None:
-        if len(history.pulls) != self.arm_count:
-            raise RepresentationError("history has the wrong arm count")
+    def _check_history(self, history: OutcomeCountHistory) -> None:
+        # The constructor gave every row one length, so row 0 stands for all.
+        counts = history.counts
+        if len(counts) != self.arm_count or len(counts[0]) != self.outcome_count:
+            raise RepresentationError("count table must be (arms, outcomes)")
 
     def point_measure(self, probs: Sequence[float]) -> BernoulliArmMeasure:
         """Single-hypothesis measure fixing each arm's success probability."""
@@ -604,7 +597,7 @@ class BernoulliArmsModel(BanditModel):
         return BernoulliArmMeasure((arm,) * self.arm_count)
 
     def expected_action_values(
-        self, measure: BernoulliArmMeasure, history: BanditHistory, values: np.ndarray
+        self, measure: BernoulliArmMeasure, history: OutcomeCountHistory, values: np.ndarray
     ) -> np.ndarray:
         self._check_history(history)
         out = np.empty(self.arm_count)
@@ -616,7 +609,7 @@ class BernoulliArmsModel(BanditModel):
     def sampled_action_values(
         self,
         measure: BernoulliArmMeasure,
-        history: BanditHistory,
+        history: OutcomeCountHistory,
         values: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
@@ -631,10 +624,10 @@ class BernoulliArmsModel(BanditModel):
         return out
 
     def restrict(
-        self, measure: BernoulliArmMeasure, history: BanditHistory, event: ObservationEvent
+        self, measure: BernoulliArmMeasure, history: OutcomeCountHistory, event: ObservationEvent
     ) -> Restriction:
         """The observed arm's predictive mass and the off-branch credit, as
-        Python floats. The history's arm count is checked first; the
+        Python floats. The history's shape is checked first; the
         predictive raises if it refutes the observed arm."""
         self._check_history(history)
         arm, outcome = event.indicator
@@ -645,10 +638,10 @@ class BernoulliArmsModel(BanditModel):
         off_value = (1.0 - p_obs) * float(g[arm, off_outcome])
         return Restriction(measure, p_obs, off_value)
 
-    def check_points(self, points, history: BanditHistory, event=None) -> None:
+    def check_points(self, points, history: OutcomeCountHistory, event=None) -> None:
         """The history checks of restricting (given ``event``) or valuing
         every nonzero-scale point of a memo hit's point set: the shared
-        history's arm count once, then each certain arm (with an event, only
+        history's shape once, then each certain arm (with an event, only
         the event's arm), so a hit raises what the miss would raise first."""
         self._check_history(history)
         for a in points:
@@ -656,9 +649,6 @@ class BernoulliArmsModel(BanditModel):
                 for arm in a.measure.certain_arms:
                     if event is None or arm == event.indicator[0]:
                         _check_point_arm(a.measure.tables[arm].p[0], history, arm)
-
-    def next_history(self, history: BanditHistory, indicator: tuple[int, int]) -> BanditHistory:
-        return observe(history, *indicator)
 
     def mix(
         self, measures: Sequence[BernoulliArmMeasure], weights: Sequence[float]
@@ -743,9 +733,6 @@ class NewcombModel(WorldModel):
             raise ConfigError("predictor accuracy must lie in [0.5, 1]")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
-
-    def initial_history(self) -> None:
-        return None
 
     def validate_measure(self, measure: object) -> None:
         if not isinstance(measure, StatelessMeasure):
@@ -893,18 +880,6 @@ class JointHypothesisMeasure:
         object.__setattr__(self, "rows", [None, None])
 
 
-@dataclass(frozen=True)
-class OutcomeCountHistory:
-    """Per-arm, per-outcome observation counts, checked by the constructor
-    only. The ``counts`` tuple is the key of a joint measure's table."""
-
-    counts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if any(min(row, default=0) < 0 for row in self.counts):
-            raise RepresentationError("counts must be nonnegative")
-
-
 class JointRoster(NamedTuple):
     """Joint measures that ``JointHypothesisBanditModel.warm`` fills in one
     pass, each with its value table (or ``None``), their arrays stacked once
@@ -938,9 +913,6 @@ class JointHypothesisBanditModel(BanditModel):
         super().__post_init__()
         if self.outcome_count < 2:
             raise ConfigError("outcome_count must be at least 2")
-
-    def initial_history(self) -> OutcomeCountHistory:
-        return OutcomeCountHistory(((0,) * self.outcome_count,) * self.arm_count)
 
     def validate_measure(self, measure: object) -> None:
         if not isinstance(measure, JointHypothesisMeasure):
@@ -1120,15 +1092,6 @@ class JointHypothesisBanditModel(BanditModel):
         off[outcome] = False
         off_value = float(np.dot(dist[off], g[arm, off]))
         return Restriction(measure, float(dist[outcome]), off_value)
-
-    def next_history(self, history: OutcomeCountHistory, indicator: tuple) -> OutcomeCountHistory:
-        arm, outcome = indicator
-        counts = history.counts
-        row = list(counts[arm])
-        row[outcome] += 1
-        new = object.__new__(OutcomeCountHistory)
-        new.__dict__["counts"] = counts[:arm] + (tuple(row),) + counts[arm + 1 :]
-        return new
 
     def mix(
         self, measures: Sequence[JointHypothesisMeasure], weights: Sequence[float]

@@ -377,8 +377,7 @@ class TestObserve:
         state = ib_observe(state, 1, 0.0)
         point = state.belief.points[0]
         assert point.scale == 1.0 and point.offset == 0.0
-        assert state.belief.history.pulls == (0, 1)
-        assert state.belief.history.successes == (0, 0)
+        assert state.belief.history.counts == ((0, 0), (1, 0))
 
     def test_bayes_observation_keeps_the_points_and_advances_one_history(self):
         model = BernoulliArmsModel(2)
@@ -390,9 +389,8 @@ class TestObserve:
         )
         after = ib_observe(state, 0, 1.0)
         assert after.belief.points is state.belief.points
-        assert state.belief.history.pulls == (0, 0)
-        assert after.belief.history.pulls == (1, 0)
-        assert after.belief.history.successes == (1, 0)
+        assert state.belief.history.counts == ((0, 0), (0, 0))
+        assert after.belief.history.counts == ((0, 1), (0, 0))
 
     def test_contradicted_corner_becomes_inert(self):
         """One corner says arm 0 always succeeds; a failure refutes it. The

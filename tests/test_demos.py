@@ -36,7 +36,7 @@ def test_readme_library_tour_runs(monkeypatch):
     namespace: dict = {}
     exec(compile(readme_tour(), "README.md", "exec"), namespace)
     assert seen == [pytest.approx(0.4)]
-    assert namespace["belief"].history.pulls == (0, 1)
+    assert namespace["belief"].history.counts == ((0, 0), (0, 1))
 
 
 @pytest.mark.slow

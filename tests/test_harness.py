@@ -84,9 +84,9 @@ class TestConfigParsing:
             config_from_mapping({"experiment": "maze"})
 
     def test_seed_must_be_a_positive_integer(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="field 'seed'"):
             config_from_mapping({"experiment": "newcomb", "seed": 0})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="field 'seed'"):
             config_from_mapping({"experiment": "newcomb", "seed": True})
 
     def test_reserved_keys_split_from_settings(self):
@@ -773,7 +773,7 @@ class TestCli:
         assert main(["validate", "--seeds", "3..4"]) == 0
         assert capsys.readouterr().out.splitlines() == [f"criterion {n}: 2/2" for n in range(1, 7)]
 
-    @pytest.mark.parametrize("seeds", ["5..1", "1-5", "a..b", "-1..2"])
+    @pytest.mark.parametrize("seeds", ["5..1", "1-5", "a..b", "-1..2", "0..2"])
     def test_a_malformed_seed_range_exits_two(self, capsys, seeds):
         assert main(["validate", f"--seeds={seeds}"]) == 2
         assert "field 'seeds': expected A..B" in capsys.readouterr().err

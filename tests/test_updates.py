@@ -12,7 +12,6 @@ import ibrl.agents
 from ibrl import (
     STATELESS,
     AMeasure,
-    BanditHistory,
     BernoulliArmsModel,
     DegenerateUpdateError,
     ExplicitFiniteModel,
@@ -21,6 +20,7 @@ from ibrl import (
     Infradistribution,
     JointHypothesisBanditModel,
     NewcombModel,
+    OutcomeCountHistory,
     RepresentationError,
     Restriction,
     TrapWorldConfig,
@@ -68,8 +68,7 @@ class TestRawUpdate:
         (point,) = updated.points
         np.testing.assert_allclose(point.scale, 0.4)
         np.testing.assert_allclose(point.offset, 0.6)
-        assert updated.history.pulls == (1,)
-        assert updated.history.successes == (0,)
+        assert updated.history.counts == ((1, 0),)
 
     def test_two_updates_compound_the_branch_probability(self):
         model = BernoulliArmsModel(1)
@@ -101,8 +100,8 @@ class TestRawUpdate:
         assert updated.points[0] is a
         assert updated.points[0].scale == 0.0
         assert updated.points[0].offset == 0.7
-        assert updated.history.pulls == (1,)
-        assert psi.history.pulls == (0,)
+        assert updated.history.counts == ((0, 1),)
+        assert psi.history.counts == ((0, 0),)
 
     def test_off_branch_return_must_be_nonnegative(self):
         model = ExplicitFiniteModel(2)
@@ -286,7 +285,7 @@ class TestOneHistoryPerBelief:
             for f in probes:
                 assert lower_expectation(belief, f) == lower_expectation(reference, f)
         assert len(reference.points) == 4
-        assert sum(belief.history.pulls) == 20
+        assert sum(map(sum, belief.history.counts)) == 20
 
     def test_trap_two_point_belief_advances_its_history_once_per_observation(self, monkeypatch):
         calls = count_next_history(monkeypatch, JointHypothesisBanditModel)
@@ -672,24 +671,24 @@ class TestFixedPoint:
         psi, _, events = corner_events(model, [(1.0, 0.4), (1.0, 0.8)])
         event = events[(0, 1)]
         assert condition(psi, event).points is psi.points is event.fixed_set
-        refuted = Infradistribution(psi.points, BanditHistory((1, 0), (0, 0)))
+        refuted = Infradistribution(psi.points, OutcomeCountHistory(((1, 0), (0, 0))))
         got = outcome_of(condition, refuted, event)
         clear_fixed_set(event)
         want = outcome_of(condition, refuted, event)
         assert got == want and got[0] is DegenerateUpdateError
 
     def test_a_history_of_the_wrong_arm_count_raises_alike_on_hit_and_miss(self):
-        """A hit checks the history's arm count once for the whole set, and
+        """A hit checks the history's shape once for the whole set, and
         raises what the miss's first restriction raises."""
         model = BernoulliArmsModel(2)
         psi, _, events = corner_events(model, [(1.0, 0.4), (1.0, 0.8)])
         event = events[(0, 1)]
         assert condition(psi, event).points is psi.points is event.fixed_set
-        wrong = Infradistribution(psi.points, BanditHistory((0, 0, 0), (0, 0, 0)))
+        wrong = Infradistribution(psi.points, OutcomeCountHistory(((0, 0),) * 3))
         got = outcome_of(condition, wrong, event)
         clear_fixed_set(event)
         want = outcome_of(condition, wrong, event)
-        assert got == want == (RepresentationError, "history has the wrong arm count")
+        assert got == want == (RepresentationError, "count table must be (arms, outcomes)")
 
     @pytest.mark.parametrize(
         "cfg",

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import ibrl.worldmodels
 from ibrl import (
     STATELESS,
-    BanditHistory,
     BernoulliArmMeasure,
     BernoulliArmsModel,
     ConfigError,
@@ -26,7 +25,6 @@ from ibrl import (
     RepresentationError,
     newcomb_expected_reward,
     newcomb_prediction_prob,
-    observe,
     predictive,
 )
 from ibrl.agents import deterministic_grid, policy_grid
@@ -104,13 +102,13 @@ class TestBernoulliArms:
         likelihoods (0.3, 0.7), so the predictive is 0.09 + 0.49 = 0.58."""
         model = BernoulliArmsModel(1)
         m = model.grid_measure([0.3, 0.7])
-        h = observe(model.initial_history(), 0, 1)
+        h = model.next_history(model.initial_history(), (0, 1))
         np.testing.assert_allclose(predictive(m, h, 0), 0.58)
 
     def test_impossible_history_raises(self):
         model = BernoulliArmsModel(1)
         m = model.point_measure([1.0])
-        h = BanditHistory((1,), (0,))
+        h = OutcomeCountHistory(((1, 0),))
         with pytest.raises(DegenerateUpdateError):
             predictive(m, h, 0)
 
@@ -148,10 +146,10 @@ class TestBernoulliArms:
         m = model.grid_measure([0.25, 0.5, 0.75])
         h1 = model.initial_history()
         for arm, r in [(0, 1), (1, 0), (0, 0), (0, 1)]:
-            h1 = observe(h1, arm, r)
+            h1 = model.next_history(h1, (arm, r))
         h2 = model.initial_history()
         for arm, r in [(0, 1), (0, 1), (0, 0), (1, 0)]:
-            h2 = observe(h2, arm, r)
+            h2 = model.next_history(h2, (arm, r))
         assert h1 == h2
         np.testing.assert_allclose(predictive(m, h1, 0), predictive(m, h2, 0))
 
@@ -166,7 +164,7 @@ class TestBernoulliArms:
         successes = data.draw(st.integers(0, 10))
         if successes > pulls:
             pulls, successes = successes, pulls
-        h = BanditHistory((pulls,), (successes,))
+        h = OutcomeCountHistory(((pulls - successes, successes),))
         if grid.min() == grid.max() == 0.0 and successes > 0:
             return
         try:
@@ -410,7 +408,7 @@ def _walk_events():
     )
 
 
-def _reference_arm_posterior(components, pulls, successes):
+def _reference_arm_posterior(components, failures, successes):
     """One arm's posterior rebuilt from the raw ``(weight, p)`` tuples, in
     the order of operations the library uses."""
     c = np.array([w for w, _ in components], dtype=float)
@@ -419,10 +417,16 @@ def _reference_arm_posterior(components, pulls, successes):
         lw = np.log(c)
         if successes > 0:
             lw = lw + successes * np.log(p)
-        if pulls - successes > 0:
-            lw = lw + (pulls - successes) * np.log1p(-p)
+        if failures > 0:
+            lw = lw + failures * np.log1p(-p)
     w = np.exp(lw - lw.max())
     return w / w.sum()
+
+
+def _bernoulli_history(pulls, successes):
+    """The Bernoulli history of per-arm pull and success counts: one
+    ``(failures, successes)`` row per arm."""
+    return OutcomeCountHistory(tuple((n - r, r) for n, r in zip(pulls, successes)))
 
 
 def _reference_joint_posterior(weights, outcome_probs, counts):
@@ -522,7 +526,7 @@ class TestPosteriorMemo:
                 assert got["posterior"] == reference.tolist()
             else:
                 assert got["posterior"] == [
-                    _reference_arm_posterior(m.arms[a], h.pulls[a], h.successes[a]).tolist()
+                    _reference_arm_posterior(m.arms[a], *h.counts[a]).tolist()
                     for a in (0, 1)
                 ]
 
@@ -566,17 +570,17 @@ class TestPosteriorMemo:
             assert m.table[0] is self.VALUES[kind] and list(m.table[1]) == [h.counts]
         else:
             assert len(m.memo) == model.arm_count
-            assert [key for key, _ in m.memo] == list(zip(h.pulls, h.successes))
+            assert [key for key, _ in m.memo] == list(h.counts)
 
     def test_impossible_history_still_raises_with_a_warm_bernoulli_memo(self):
         m = BernoulliArmMeasure((((0.5, 0.0), (0.5, 1.0)),))
-        possible = BanditHistory((3,), (3,))
-        impossible = BanditHistory((4,), (3,))
+        possible = OutcomeCountHistory(((0, 3),))
+        impossible = OutcomeCountHistory(((1, 3),))
         assert predictive(m, possible, 0) == 1.0
         for _ in range(2):
             with pytest.raises(DegenerateUpdateError):
                 predictive(m, impossible, 0)
-        assert m.memo[0][0] == (3, 3)
+        assert m.memo[0][0] == (0, 3)
         assert predictive(m, possible, 0) == 1.0
 
     def test_impossible_history_still_raises_with_a_warm_joint_memo(self):
@@ -594,9 +598,9 @@ class TestPosteriorMemo:
         b, j = self._measure("bernoulli"), self._measure("joint")
         arrays = [a for table in b.tables for a in table]
         arrays += [j.log_weights, j.probs, j.log_probs]
-        arrays.append(_arm_posterior(b, BanditHistory((2, 0), (1, 0)), 0)[0])
+        arrays.append(_arm_posterior(b, OutcomeCountHistory(((1, 1), (0, 0))), 0)[0])
         point = BernoulliArmMeasure((((1.0, 0.3),),))
-        arrays.append(_arm_posterior(point, BanditHistory((2,), (1,)), 0)[0])
+        arrays.append(_arm_posterior(point, OutcomeCountHistory(((1, 1),)), 0)[0])
         arrays.append(self.JOINT._posterior(j, self.JOINT.initial_history()))
         for a in arrays:
             assert not a.flags.writeable
@@ -774,7 +778,7 @@ class TestPointHypothesisArms:
         successes = [int(rng.integers(0, n + 1)) for n in pulls]
         if rng.random() < 0.5:
             successes[0] = {0.0: 0, 1.0: pulls[0]}.get(p, successes[0])
-        return BanditHistory(tuple(pulls), tuple(successes))
+        return _bernoulli_history(pulls, successes)
 
     @pytest.mark.parametrize("p", PS)
     def test_predictive_equals_the_general_path_on_random_histories(self, p):
@@ -789,17 +793,15 @@ class TestPointHypothesisArms:
                 if isinstance(got, float):
                     possible += 1
                     assert got == [p, 0.45][arm]
-                    reference = _reference_arm_posterior(
-                        point.arms[arm], h.pulls[arm], h.successes[arm]
-                    )
+                    reference = _reference_arm_posterior(point.arms[arm], *h.counts[arm])
                     assert _arm_posterior(point, h, arm)[0].tolist() == reference.tolist()
         assert possible > 300
         assert point.memo == [None, None]
 
-    @pytest.mark.parametrize("p, history", [(0.0, ((5,), (1,))), (1.0, ((5,), (4,)))])
+    @pytest.mark.parametrize("p, history", [(0.0, ((4, 1),)), (1.0, ((1, 4),))])
     def test_impossible_histories_raise_on_every_call(self, p, history):
         point, twin = (BernoulliArmMeasure((arm,)) for arm in (((1.0, p),), ((1.0, p), (0.0, 0.5))))
-        model, h = BernoulliArmsModel(1), BanditHistory(*history)
+        model, h = BernoulliArmsModel(1), OutcomeCountHistory(history)
         want = _outcome(predictive, twin, h, 0)
         assert want[0] is DegenerateUpdateError
         values = np.array([[0.0, 1.0]])
@@ -809,7 +811,7 @@ class TestPointHypothesisArms:
                 model.expected_action_values(point, h, values)
             with pytest.raises(DegenerateUpdateError):
                 model.sampled_action_values(point, h, values, np.random.default_rng(0))
-        assert predictive(point, BanditHistory((5,), (5 * int(p),)), 0) == p
+        assert predictive(point, OutcomeCountHistory(((5 - 5 * int(p), 5 * int(p)),)), 0) == p
 
     def test_every_bandit_path_matches_the_twin(self):
         model = BernoulliArmsModel(2)
@@ -853,10 +855,7 @@ class TestPointArmValues:
             m = self.MODEL.point_measure(ps)
             twin = BernoulliArmMeasure(tuple(((1.0, p), (0.0, 0.5)) for p in ps))
             values = _read_only(rng.random((3, 2)))
-            h = BanditHistory(
-                tuple(0 if p in (0.0, 1.0) else 5 for p in ps),
-                tuple(0 for _ in ps),
-            )
+            h = OutcomeCountHistory(tuple((0 if p in (0.0, 1.0) else 5, 0) for p in ps))
             want = self._formula(ps, values)
             assert self.MODEL.expected_action_values(twin, h, values).tolist() == want
             for _ in range(2):
@@ -864,18 +863,18 @@ class TestPointArmValues:
 
     @pytest.mark.parametrize(
         "p, possible, impossible",
-        [(0.0, ((5,), (0,)), ((5,), (1,))), (1.0, ((5,), (5,)), ((5,), (4,)))],
+        [(0.0, ((5, 0),), ((4, 1),)), (1.0, ((0, 5),), ((1, 4),))],
     )
     def test_impossible_histories_raise_on_every_call(self, p, possible, impossible):
         model, values = BernoulliArmsModel(1), _read_only(np.array([[0.25, 0.75]]))
         m = model.point_measure([p])
         assert m.certain_arms == (0,)
-        want = model.expected_action_values(m, BanditHistory(*possible), values).tolist()
+        want = model.expected_action_values(m, OutcomeCountHistory(possible), values).tolist()
         for _ in range(3):
             message = "^history is impossible under every component of this arm$"
             with pytest.raises(DegenerateUpdateError, match=message):
-                model.expected_action_values(m, BanditHistory(*impossible), values)
-            assert model.expected_action_values(m, BanditHistory(*possible), values).tolist() == want
+                model.expected_action_values(m, OutcomeCountHistory(impossible), values)
+            assert model.expected_action_values(m, OutcomeCountHistory(possible), values).tolist() == want
         assert model.point_measure([0.5]).certain_arms == ()
 
 
@@ -901,13 +900,12 @@ class TestAllPointMeasures:
         pulls = rng.integers(0, 6, arms).tolist()
         successes = [int(rng.integers(0, n + 1)) for n in pulls]
         values = rng.random((arms, 2)) * 3.0
-        return model, measures, BanditHistory(tuple(pulls), tuple(successes)), values
+        return model, measures, _bernoulli_history(pulls, successes), values
 
     @staticmethod
     def _refutes(history, p, arm):
-        return (p == 0.0 and history.successes[arm] > 0) or (
-            p == 1.0 and history.pulls[arm] > history.successes[arm]
-        )
+        failures, successes = history.counts[arm]
+        return (p == 0.0 and successes > 0) or (p == 1.0 and failures > 0)
 
     def test_grid_values_and_restrictions_follow_the_points(self):
         """One-hot grid values equal row-wise ``lower_expectation`` bit for
@@ -960,8 +958,8 @@ class TestAllPointMeasures:
         f = model.policy_return([0.5, 0.5], np.array([[0.2, 0.9], [0.1, 0.7]]))
         probs = deterministic_grid(2).probs
         event = model.observation(0, 1, f)
-        good = BanditHistory((3, 1), (3 * int(p), 0))
-        bad = BanditHistory((3, 1), (1 if p == 0.0 else 2, 0))
+        good = OutcomeCountHistory(((3 - 3 * int(p), 3 * int(p)), (1, 0)))
+        bad = OutcomeCountHistory(((2, 1) if p == 0.0 else (1, 2), (1, 0)))
 
         def belief(h):
             return Infradistribution.singleton(AMeasure(1.0, m, 0.0, model), h)
@@ -975,10 +973,10 @@ class TestAllPointMeasures:
                 lower_expectations(belief(bad), f, probs)
             with pytest.raises(DegenerateUpdateError, match=message):
                 model.restrict(m, bad, event)
-            with pytest.raises(RepresentationError, match="wrong arm count"):
-                model.restrict(m, BanditHistory((1,), (0,)), event)
-            with pytest.raises(RepresentationError, match="wrong arm count"):
-                model.policy_expectations(m, BanditHistory((1,), (0,)), f, probs)
+            with pytest.raises(RepresentationError, match=r"\(arms, outcomes\)"):
+                model.restrict(m, OutcomeCountHistory(((1, 0),)), event)
+            with pytest.raises(RepresentationError, match=r"\(arms, outcomes\)"):
+                model.policy_expectations(m, OutcomeCountHistory(((1, 0),)), f, probs)
         assert lower_expectations(belief(good), f, probs).tolist() == want_values
         assert model.restrict(m, good, event) == want_restriction
 
@@ -1001,7 +999,7 @@ class TestAllPointMeasures:
         n = draw(st.sampled_from([arms, arms, arms, arms + 1, arms - 1]))
         pulls = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
         successes = [draw(st.integers(0, k)) for k in pulls]
-        return model, tuple(points), BanditHistory(tuple(pulls), tuple(successes))
+        return model, tuple(points), _bernoulli_history(pulls, successes)
 
     @settings(max_examples=300, deadline=None)
     @given(_point_beliefs())
@@ -1114,7 +1112,7 @@ class TestMalformedCountTables:
 
 
 class TestDerivedHistories:
-    """``next_history`` and ``observe`` build their successors without the
+    """``next_history`` builds its successors without the
     history constructor's checks. Nothing else may take that shortcut, and a
     derived history must be indistinguishable from a constructed one."""
 
@@ -1126,10 +1124,12 @@ class TestDerivedHistories:
         assert vars(h) == vars(twin)
         assert h == twin and hash(h) == hash(twin)
         assert repr(h) == repr(twin) == "OutcomeCountHistory(counts=((0, 0, 0), (0, 0, 1)))"
-        b = observe(BernoulliArmsModel(2).initial_history(), 1, 1)
-        assert b == BanditHistory((0, 1), (0, 1))
-        assert hash(b) == hash(BanditHistory((0, 1), (0, 1)))
-        assert repr(b) == repr(BanditHistory((0, 1), (0, 1)))
+        bernoulli = BernoulliArmsModel(2)
+        b = bernoulli.next_history(bernoulli.initial_history(), (1, 1))
+        assert vars(b) == vars(OutcomeCountHistory(((0, 0), (0, 1))))
+        assert b == OutcomeCountHistory(((0, 0), (0, 1)))
+        assert hash(b) == hash(OutcomeCountHistory(((0, 0), (0, 1))))
+        assert repr(b) == repr(OutcomeCountHistory(((0, 0), (0, 1))))
 
     def test_a_constructed_twin_reads_the_chained_history_entry(self):
         """A chained history and its constructed twin are one table key: the
@@ -1152,12 +1152,12 @@ class TestDerivedHistories:
         "build",
         [
             lambda: OutcomeCountHistory(((0, -1, 0), (0, 0, 0))),
-            lambda: BanditHistory((1, 1), (0,)),
-            lambda: BanditHistory((1, 1), (2, 0)),
-            lambda: BanditHistory((1, 1), (-1, 0)),
-            lambda: observe(BanditHistory((1, 1), (0, 1)), 0, 2),
-            lambda: observe(BanditHistory((1, 1), (0, 1)), 2, 1),
-            lambda: observe(observe(BanditHistory((1, 1), (0, 1)), 1, 1), -1, 0),
+            lambda: OutcomeCountHistory(((1, 0), (1,))),
+            lambda: OutcomeCountHistory(((-1, 2), (0, 1))),
+            lambda: OutcomeCountHistory(((1, 0), (1, -1))),
+            lambda: BernoulliArmsModel(2).validate_indicator((0, 2)),
+            lambda: BernoulliArmsModel(2).validate_indicator((2, 1)),
+            lambda: BernoulliArmsModel(2).validate_indicator((-1, 0)),
         ],
     )
     def test_constructor_and_observe_errors_still_raise(self, build):
@@ -1167,19 +1167,23 @@ class TestDerivedHistories:
     def test_a_long_chain_equals_the_constructed_history(self):
         draws = np.random.default_rng(11).integers(0, [2, 3], (1000, 2)).tolist()
         bernoulli = BernoulliArmsModel(2)
+        two_outcomes = JointHypothesisBanditModel(2, 2)
         h, b = self.MODEL.initial_history(), bernoulli.initial_history()
+        j = two_outcomes.initial_history()
         counts = np.zeros((2, 3), dtype=int)
         pulls, successes = [0, 0], [0, 0]
         for arm, outcome in draws:
             h = self.MODEL.next_history(h, (arm, outcome))
             counts[arm, outcome] += 1
             b = bernoulli.next_history(b, (arm, outcome % 2))
+            j = two_outcomes.next_history(j, (arm, outcome % 2))
             pulls[arm] += 1
             successes[arm] += outcome % 2
         assert h == OutcomeCountHistory(tuple(tuple(row) for row in counts.tolist()))
-        assert b == BanditHistory(tuple(pulls), tuple(successes))
+        assert b == _bernoulli_history(pulls, successes)
+        assert b == j and hash(b) == hash(j)
         assert all(type(n) is int for row in h.counts for n in row)
-        assert all(type(n) is int for n in b.pulls + b.successes)
+        assert all(type(n) is int for row in b.counts for n in row)
 
 
 class TestBanditHistoryArmCount:
@@ -1187,22 +1191,31 @@ class TestBanditHistoryArmCount:
     VALUES = np.array([[0.0, 1.0], [0.0, 1.0]])
 
     @pytest.mark.parametrize(
-        "history", [BanditHistory((0, 0, 5), (0, 0, 5)), BanditHistory((1,), (1,))]
+        "history",
+        [
+            ((0, 0), (0, 0), (0, 5)),
+            ((0, 1),),
+            ((0, 0, 1), (0, 0, 0)),  # a 2x3 joint history
+            ((0, 0), (0, 0, 1)),  # ragged
+        ],
     )
     def test_wrong_arm_count_is_rejected_on_every_path(self, history):
-        """A three-arm history must not be truncated, nor a one-arm history
-        indexed past its end."""
+        """A three-arm history must not be truncated, a one-arm history
+        indexed past its end, nor a three-outcome row read as ``(failures,
+        successes)``. A ragged table is refused where it is built, so no
+        path receives one."""
         m = self.MODEL.grid_measure([0.25, 0.75])
         event = self.MODEL.observation(0, 1, self.MODEL.arm_return(0, self.VALUES))
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         for call in (
-            lambda: self.MODEL.expected_action_values(m, history, self.VALUES),
-            lambda: self.MODEL.sampled_action_values(m, history, self.VALUES, rng),
-            lambda: self.MODEL.restrict(m, history, event),
+            lambda h: self.MODEL.expected_action_values(m, h, self.VALUES),
+            lambda h: self.MODEL.sampled_action_values(m, h, self.VALUES, rng),
+            lambda h: self.MODEL.restrict(m, h, event),
+            lambda h: self.MODEL.check_points((AMeasure(1.0, m, 0.0, self.MODEL),), h, event),
         ):
-            with pytest.raises(RepresentationError, match="arm count"):
-                call()
+            with pytest.raises(RepresentationError, match=r"^count table must be \(arms, outcomes\)"):
+                call(OutcomeCountHistory(history))
         assert rng.bit_generator.state == before
 
 
