@@ -46,7 +46,7 @@ from .runner import (
     trap_ib_belief,
     trap_model,
 )
-from .stats import bootstrap_percentiles
+from .stats import bootstrap_percentiles, nearest_rank
 
 
 @dataclass(frozen=True)
@@ -299,17 +299,14 @@ def check_trap_bandit(seed: int = DEFAULT_SEED) -> CriterionResult:
             "(one trap pull)"
         )
 
-    boots = {
-        (label, cond): bootstrap_percentiles(
-            finals[label], 0.5, 10000, derive_stream(seed, BOOT_STREAM, i)
-        )
-        for i, (label, cond, finals) in enumerate(
-            [(lbl, cond, fin) for cond, fin in (("risky", risky_finals), ("safe", safe_finals))
-             for lbl in roster]
-        )
-    }
-    p50_ib_risky = boots[("ib", "risky")].estimate
-    p50_mis = boots[("greedy_prior0.01", "risky")].estimate
+    # Only the two risky CIs below are read; every other p50 is a point
+    # estimate.
+    robust, well = (
+        bootstrap_percentiles(risky_finals[label], 0.5, 10000, derive_stream(seed, BOOT_STREAM, i))
+        for i, label in enumerate(("ib", "greedy_prior0.99"))
+    )
+    p50_ib_risky = robust.estimate
+    p50_mis = nearest_rank(risky_finals["greedy_prior0.01"], 0.5)
     if not p50_mis > 20.0 * p50_ib_risky:
         problems.append(
             f"misspecified greedy p50 {p50_mis:.2f} not > 20x robust p50 {p50_ib_risky:.2f}"
@@ -318,15 +315,13 @@ def check_trap_bandit(seed: int = DEFAULT_SEED) -> CriterionResult:
         problems.append(
             f"misspecified greedy catastrophe rate {risky_cats['greedy_prior0.01']:.3f} not > 0.5"
         )
-    well = boots[("greedy_prior0.99", "risky")]
-    robust = boots[("ib", "risky")]
     if not (well.ci_low <= robust.ci_high and robust.ci_low <= well.ci_high):
         problems.append(
             f"well-specified greedy p50 CI [{well.ci_low:.2f}, {well.ci_high:.2f}] does not "
             f"overlap robust CI [{robust.ci_low:.2f}, {robust.ci_high:.2f}]"
         )
-    p50_ib_safe = boots[("ib", "safe")].estimate
-    p50_greedy_safe = boots[("greedy_prior0.01", "safe")].estimate
+    p50_ib_safe = nearest_rank(safe_finals["ib"], 0.5)
+    p50_greedy_safe = nearest_rank(safe_finals["greedy_prior0.01"], 0.5)
     if not (p50_ib_safe > 0.0 and p50_ib_safe >= 10.0 * p50_greedy_safe):
         problems.append(
             f"mostly-safe condition: robust p50 {p50_ib_safe:.2f} not >= 10x "
@@ -337,7 +332,7 @@ def check_trap_bandit(seed: int = DEFAULT_SEED) -> CriterionResult:
         "trap bandit",
         problems,
         f"risky p50: robust {p50_ib_risky:.2f}, well-specified greedy "
-        f"{boots[('greedy_prior0.99', 'risky')].estimate:.2f}, misspecified greedy {p50_mis:.2f} "
+        f"{well.estimate:.2f}, misspecified greedy {p50_mis:.2f} "
         f"(catastrophe rate {risky_cats['greedy_prior0.01']:.3f}); "
         f"safe p50: robust {p50_ib_safe:.2f} vs greedy {p50_greedy_safe:.2f}",
     )

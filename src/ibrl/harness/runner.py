@@ -3,15 +3,15 @@
 Every experiment runs the same driver, ``_run_blocks``, on blocks: a block is
 every episode of one agent label, and the driver steps every episode of the
 blocks it is given in lockstep (every block of a config; a Newcomb sweep
-gives it one cell at a time). Per step and episode
-the agent selects a policy (a Thompson agent selects an arm directly),
-samples an action, the environment resolves the step, the step is recorded,
-and the observation is folded back into the agent's belief. Experiments
-differ only in their belief builders, stream keys and a small
-environment-step closure. A trap roster entry builds its belief, return
-function and events once; the roster's joint measures are stacked once per
-config, and before each step one numpy pass over them fills every live
-state's posterior, arm values and running sum.
+gives it one cell at a time). Per step and episode the agent selects a
+policy (a Thompson agent selects an arm directly), samples an action, the
+environment resolves the step, the step is recorded, and the observation is
+folded back into the agent's belief. Experiments differ only in their
+belief builders, stream keys and a small environment-step closure; the
+driver alone turns its expected rewards into regrets. A trap roster entry
+builds its belief, return function and events once; the roster's joint
+measures are stacked once per config, and before each step one numpy pass
+over them fills every live state's posterior, arm values and running sum.
 A Newcomb episode is a one-step rollout from its cell's initial belief, with
 the cell's agent and environment streams shared across episodes; this is
 exact because conditioning on a Newcomb observation is the identity. Every
@@ -31,8 +31,8 @@ drawn a block at a time with the bits of one scalar draw each.
 Units are independent, which would let a scheduler fan them out, and a
 block's episodes draw exactly what they would draw one after another. If
 units fail, the config raises the failure of the unit that comes first in
-sequential order (setting, run, then agent; cell, then episode). Records
-are emitted in canonical (agent, episode, step) order.
+sequential order, the least (episode, block index). Records are emitted in
+canonical (agent, episode, step) order.
 
 Environment streams are keyed without an agent index: agents compared within
 one experiment face identical sampled worlds (common random numbers). The
@@ -317,13 +317,10 @@ def trap_bayes_belief(
 # ---------------------------------------------------------------------------
 
 
-# One episode of a block: ``(episode, initial state, env_step, order,
-# where)``. ``order`` is its place in its experiment's sequential loop and
+# One episode of a block: ``(episode, initial state, env_step, where)``;
 # ``where`` follows the step in a failure's message. A plain tuple, because a
 # Newcomb sweep builds one per episode.
-Episode = tuple[
-    int, AgentState, Callable[[Policy | None, int], tuple[float, float, float]], tuple[int, ...], str
-]
+Episode = tuple[int, AgentState, Callable[[Policy | None, int], tuple[float, float, float]], str]
 
 
 def _run_blocks(
@@ -343,17 +340,19 @@ def _run_blocks(
     Maximin and greedy agents score the ``candidates`` on their return
     function and sample an action from the chosen policy; Thompson agents
     pick an arm and pass ``None`` as the policy. ``env_step(policy,
-    action)`` returns ``(reward, expected regret, realized regret)``. A
-    degenerate update stops its episode only. Records come back per
-    episode, in block order; if episodes failed, the failure the sequential
-    loop would have reached first (least ``order``) is raised instead,
-    naming the experiment, agent, episode and step, followed by ``where``."""
+    action)`` returns ``(reward, expected, best)``, the action's and the
+    best action's expected rewards; the regrets are ``best - expected`` and
+    ``best - reward``. A degenerate update stops its episode only. Records
+    come back per episode, in block order; if episodes failed, the failure
+    the sequential loop would have reached first (least ``(episode, block
+    index)``) is raised instead, naming the experiment, agent, episode and
+    step, followed by ``where``."""
     # Per episode: [state, cumulative regret, cumulative expected regret,
-    # records, episode, label]; a failure drops it from ``live``. Slots step
-    # label by label: one flat list in run-major order writes the same bytes
-    # but ran ``trap-roster`` 6% slower (26,562 against 28,318 agent-steps/s
-    # on 2 vCPUs, 4 of 4 alternating pairs).
-    slots = [[e[1], 0.0, 0.0, [], e, label] for label, block in blocks for e in block]
+    # records, episode, label, block index]; a failure drops it from
+    # ``live``. Slots step label by label: one flat list in run-major order
+    # writes the same bytes but ran ``trap-roster`` 6% slower (26,562
+    # against 28,318 agent-steps/s on 2 vCPUs, 4 of 4 alternating pairs).
+    slots = [[e[1], 0.0, 0.0, [], e, label, b] for b, (label, block) in enumerate(blocks) for e in block]
     failures = []
     live = slots
     experiment, seed = cfg.experiment, cfg.seed
@@ -363,7 +362,7 @@ def _run_blocks(
             before_step([slot[0] for slot in live])
         stopped = []
         for slot in live:
-            state, cum_reg, cum_exp, rows, e, label = slot
+            state, cum_reg, cum_exp, rows, e, label, b = slot
             try:
                 if state.flavor == "bayes_thompson":
                     policy = None
@@ -371,18 +370,19 @@ def _run_blocks(
                 else:
                     policy = select_policy(state, candidates)
                     action = act(policy, state.rng)
-                reward, step_exp, step_reg = e[2](policy, action)
-                slot[1] = cum_reg = cum_reg + step_reg
+                reward, expected, best = e[2](policy, action)
+                step_exp = best - expected
+                slot[1] = cum_reg = cum_reg + (best - reward)
                 slot[2] = cum_exp = cum_exp + step_exp
                 row = experiment, label, seed, e[0], t, action, reward, step_exp, cum_reg, cum_exp
                 rows.append(record(row))
                 slot[0] = ib_observe(state, action, reward)
             except DegenerateUpdateError as exc:
                 error = DegenerateUpdateError(
-                    f"{experiment}: agent {label!r}, episode {e[0]}, step {t}{e[4]}: {exc}"
+                    f"{experiment}: agent {label!r}, episode {e[0]}, step {t}{e[3]}: {exc}"
                 )
                 error.__cause__ = exc
-                failures.append((e[3], error))
+                failures.append(((e[0], b), error))
                 stopped.append(id(slot))
         if stopped:
             live = [slot for slot in live if id(slot) not in stopped]
@@ -419,9 +419,7 @@ def _run_validate_classical(cfg: ExperimentConfig) -> list[RunRecord]:
 
     blocks: list[tuple[str, list[Episode]]] = [("ib_single", []), ("bayes", [])]
     for s, pair in enumerate(pairs):
-        exp_rewards = np.asarray(pair, dtype=float)
-        best = float(exp_rewards.max())
-        regrets = (exp_rewards.max() - exp_rewards).tolist()
+        best = max(pair)
         for r in range(runs):
             for ai, flavor in enumerate(("ib_maximin", "bayes_greedy")):
                 # Both agents get byte-identical environment AND agent
@@ -436,11 +434,10 @@ def _run_validate_classical(cfg: ExperimentConfig) -> list[RunRecord]:
                 )
 
                 # Defaults bind this episode's values: the step runs later.
-                def env_step(policy, action, pair=pair, rng=env_rng, regrets=regrets, best=best):
-                    reward = float(bernoulli_step(pair[action], rng))
-                    return reward, regrets[action], best - reward
+                def env_step(policy, action, pair=pair, rng=env_rng, best=best):
+                    return float(bernoulli_step(pair[action], rng)), pair[action], best
 
-                blocks[ai][1].append((s * runs + r, state, env_step, (s, r, ai), ""))
+                blocks[ai][1].append((s * runs + r, state, env_step, ""))
     return _run_blocks(cfg, blocks, candidates, steps)
 
 
@@ -508,10 +505,9 @@ def _run_ku_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
             # The default binds this episode's stream: the step runs later.
             def env_step(policy, action, rng=env_rng):
                 reward, probs = ku_step(env, action, rng)
-                best = max(probs)
-                return float(reward), best - probs[action], best - reward
+                return float(reward), probs[action], max(probs)
 
-            blocks[ai][1].append((run, state, env_step, (run, ai), ""))
+            blocks[ai][1].append((run, state, env_step, ""))
     return _run_blocks(cfg, blocks, candidates, steps)
 
 
@@ -615,9 +611,9 @@ def run_newcomb_sweep(
             reward = newcomb_step(model, p_star, action, env_rng)
             mean, second = moments[p_star]
             episode_stats.append((p_star, reward, mean, second))
-            return reward, best - mean, best - reward
+            return reward, mean, best
 
-        block = [(e, state, env_step, (e,), "") for e in range(episodes)]
+        block = [(e, state, env_step, "") for e in range(episodes)]
         records += _run_blocks(cfg, [(label, block)], candidates, 1)
 
         sum_p = sum_reward = sum_value = sum_var = 0.0
@@ -737,17 +733,15 @@ def _run_trap_bandit(cfg: ExperimentConfig) -> list[RunRecord]:
             agent_rng = derive_stream(cfg.seed, run, AGENT_STREAM, ai)
             world = trap_sample_world(env, env_rng)
             uniforms = BlockSource(env_rng, env.horizon)  # one per pull
-            exp_rewards = trap_expected_rewards(world, env)
-            best = float(exp_rewards.max())
-            regrets = (exp_rewards.max() - exp_rewards).tolist()
+            means = trap_expected_rewards(world, env).tolist()
+            best = max(means)
 
             # Defaults bind this episode's values: the step runs later.
-            def env_step(policy, action, world=world, rng=uniforms, regrets=regrets, best=best):
-                reward = trap_step(world, env, action, rng)
-                return reward, regrets[action], best - reward
+            def env_step(policy, action, world=world, rng=uniforms, means=means, best=best):
+                return trap_step(world, env, action, rng), means[action], best
 
             state = replace(agent, rng=agent_rng)
-            blocks[ai][1].append((run, state, env_step, (run, ai), f", world {world}"))
+            blocks[ai][1].append((run, state, env_step, f", world {world}"))
     return _run_blocks(cfg, blocks, candidates, env.horizon, warm)
 
 

@@ -140,9 +140,10 @@ def lower_expectations(psi: Infradistribution, f: ReturnFunction, probs: np.ndar
     point contributes its offset, as in ``evaluate``. The rest is done on
     Python floats: each value is ``scale * e + offset``, the IEEE operations
     numpy would run elementwise, and the minimum over points is taken as
-    ``min`` takes it (a later point wins only when strictly lower). So entry
-    ``i`` equals ``lower_expectation`` of ``f`` mixed by row ``i`` whenever
-    the world model's values do. The result is a float array."""
+    ``min`` takes it (a later point wins only when strictly lower). Every
+    world model values each row as its ``expectation`` values that row's
+    policy, so entry ``i`` equals ``lower_expectation`` of ``f`` mixed by
+    row ``i``. The result is a float array."""
     model = psi.model
     if f.model is not model and f.model != model:
         raise RepresentationError("return function belongs to a different world model")

@@ -22,14 +22,19 @@ are provided.
   per-arm independent mixtures cannot express, such as anti-correlated arm
   probabilities or a catastrophic outcome attached to one arm.
 
-The two bandit models share one surface, ``BanditModel``: return functions
-over an ``(arms, outcomes)`` value table, ``(arm, outcome index)`` events,
-one history type, ``OutcomeCountHistory`` (per-arm, per-outcome counts),
-and every expectation built from the model's one per-arm value computation,
-``expected_action_values``. A single pull, a mixed policy and a policy grid
-therefore read the same bits per arm, which is what lets a one-point maximin
-agent be the greedy classical one exactly. Each model supplies only its
-measures, restriction and that one computation.
+A policy's value has one rule: ``WorldModel.expectation`` is the
+``policy_expectations`` entry of the return function's own action
+distribution, each row of which is computed alone, so a single policy and a
+grid row get the same bits (explicit finite measures integrate their mass
+vector instead). The two bandit models share one surface, ``BanditModel``:
+return functions over an ``(arms, outcomes)`` value table, ``(arm, outcome
+index)`` events, one history type, ``OutcomeCountHistory`` (per-arm,
+per-outcome counts), and a policy's value as one dot per row
+(``np.vecdot``) with the model's one per-arm value computation,
+``expected_action_values``. A one-hot row gives its arm's value exactly,
+which is what lets a one-point maximin agent be the greedy classical one
+exactly. Each model supplies only its measures, restriction and that one
+computation.
 
 Posterior weights are computed in log space per component and renormalized
 (per arm for the independent model, globally for the joint model) so that
@@ -44,12 +49,13 @@ measure alike, as the trap runner does before each step for every live
 state of its roster; a read that misses warms its measure with its one
 history by the same pass. Every row of a pass runs the operations of a
 batch of one, and a hit returns the very array a miss produced: no bit
-changes. A one-component independent arm skips the posterior arithmetic,
-though an impossible history still raises on every call
-(``_arm_posterior``). A measure of such arms is ``history_free``, so a
-converged belief of them can be a fixed point of conditioning
-(``updates``). ``restrict`` returns Python floats, so the scales and
-offsets it feeds conditioning never become numpy scalars.
+changes. Every independent-arm read checks the history's shape
+(``_arm_posterior``). A one-component independent arm skips the posterior
+arithmetic, though an impossible history still raises on every call. A
+measure of such arms is ``history_free``, so a converged belief of them can
+be a fixed point of conditioning (``updates``). ``restrict`` returns Python
+floats, so the scales and offsets it feeds conditioning never become numpy
+scalars.
 
 This module never imports scipy. The one scipy use in the package,
 ``inframeasure._convex_dominated``, imports it on first call, and
@@ -181,16 +187,17 @@ class WorldModel(ABC):
     @abstractmethod
     def validate_indicator(self, indicator: object) -> None: ...
 
-    @abstractmethod
     def expectation(self, measure: object, history: object, f: ReturnFunction) -> float:
         """Expectation of ``f`` under the measure's predictive distribution
-        given the history. For explicit restricted measures this is the raw
+        given the history: the ``policy_expectations`` entry of ``f``'s own
+        action distribution, or for explicit restricted measures the raw
         integral against the (possibly subnormalized) mass vector."""
+        return float(self.policy_expectations(measure, history, f, f.action_probs[None])[0])
 
-    @abstractmethod
     def conditioned_mass(self, measure: object, history: object) -> float:
         """Total mass of the measure as represented: 1.0 for conditional
-        representations, the raw mass sum for explicit restricted measures."""
+        representations, the default; the raw mass sum for explicit ones."""
+        return 1.0
 
     @abstractmethod
     def restrict(self, measure: object, history: object, event: ObservationEvent) -> Restriction:
@@ -217,9 +224,9 @@ class WorldModel(ABC):
         self, measure: object, history: object, f: ReturnFunction, probs: np.ndarray
     ) -> np.ndarray:
         """Expectation of ``f`` under each row of ``probs``, a (policies,
-        actions) matrix of action distributions: entry ``i`` is what
-        ``expectation`` gives for ``f`` mixed by row ``i`` (exactly so for
-        one-hot rows, which is how bandit experiments score arms)."""
+        actions) matrix of action distributions. Each row is computed alone,
+        so entry ``i`` is, bit for bit, what ``expectation`` gives for ``f``
+        mixed by row ``i``."""
         raise RepresentationError(f"{type(self).__name__} has no policy-dependent returns")
 
 
@@ -237,15 +244,17 @@ def _check_weights(weights: Sequence[float]) -> np.ndarray:
 @dataclass(frozen=True)
 class OutcomeCountHistory:
     """Both bandit models' history: ``counts[arm][outcome]``, checked by the
-    constructor only (rows of one length, no count negative); a Bernoulli
-    row is ``(failures, successes)``. The ``counts`` tuple keys a joint
-    measure's table, and each row its arm's independent-arm memo."""
+    constructor only (rows of one length, integer counts, none negative); a
+    Bernoulli row is ``(failures, successes)``. The ``counts`` tuple keys a
+    joint measure's table, and each row its arm's independent-arm memo."""
 
     counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if len(set(map(len, self.counts))) > 1:
             raise RepresentationError("count table must be (arms, outcomes); rows differ in length")
+        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in chain(*self.counts)):
+            raise RepresentationError("counts must be integers")
         if any(min(row, default=0) < 0 for row in self.counts):
             raise RepresentationError("counts must be nonnegative")
 
@@ -255,8 +264,8 @@ class BanditModel(WorldModel):
     pull yielding one of ``outcome_count`` outcome indices. A return function
     carries an ``(arms, outcomes)`` value table and the action distribution
     that mixes it; an event is an ``(arm, outcome index)`` pair; a history
-    is an ``OutcomeCountHistory``. Every expectation is built from the
-    subclass's ``expected_action_values``."""
+    is an ``OutcomeCountHistory``. A policy's value is one dot of its action
+    distribution with the subclass's ``expected_action_values``."""
 
     arm_count: int
     outcome_count: int
@@ -322,22 +331,11 @@ class BanditModel(WorldModel):
             model=self, indicator=(arm, int(outcome)), offbranch_return=offbranch_return
         )
 
-    def expectation(self, measure: object, history: object, f: ReturnFunction) -> float:
-        total = 0.0
-        for weight, value in zip(
-            f.action_probs, self.expected_action_values(measure, history, f.values)
-        ):
-            if weight != 0.0:
-                total += weight * value
-        return total
-
     def policy_expectations(
         self, measure: object, history: object, f: ReturnFunction, probs: np.ndarray
     ) -> np.ndarray:
-        return probs @ self.expected_action_values(measure, history, f.values)
-
-    def conditioned_mass(self, measure: object, history: object) -> float:
-        return 1.0
+        # One dot per row: under ``probs @`` a row's bits may depend on the other rows.
+        return np.vecdot(probs, self.expected_action_values(measure, history, f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +508,13 @@ def _arm_log_weights(table: ArmTable, failures: int, successes: int) -> np.ndarr
 _POINT_WEIGHT = _read_only(np.ones(1))
 
 
+def _check_history(history: OutcomeCountHistory, arm_count: int) -> None:
+    # The constructor gave every row one length, so row 0 stands for all.
+    counts = history.counts
+    if len(counts) != arm_count or len(counts[0]) != 2:
+        raise RepresentationError("count table must be (arms, outcomes)")
+
+
 def _check_point_arm(q: float, history: OutcomeCountHistory, arm: int) -> None:
     """Raise if the history refutes a one-component arm with success
     probability ``q``: a success under ``q == 0`` or a failure under ``q == 1``."""
@@ -523,8 +528,10 @@ def _arm_posterior(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized posterior weights and success probabilities for one arm,
     both read-only; served from the arm's memo when its counts are unchanged.
-    A one-component arm skips the memo and gets the shared ``[1.0]``: its
-    weight is ``exp(0.0) / 1.0`` on any history that does not raise."""
+    A history that is not ``(arms, 2)`` raises first. A one-component arm
+    skips the memo and gets the shared ``[1.0]``: its weight is
+    ``exp(0.0) / 1.0`` on any history that does not raise."""
+    _check_history(history, len(measure.tables))
     table = measure.tables[arm]
     if table.p.size == 1:
         _check_point_arm(table.p[0], history, arm)
@@ -576,12 +583,6 @@ class BernoulliArmsModel(BanditModel):
         if len(measure.arms) != self.arm_count:
             raise RepresentationError("measure has the wrong arm count")
 
-    def _check_history(self, history: OutcomeCountHistory) -> None:
-        # The constructor gave every row one length, so row 0 stands for all.
-        counts = history.counts
-        if len(counts) != self.arm_count or len(counts[0]) != self.outcome_count:
-            raise RepresentationError("count table must be (arms, outcomes)")
-
     def point_measure(self, probs: Sequence[float]) -> BernoulliArmMeasure:
         """Single-hypothesis measure fixing each arm's success probability."""
         if len(probs) != self.arm_count:
@@ -599,7 +600,6 @@ class BernoulliArmsModel(BanditModel):
     def expected_action_values(
         self, measure: BernoulliArmMeasure, history: OutcomeCountHistory, values: np.ndarray
     ) -> np.ndarray:
-        self._check_history(history)
         out = np.empty(self.arm_count)
         for arm in range(self.arm_count):
             p1 = predictive(measure, history, arm)
@@ -615,7 +615,6 @@ class BernoulliArmsModel(BanditModel):
     ) -> np.ndarray:
         """Expected return per arm under one hypothesis component per arm,
         sampled proportionally to its posterior weight."""
-        self._check_history(history)
         out = np.empty(self.arm_count)
         for arm in range(self.arm_count):
             w, p = _arm_posterior(measure, history, arm)
@@ -627,9 +626,8 @@ class BernoulliArmsModel(BanditModel):
         self, measure: BernoulliArmMeasure, history: OutcomeCountHistory, event: ObservationEvent
     ) -> Restriction:
         """The observed arm's predictive mass and the off-branch credit, as
-        Python floats. The history's shape is checked first; the
-        predictive raises if it refutes the observed arm."""
-        self._check_history(history)
+        Python floats. The predictive checks the history's shape, and
+        raises if the history refutes the observed arm."""
         arm, outcome = event.indicator
         p1 = predictive(measure, history, arm)
         p_obs = p1 if outcome == 1 else 1.0 - p1
@@ -643,7 +641,7 @@ class BernoulliArmsModel(BanditModel):
         every nonzero-scale point of a memo hit's point set: the shared
         history's shape once, then each certain arm (with an event, only
         the event's arm), so a hit raises what the miss would raise first."""
-        self._check_history(history)
+        _check_history(history, self.arm_count)
         for a in points:
             if a.scale != 0.0 and a.measure.certain_arms:
                 for arm in a.measure.certain_arms:
@@ -759,16 +757,10 @@ class NewcombModel(WorldModel):
             model=self, indicator=None, offbranch_return=ReturnFunction(self, 0.0, 0.0)
         )
 
-    def expectation(self, measure: StatelessMeasure, history: None, f: ReturnFunction) -> float:
-        return newcomb_expected_reward(f.action_probs[0], self)
-
     def policy_expectations(
         self, measure: StatelessMeasure, history: None, f: ReturnFunction, probs: np.ndarray
     ) -> np.ndarray:
         return _newcomb_expectation(probs[:, 0], self.accuracy, self.table)
-
-    def conditioned_mass(self, measure: StatelessMeasure, history: None) -> float:
-        return 1.0
 
     def restrict(
         self, measure: StatelessMeasure, history: None, event: ObservationEvent

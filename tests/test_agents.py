@@ -21,6 +21,7 @@ from ibrl import (
     ExplicitFiniteModel,
     FiniteOutcomeMeasure,
     Infradistribution,
+    JointHypothesisBanditModel,
     NewcombModel,
     ObservationEvent,
     Policy,
@@ -238,6 +239,48 @@ class TestValuePass:
             self.assert_matches_scalar(
                 belief, policy_grid(2, step).probs, lambda row: model.policy_return(row[0])
             )
+
+    def test_mixed_grid_on_multi_point_bernoulli_grid_beliefs(self):
+        """``policy_grid(2, 0.1)`` on beliefs of one to three grid measures
+        with random weights, scales and offsets, after a short history."""
+        rng = np.random.default_rng(2801)
+        model = BernoulliArmsModel(2)
+        probs = policy_grid(2, 0.1).probs
+        for _ in range(100):
+            history = model.initial_history()
+            for arm, outcome in rng.integers(0, 2, (rng.integers(0, 7), 2)).tolist():
+                history = model.next_history(history, (arm, outcome))
+            points = tuple(
+                AMeasure(
+                    float(rng.uniform(0.5, 2.0)),
+                    model.grid_measure(rng.uniform(0.05, 0.95, 4), rng.dirichlet(np.ones(4))),
+                    float(rng.uniform(0.0, 0.5)),
+                    model,
+                )
+                for _ in range(rng.integers(1, 4))
+            )
+            belief = Infradistribution(points, history)
+            self.assert_matches_scalar(belief, probs, lambda row: model.policy_return(row, VALUES))
+
+    def test_random_mixed_rows_on_three_arm_joint_beliefs(self):
+        """Random action distributions on random one- or two-point beliefs
+        over three arms with two or three outcomes, after a short history."""
+        rng = np.random.default_rng(2802)
+        for _ in range(100):
+            model = JointHypothesisBanditModel(3, int(rng.integers(2, 4)))
+            shape = (model.arm_count, model.outcome_count)
+            values = rng.random(shape)
+            history = model.initial_history()
+            for arm in rng.integers(0, 3, rng.integers(0, 7)).tolist():
+                history = model.next_history(history, (arm, int(rng.integers(model.outcome_count))))
+            points = []
+            for _ in range(rng.integers(1, 3)):
+                n = int(rng.integers(1, 5))
+                measure = model.measure(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(shape[1]), (n, shape[0])))
+                points.append(AMeasure(float(rng.uniform(0.5, 2.0)), measure, float(rng.random()), model))
+            belief = Infradistribution(tuple(points), history)
+            probs = rng.dirichlet(np.ones(3), 6)
+            self.assert_matches_scalar(belief, probs, lambda row: model.policy_return(row, values))
 
     def test_explicit_finite_models_have_no_policy_values(self):
         model = ExplicitFiniteModel(2)

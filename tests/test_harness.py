@@ -319,10 +319,10 @@ class TestRunners:
         def env_step(policy, action):
             if pulled is not None:
                 pulled.append(run)
-            reward = next(rewards)
-            return reward, 0.0, 1.0 - reward
+            # The one arm is expected to pay 1, which is also the best.
+            return next(rewards), 1.0, 1.0
 
-        return run, state, env_step, (run, agent), where
+        return run, state, env_step, where
 
     def test_degenerate_update_names_the_step(self):
         """The failure at step 2 stops its episode only; the other episode of

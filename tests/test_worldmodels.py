@@ -1158,11 +1158,17 @@ class TestDerivedHistories:
             lambda: BernoulliArmsModel(2).validate_indicator((0, 2)),
             lambda: BernoulliArmsModel(2).validate_indicator((2, 1)),
             lambda: BernoulliArmsModel(2).validate_indicator((-1, 0)),
+            lambda: OutcomeCountHistory(((0.5, 1.5),)),
+            lambda: OutcomeCountHistory(((True, 2),)),
         ],
     )
     def test_constructor_and_observe_errors_still_raise(self, build):
         with pytest.raises(RepresentationError):
             build()
+
+    def test_numpy_integer_counts_are_counts(self):
+        h = OutcomeCountHistory(((np.int64(2), 1), (0, np.int32(3))))
+        assert h == OutcomeCountHistory(((2, 1), (0, 3)))
 
     def test_a_long_chain_equals_the_constructed_history(self):
         draws = np.random.default_rng(11).integers(0, [2, 3], (1000, 2)).tolist()
@@ -1213,6 +1219,7 @@ class TestBanditHistoryArmCount:
             lambda h: self.MODEL.sampled_action_values(m, h, self.VALUES, rng),
             lambda h: self.MODEL.restrict(m, h, event),
             lambda h: self.MODEL.check_points((AMeasure(1.0, m, 0.0, self.MODEL),), h, event),
+            lambda h: predictive(m, h, 0),
         ):
             with pytest.raises(RepresentationError, match=r"^count table must be \(arms, outcomes\)"):
                 call(OutcomeCountHistory(history))
