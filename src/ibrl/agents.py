@@ -36,8 +36,11 @@ Newcomb cell. A hit still draws the tie-break from the stream whenever
 several policies tie, so RNG use is unchanged. Observations that raise are
 never stored. A bandit successor that keeps its state's very tuple of
 history-free points (a converged Knightian belief, a classical corner
-agent) shares the state's memo; a tie hit then runs the history checks.
-Successors are built by ``_successor`` without re-running ``__init__``.
+agent with no arm at 0 or 1) shares the state's memo. Its tie hit needs no
+check: the value pass that stored the entry checked the history's shape,
+``next_history`` on a validated indicator keeps that shape, and no history
+of it refutes a history-free point. Successors are built by ``_successor``
+without re-running ``__init__``.
 
 Nothing in a state is per run but its stream and its memo, so runs of one
 agent may share a belief, return function and events, and be stepped in
@@ -147,10 +150,11 @@ class AgentState:
     stream, ``returns`` and ``events``.
 
     ``memo`` caches the work of ``select_policy`` and ``ib_observe`` on this
-    state: ``"ties"`` holds ``(grid, tied indices, history)`` of the last
-    value pass, and on Newcomb ``"newcomb"`` holds the successor state. It
-    is a cache, not state: it stays out of ``==``, ``hash`` and ``repr``,
-    and only a successor on the same history-free points shares it."""
+    state: ``"ties"`` holds ``(grid, tied indices)`` of the last value pass,
+    and on Newcomb ``"newcomb"`` holds the successor state. It is a cache,
+    not state: it stays out of ``==``, ``hash`` and ``repr``, no caller can
+    plant an entry, and only a successor on the same history-free points
+    shares it."""
 
     belief: Infradistribution
     rng: np.random.Generator
@@ -225,18 +229,15 @@ def select_policy(state: AgentState, grid: PolicyGrid) -> Policy:
     """Argmax of the robust policy value over the grid; policies within
     1e-9 of the best are treated as tied and drawn uniformly from the
     agent's stream. The tied indices are memoized per grid, the draw is
-    not; a hit at another history runs the skipped value pass's checks."""
-    psi = state.belief
+    not; a hit needs no check (module docstring)."""
     hit = state.memo.get("ties")
     if hit is not None and hit[0] is grid:
-        if hit[2] is not psi.history:
-            psi.model.check_points(psi.points, psi.history)
         candidates = hit[1]
     else:
-        values = lower_expectations(psi, state.returns, grid.probs).tolist()
+        values = lower_expectations(state.belief, state.returns, grid.probs).tolist()
         best = max(values)
         candidates = [i for i, v in enumerate(values) if v >= best - VALUE_TOL]
-        state.memo["ties"] = (grid, candidates, psi.history)
+        state.memo["ties"] = (grid, candidates)
     if len(candidates) == 1:
         return grid.policies[candidates[0]]
     return grid.policies[candidates[int(state.rng.integers(len(candidates)))]]

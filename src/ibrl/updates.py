@@ -53,9 +53,10 @@ fallback, equals ``condition(psi, event)`` point for point and bit for bit.
 A converged belief is a fixed point: when every measure is ``history_free``
 and the kept points equal the input (scales and offsets ``==``, measures
 ``is``), ``condition`` returns the input's own tuple and the event keeps it
-as ``fixed_set``. A call on that very tuple runs only ``restrict``'s history
-checks (``check_points``: the shared history's shape once, then the observed
-arm of each nonzero-scale point if its ``p`` is 0 or 1), then ``next_history``.
+as ``fixed_set``. A call on that very tuple runs only ``check_history`` and
+``next_history``: no history of the right shape refutes a history-free
+point, so restricting such points can raise only the shape error. A belief
+with an arm at 0 or 1 is never stored.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def condition(psi: Infradistribution, event: ObservationEvent) -> Infradistribut
     bit, and raises the same errors, on a fixed-point hit as on a miss."""
     model, given = psi.model, psi.points
     if given is event.fixed_set:
-        model.check_points(given, psi.history, event)
+        model.check_history(psi.history)
         return _belief(given, model.next_history(psi.history, event.indicator))
     _check_event(event, model)
     points = _raw_points(given, event, psi.history, model)

@@ -51,11 +51,11 @@ history by the same pass. Every row of a pass runs the operations of a
 batch of one, and a hit returns the very array a miss produced: no bit
 changes. Every independent-arm read checks the history's shape
 (``_arm_posterior``). A one-component independent arm skips the posterior
-arithmetic, though an impossible history still raises on every call. A
-measure of such arms is ``history_free``, so a converged belief of them can
-be a fixed point of conditioning (``updates``). ``restrict`` returns Python
-floats, so the scales and offsets it feeds conditioning never become numpy
-scalars.
+arithmetic, though a history refuting its ``p`` of 0 or 1 still raises on
+every call. A measure of such arms, none at 0 or 1, is ``history_free``, so
+a converged belief of them can be a fixed point of conditioning
+(``updates``). ``restrict`` returns Python floats, so the scales and
+offsets it feeds conditioning never become numpy scalars.
 
 This module never imports scipy. The one scipy use in the package,
 ``inframeasure._convex_dominated``, imports it on first call, and
@@ -456,16 +456,15 @@ class BernoulliArmMeasure:
     ``tables[j]`` holds arm ``j``'s read-only log tables and ``memo[j]`` the
     last ``((failures, successes), posterior weights)`` computed for it, the
     key being the history's own count row (``None`` before the first, and
-    always for a one-component arm). When every arm has one component, the
-    predictive ignores the history (``history_free`` is true, as on no other
-    measure). ``certain_arms`` lists the one-component arms whose ``p`` is 0
-    or 1, the only point arms a history can refute. None of these takes
-    part in equality or hashing. NaN weights or probabilities are rejected."""
+    always for a one-component arm). ``history_free`` (true on no other
+    measure) holds when every arm is one component with ``0 < p < 1``: no
+    count table of the right shape refutes it and the predictive never reads
+    one. None of these takes part in equality or hashing. NaN weights or
+    probabilities are rejected."""
 
     arms: tuple[tuple[tuple[float, float], ...], ...]
     tables: tuple[ArmTable, ...] = field(init=False, repr=False, compare=False)
     memo: list = field(init=False, repr=False, compare=False)
-    certain_arms: tuple[int, ...] = field(init=False, repr=False, compare=False)
     history_free: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -486,12 +485,10 @@ class BernoulliArmMeasure:
             with np.errstate(divide="ignore", invalid="ignore"):
                 logs = np.log(w), np.log(p), np.log1p(-p)
             tables.append(ArmTable(*(_read_only(a) for a in (*logs, p))))
-        point = all(t.p.size == 1 for t in tables)
-        certain = tuple(j for j, t in enumerate(tables) if t.p.size == 1 and t.p[0] in (0.0, 1.0))
+        free = all(t.p.size == 1 and 0.0 < t.p[0] < 1.0 for t in tables)
         object.__setattr__(self, "tables", tuple(tables))
         object.__setattr__(self, "memo", [None] * len(self.arms))
-        object.__setattr__(self, "certain_arms", certain)
-        object.__setattr__(self, "history_free", point)
+        object.__setattr__(self, "history_free", free)
 
 
 def _arm_log_weights(table: ArmTable, failures: int, successes: int) -> np.ndarray:
@@ -515,14 +512,6 @@ def _check_history(history: OutcomeCountHistory, arm_count: int) -> None:
         raise RepresentationError("count table must be (arms, outcomes)")
 
 
-def _check_point_arm(q: float, history: OutcomeCountHistory, arm: int) -> None:
-    """Raise if the history refutes a one-component arm with success
-    probability ``q``: a success under ``q == 0`` or a failure under ``q == 1``."""
-    failures, successes = history.counts[arm]
-    if (q == 0.0 and successes > 0) or (q == 1.0 and failures > 0):
-        raise DegenerateUpdateError("history is impossible under every component of this arm")
-
-
 def _arm_posterior(
     measure: BernoulliArmMeasure, history: OutcomeCountHistory, arm: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -530,13 +519,13 @@ def _arm_posterior(
     both read-only; served from the arm's memo when its counts are unchanged.
     A history that is not ``(arms, 2)`` raises first. A one-component arm
     skips the memo and gets the shared ``[1.0]``: its weight is
-    ``exp(0.0) / 1.0`` on any history that does not raise."""
+    ``exp(0.0) / 1.0`` on any history that does not refute its ``p``."""
     _check_history(history, len(measure.tables))
-    table = measure.tables[arm]
+    table, key = measure.tables[arm], history.counts[arm]
     if table.p.size == 1:
-        _check_point_arm(table.p[0], history, arm)
+        if (table.p[0] == 0.0 and key[1] > 0) or (table.p[0] == 1.0 and key[0] > 0):
+            raise DegenerateUpdateError("history is impossible under every component of this arm")
         return _POINT_WEIGHT, table.p
-    key = history.counts[arm]
     hit = measure.memo[arm]
     if hit is not None and hit[0] == key:
         return hit[1], table.p
@@ -636,17 +625,9 @@ class BernoulliArmsModel(BanditModel):
         off_value = (1.0 - p_obs) * float(g[arm, off_outcome])
         return Restriction(measure, p_obs, off_value)
 
-    def check_points(self, points, history: OutcomeCountHistory, event=None) -> None:
-        """The history checks of restricting (given ``event``) or valuing
-        every nonzero-scale point of a memo hit's point set: the shared
-        history's shape once, then each certain arm (with an event, only
-        the event's arm), so a hit raises what the miss would raise first."""
+    def check_history(self, history: OutcomeCountHistory) -> None:
+        """The shape check, all a ``history_free`` read can fail (``updates``)."""
         _check_history(history, self.arm_count)
-        for a in points:
-            if a.scale != 0.0 and a.measure.certain_arms:
-                for arm in a.measure.certain_arms:
-                    if event is None or arm == event.indicator[0]:
-                        _check_point_arm(a.measure.tables[arm].p[0], history, arm)
 
     def mix(
         self, measures: Sequence[BernoulliArmMeasure], weights: Sequence[float]
@@ -655,13 +636,17 @@ class BernoulliArmsModel(BanditModel):
 
         Per arm, component lists are concatenated with weights scaled by the
         mixture weight; components with identical success probability are
-        merged and zero-weight entries dropped."""
+        merged and zero-weight entries dropped. That is the mixture only if
+        the measures of nonzero weight differ on at most one arm, else it raises."""
         w = _check_weights(weights)
         if len(measures) != w.size:
             raise RepresentationError("measure and weight counts differ")
         arm_count = len(measures[0].arms)
         if any(len(m.arms) != arm_count for m in measures):
             raise RepresentationError("all measures must have the same arm count")
+        live = [m for wk, m in zip(w, measures) if wk != 0.0]
+        if sum(len({m.arms[arm] for m in live}) > 1 for arm in range(arm_count)) > 1:
+            raise RepresentationError("measures that differ on two arms have no per-arm mixture")
         arms = []
         for arm in range(arm_count):
             merged: dict[float, float] = {}

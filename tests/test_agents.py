@@ -25,6 +25,7 @@ from ibrl import (
     NewcombModel,
     ObservationEvent,
     Policy,
+    PolicyGrid,
     RepresentationError,
     TrapWorldConfig,
     act,
@@ -101,6 +102,10 @@ class TestPolicy:
         grid = policy_grid(3, 0.1)
         assert len(grid.policies) == 3
         assert all(p.deterministic_action is not None for p in grid.policies)
+        with pytest.raises(ConfigError, match="at least two actions"):
+            policy_grid(1, 0.1)
+        with pytest.raises(ConfigError, match="empty"):
+            PolicyGrid(())
 
     def test_deterministic_grid_orders_by_action(self):
         grid = deterministic_grid(4)
@@ -763,15 +768,16 @@ class TestMemo:
 
     def test_a_refuting_history_raises_alike_on_a_tie_hit_and_a_miss(self):
         """A greedy corner agent whose arm 1 succeeds with certainty observes
-        a failure there: its successor shares the tie memo, and selecting
-        raises what a fresh state's full value pass raises."""
+        a failure there: a history can refute its point, so its successor
+        takes a fresh memo, and selecting raises what a fresh state's full
+        value pass raises."""
         model = BernoulliArmsModel(2)
         grid = deterministic_grid(2)
         belief = corner_belief(model, [(1.0, 0.4)])
         state = make_agent(belief, np.random.default_rng(0), "bayes_greedy", VALUES)
         select_policy(state, grid)
         refuted = ib_observe(state, 0, 0.0)
-        assert refuted.memo is state.memo
+        assert refuted.memo == {} and refuted.memo is not state.memo
         fresh = make_agent(refuted.belief, np.random.default_rng(0), "bayes_greedy", VALUES)
         errors = []
         for s in (refuted, fresh):

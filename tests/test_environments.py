@@ -67,6 +67,8 @@ class TestKUBandit:
     def test_fixed_point_mode_requires_a_point(self):
         with pytest.raises(ConfigError):
             KUBanditConfig(mode="fixed_point")
+        with pytest.raises(ConfigError, match="wrong number of arms"):
+            KUBanditConfig(mode="fixed_point", fixed_point=(0.5,))
 
     @pytest.mark.parametrize("mode", ["per_step_random", "worst_case_vs_agent"])
     def test_a_point_outside_fixed_point_mode_is_rejected(self, mode):
@@ -114,6 +116,8 @@ class TestKUBandit:
         reward, probs = ku_step(cfg, 1, rng)
         assert reward in (0, 1)
         np.testing.assert_allclose(probs, (0.7, 0.4))
+        with pytest.raises(ConfigError, match="action out of range"):
+            ku_step(cfg, 2, rng)
 
     def test_step_accepts_a_schedule_index(self):
         cfg = KUBanditConfig()
@@ -159,8 +163,16 @@ class TestTrapWorld:
         assert cfg.runs == 200
 
     def test_probability_overflow_rejected(self):
-        with pytest.raises(ConfigError):
-            TrapWorldConfig(arm_pairs=((0.3, 0.995),), p_cat=0.01)
+        """As are the other configs that describe no trap world."""
+        for kwargs, message in [
+            ({"arm_pairs": ((0.3, 0.995),), "p_cat": 0.01}, "exceeds 1"),
+            ({"arm_pairs": ((0.3, 1.2),), "p_cat": 0.0}, r"lie in \[0, 1\]"),
+            ({"horizon": 0}, "at least 1"),
+            ({"arm_pairs": ()}, "at least one arm-probability pair"),
+            ({"arm_pairs": ((0.3, 0.7), (0.1, 0.2, 0.3))}, "same arm count"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                TrapWorldConfig(**kwargs)
 
     def test_catastrophe_reward_must_be_negative(self):
         with pytest.raises(ConfigError):
@@ -213,6 +225,8 @@ class TestTrapWorld:
         rng = np.random.default_rng(8)
         rewards = {trap_step(world, cfg, 0, rng) for _ in range(200)}
         assert rewards <= {0.0, 1.0}
+        with pytest.raises(ConfigError, match="action out of range"):
+            trap_step(world, cfg, -1, rng)
 
     def test_step_on_trap_arm_can_be_catastrophic(self):
         cfg = TrapWorldConfig(arm_pairs=((0.1, 0.4),), alpha_dgp=1.0, p_cat=0.5)

@@ -606,11 +606,26 @@ class TestCli:
             ("trap-bandit", "env.pair.1 = 0.3, 1.2", "env.pair.1"),
             ("trap-bandit", "env.catastrophe_reward = 5", "env.catastrophe_reward"),
             ("validate-classical", "setting.2 = -0.1, 0.5", "setting.2"),
+            ("ku-bandit", "env.mode = sideways", "env.mode"),
+            ("ku-bandit", "env.mode = 3", "env.mode"),
+            ("ku-bandit", "agents = ib, oracle", "agents"),
+            ("trap-bandit", "agents = ib, greedy", "agents"),
+            ("ku-bandit", "agents = 1, 2", "agents"),
+            ("newcomb", "alpha.min = 0.9\nalpha.max = 0.6", "alpha.*"),
+            ("newcomb", "alpha.step = 0", "alpha.*"),
+            ("ku-bandit", "steps = 1.5", "steps"),
+            ("newcomb", "episodes = true", "episodes"),
+            ("trap-bandit", "env.p_cat = abc", "env.p_cat"),
+            ("ku-bandit", "env.arm1 = 0.3", "env.arm1"),
+            ("ku-bandit", "env.arm1 = a, b", "env.arm1"),
         ],
         ids=["point-off-mode", "point-missing", "point-outside", "arm1-inf", "arm2-unordered",
              "onebox-nan", "twobox-inf", "alpha-min-low", "alpha-max-high", "alpha-high",
              "policy-step-zero", "alpha-step-shared-label", "p-cat-high", "p-cat-plus-arm",
-             "alpha-dgp-high", "pair-high", "catastrophe-positive", "setting-negative"],
+             "alpha-dgp-high", "pair-high", "catastrophe-positive", "setting-negative",
+             "mode-unknown", "mode-number", "ku-agent-unknown", "trap-agent-unknown",
+             "agents-numbers", "alpha-inverted", "alpha-step-zero", "steps-fraction",
+             "episodes-bool", "p-cat-word", "arm1-one-number", "arm1-words"],
     )
     def test_environment_errors_name_their_field(self, tmp_path, capsys, experiment, lines, key):
         cfg = tmp_path / "exp.cfg"

@@ -52,6 +52,21 @@ CASES = {
         ),
         "2ff73698ad3a55617636d9a5416cf45474cb51ff9aee4b0d9b2af73dd5b6324b",
     ),
+    # A box with endpoints at 0 and 1: its certain corners can be refuted, so
+    # the belief is never a fixed point and every step takes the full path.
+    "ku-bandit-certain-corners": (
+        ExperimentConfig(
+            "ku-bandit",
+            seed=42,
+            settings={
+                "env.arm1": (0.0, 1.0),
+                "env.mode": "per_step_random",
+                "steps": 200,
+                "agents": "ib",
+            },
+        ),
+        "278f2e31067be32bbdef55cc21bf063f4d12b2f88e7edd75e198fce06e9fafbd",
+    ),
     # Duplicate labels: each roster entry keeps its own environment stream
     # (with its own block source), and the CSV holds both entries' rows under
     # one label. A degenerate arm-1 interval gives two corners per label.

@@ -663,25 +663,30 @@ class TestFixedPoint:
             psi = got
         assert hits == 3 and len(psi.points) == 2
 
-    def test_a_history_refuting_a_certain_arm_raises_alike_on_hit_and_miss(self):
+    def test_a_belief_with_a_certain_arm_is_never_stored_and_its_refutation_raises(self):
         """Arm 1 succeeds with certainty at both corners, so a success there
-        maps the belief to itself; a history with an arm-1 failure refutes
-        both."""
+        maps the points to themselves, but a history can refute them, so no
+        event stores them; a history with an arm-1 failure refutes both,
+        and every call takes the full path and raises."""
         model = BernoulliArmsModel(2)
         psi, _, events = corner_events(model, [(1.0, 0.4), (1.0, 0.8)])
         event = events[(0, 1)]
-        assert condition(psi, event).points is psi.points is event.fixed_set
+        for _ in range(2):
+            after = condition(psi, event)
+            assert after.points is not psi.points and event.fixed_set is None
+            assert [(a.scale, a.offset, a.measure) for a in after.points] == [
+                (a.scale, a.offset, a.measure) for a in psi.points
+            ]
         refuted = Infradistribution(psi.points, OutcomeCountHistory(((1, 0), (0, 0))))
-        got = outcome_of(condition, refuted, event)
-        clear_fixed_set(event)
-        want = outcome_of(condition, refuted, event)
-        assert got == want and got[0] is DegenerateUpdateError
+        for _ in range(2):
+            got = outcome_of(condition, refuted, event)
+            assert got[0] is DegenerateUpdateError and event.fixed_set is None
 
     def test_a_history_of_the_wrong_arm_count_raises_alike_on_hit_and_miss(self):
         """A hit checks the history's shape once for the whole set, and
         raises what the miss's first restriction raises."""
         model = BernoulliArmsModel(2)
-        psi, _, events = corner_events(model, [(1.0, 0.4), (1.0, 0.8)])
+        psi, _, events = corner_events(model, [(0.5, 0.4), (0.5, 0.8)])
         event = events[(0, 1)]
         assert condition(psi, event).points is psi.points is event.fixed_set
         wrong = Infradistribution(psi.points, OutcomeCountHistory(((0, 0),) * 3))

@@ -105,6 +105,25 @@ class TestBernoulliArms:
         h = model.next_history(model.initial_history(), (0, 1))
         np.testing.assert_allclose(predictive(m, h, 0), 0.58)
 
+    def test_mix_of_measures_differing_on_two_arms_raises(self):
+        """The even mixture of points (0, 0) and (1, 1) predicts arm 1 to
+        succeed surely once arm 0 has; no per-arm measure does."""
+        model = BernoulliArmsModel(2)
+        points = [model.point_measure((0.0, 0.0)), model.point_measure((1.0, 1.0))]
+        with pytest.raises(RepresentationError, match="differ on two arms"):
+            model.mix(points, [0.5, 0.5])
+        assert model.mix(points, [0.0, 1.0]) == model.point_measure((1.0, 1.0))
+
+    def test_mix_of_measures_differing_on_one_arm_is_the_mixture(self):
+        """Points (0.2, 0.5) and (0.8, 0.5), evenly: after a failure and two
+        successes on arm 0 the posterior weights are 0.5 * 0.8 * 0.2^2 =
+        0.016 and 0.5 * 0.2 * 0.8^2 = 0.064, so arm 0 predicts (0.016 * 0.2
+        + 0.064 * 0.8) / 0.08 = 0.68 and arm 1 still 0.5."""
+        model = BernoulliArmsModel(2)
+        mixed = model.mix([model.point_measure((0.2, 0.5)), model.point_measure((0.8, 0.5))], [0.5, 0.5])
+        h = OutcomeCountHistory(((1, 2), (0, 0)))
+        np.testing.assert_allclose([predictive(mixed, h, 0), predictive(mixed, h, 1)], [0.68, 0.5])
+
     def test_impossible_history_raises(self):
         model = BernoulliArmsModel(1)
         m = model.point_measure([1.0])
@@ -748,6 +767,19 @@ class TestJointWarm:
         writable[:] = 0.0
         assert model.sampled_action_values(m, h, writable, np.random.default_rng(0)).tolist() == [0.0, 0.0]
 
+    def test_a_thompson_read_that_misses_the_table_warms_it(self):
+        """On a fresh measure the draw warms the table with its one history
+        and picks the row ``_draw_index`` picks from that posterior."""
+        model = TestPosteriorMemo.JOINT
+        h = model.next_history(model.initial_history(), (1, 2))
+        values = _read_only(TestPosteriorMemo.VALUES["joint"].copy())
+        for seed in range(20):
+            m = model.measure(TestPosteriorMemo.JOINT_WEIGHTS, TestPosteriorMemo.JOINT_TABLES)
+            assert m.table[1] == {}
+            got = model.sampled_action_values(m, h, values, np.random.default_rng(seed))
+            assert list(m.table[1]) == [h.counts]
+            assert got is m.rows[1][_draw_index(model._posterior(m, h), np.random.default_rng(seed))]
+
 
 def _outcome(fn, *args):
     """``fn(*args)``, or the type and message of the ``DegenerateUpdateError`` it raises."""
@@ -868,14 +900,14 @@ class TestPointArmValues:
     def test_impossible_histories_raise_on_every_call(self, p, possible, impossible):
         model, values = BernoulliArmsModel(1), _read_only(np.array([[0.25, 0.75]]))
         m = model.point_measure([p])
-        assert m.certain_arms == (0,)
+        assert not m.history_free
         want = model.expected_action_values(m, OutcomeCountHistory(possible), values).tolist()
         for _ in range(3):
             message = "^history is impossible under every component of this arm$"
             with pytest.raises(DegenerateUpdateError, match=message):
                 model.expected_action_values(m, OutcomeCountHistory(impossible), values)
             assert model.expected_action_values(m, OutcomeCountHistory(possible), values).tolist() == want
-        assert model.point_measure([0.5]).certain_arms == ()
+        assert model.point_measure([0.5]).history_free
 
 
 class TestAllPointMeasures:
@@ -1003,11 +1035,16 @@ class TestAllPointMeasures:
 
     @settings(max_examples=300, deadline=None)
     @given(_point_beliefs())
-    def test_check_points_raises_what_the_full_paths_raise_first(self, case):
-        """A fixed-point hit's ``check_points`` raises what restricting every
-        nonzero-scale point in order raises first, given an event, and what
-        ``lower_expectations`` raises without one."""
+    def test_check_history_raises_what_the_full_paths_raise_first(self, case):
+        """On a history-free point set, a fixed-point hit's
+        ``check_history`` raises what restricting every nonzero-scale point
+        in order raises first, for every event, and what
+        ``lower_expectations`` raises. Every other all-point set has an arm
+        at 0 or 1."""
         model, points, h = case
+        if not all(a.measure.history_free for a in points):
+            assert any(t.p[0] in (0.0, 1.0) for a in points for t in a.measure.tables)
+            return
 
         def first_error(*calls):
             try:
@@ -1021,11 +1058,11 @@ class TestAllPointMeasures:
         live = [a.measure for a in points if a.scale != 0.0]
         for arm, outcome in itertools.product(range(model.arm_count), (0, 1)):
             event = model.observation(arm, outcome, f)
-            assert first_error((model.check_points, points, h, event)) == first_error(
+            assert first_error((model.check_history, h)) == first_error(
                 *((model.restrict, m, h, event) for m in live)
             )
         probs = deterministic_grid(model.arm_count).probs
-        assert first_error((model.check_points, points, h)) == first_error(
+        assert first_error((model.check_history, h)) == first_error(
             (lower_expectations, Infradistribution(points, h), f, probs)
         )
 
@@ -1218,7 +1255,7 @@ class TestBanditHistoryArmCount:
             lambda h: self.MODEL.expected_action_values(m, h, self.VALUES),
             lambda h: self.MODEL.sampled_action_values(m, h, self.VALUES, rng),
             lambda h: self.MODEL.restrict(m, h, event),
-            lambda h: self.MODEL.check_points((AMeasure(1.0, m, 0.0, self.MODEL),), h, event),
+            lambda h: self.MODEL.check_history(h),
             lambda h: predictive(m, h, 0),
         ):
             with pytest.raises(RepresentationError, match=r"^count table must be \(arms, outcomes\)"):
