@@ -27,17 +27,15 @@ agent's events are fixed by its return function, so ``make_agent`` builds
 them once, one per ``(arm, outcome)``, and every observation reuses one.
 
 Both ``select_policy`` and ``ib_observe`` are pure functions of an immutable
-``AgentState``, so they memoize work on the state they are given: the tied
-candidates of the last value pass, keyed by the identity of the grid, and
-on Newcomb, whose observation ignores the action and the reward, the one
-successor state. A reused state, as every Newcomb episode reuses its cell's
-state, pays for one value pass, one conditioning and one successor state per
-Newcomb cell. A hit still draws the tie-break from the stream whenever
-several policies tie, so RNG use is unchanged. Observations that raise are
-never stored. A bandit successor that keeps its state's very tuple of
-history-free points (a converged Knightian belief, a classical corner
-agent with no arm at 0 or 1) shares the state's memo. Its tie hit needs no
-check: the value pass that stored the entry checked the history's shape,
+``AgentState``, so ``select_policy`` memoizes the tied candidates of its last
+value pass on the state it is given, keyed by the identity of the grid. A
+reused state, as every one-step Newcomb episode of a cell reuses its cell's
+state, pays for one value pass. A hit still draws the tie-break from the
+stream whenever several policies tie, so RNG use is unchanged. A bandit
+successor that keeps its state's very tuple of history-free points (a
+converged Knightian belief, a classical corner agent with no arm at 0 or 1)
+shares the state's memo. Its tie hit needs no check:
+the value pass that stored the entry checked the history's shape,
 ``next_history`` on a validated indicator keeps that shape, and no history
 of it refutes a history-free point. Successors are built by ``_successor``
 without re-running ``__init__``.
@@ -149,12 +147,11 @@ class AgentState:
     functional: each observation returns a new state sharing the same
     stream, ``returns`` and ``events``.
 
-    ``memo`` caches the work of ``select_policy`` and ``ib_observe`` on this
-    state: ``"ties"`` holds ``(grid, tied indices)`` of the last value pass,
-    and on Newcomb ``"newcomb"`` holds the successor state. It is a cache,
+    ``memo`` caches the work of ``select_policy`` on this state: ``"ties"``
+    holds ``(grid, tied indices)`` of the last value pass. It is a cache,
     not state: it stays out of ``==``, ``hash`` and ``repr``, no caller can
-    plant an entry, and only a successor on the same history-free points
-    shares it."""
+    plant an entry, and only a successor that ``ib_observe`` builds on the
+    same history-free points shares it."""
 
     belief: Infradistribution
     rng: np.random.Generator
@@ -263,17 +260,14 @@ def ib_observe(state: AgentState, action: int, reward: float) -> AgentState:
     advance the belief's history only, with no event, which realizes the
     ordinary Bayes posterior through the world model's predictive
     reweighting. A reward that is not a finite number raises ``ConfigError``;
-    an arm that is not an in-range ``int`` raises ``RepresentationError``."""
+    an arm that is not an in-range ``int`` raises ``RepresentationError``.
+    A Newcomb observation ignores the action and the reward."""
     if not math.isfinite(reward):
         raise ConfigError(f"reward {reward!r} is not a finite number")
     psi = state.belief
     model = psi.points[0].model
     if type(model) is NewcombModel:  # never subclassed; skips ABCMeta's isinstance
-        successor = state.memo.get("newcomb")
-        if successor is None:
-            belief = condition(psi, model.observation())
-            successor = state.memo["newcomb"] = _successor(state, belief, {})
-        return successor
+        return _successor(state, condition(psi, model.observation()), {})
     try:
         outcome = state.raw_support.index(reward)
     except ValueError:

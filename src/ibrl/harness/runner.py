@@ -5,22 +5,22 @@ every episode of one agent label, and the driver steps every episode of the
 blocks it is given in lockstep (every block of a config; a Newcomb sweep
 gives it one cell at a time). Per step and episode the agent selects a
 policy (a Thompson agent selects an arm directly), samples an action, the
-environment resolves the step, the step is recorded, and the observation is
-folded back into the agent's belief. Experiments differ only in their
-belief builders, stream keys and a small environment-step closure; the
-driver alone turns its expected rewards into regrets. A trap roster entry
-builds its belief, return function and events once; the roster's joint
-measures are stacked once per config, and before each step one numpy pass
-over them fills every live state's posterior, arm values and running sum.
-A Newcomb episode is a one-step rollout from its cell's initial belief, with
-the cell's agent and environment streams shared across episodes; this is
-exact because conditioning on a Newcomb observation is the identity. Every
-episode of a cell starts from the same ``AgentState``, on which the agent
-memoizes its tied candidates and its successor belief, so a cell runs one
-value pass and one conditioning, while each tied selection still draws from
-the cell's agent stream. What does not depend on the cell is built once per
-sweep: the candidate policy grid, the cells' models, and every candidate's
-reward moments in every cell, in one array pass.
+environment resolves the step, the step is recorded, and, if a further step
+of the episode follows, the observation is folded into the agent's belief.
+Experiments differ only in their belief builders, stream keys and a small
+environment-step closure; the driver alone turns its expected rewards into
+regrets. A trap roster entry builds its belief, return function and events
+once; the roster's joint measures are stacked once per config, and before
+each step one numpy pass over them fills every live state's posterior, arm
+values and running sum. A Newcomb episode is a one-step rollout from its
+cell's initial ``AgentState``, with the cell's agent and environment streams
+shared across episodes; one state serves them all because each is one step
+from it and observes nothing. The agent memoizes its tied candidates on the
+state, so a cell runs one value pass and no conditioning, while each tied
+selection still draws from the cell's agent stream. What does not depend on
+the cell is built once per sweep: the candidate policy grid, the cells'
+models, and every candidate's reward moments in every cell, in one array
+pass.
 
 All randomness flows through named streams derived from
 ``(seed, unit indices, role)``, so any run unit can be reproduced in
@@ -333,9 +333,12 @@ def _run_blocks(
     """Run every ``(label, block)``, each block the episodes of agent
     ``label``, for ``steps`` steps, all episodes in lockstep: each step
     calls ``before_step`` on every live episode's state, then selects, acts,
-    steps, records and observes per episode in block order. Episodes share a
-    stream only when they run one step each, so the draws are those of
-    running them one after another.
+    steps, records and, except on the last step, observes per episode in block
+    order. A row is written before its observation, only the next selection
+    reads the successor, and ``ib_observe`` draws no randomness, so the last
+    observation would move no row and no stream; an error only it would
+    raise does not surface. Episodes share a stream only when they run one
+    step each, so the draws are those of running them one after another.
 
     Maximin and greedy agents score the ``candidates`` on their return
     function and sample an action from the chosen policy; Thompson agents
@@ -358,6 +361,7 @@ def _run_blocks(
     experiment, seed = cfg.experiment, cfg.seed
     record = RunRecord._make  # skips the keyword handling of ``RunRecord(...)``
     for t in range(steps):
+        observe = t < steps - 1
         if before_step is not None:
             before_step([slot[0] for slot in live])
         stopped = []
@@ -376,7 +380,8 @@ def _run_blocks(
                 slot[2] = cum_exp = cum_exp + step_exp
                 row = experiment, label, seed, e[0], t, action, reward, step_exp, cum_reg, cum_exp
                 rows.append(record(row))
-                slot[0] = ib_observe(state, action, reward)
+                if observe:
+                    slot[0] = ib_observe(state, action, reward)
             except DegenerateUpdateError as exc:
                 error = DegenerateUpdateError(
                     f"{experiment}: agent {label!r}, episode {e[0]}, step {t}{e[3]}: {exc}"
@@ -598,8 +603,6 @@ def run_newcomb_sweep(
     for ci, (model, label, cell_means, cell_seconds) in enumerate(cells):
         env_rng = BlockSource(derive_stream(cfg.seed, ci, ENV_STREAM), episodes)
         agent_rng = derive_stream(cfg.seed, ci, AGENT_STREAM)
-        # Conditioning on a Newcomb observation is the identity, so every
-        # episode is a one-step rollout from this same initial state.
         state = make_agent(classical_belief(model, STATELESS), agent_rng, "ib_maximin")
         moments = dict(zip(column.tolist(), zip(cell_means, cell_seconds)))
         best = max(cell_means)

@@ -881,15 +881,19 @@ class JointRoster(NamedTuple):
 @dataclass(frozen=True)
 class JointHypothesisBanditModel(BanditModel):
     """Bandit whose arms share ``outcome_count`` reward outcomes and are
-    coupled through joint hypotheses."""
+    coupled through joint hypotheses. ``restrict`` reads the outcomes other
+    than ``o`` through the read-only ``off_outcomes[o]``, built once."""
 
     arm_count: int
     outcome_count: int
+    off_outcomes: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.outcome_count < 2:
             raise ConfigError("outcome_count must be at least 2")
+        off = (np.delete(np.arange(self.outcome_count), o) for o in range(self.outcome_count))
+        object.__setattr__(self, "off_outcomes", tuple(map(_read_only, off)))
 
     def validate_measure(self, measure: object) -> None:
         if not isinstance(measure, JointHypothesisMeasure):
@@ -1064,10 +1068,8 @@ class JointHypothesisBanditModel(BanditModel):
     ) -> Restriction:
         arm, outcome = event.indicator
         dist = self.predictive_outcome_probs(measure, history, arm)
-        g = event.offbranch_return.values
-        off = np.ones(self.outcome_count, dtype=bool)
-        off[outcome] = False
-        off_value = float(np.dot(dist[off], g[arm, off]))
+        off = self.off_outcomes[outcome]
+        off_value = float(np.dot(dist[off], event.offbranch_return.values[arm, off]))
         return Restriction(measure, float(dist[outcome]), off_value)
 
     def mix(

@@ -645,9 +645,10 @@ def conditionings(monkeypatch):
 
 
 class TestMemo:
-    """``select_policy`` and ``ib_observe`` memoize their work on the state
-    they are given; a reused state must behave exactly like fresh equal
-    states, draw for draw."""
+    """``select_policy`` memoizes its work on the state it is given, and
+    ``ib_observe`` hands the memo on only to a successor on the same
+    history-free points; a reused state must behave exactly like fresh
+    equal states, draw for draw."""
 
     def test_reused_state_draws_like_fresh_states(self, value_passes):
         """Accuracy 0.55 with the default matrix ties all 11 policies, so
@@ -736,12 +737,12 @@ class TestMemo:
             assert state.memo == {} and first.memo == {}
         assert len(conditionings) == 2
 
-    def test_newcomb_sweep_conditions_once_per_cell(self, conditionings):
-        """A Newcomb observation ignores the action and the reward, so every
-        episode of a cell reuses the cell's one successor belief."""
+    def test_newcomb_sweep_never_conditions(self, conditionings):
+        """A Newcomb episode is one step, and the driver folds in only an
+        observation a later step reads, so a sweep conditions nothing."""
         _, cells = run_newcomb_sweep(ExperimentConfig("newcomb", seed=7, settings={"episodes": 40}))
         assert len(cells) == 51
-        assert len(conditionings) == len(cells)
+        assert conditionings == []
 
     def test_ku_corner_agents_value_once_per_run(self, monkeypatch, value_passes):
         """The shipped ``ku_bandit.cfg`` at ``per_step_random``: each classical
@@ -801,17 +802,19 @@ class TestMemo:
             state = successor
         assert shared == [False, False, False, True, True, True, True]
 
-    def test_newcomb_observation_reuses_one_successor_state(self):
+    def test_newcomb_observations_give_equal_successors_with_empty_memos(self):
+        """A Newcomb observation ignores the action and the reward; a direct
+        call still conditions and stores nothing on the state."""
         state = newcomb_state(3)
-        successor = ib_observe(state, 0, 10.0)
-        assert ib_observe(state, 1, 1.0) is successor
-        assert point_fields(successor.belief) == point_fields(state.belief)
-        assert successor.memo == {}
-        assert successor.rng is state.rng and successor.returns is state.returns
+        first, second = ib_observe(state, 0, 10.0), ib_observe(state, 1, 1.0)
+        assert second is not first
+        assert point_fields(first.belief) == point_fields(second.belief) == point_fields(state.belief)
+        assert first.memo == second.memo == state.memo == {}
+        assert first.rng is state.rng and first.returns is state.returns
 
-    def test_newcomb_sweep_builds_one_successor_state_per_cell(self, monkeypatch):
-        """Each cell builds its agent and that agent's one successor;
-        ``_successor`` builds every successor state, without ``__init__``."""
+    def test_newcomb_sweep_builds_one_state_per_cell_and_no_successor(self, monkeypatch):
+        """Each cell builds its agent, whose state every one-step episode
+        starts from; no episode observes, so no successor is built."""
         built = []
         init = ibrl.agents.AgentState.__init__
 
@@ -822,7 +825,8 @@ class TestMemo:
         monkeypatch.setattr(ibrl.agents.AgentState, "__init__", counting)
         successors = count_calls(monkeypatch, "_successor")
         _, cells = run_newcomb_sweep(ExperimentConfig("newcomb", seed=7, settings={"episodes": 40}))
-        assert len(built) == len(successors) == len(cells)
+        assert len(built) == len(cells) == 51
+        assert successors == []
 
     def test_newcomb_sweep_builds_one_policy_grid(self, monkeypatch):
         """Every cell scores the same candidates, so the sweep builds the
@@ -878,7 +882,7 @@ class TestMemo:
         twin = make_agent(state.belief, state.rng)
         select_policy(state, policy_grid(2, 0.1))
         ib_observe(state, 0, 10.0)
-        assert len(state.memo) == 2 and twin.memo == {}
+        assert len(state.memo) == 1 and twin.memo == {}
         assert state == twin
         assert hash(state) == hash(twin)
         assert repr(state) == repr(twin) and "memo" not in repr(state)

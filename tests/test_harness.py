@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import ibrl.harness.runner
 from ibrl import (
     BernoulliArmsModel,
     ConfigError,
@@ -351,6 +352,31 @@ class TestRunners:
         with pytest.raises(DegenerateUpdateError, match=expected) as raised:
             _run_blocks(cfg, blocks, deterministic_grid(1), 5)
         assert isinstance(raised.value.__cause__, DegenerateUpdateError)
+
+    def test_only_observations_a_later_step_reads_are_folded_in(self, monkeypatch):
+        """The last step's observation has no successor that anything reads,
+        so it is not folded in: a refutation there ends the episode with
+        all five rows, one at step 3 still raises, and each episode observes
+        ``steps - 1`` times."""
+        observed = []
+        observe = ibrl.harness.runner.ib_observe
+
+        def counting(state, action, reward):
+            observed.append(reward)
+            return observe(state, action, reward)
+
+        monkeypatch.setattr(ibrl.harness.runner, "ib_observe", counting)
+        cfg = ExperimentConfig("ku-bandit", seed=3)
+        block = [self._sure_episode(0, 0, fail_at=4), self._sure_episode(1, 0)]
+        records = _run_blocks(cfg, [("ib", block)], deterministic_grid(1), 5)
+        assert [(r.episode, r.step) for r in records] == [(e, t) for e in (0, 1) for t in range(5)]
+        assert records[4].reward == 0.0
+        assert observed == [1.0] * 8
+        observed.clear()
+        expected = r"^ku-bandit: agent 'ib', episode 0, step 3: every point"
+        with pytest.raises(DegenerateUpdateError, match=expected):
+            _run_blocks(cfg, [("ib", [self._sure_episode(0, 0, fail_at=3)])], deterministic_grid(1), 5)
+        assert observed == [1.0, 1.0, 1.0, 0.0]
 
     @pytest.mark.parametrize(
         "cfg",

@@ -99,8 +99,10 @@ def checked(monkeypatch):
     ``condition`` call with the invariant checks. The driver steps every
     episode of every block in lockstep, so each unit (experiment, agent,
     episode) keeps its own reference trajectory and step count, found
-    through the state it observes from; returns the step counts per unit,
-    in block order."""
+    through the state it observes from; returns the conditioning counts per
+    unit, in block order. The driver observes only when a later step of
+    the episode reads the successor, so a unit of ``steps`` steps that
+    completes conditions ``steps - 1`` times."""
     units = {}  # id(state) -> (state, unit); the state is kept so ids stay unique
     current = {}
     steps = []
@@ -154,7 +156,7 @@ def test_ku_per_step_random_keeps_its_invariants(checked, steps):
         settings={"steps": steps, "env.mode": "per_step_random", "agents": "ib"},
     )
     run_experiment(cfg)
-    assert checked == [steps]
+    assert checked == [steps - 1]
 
 
 @pytest.mark.slow
@@ -168,7 +170,7 @@ def test_trap_ib_keeps_its_invariants(checked):
         settings={"env.horizon": 5000, "env.runs": 2, "agents": "ib"},
     )
     run_experiment(cfg)
-    assert checked == [5000, 5000]
+    assert checked == [4999, 4999]
 
 
 def test_checker_names_the_failing_step(checked, monkeypatch):

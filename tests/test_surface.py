@@ -15,7 +15,7 @@ import ibrl.harness
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ibrl"
 # Total lines of src/ibrl/**/*.py.
-LINE_BUDGET = 4320
+LINE_BUDGET = 4319
 
 MODULES = pytest.mark.parametrize("module", [ibrl, ibrl.harness], ids=lambda m: m.__name__)
 

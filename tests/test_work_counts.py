@@ -73,9 +73,13 @@ WORKLOADS = {
 # its unit's block source, which draws at most ``ENV_BLOCK`` at a time and
 # stops at the unit's exact count, so no step makes a scalar draw.
 #
-# * trap-roster: 5 agents x 2 runs x 100 steps. The ``ib`` agent conditions
-#   every step, restricting and valuing both points until one is pruned (218
-#   each over both runs), and builds its 2 x 3 events once. Each roster
+# Each episode observes after every step but its last, whose successor no
+# step reads: ``steps - 1`` conditionings or history builds per episode.
+#
+# * trap-roster: 5 agents x 2 runs x 100 steps. The ``ib`` agent values both
+#   points until one is pruned (218 point values over both runs) and
+#   restricts both when it conditions (216, as its last step observes
+#   nothing), and builds its 2 x 3 events once. Each roster
 #   entry's belief is built once per config (6 joint measures) and shared by
 #   its runs, whose states copy the entry's state with their own stream.
 #   Every block steps in lockstep, so each step warms the whole roster in one
@@ -88,9 +92,9 @@ WORKLOADS = {
 #   draw), then its 100 steps' uniforms in one block; the 400 agent-stream
 #   scalars are Thompson's hypothesis draws.
 # * newcomb-sweep: 51 cells x 2 episodes. One ``newcomb_reward_moments``
-#   call per sweep gives every cell's candidate moments. A cell's state is
-#   reused, so it runs one value pass, one conditioning and builds one
-#   successor. A cell's episodes share one env stream: one block of 2. The 2
+#   call per sweep gives every cell's candidate moments. Every episode is
+#   one step from its cell's one state, so a cell runs one value pass and
+#   never observes. A cell's episodes share one env stream: one block of 2. The 2
 #   agent-stream scalars sample the mixed policies the all-tied cell at 0.55
 #   picks.
 # * ku-long: 50 steps of one agent over 4 corners, 2 after the third step;
@@ -109,14 +113,14 @@ BUDGETS = {
         "lower_expectations": 600,
         "policy_expectations": 618,
         "expected_action_values": 618,
-        "condition": 200,
+        "condition": 198,
         "warm": 100,
-        "restrict": 218,
-        "next_history": 1000,
+        "restrict": 216,
+        "next_history": 990,
         "ObservationEvent": 6,
         "JointHypothesisMeasure": 6,
         "AgentState": 15,
-        "_successor": 1000,
+        "_successor": 990,
         "random[env, None]": 10,
         "random[env, 100]": 10,
         "random[agent, None]": 400,
@@ -126,12 +130,7 @@ BUDGETS = {
         "newcomb_reward_moments": 1,
         "lower_expectations": 51,
         "policy_expectations": 51,
-        "condition": 51,
-        "restrict": 51,
-        "next_history": 51,
-        "ObservationEvent": 51,
         "AgentState": 51,
-        "_successor": 51,
         "random[env, 2]": 51,
         "random[agent, None]": 2,
     }),
@@ -140,12 +139,12 @@ BUDGETS = {
         "lower_expectations": 4,
         "policy_expectations": 14,
         "expected_action_values": 14,
-        "condition": 50,
+        "condition": 49,
         "restrict": 16,
-        "next_history": 50,
+        "next_history": 49,
         "ObservationEvent": 4,
         "AgentState": 1,
-        "_successor": 50,
+        "_successor": 49,
         "random[env, 150]": 1,
     }),
 }

@@ -781,6 +781,36 @@ class TestJointWarm:
             assert got is m.rows[1][_draw_index(model._posterior(m, h), np.random.default_rng(seed))]
 
 
+class TestJointRestrict:
+    @settings(max_examples=60, deadline=None)
+    @given(roster=_joint_rosters())
+    def test_restrict_equals_the_boolean_mask_reference(self, roster):
+        """``restrict`` reads the off-branch outcomes through the model's
+        index arrays; factor and off-branch value must keep the bits of the
+        boolean-mask read, for every (arm, outcome) of every possible
+        history."""
+        arms, outcomes, specs = roster
+        model = JointHypothesisBanditModel(arms, outcomes)
+        for weights, tables, values, counts in specs:
+            m = model.measure(weights, tables)
+            if values is None:
+                values = np.linspace(0.0, 1.0, arms * outcomes).reshape(arms, outcomes)
+            returns = model.policy_return(np.full(arms, 1.0 / arms), values)
+            for h in map(OutcomeCountHistory, counts):
+                with np.errstate(invalid="ignore"):
+                    if np.isnan(_reference_joint_posterior(m.weights, m.outcome_probs, h.counts)).any():
+                        continue
+                for arm in range(arms):
+                    dist = model.predictive_outcome_probs(m, h, arm)
+                    for o in range(outcomes):
+                        off = np.ones(outcomes, dtype=bool)
+                        off[o] = False
+                        want = float(np.dot(dist[off], returns.values[arm, off]))
+                        got = model.restrict(m, h, model.observation(arm, o, returns))
+                        assert got.scale_factor.hex() == float(dist[o]).hex()
+                        assert got.offbranch_value.hex() == want.hex()
+
+
 def _outcome(fn, *args):
     """``fn(*args)``, or the type and message of the ``DegenerateUpdateError`` it raises."""
     try:
